@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! // scs-contract: no-alloc
-//! fn serve_one(...) { ... }
+//! fn serve_batch(...) { ... }
 //! ```
 //!
 //! promises that *it and every function it transitively calls* stays

@@ -43,7 +43,8 @@
 //!   fails CI. False pairings are waived with `// lock-ok: <reason>`.
 //!
 //! Everything is std-only and offline. [`analyze_workspace`] walks the
-//! tree (skipping `target`, VCS dirs and lint-fixture trees), runs the
+//! tree (skipping `target`, VCS dirs, lint-fixture trees and nested
+//! cargo workspaces, which `--root` analyzes on their own), runs the
 //! per-file rules, then the whole-program passes, and returns sorted
 //! `file:line: [rule] message` diagnostics renderable as human text,
 //! GitHub annotations or JSON ([`Format`]). `scs analyze` exits non-zero
@@ -642,6 +643,18 @@ fn skip_dir(name: &str) -> bool {
     name == "target" || name == ".git" || name == "fixtures" || name.starts_with('.')
 }
 
+/// `true` when `dir` holds a `Cargo.toml` that declares `[workspace]`.
+/// Such a directory is a separate project — cargo does not build it as
+/// part of the enclosing workspace — so the walk stops there, as cargo
+/// does; analyze it on its own with `--root`.
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|manifest| {
+        manifest
+            .lines()
+            .any(|line| line.split('#').next().unwrap_or("").trim() == "[workspace]")
+    })
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut entries: Vec<_> = entries
@@ -655,7 +668,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
             .file_type()
             .map_err(|e| format!("{}: {e}", path.display()))?;
         if ty.is_dir() {
-            if !skip_dir(&name) {
+            if !skip_dir(&name) && !is_nested_workspace(&path) {
                 collect_rs_files(&path, out)?;
             }
         } else if ty.is_file() && name.ends_with(".rs") {

@@ -2,7 +2,7 @@
 //! The diagnostic must print the whole chain, root to offender.
 
 // scs-contract: no-alloc
-pub fn serve_one(out: &mut [u32]) {
+pub fn serve_job(out: &mut [u32]) {
     route(out);
 }
 

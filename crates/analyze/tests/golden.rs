@@ -124,7 +124,7 @@ fn transitive_no_alloc_violation_prints_the_full_call_chain() {
         rendered,
         vec![
             "serve.rs:18: [contract] `Vec::with_capacity` violates the `no-alloc` contract \
-             of `serve_one`; call chain: serve_one (serve.rs:5) → route (serve.rs:9) → \
+             of `serve_job`; call chain: serve_job (serve.rs:5) → route (serve.rs:9) → \
              gather (serve.rs:13) → emit (serve.rs:17); waive a justified site with \
              `// contract-ok: <reason>`"
                 .to_string()
@@ -290,4 +290,31 @@ fn json_format_is_machine_readable_and_self_describing() {
     let clean = run("false_positives").render_as(scs_analyze::Format::Json);
     assert!(clean.contains("\"diagnostics\": []"), "{clean}");
     assert!(clean.contains("\"clean\": true"), "{clean}");
+}
+
+// ---------------------------------------------------------------------------
+// Workspace boundaries.
+
+#[test]
+fn walk_stops_at_a_nested_cargo_workspace() {
+    // The same seeded violation in a member crate and in a nested
+    // workspace: only the member's is reported, as cargo builds only
+    // the member as part of this workspace.
+    let hint = |path: &str| {
+        format!(
+            "{path}:8: [atomic-ordering-comment] `Ordering::Relaxed` in a file not in \
+             the ordering audit list; add `\"counters.rs\"` to `[ordering] audit` in \
+             scs-analyze.toml and justify each site with a `// ordering:` comment"
+        )
+    };
+    let a = run("nested_workspace");
+    let rendered: Vec<String> = a.diagnostics.iter().map(|d| d.to_string()).collect();
+    assert_eq!(rendered, vec![hint("member/src/counters.rs")]);
+    assert_eq!(a.files_scanned, 1);
+    // Pointed at directly (`scs analyze --root nested`), the nested
+    // workspace is analyzed on its own.
+    let a = analyze_workspace(&Config::new(fixture("nested_workspace").join("nested")))
+        .expect("nested tree analyzes");
+    let rendered: Vec<String> = a.diagnostics.iter().map(|d| d.to_string()).collect();
+    assert_eq!(rendered, vec![hint("src/counters.rs")]);
 }

@@ -1,9 +1,8 @@
-//! Batched-submission smoke benchmark in three modes: the same replayed
+//! Batched-submission smoke benchmark in two modes: the same replayed
 //! workload submitted per-request (`QueryEngine::query`, one queue
-//! round-trip, snapshot read and cache handshake per request), batched
-//! (`QueryEngine::submit_batch`, those costs paid once per batch, one
-//! worker per batch), and batched **with adaptive splitting** (a single
-//! submitter's batches fanned out across the idle pool).
+//! round-trip, snapshot read and cache handshake per request) and
+//! batched (`QueryEngine::submit_batch`, those costs paid once per
+//! batch, one worker per batch).
 //!
 //! The graph is the same grid of small disjoint bicliques as
 //! `workspace_reuse`: every answer is tiny, so the per-request fixed
@@ -12,18 +11,9 @@
 //! rounds are interleaved and each mode keeps its best, so one
 //! scheduling hiccup cannot decide the comparison.
 //!
-//! Two CI gates, both exiting nonzero on failure:
-//!
-//! * batched submission must not fall below per-request submission
-//!   (the PR 3 gate, measured at `SCS_CLIENTS` concurrent clients with
-//!   splitting off so it stays a pure amortization A/B);
-//! * split batching must not *regress* below unsplit batching in the
-//!   single-big-submitter scenario splitting exists for (1 client, so
-//!   the pool has idle capacity). The dev/CI container is single-core,
-//!   so no speedup is required — splitting across workers that share
-//!   one core only adds scheduling overhead — but it must stay within
-//!   [`SPLIT_TOLERANCE`] of unsplit, and it must actually engage
-//!   (`splits > 0`), or the gate is vacuous.
+//! CI gate, exiting nonzero on failure: batched submission must not
+//! fall below per-request submission, measured at `SCS_CLIENTS`
+//! concurrent clients.
 //!
 //! Knobs: `SCS_QUERIES` (workload size, floor 2000 here), `SCS_SEED`,
 //! `SCS_BATCH` (batch size, default 64), `SCS_CLIENTS` (default 2).
@@ -38,13 +28,6 @@ use scs_service::{
     build_workload, replay, replay_batched, QueryEngine, ReplayReport, ServiceConfig, WorkloadSpec,
 };
 use std::sync::Arc;
-
-/// Split batching passes the regression gate at ≥ this fraction of
-/// unsplit batching's best throughput. On a multi-core box split wins
-/// outright; on the single-core CI container the two modes do the same
-/// work with extra handoffs, and this margin absorbs that overhead
-/// while still catching a pathological slowdown.
-const SPLIT_TOLERANCE: f64 = 0.8;
 
 /// Disjoint `blocks` × (`side` × `side`) bicliques with mixed weights.
 fn biclique_grid(blocks: usize, side: usize) -> bigraph::BipartiteGraph {
@@ -111,27 +94,16 @@ fn main() {
         spec.repeat_fraction,
     );
 
-    let unsplit_config = ServiceConfig {
+    let config = ServiceConfig {
         workers,
         cache_capacity: 4096,
         cache_shards: 16,
-        split_batches: false,
         ..ServiceConfig::default()
     };
-    let split_config = ServiceConfig {
-        split_batches: true,
-        ..unsplit_config.clone()
-    };
 
-    let (per_request_best, _) = best_of(3, &search, &unsplit_config, &workload, clients, 1);
+    let (per_request_best, _) = best_of(3, &search, &config, &workload, clients, 1);
     let (batched_best, batched_report) =
-        best_of(3, &search, &unsplit_config, &workload, clients, batch_size);
-    // The splitting A/B runs with ONE client so the pool has idle
-    // capacity — the scenario splitting exists for. Both sides of the
-    // comparison use the same client count.
-    let (unsplit_1c_best, _) = best_of(3, &search, &unsplit_config, &workload, 1, batch_size);
-    let (split_1c_best, split_report) =
-        best_of(3, &search, &split_config, &workload, 1, batch_size);
+        best_of(3, &search, &config, &workload, clients, batch_size);
 
     let widths = [30, 14];
     print_header(&["mode", "QPS"], &widths);
@@ -146,39 +118,14 @@ fn main() {
         ],
         &widths,
     );
-    print_row(
-        &["batched, 1 client".into(), format!("{unsplit_1c_best:.0}")],
-        &widths,
-    );
-    print_row(
-        &[
-            "batched+split, 1 client".into(),
-            format!("{split_1c_best:.0}"),
-        ],
-        &widths,
-    );
     println!(
-        "\nbatching speedup {:.2}x over {} batch jobs; split/unsplit {:.2}x over {} splits / {} sub-batches",
+        "\nbatching speedup {:.2}x over {} batch jobs",
         batched_best / per_request_best,
         batched_report.stats.batches,
-        split_1c_best / unsplit_1c_best,
-        split_report.stats.splits,
-        split_report.stats.sub_batches,
     );
 
     if batched_best < per_request_best {
         eprintln!("REGRESSION: batched submission throughput fell below per-request submission");
-        std::process::exit(1);
-    }
-    if split_report.stats.splits == 0 {
-        eprintln!("REGRESSION: adaptive splitting never engaged — the split gate measured nothing");
-        std::process::exit(1);
-    }
-    if split_1c_best < SPLIT_TOLERANCE * unsplit_1c_best {
-        eprintln!(
-            "REGRESSION: split batching ({split_1c_best:.0} QPS) fell below \
-             {SPLIT_TOLERANCE}x unsplit batching ({unsplit_1c_best:.0} QPS)"
-        );
         std::process::exit(1);
     }
 }

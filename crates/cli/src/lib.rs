@@ -112,9 +112,6 @@ pub struct ServeBenchArgs {
     pub seed: u64,
     /// Requests per submitted batch job (1 = per-request submission).
     pub batch_size: usize,
-    /// Disable adaptive batch splitting (serve every batch on one
-    /// worker, the pre-split behaviour) — the A/B escape hatch.
-    pub no_split: bool,
     /// Warmup queries replayed (and then excluded from the steady-state
     /// window) before the measured run; defaults to `queries / 10`.
     pub warmup: Option<usize>,
@@ -237,7 +234,7 @@ USAGE:
              [--socket-timeout-ms MS] [--one-based]
   scs serve-bench <edgelist> [--threads N] [--shards S] [--queries K]
              [--clients C] [--alpha A] [--beta B] [--repeat F]
-             [--zipf Z] [--seed N] [--batch-size B] [--no-split]
+             [--zipf Z] [--seed N] [--batch-size B]
              [--warmup W] [--metrics-out FILE] [--bench-json FILE]
              [--remote HOST:PORT]
              [--algo auto|peel|expand|binary|baseline] [--one-based]
@@ -296,7 +293,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut repeat = 0.5f64;
     let mut zipf = 0.0f64;
     let mut batch_size = 1usize;
-    let mut no_split = false;
     let mut warmup: Option<usize> = None;
     let mut metrics_out: Option<String> = None;
     let mut bench_json: Option<String> = None;
@@ -497,10 +493,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .next()
                     .ok_or_else(|| CliError::new("--batch-size needs a value"))?;
                 batch_size = parse_usize(val, "batch size")?;
-            }
-            "--no-split" => {
-                serve_flags.push("--no-split");
-                no_split = true;
             }
             "--warmup" => {
                 serve_flags.push("--warmup");
@@ -706,7 +698,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 zipf,
                 seed,
                 batch_size,
-                no_split,
                 warmup,
                 metrics_out,
                 bench_json,
@@ -980,7 +971,6 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
         ServiceConfig {
             workers: args.threads,
             shards: args.shards,
-            split_batches: !args.no_split,
             ..ServiceConfig::default()
         },
     );
@@ -994,11 +984,7 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
         replay_batched(&engine, &workload[warmup..], args.clients, args.batch_size);
     let steady = engine.stats_window();
     let submission = if report.batch_size > 1 {
-        format!(
-            "batches of {}{}",
-            report.batch_size,
-            if args.no_split { ", no split" } else { "" }
-        )
+        format!("batches of {}", report.batch_size)
     } else {
         "per-request".into()
     };
@@ -1052,7 +1038,6 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
             repeat_fraction: args.repeat,
             zipf: args.zipf,
             seed: args.seed,
-            split_batches: !args.no_split,
             wall_secs: report.wall_secs,
         };
         let json = render_bench_json(&meta, &report.stats, &steady);
@@ -1068,8 +1053,8 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
 /// `scs serve-bench --remote`: drive the generated workload over
 /// keep-alive HTTP connections against a running `scs serve`, counting
 /// `200`s, `429` sheds and errors and measuring client-side latency.
-/// The engine knobs (`--threads`, `--shards`, `--batch-size`,
-/// `--no-split`) belong to the server process and are ignored here;
+/// The engine knobs (`--threads`, `--shards`, `--batch-size`) belong
+/// to the server process and are ignored here;
 /// `--bench-json` needs in-process engine stats and is rejected.
 fn run_remote_bench(
     args: &ServeBenchArgs,
@@ -1388,27 +1373,20 @@ mod tests {
                 zipf: 1.1,
                 seed: 42,
                 batch_size: 32,
-                no_split: false,
                 warmup: None,
                 metrics_out: None,
                 bench_json: None,
                 remote: None,
             })
         );
-        // batch size defaults to per-request submission; splitting is
-        // on by default and --no-split turns it off.
+        // batch size defaults to per-request submission.
         match parse_args(&args(&["serve-bench", "g.tsv"])).unwrap() {
             Command::ServeBench(a) => {
                 assert_eq!(a.batch_size, 1);
-                assert!(!a.no_split);
                 // One shard and a uniform workload unless asked.
                 assert_eq!(a.shards, 1);
                 assert_eq!(a.zipf, 0.0);
             }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_args(&args(&["serve-bench", "g.tsv", "--no-split"])).unwrap() {
-            Command::ServeBench(a) => assert!(a.no_split),
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse_args(&args(&["serve-bench"])).is_err());
@@ -1496,7 +1474,6 @@ mod tests {
         assert!(err.to_string().contains("serve-bench"), "{err}");
         assert!(parse_args(&args(&["stats", "g", "--queries", "10"])).is_err());
         assert!(parse_args(&args(&["stats", "g", "--batch-size", "8"])).is_err());
-        assert!(parse_args(&args(&["stats", "g", "--no-split"])).is_err());
         assert!(parse_args(&args(&["index", "g", "o", "--repeat", "0.5"])).is_err());
         let err = parse_args(&args(&["serve-bench", "g", "--scale", "0.5"])).unwrap_err();
         assert!(err.to_string().contains("generate"), "{err}");
@@ -1554,7 +1531,6 @@ mod tests {
             zipf: 0.0,
             seed: 1,
             batch_size: 1,
-            no_split: false,
             warmup: None,
             metrics_out: None,
             bench_json: None,
@@ -1583,7 +1559,6 @@ mod tests {
             zipf: 0.0,
             seed: 1,
             batch_size: 25,
-            no_split: false,
             warmup: None,
             metrics_out: None,
             bench_json: None,
@@ -1592,32 +1567,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("batches of 25"), "{out}");
         assert!(!out.contains("batch jobs          │            0"), "{out}");
-
-        // --no-split: same workload, splitting disabled — the run is
-        // labelled and the splits counter stays at zero.
-        let out = run(Command::ServeBench(ServeBenchArgs {
-            path: path.to_str().unwrap().into(),
-            one_based: false,
-            threads: 4,
-            shards: 1,
-            queries: 200,
-            clients: 2,
-            alpha: 2,
-            beta: 2,
-            algo: Algorithm::Auto,
-            repeat: 0.5,
-            zipf: 0.0,
-            seed: 1,
-            batch_size: 25,
-            no_split: true,
-            warmup: None,
-            metrics_out: None,
-            bench_json: None,
-            remote: None,
-        }))
-        .unwrap();
-        assert!(out.contains("batches of 25, no split"), "{out}");
-        assert!(out.contains("batch splits        │            0"), "{out}");
 
         let err = run(Command::ServeBench(ServeBenchArgs {
             path: path.to_str().unwrap().into(),
@@ -1633,7 +1582,6 @@ mod tests {
             zipf: 0.0,
             seed: 1,
             batch_size: 1,
-            no_split: false,
             warmup: None,
             metrics_out: None,
             bench_json: None,
@@ -1676,7 +1624,6 @@ mod tests {
             zipf: 0.0,
             seed: 1,
             batch_size: 8,
-            no_split: false,
             warmup: Some(40),
             metrics_out: Some(metrics.to_str().unwrap().into()),
             bench_json: Some(bench.to_str().unwrap().into()),
@@ -1833,7 +1780,6 @@ mod tests {
             zipf: 0.0,
             seed: 1,
             batch_size: 16,
-            no_split: false,
             warmup: None,
             metrics_out: None,
             bench_json: None,
@@ -1856,7 +1802,6 @@ mod tests {
             zipf: 0.0,
             seed: 1,
             batch_size: 16,
-            no_split: false,
             warmup: Some(10),
             metrics_out: None,
             bench_json: None,
@@ -1908,7 +1853,6 @@ mod tests {
             zipf: 0.0,
             seed: 1,
             batch_size: 1,
-            no_split: false,
             warmup: Some(5),
             metrics_out: Some(metrics.to_str().unwrap().into()),
             bench_json: None,
@@ -1937,7 +1881,6 @@ mod tests {
             zipf: 0.0,
             seed: 1,
             batch_size: 1,
-            no_split: false,
             warmup: Some(0),
             metrics_out: None,
             bench_json: Some(dir.join("b.json").to_str().unwrap().into()),

@@ -3,8 +3,7 @@
 //!
 //! The engine's batch path ([`crate::QueryEngine::submit_batch`]) pays
 //! its per-request overheads once per batch: one queue job, one index
-//! snapshot, one cache pass, one batched kernel call per algorithm
-//! run. A network server can only cash that in if it *forms* batches —
+//! snapshot, one cache pass. A network server can only cash that in if it *forms* batches —
 //! socket clients arrive one request at a time. The
 //! [`DeadlineBuckets`] here are the SLO-aware accumulator that does
 //! it: requests land in a bucket per compatible shape
@@ -29,8 +28,8 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// The compatible-request shape a bucket accumulates: requests that
-/// share degree constraints and algorithm batch well (one algorithm
-/// run, one batched kernel call; duplicate keys dedup in the engine).
+/// share degree constraints and algorithm (duplicate keys dedup in the
+/// engine).
 pub type BucketKey = (u32, u32, Algorithm);
 
 /// Why a bucket was flushed — the server's counters split on this.

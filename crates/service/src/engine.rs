@@ -1,32 +1,50 @@
 //! The concurrent query engine: a fixed worker pool over an immutable,
 //! epoch-swappable [`CommunitySearch`].
 //!
-//! Life of a request:
+//! Life of a request — every submission takes the same path:
 //!
-//! 1. [`QueryEngine::submit`] pushes a job onto the queue and returns a
-//!    [`ResponseHandle`]; [`QueryEngine::query`] is the blocking
-//!    convenience.
-//! 2. A worker dequeues, checks the sharded LRU cache, and on a hit
-//!    responds immediately (`cached = true`).
-//! 3. On a miss it joins the in-flight table. The first thread for a key
-//!    becomes the *leader* and computes the significant community on the
-//!    current index snapshot; threads that arrive while the leader runs
-//!    become *followers* and block on the flight's condvar instead of
-//!    duplicating work (`coalesced = true`).
-//! 4. The leader publishes the response, installs it in the cache and
-//!    wakes the followers.
+//! 1. [`QueryEngine::submit`] enqueues a **batch of one** on the shard
+//!    its query vertex routes to and returns a [`ResponseHandle`];
+//!    [`QueryEngine::submit_batch`] enqueues N requests as one job per
+//!    shard. [`QueryEngine::query`] and [`QueryEngine::query_batch`]
+//!    are the blocking conveniences.
+//! 2. A worker dequeues the job and looks every *unique* key up in the
+//!    sharded LRU cache once; a hit answers its key at once
+//!    (`cached = true`).
+//! 3. The misses read one index snapshot and join the in-flight table.
+//!    The first thread for a key becomes its *leader*; a key already in
+//!    flight makes this job a *follower* that waits for the leader
+//!    instead of duplicating work (`coalesced = true`). A key whose
+//!    resident flight belongs to a newer epoch (an install raced the
+//!    join) gets another snapshot-and-join round inside the same job;
+//!    epochs are monotonic, so the rounds end.
+//! 4. Each leader runs its own kernel call
+//!    ([`scs::CommunitySearch::significant_community_arena`]) and
+//!    publishes at once: the response goes into the cache and the
+//!    flight (waking its followers) and answers the key's slots.
+//! 5. Only once every leader of every round is published does the job
+//!    wait on its follower flights, so two jobs following each other's
+//!    keys can never deadlock.
+//! 6. The worker hands the responses back in submission order and
+//!    records every member's stage trace (see [`crate::telemetry`]).
+//!
+//! Duplicate keys inside a batch are computed once and their extra
+//! slots answered exactly as a serial resubmission would be, and only
+//! [`QueryEngine::submit_batch`] jobs count in the `batches`/`batched`
+//! counters, so [`ServiceStats`] cannot drift between submission modes.
 //!
 //! # The warm leader path allocates nothing
 //!
-//! Together with the per-worker [`QueryWorkspace`] (PR 2) and
+//! Together with the per-worker [`QueryWorkspace`] and
 //! [`ResultArena`], every piece of per-request state is recycled, so a
 //! warm engine serves leader queries with **zero** heap allocations end
 //! to end (proven by `tests/alloc_free_service.rs`):
 //!
 //! * the job queue is a mutex-protected ring (`VecDeque`) instead of a
 //!   node-allocating channel;
-//! * reply slots ([`ReplyCell`]) and flights are pooled `Arc`s, reused
-//!   whenever their refcount proves nothing else holds them;
+//! * request and response vectors, reply slots ([`ReplyCell`]) and
+//!   flights are pooled, reused whenever their refcount proves nothing
+//!   else holds them;
 //! * results are written into the worker's [`ResultArena`] — the
 //!   [`crate::CommunitySummary`] wraps a slab view, not a fresh `Vec` —
 //!   and [`crate::QueryResponse`] travels **by value** (cloning is a
@@ -34,46 +52,10 @@
 //! * cache entries hold responses by value; **eviction (or an
 //!   epoch-swap clear) drops the entry's slab handle, and once every
 //!   handle of a slab's generation is gone the owning worker recycles
-//!   the slab in place** — live handles, including results published to
-//!   other threads by a split batch, pin their slab via refcount and a
-//!   generation tag proves they can never observe recycled storage;
-//! * batch bookkeeping (slot grouping, leader/follower partitions,
-//!   sub-batch descriptors) lives in per-worker scratch and a pooled
-//!   [`BatchShared`], all capacity-retaining.
-//!
-//! Batches ([`QueryEngine::submit_batch`]) ride the same machinery with
-//! the per-request overheads paid once: one job carries the whole batch
-//! through the queue, the serving worker reads **one** index snapshot,
-//! looks every *unique* key up in the cache once, partitions the misses
-//! into leaders / followers / stale up front, and answers the leaders
-//! through batched kernel calls
-//! ([`scs::CommunitySearch::significant_communities_arena`]). Responses
-//! come back in submission order; duplicate keys inside a batch are
-//! computed once and the extra slots answered exactly as a serial
-//! resubmission would be, so [`ServiceStats`] cannot drift between
-//! submission modes.
-//!
-//! When the pool has idle capacity, a batch is additionally **split**:
-//! after the hit/coalesce/leader partition, the leader computations are
-//! carved into per-worker sub-batches and the number of workers woken
-//! to help is bounded by `min(idle workers, ceil(leaders /
-//! min_sub_batch) - 1)` — chunk boundaries respect per-algorithm runs
-//! (each chunk is one batched kernel call), so a many-algorithm batch
-//! may carve more chunks than that, but never runs them any wider.
-//! Chunks are parked in a claimable queue shared with the pool and
-//! advertised with [`Job::Sub`] wake-up hints. Any worker —
-//! the batch owner included — claims and runs sub-batches; each one is
-//! pure compute-and-publish (one batched kernel call, each leader's
-//! flight and cache entry published the moment its summary exists —
-//! into the *executing* worker's arena, whose slab the published
-//! handles pin), so a sub-batch can never wait on another flight and
-//! the owner's join can never deadlock. The owner drains whatever the
-//! pool does not claim, waits for the stragglers, and only then — with
-//! every one of its leaders published — blocks on stale retries and
-//! followers, preserving the no-deadlock ordering argument of the
-//! unsplit path. Results are bit-identical to the unsplit (and
-//! per-request) path; the split only changes which thread runs which
-//! leader.
+//!   the slab in place** — live handles pin their slab via refcount and
+//!   a generation tag proves they can never observe recycled storage;
+//! * job bookkeeping (slot grouping, follower list, stage traces) lives
+//!   in per-worker scratch, all capacity-retaining.
 //!
 //! # Sharding
 //!
@@ -92,9 +74,7 @@
 //! all shards agree on the epoch sequence); stats aggregate. On Linux,
 //! each shard's workers are pinned to a distinct CPU set
 //! (best-effort); elsewhere pinning is a no-op and sharding still
-//! isolates the queues, caches and arenas. The split queue is
-//! shard-local — sub-batch claiming never crosses a shard boundary
-//! (cross-shard stealing is a ROADMAP follow-up).
+//! isolates the queues, caches and arenas.
 //!
 //! [`QueryEngine::install`] atomically replaces the index (one
 //! write-lock per shard), bumps the epoch and clears the cache, so a
@@ -117,12 +97,12 @@
 use crate::cache::{CacheStats, ShardedCache};
 use crate::stats::{AdmissionStats, HistSnapshot, LatencyHistogram, ServiceStats, ShardStats};
 use crate::telemetry::{
-    Provenance, SlowQuery, Stage, StageRecorder, StageSet, Telemetry, TelemetrySnapshot,
+    Provenance, RequestTrace, SlowQuery, Stage, StageSet, Telemetry, TelemetrySnapshot,
 };
 use crate::{CommunitySummary, QueryRequest, QueryResponse};
 use bigraph::arena::ResultArena;
 use bigraph::Vertex;
-use scs::{Algorithm, CommunitySearch, QueryWorkspace};
+use scs::{CommunitySearch, QueryWorkspace};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -150,24 +130,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Cache shards (rounded up to a power of two).
     pub cache_shards: usize,
-    /// Batch-splitting granularity **floor**: a split batch wakes at
-    /// most one helper per effective-`min_sub_batch` leader
-    /// computations (and never more than the pool's idle capacity), so
-    /// tiny batches are served inline instead of being scattered.
-    /// Once enough kernel-stage samples exist the engine raises the
-    /// effective value from the observed per-leader kernel cost —
-    /// cheap kernels get coarser chunks so scheduling overhead cannot
-    /// dominate — but never below this floor (visible per shard via
-    /// [`crate::stats::ShardStats::min_sub_batch_effective`]). Chunks
-    /// themselves follow per-algorithm runs and can be smaller or more
-    /// numerous than this fan-out; they queue behind it. Clamped to
-    /// ≥ 1.
-    pub min_sub_batch: usize,
-    /// Adaptive batch splitting on/off. Off, every batch is served in
-    /// full by the worker that dequeued it (the pre-split behaviour and
-    /// the `scs serve-bench --no-split` escape hatch); results are
-    /// identical either way.
-    pub split_batches: bool,
     /// Edge capacity of each result-arena slab (per worker). Smaller
     /// slabs turn over — and recycle — faster at the cost of more
     /// pinned-slab fragmentation; the default
@@ -211,8 +173,6 @@ impl Default for ServiceConfig {
             shards: 1,
             cache_capacity: 4096,
             cache_shards: 16,
-            min_sub_batch: 8,
-            split_batches: true,
             arena_slab_edges: bigraph::arena::DEFAULT_SLAB_EDGES,
             slow_ring_capacity: 16,
             pending_budget: 1024,
@@ -279,24 +239,21 @@ enum Role {
 /// follower, who re-panic with context instead of blocking forever)
 /// and removed so the key is not permanently wedged. The flight then
 /// returns to the pool for reuse.
-///
-/// Owns an `Arc` to the engine state (not a borrow) so a guard can ride
-/// a split batch's sub-batch to another worker thread.
-struct FlightGuard {
-    inner: Arc<Inner>,
+struct FlightGuard<'a> {
+    inner: &'a Inner,
     key: QueryRequest,
     flight: Arc<Flight>,
     published: bool,
 }
 
-impl FlightGuard {
+impl FlightGuard<'_> {
     fn publish(&mut self, resp: QueryResponse) {
         self.flight.publish(FlightState::Done(resp));
         self.published = true;
     }
 }
 
-impl Drop for FlightGuard {
+impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
         if !self.published {
             self.flight.publish(FlightState::Poisoned);
@@ -324,78 +281,6 @@ impl Drop for FlightGuard {
         }
         self.inner.flight_pool.put(self.flight.clone());
     }
-}
-
-/// One leader computation of a batch: the flight to publish plus the
-/// submission slots its key answers, as a `(start, end)` range into a
-/// slot store (the owner's grouped slot table inline, the shared copy
-/// when split). Slot `store[start]` is the leader's own.
-struct Unit {
-    guard: FlightGuard,
-    slots: (u32, u32),
-    /// This key's pass-1 cache-lookup time, µs — carried so the unit's
-    /// eventual publisher can attribute the cache-lookup stage no
-    /// matter which worker runs the unit.
-    cache_us: u64,
-}
-
-/// One fanned-out share of a split batch: a same-algorithm run of
-/// leader units (a range into [`BatchShared::units`]) that one worker
-/// answers through one batched kernel call. Whoever pops a range owns
-/// its units, so their flight guards poison-and-clean on a panic
-/// exactly like an inline leader's.
-struct SubRange {
-    algo: Algorithm,
-    units: std::ops::Range<usize>,
-}
-
-/// Join state shared between a splitting batch owner and the workers
-/// that claim its sub-batches. Pooled and recycled across batches: all
-/// contained buffers retain capacity, so a warm split batch allocates
-/// nothing.
-struct BatchShared {
-    /// The owner's index snapshot: every sub-batch computes on it, so a
-    /// split batch is as epoch-consistent as an unsplit one.
-    search: Arc<CommunitySearch>,
-    epoch: u64,
-    /// The batch's dequeue time — response `service_us` is measured
-    /// from it on every worker, as in the unsplit path.
-    t0: Instant,
-    /// The batch's queue wait (enqueue → dequeue), µs — the base of
-    /// every split unit's stage attribution.
-    queue_us: u64,
-    /// The owner's snapshot-acquire + flight-join window, µs.
-    snapshot_us: u64,
-    /// Chunks carved; the owner waits until `done` reaches it.
-    total: usize,
-    /// Submission slots of every split unit, grouped per unit (the
-    /// owner copies each unit's group here so executors need no access
-    /// to the owner's scratch). Read-only once hints are posted.
-    slot_store: Vec<u32>,
-    /// The split units; executors `take()` the ones in their claimed
-    /// range.
-    units: Mutex<Vec<Option<Unit>>>,
-    /// Unclaimed sub-batches. Any worker (the owner included) pops and
-    /// executes; a [`Job::Sub`] hint that finds this empty is a no-op.
-    queue: Mutex<Vec<SubRange>>,
-    done: Mutex<usize>,
-    cv: Condvar,
-    /// `(submission slot, response)` pairs from executed chunks.
-    results: Mutex<Vec<(u32, QueryResponse)>>,
-}
-
-/// The slice of batch context every leader-publishing site needs.
-#[derive(Clone, Copy)]
-struct BatchCtx<'a> {
-    search: &'a CommunitySearch,
-    epoch: u64,
-    t0: Instant,
-    /// Batch-level stage bases shared by every unit: the queue wait and
-    /// the owner's snapshot-acquire window, µs.
-    queue_us: u64,
-    snapshot_us: u64,
-    /// How this unit reached the kernel: inline batch or split chunk.
-    prov: Provenance,
 }
 
 /// A pooled one-shot reply slot: the worker `put`s exactly once (or
@@ -439,16 +324,26 @@ impl<T> ReplyCell<T> {
     }
 }
 
-/// Answers a reply cell (`Some` = response, `None` = the computation
-/// panicked) and moves the worker's reference into the pool, **holding
-/// the pool lock across both**. The ordering is what makes warm
-/// submits deterministic: the submitter cannot finish its `take` until
-/// the state lock is released, and cannot reach `take_free` until the
-/// pool lock is released — by which point the cell is pooled and the
+/// Answers a reply cell (`Some` = responses, `None` = the job panicked)
+/// and moves the worker's reference into the pool, **holding the pool
+/// lock across both**. The ordering is what makes warm submits
+/// deterministic: the submitter cannot finish its `take` until the
+/// state lock is released, and cannot reach `take_free` until the pool
+/// lock is released — by which point the cell is pooled and the
 /// worker's reference gone, so after the submitter drops its handle the
 /// cell is free. Without this, the worker's "pool it" step could lag
 /// behind a fast submitter and force a fresh allocation.
-fn respond_and_pool<T>(pool: &ArcPool<ReplyCell<T>>, cell: Arc<ReplyCell<T>>, value: Option<T>) {
+///
+/// `then` runs once the answer is in, before the submitter is woken
+/// and the state lock released: the worker records the job's traces
+/// there, so a submitter whose `wait` returned finds its requests in
+/// the telemetry plane.
+fn respond_and_pool<T>(
+    pool: &ArcPool<ReplyCell<T>>,
+    cell: Arc<ReplyCell<T>>,
+    value: Option<T>,
+    then: impl FnOnce(),
+) {
     let mut items = pool.items.lock().unwrap();
     {
         let mut state = cell.state.lock().unwrap();
@@ -456,6 +351,7 @@ fn respond_and_pool<T>(pool: &ArcPool<ReplyCell<T>>, cell: Arc<ReplyCell<T>>, va
             Some(v) => ReplyState::Done(v),
             None => ReplyState::Abandoned,
         };
+        then();
         cell.cv.notify_all();
     }
     items.push(cell);
@@ -464,8 +360,9 @@ fn respond_and_pool<T>(pool: &ArcPool<ReplyCell<T>>, cell: Arc<ReplyCell<T>>, va
 /// A pool of reusable `Arc`'d objects. `take_free` only returns an
 /// entry whose strong count is 1 — nothing else references it, so the
 /// caller may reset and reuse it; busy entries (a follower still
-/// holding a pooled flight, an unconsumed sub-batch hint) stay pooled
-/// until they free up. Warm `put`s push within retained capacity.
+/// holding a pooled flight, a submitter yet to take its reply) stay
+/// pooled until they free up. Warm `put`s push within retained
+/// capacity.
 struct ArcPool<T> {
     items: Mutex<Vec<Arc<T>>>,
 }
@@ -511,8 +408,7 @@ impl<T> VecPool<T> {
 }
 
 /// The job queue: a mutex-protected ring with a condvar, in place of a
-/// channel whose every send allocates a node. Workers parked here are
-/// counted in `idle_workers` (the split heuristic's input).
+/// channel whose every send allocates a node.
 struct JobQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
@@ -546,10 +442,10 @@ impl JobQueue {
         true
     }
 
-    /// Dequeues, advertising idleness while parked. `None` once the
+    /// Dequeues, parking while the queue is empty. `None` once the
     /// queue is closed **and** drained — pending jobs are always
     /// served.
-    fn pop(&self, idle: &AtomicUsize) -> Option<Job> {
+    fn pop(&self) -> Option<Job> {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(job) = state.jobs.pop_front() {
@@ -558,13 +454,7 @@ impl JobQueue {
             if !state.open {
                 return None;
             }
-            // ordering: Relaxed — `idle` is an advisory gauge read by
-            // `split_factor`; a stale count only skews the split
-            // heuristic, never correctness. Pairs with nothing.
-            idle.fetch_add(1, Ordering::Relaxed);
             state = self.cv.wait(state).unwrap();
-            // ordering: Relaxed — same advisory gauge as above.
-            idle.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -600,8 +490,6 @@ struct WindowBase {
     coalesced: u64,
     batches: u64,
     batched: u64,
-    splits: u64,
-    sub_batches: u64,
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
@@ -618,8 +506,6 @@ impl WindowBase {
             coalesced: 0,
             batches: 0,
             batched: 0,
-            splits: 0,
-            sub_batches: 0,
             cache_hits: 0,
             cache_misses: 0,
             cache_evictions: 0,
@@ -642,19 +528,9 @@ struct Inner {
     coalesced: AtomicU64,
     batches: AtomicU64,
     batched: AtomicU64,
-    splits: AtomicU64,
-    sub_batches: AtomicU64,
-    /// Workers currently parked on the job queue — the idle capacity
-    /// the split heuristic consults. Reads are advisory: a stale count
-    /// only mis-sizes a split, never mis-answers one.
-    idle_workers: AtomicUsize,
-    min_sub_batch: usize,
-    split_batches: bool,
     scratch: Vec<ScratchSlot>,
-    reply_pool: ArcPool<ReplyCell<QueryResponse>>,
-    batch_reply_pool: ArcPool<ReplyCell<Vec<QueryResponse>>>,
+    reply_pool: ArcPool<ReplyCell<Vec<QueryResponse>>>,
     flight_pool: ArcPool<Flight>,
-    shared_pool: ArcPool<BatchShared>,
     req_pool: VecPool<QueryRequest>,
     resp_pool: VecPool<QueryResponse>,
     /// Worker threads owned by this shard.
@@ -666,16 +542,36 @@ struct Inner {
 }
 
 impl Inner {
-    /// Target kernel time per sub-batch, µs — the knob behind the
-    /// dynamic [`Self::effective_min_sub_batch`]. Large enough that a
-    /// chunk's compute dwarfs its queue/wake cost, small enough that a
-    /// medium batch still fans out.
-    const TARGET_CHUNK_US: u64 = 200;
-
     /// The current `(index snapshot, epoch)` pair, read consistently.
     fn snapshot(&self) -> (Arc<CommunitySearch>, u64) {
         let guard = self.search.read().unwrap();
         (guard.0.clone(), guard.1) // contract-ok: Arc refcount bump under the snapshot read lock
+    }
+
+    /// Enqueues `reqs` as one job and returns its reply cell. The cell
+    /// comes from (and returns to) the shard's pool; a reissued cell may
+    /// hold the stale value of a submitter that never waited, so it is
+    /// reset first (refcount 1 makes that unobservable).
+    fn enqueue(
+        &self,
+        reqs: Vec<QueryRequest>,
+        prov: Provenance,
+    ) -> Arc<ReplyCell<Vec<QueryResponse>>> {
+        let reply = match self.reply_pool.take_free() {
+            Some(cell) => {
+                *cell.state.lock().unwrap() = ReplyState::Pending;
+                cell
+            }
+            None => Arc::new(ReplyCell::new()),
+        };
+        let job = Job {
+            reqs,
+            reply: reply.clone(),
+            enqueued: Instant::now(),
+            prov,
+        };
+        assert!(self.queue.push(job), "engine already shut down");
+        reply
     }
 
     /// Joins (or opens) the flight for `key` at `epoch`. A resident
@@ -772,8 +668,7 @@ impl Inner {
     /// An unservable request (vertex outside the installed graph, zero
     /// constraint) gets the empty community rather than panicking a
     /// worker: the graph can shrink across installs, so clients cannot
-    /// validate upfront. Shared by the single and batch paths so the
-    /// two can never drift apart.
+    /// validate upfront.
     fn servable(req: &QueryRequest, search: &CommunitySearch) -> bool {
         req.q.index() < search.graph().n_vertices() && req.alpha >= 1 && req.beta >= 1
     }
@@ -793,121 +688,16 @@ impl Inner {
             false
         }
     }
-
-    /// The split granularity actually in force: the configured
-    /// `min_sub_batch` floor, raised — once enough kernel-stage
-    /// samples exist — so that one sub-batch covers roughly
-    /// [`Self::TARGET_CHUNK_US`] of observed per-leader kernel time.
-    /// Cheap kernels thus get coarser chunks (scheduling overhead
-    /// cannot dominate the work), expensive kernels fall back to the
-    /// floor (maximum fan-out). Two relaxed loads per algorithm; a
-    /// stale reading only mis-sizes a split, never mis-answers one.
-    ///
-    /// Batch units record the *shared* kernel-call window, so the
-    /// per-unit mean overestimates true per-leader cost under batch
-    /// traffic — which only biases chunks larger, the safe direction.
-    fn effective_min_sub_batch(&self) -> usize {
-        /// Kernel-stage samples required before the feedback engages;
-        /// below it the configured floor rules (a cold engine behaves
-        /// exactly as configured).
-        const MIN_SAMPLES: u64 = 32;
-        let (count, sum) = self.telemetry.kernel_cost_us();
-        if count < MIN_SAMPLES {
-            return self.min_sub_batch;
-        }
-        let per_unit_us = (sum / count).max(1);
-        self.min_sub_batch
-            .max(((Self::TARGET_CHUNK_US / per_unit_us).max(1)) as usize)
-    }
-
-    /// How many sub-batches to carve `n_units` leader computations
-    /// into: 1 (serve inline) unless splitting is enabled, and
-    /// otherwise capped both by the pool's idle capacity (idle workers
-    /// plus the serving worker itself) and by the one-sub-batch-per-
-    /// [`Self::effective_min_sub_batch`]-leaders floor, so small
-    /// batches stay whole.
-    // scs-contract: no-alloc, no-block — the split decision runs per
-    // batch on the worker; it must stay a couple of loads and a division.
-    fn split_factor(&self, n_units: usize) -> usize {
-        if !self.split_batches || n_units < 2 {
-            return 1;
-        }
-        // ordering: Relaxed — advisory gauge written by `JobQueue::pop`;
-        // a stale value only changes the split heuristic.
-        let idle = self.idle_workers.load(Ordering::Relaxed);
-        (idle + 1).min(n_units.div_ceil(self.effective_min_sub_batch()))
-    }
-
-    /// A recycled (or fresh) [`BatchShared`] with its plain fields set
-    /// and every buffer empty-but-warm.
-    fn batch_shared(
-        &self,
-        search: Arc<CommunitySearch>,
-        epoch: u64,
-        t0: Instant,
-        queue_us: u64,
-        snapshot_us: u64,
-    ) -> Arc<BatchShared> {
-        match self.shared_pool.take_free() {
-            Some(mut shared) => {
-                let s = Arc::get_mut(&mut shared).expect("pool returned a free entry");
-                s.search = search;
-                s.epoch = epoch;
-                s.t0 = t0;
-                s.queue_us = queue_us;
-                s.snapshot_us = snapshot_us;
-                s.total = 0;
-                s.slot_store.clear();
-                s.units.get_mut().unwrap().clear();
-                s.queue.get_mut().unwrap().clear();
-                *s.done.get_mut().unwrap() = 0;
-                s.results.get_mut().unwrap().clear();
-                shared
-            }
-            // contract-ok: cold pool-fill arm
-            None => Arc::new(BatchShared {
-                search,
-                epoch,
-                t0,
-                queue_us,
-                snapshot_us,
-                total: 0,
-                slot_store: Vec::new(), // contract-ok: capacity-0 construction; Vec::new never touches the heap
-                units: Mutex::new(Vec::new()), // contract-ok: capacity-0 construction; Vec::new never touches the heap
-                queue: Mutex::new(Vec::new()), // contract-ok: capacity-0 construction; Vec::new never touches the heap
-                done: Mutex::new(0),
-                cv: Condvar::new(),
-                results: Mutex::new(Vec::new()), // contract-ok: capacity-0 construction; Vec::new never touches the heap
-            }),
-        }
-    }
 }
 
-/// The per-worker compute state: the reusable workspace, the result
-/// arena, and the kernel-call staging buffers. One per worker thread,
-/// reused across every query, batch, sub-batch and epoch swap it
-/// serves.
+/// The per-worker compute state: the reusable workspace and the result
+/// arena, reused across every job and epoch swap the worker serves.
 struct KernelState {
     ws: QueryWorkspace,
     arena: ResultArena,
-    /// Batched-kernel query list, rebuilt per run.
-    queries: Vec<(Vertex, usize, usize)>,
-    /// Batched-kernel result handles, drained per run.
-    handles: Vec<bigraph::arena::ArenaEdges>,
 }
 
-impl KernelState {
-    fn new(arena_slab_edges: usize) -> Self {
-        KernelState {
-            ws: QueryWorkspace::new(),
-            arena: ResultArena::with_slab_capacity(arena_slab_edges),
-            queries: Vec::new(),
-            handles: Vec::new(),
-        }
-    }
-}
-
-/// Owner-side batch bookkeeping, all capacity-retaining. The unique-key
+/// Per-worker job bookkeeping, all capacity-retaining. The unique-key
 /// table is a counting-sort grouping: key `k` (in first-occurrence
 /// order) answers submission slots
 /// `key_slots[key_start[k]..key_start[k+1]]`, ascending.
@@ -919,169 +709,52 @@ struct BatchScratch {
     key_start: Vec<u32>,
     key_cursor: Vec<u32>,
     key_slots: Vec<u32>,
-    /// Pass-1 cache-lookup time per unique key, µs (stage attribution).
-    key_cache_us: Vec<u64>,
     first: HashMap<QueryRequest, u32>,
-    miss_keys: Vec<u32>,
-    leaders: Vec<(FlightGuard, u32)>,
+    /// Keys of the current snapshot-and-join round, and the stale ones
+    /// carried into the next.
+    pending: Vec<u32>,
+    stale: Vec<u32>,
     followers: Vec<(Arc<Flight>, u32)>,
-    stale_keys: Vec<u32>,
-    sink: Vec<(u32, QueryResponse)>,
-    /// One bucket per [`Algorithm::ALL`] entry.
-    algo_units: Vec<Vec<Unit>>,
+    /// Per-slot stage attribution, charged window by window.
+    stages: Vec<StageSet>,
+    /// Per-slot traces awaiting their reply stage; the worker closes
+    /// and records them once the job has been answered.
+    traces: Vec<RequestTrace>,
 }
 
-/// Sub-batch executor scratch, separate from [`BatchScratch`] because a
-/// worker can run another owner's chunks while its own batch scratch is
-/// in use.
-#[derive(Default)]
-struct SubScratch {
-    units: Vec<Unit>,
-    sink: Vec<(u32, QueryResponse)>,
+impl BatchScratch {
+    /// Positions in `key_slots` of the submission slots key `kx` answers.
+    fn slots(&self, kx: usize) -> std::ops::Range<usize> {
+        self.key_start[kx] as usize..self.key_start[kx + 1] as usize
+    }
+
+    /// Charges one stage window of `ns` nanoseconds to every slot of
+    /// key `kx`.
+    fn charge(&mut self, kx: usize, stage: Stage, ns: u64) {
+        for i in self.slots(kx) {
+            self.stages[self.key_slots[i] as usize].add_ns(stage, ns);
+        }
+    }
 }
 
 /// Everything a worker thread owns.
 struct WorkerState {
     kernel: KernelState,
     batch: BatchScratch,
-    sub: SubScratch,
-    /// Per-request stage stopwatch — plain scalars, reused forever, so
-    /// stage attribution costs clock reads and nothing else.
-    rec: StageRecorder,
 }
 
-fn algo_rank(algo: Algorithm) -> usize {
-    Algorithm::ALL
-        .iter()
-        .position(|&a| a == algo)
-        .expect("every algorithm is in ALL")
+/// Ends the job's current stage window and starts the next one where it
+/// ended; returns the ended window's length, ns.
+fn lap(last: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = now.saturating_duration_since(*last).as_nanos() as u64;
+    *last = now;
+    ns
 }
 
-/// Serves one request with full per-request accounting: one cache
-/// lookup, then — on a miss — the flight protocol of [`serve_miss`].
-///
-/// `rec` must have been started by the caller (who owns the enqueue
-/// timestamp); this function marks the cache-lookup stage and
-/// [`serve_miss`] the rest. The caller records the trace after the
-/// reply, so a panicking request is never recorded — mirroring the
-/// `completed` counter.
-// scs-contract: no-alloc — the warm leader path: pooled flights, arena
-// kernels, refcounted responses; proven transitively by `scs analyze`.
-fn serve_one(
-    inner: &Arc<Inner>,
-    req: QueryRequest,
-    k: &mut KernelState,
-    rec: &mut StageRecorder,
-) -> QueryResponse {
-    let t0 = Instant::now();
-    let hit = inner.cache.get(&req);
-    rec.mark(Stage::CacheLookup);
-    if let Some(hit) = hit {
-        let resp = QueryResponse {
-            cached: true,
-            coalesced: false,
-            service_us: t0.elapsed().as_micros() as u64,
-            ..hit
-        };
-        inner.finish(&resp);
-        return resp;
-    }
-    serve_miss(inner, req, k, t0, rec)
-}
-
-/// The miss path of [`serve_one`]: joins (or opens) the flight for `req`
-/// and computes or waits. Factored out of [`serve_one`] so the batch path
-/// can resolve a stale-snapshot key without a second cache lookup being
-/// counted — its pass-1 lookup already recorded the miss, exactly the
-/// one lookup a per-request submission performs.
-fn serve_miss(
-    inner: &Arc<Inner>,
-    req: QueryRequest,
-    k: &mut KernelState,
-    t0: Instant,
-    rec: &mut StageRecorder,
-) -> QueryResponse {
-    // Epochs are monotonic, so the retry loop terminates: it only
-    // loops when an install landed between our snapshot and the
-    // join, and each retry re-reads the newer snapshot.
-    let (search, epoch, role) = loop {
-        let (search, epoch) = inner.snapshot();
-        match inner.join_flight(req, epoch) {
-            Role::StaleSnapshot => continue,
-            role => break (search, epoch, role),
-        }
-    };
-    rec.mark(Stage::Snapshot);
-    match role {
-        Role::StaleSnapshot => unreachable!("retried above"),
-        Role::Leader(flight) => {
-            let mut guard = FlightGuard {
-                inner: inner.clone(), // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-                key: req,
-                flight,
-                published: false,
-            };
-            let summary = if Inner::servable(&req, &search) {
-                // The worker's workspace provides every scratch buffer
-                // and its arena the result storage; nothing is
-                // allocated once both are warm.
-                let edges = search.significant_community_arena(
-                    req.q,
-                    req.alpha as usize,
-                    req.beta as usize,
-                    req.algo,
-                    &mut k.ws,
-                    &mut k.arena,
-                );
-                CommunitySummary::from_arena_edges(search.graph(), edges, &mut k.ws)
-            } else {
-                CommunitySummary::empty()
-            };
-            rec.mark(Stage::Kernel);
-            let resp = QueryResponse {
-                request: req,
-                summary,
-                cached: false,
-                coalesced: false,
-                epoch,
-                service_us: t0.elapsed().as_micros() as u64,
-            };
-            inner.cache_if_current(req, &resp, epoch);
-            // Publish, then let the guard's Drop clear the table
-            // entry: a thread that found this flight always gets an
-            // answer; threads arriving after the removal start a
-            // fresh flight (and typically hit the cache first).
-            guard.publish(resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            drop(guard);
-            inner.finish(&resp);
-            rec.mark(Stage::Publish);
-            resp
-        }
-        Role::Follower(flight) => {
-            let shared = flight.wait().unwrap_or_else(|| {
-                panic!("in-flight leader for {req:?} panicked before publishing")
-            });
-            // A coalesced request's "kernel" is the wait on the
-            // leader's computation — that is where its time went.
-            rec.mark(Stage::Kernel);
-            let resp = QueryResponse {
-                cached: false,
-                coalesced: true,
-                service_us: t0.elapsed().as_micros() as u64,
-                ..shared
-            };
-            // ordering: Relaxed — independent statistic; pairs with nothing.
-            inner.coalesced.fetch_add(1, Ordering::Relaxed);
-            inner.finish(&resp);
-            rec.mark(Stage::Publish);
-            resp
-        }
-    }
-}
-
-/// Builds and publishes one leader's response (cache + flight), then
-/// answers every submission slot of its key into `sink`. `slots[0]` is
-/// the leader's own. Duplicate slots are answered the way a serial
+/// Publishes one leader's response (cache + flight), then answers
+/// every submission slot of its key into `out`; `slots[0]` is the
+/// leader's own. Duplicate slots are answered the way a serial
 /// per-request resubmission would be: as cache hits when the leader's
 /// result went into the cache, otherwise (an install retired the epoch
 /// before the insert) as misses coalesced onto this computation — so
@@ -1090,61 +763,41 @@ fn serve_miss(
 /// unique keys (with a cache smaller than one batch's key set, a
 /// duplicate counts as the hit its entry was at insert time even if
 /// eviction would have forced a per-request resubmission to recompute;
-/// deliberately so — re-probing, let alone recomputing, could block,
-/// and sub-batch execution must never wait).
-#[allow(clippy::too_many_arguments)] // internal plumbing; the args are the trace
+/// deliberately so — re-probing would cost a second lookup per
+/// duplicate).
 fn publish_unit(
-    inner: &Arc<Inner>,
-    ctx: BatchCtx<'_>,
-    mut guard: FlightGuard,
-    slots: &[u32],
+    inner: &Inner,
+    mut guard: FlightGuard<'_>,
     summary: CommunitySummary,
-    kernel_us: u64,
-    cache_us: u64,
-    sink: &mut Vec<(u32, QueryResponse)>,
+    epoch: u64,
+    t0: Instant,
+    slots: &[u32],
+    out: &mut [Option<QueryResponse>],
 ) {
-    let us = |t0: &Instant| t0.elapsed().as_micros() as u64;
-    let pt0 = Instant::now();
+    let service_us = || t0.elapsed().as_micros() as u64;
     let req = guard.key;
     let resp = QueryResponse {
         request: req,
         summary,
         cached: false,
         coalesced: false,
-        epoch: ctx.epoch,
-        service_us: us(&ctx.t0),
+        epoch,
+        service_us: service_us(),
     };
-    let resident = inner.cache_if_current(req, &resp, ctx.epoch);
+    let resident = inner.cache_if_current(req, &resp, epoch);
+    // Publish, then let the guard's Drop clear the table entry: a
+    // thread that found this flight always gets an answer; threads
+    // arriving after the removal start a fresh flight (and typically
+    // hit the cache first).
     guard.publish(resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
     drop(guard);
     inner.finish(&resp);
-    // Stage attribution for every slot this unit answers: the batch's
-    // queue wait and snapshot window, this key's pass-1 lookup, the
-    // (shared) kernel-call window and this unit's publish window — all
-    // disjoint wall-clock sub-intervals, so the stage sum never
-    // exceeds the end-to-end total.
-    let mut stages = StageSet::new();
-    stages
-        .set(Stage::QueueWait, ctx.queue_us)
-        .set(Stage::Snapshot, ctx.snapshot_us)
-        .set(Stage::CacheLookup, cache_us)
-        .set(Stage::Kernel, kernel_us)
-        .set(Stage::Publish, us(&pt0));
-    inner.telemetry.record(&stages.trace(
-        &req,
-        ctx.epoch,
-        false,
-        false,
-        ctx.prov,
-        ctx.queue_us + us(&ctx.t0),
-    ));
-    sink.push((slots[0], resp.clone())); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
     for &slot in &slots[1..] {
         let r = if resident {
             inner.cache.record_extra_hit();
             QueryResponse {
                 cached: true,
-                service_us: us(&ctx.t0),
+                service_us: service_us(),
                 ..resp.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
             }
         } else {
@@ -1153,193 +806,55 @@ fn publish_unit(
             inner.coalesced.fetch_add(1, Ordering::Relaxed);
             QueryResponse {
                 coalesced: true,
-                service_us: us(&ctx.t0),
+                service_us: service_us(),
                 ..resp.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
             }
         };
         inner.finish(&r);
-        inner.telemetry.record(&stages.trace(
-            &req,
-            ctx.epoch,
-            r.cached,
-            r.coalesced,
-            ctx.prov,
-            ctx.queue_us + r.service_us,
-        ));
-        sink.push((slot, r)); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
+        out[slot as usize] = Some(r);
     }
+    out[slots[0] as usize] = Some(resp);
 }
 
-/// Answers a same-algorithm run of leader units through **one** batched
-/// kernel call on the executing worker's kernel state — results land in
-/// that worker's arena — publishing each leader the moment its summary
-/// exists and appending `(slot, response)` pairs to `sink`. `units` is
-/// drained (capacity kept); `store` resolves each unit's slot range. A
-/// panic inside the kernel unwinds through the remaining guards,
-/// poisoning every unpublished flight.
-fn run_units(
-    inner: &Arc<Inner>,
-    ctx: BatchCtx<'_>,
-    algo: Algorithm,
-    units: &mut Vec<Unit>,
-    store: &[u32],
-    k: &mut KernelState,
-    sink: &mut Vec<(u32, QueryResponse)>,
-) {
-    k.queries.clear();
-    // contract-ok: warm pooled buffer; growth is cold
-    k.queries.extend(units.iter().map(|u| {
-        (
-            u.guard.key.q,
-            u.guard.key.alpha as usize,
-            u.guard.key.beta as usize,
-        )
-    }));
-    // `units` lives in caller-owned reusable scratch, so a panic
-    // unwinding out of the kernel would no longer drop the guards by
-    // itself (it did when units was an owned Vec) — clear the buffer
-    // before re-raising so every unpublished flight is poisoned and no
-    // stale unit (whose slot range indexes *this* batch's tables) can
-    // leak into the next batch served from the same scratch.
-    let kt0 = Instant::now();
-    let kernel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ctx.search.significant_communities_arena(
-            &k.queries,
-            algo,
-            &mut k.ws,
-            &mut k.arena,
-            &mut k.handles,
-        )
-    }));
-    if let Err(panic) = kernel {
-        units.clear();
-        std::panic::resume_unwind(panic);
-    }
-    // One batched call served the whole run, so each of its units is
-    // attributed the full kernel window — the cost the run's members
-    // shared; a per-unit split would misstate where the batch's time
-    // went (the units ran *inside* this window, not after each other).
-    let kernel_us = kt0.elapsed().as_micros() as u64;
-    // A panic below (publishing) is already safe: `Drain` drops the
-    // not-yet-yielded units on unwind, poisoning their flights.
-    for (unit, edges) in units.drain(..).zip(k.handles.drain(..)) {
-        let summary = CommunitySummary::from_arena_edges(ctx.search.graph(), edges, &mut k.ws);
-        let (s0, s1) = unit.slots;
-        publish_unit(
-            inner,
-            ctx,
-            unit.guard,
-            &store[s0 as usize..s1 as usize],
-            summary,
-            kernel_us,
-            unit.cache_us,
-            sink,
-        );
-    }
-}
-
-/// Drains and executes a split batch's unclaimed sub-batches; called by
-/// the batch owner (who runs whatever the pool does not claim) and by
-/// any worker that dequeued a [`Job::Sub`] hint. Chunk execution is
-/// pure compute-and-publish — it never waits on another flight — which
-/// is what keeps the split path deadlock-free: every chunk is either
-/// unclaimed (the owner will run it) or actively computing, so the
-/// owner's join always makes progress.
-fn run_split_chunks(
-    inner: &Arc<Inner>,
-    shared: &BatchShared,
-    k: &mut KernelState,
-    sub: &mut SubScratch,
-) {
-    loop {
-        let Some(range) = shared.queue.lock().unwrap().pop() else {
-            return;
-        };
-        // Count the chunk done even if the kernel panics (its guards
-        // poison the flights), so the owner's join never hangs — the
-        // missing results make the owner fail loudly instead.
-        struct DoneGuard<'a>(&'a BatchShared);
-        impl Drop for DoneGuard<'_> {
-            fn drop(&mut self) {
-                *self.0.done.lock().unwrap() += 1;
-                self.0.cv.notify_all();
-            }
-        }
-        let _done = DoneGuard(shared);
-        let ctx = BatchCtx {
-            search: &shared.search,
-            epoch: shared.epoch,
-            t0: shared.t0,
-            queue_us: shared.queue_us,
-            snapshot_us: shared.snapshot_us,
-            prov: Provenance::Split,
-        };
-        sub.units.clear();
-        {
-            let mut units = shared.units.lock().unwrap();
-            // contract-ok: Range clone is a stack copy
-            for i in range.units.clone() {
-                if let Some(unit) = units[i].take() {
-                    sub.units.push(unit); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-                }
-            }
-        }
-        sub.sink.clear();
-        run_units(
-            inner,
-            ctx,
-            range.algo,
-            &mut sub.units,
-            &shared.slot_store,
-            k,
-            &mut sub.sink,
-        );
-        shared.results.lock().unwrap().extend(sub.sink.drain(..)); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-    }
-}
-
-/// Serves a whole batch, amortizing the per-request costs: one cache
-/// lookup per *unique* key, one index-snapshot read, batched kernel
-/// calls for the leaders — fanned out across idle workers when the
-/// split heuristic (see [`Inner::split_factor`]) says the pool has
-/// capacity — and one response vector (pooled) in submission order.
-// scs-contract: no-alloc — the warm batch path reuses pooled buffers
+/// Serves one job — a batch, or a per-request submission as a batch of
+/// one — and returns its responses in submission order (a pooled
+/// vector) together with the end of its last stage window, where the
+/// reply window starts. One cache lookup per *unique* key; then
+/// snapshot-and-join rounds in which each leader runs its own kernel
+/// call and publishes at once; then the waits on follower flights.
+/// Each slot's trace is left in `state.batch.traces` for the worker to
+/// close and record after the reply.
+// scs-contract: no-alloc — the warm serving path reuses pooled buffers
 // end to end; proven transitively by `scs analyze`.
 fn serve_batch(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     reqs: &[QueryRequest],
+    prov: Provenance,
     state: &mut WorkerState,
     enqueued: Instant,
-) -> Vec<QueryResponse> {
+) -> (Vec<QueryResponse>, Instant) {
     let WorkerState {
         kernel: k,
         batch: b,
-        sub,
-        rec,
     } = state;
     let t0 = Instant::now();
-    // The whole batch waited in the queue together; every one of its
-    // requests is attributed the same queue-wait stage.
-    let queue_us = t0.saturating_duration_since(enqueued).as_micros() as u64;
-    // ordering: Relaxed — independent statistics; pair with nothing.
-    inner.batches.fetch_add(1, Ordering::Relaxed);
-    inner
-        .batched
-        .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-    let us = |t0: &Instant| t0.elapsed().as_micros() as u64;
-
-    // Reset every buffer a previous batch could have left populated by
-    // panicking mid-serve (the worker survives panics): leftover sink
-    // responses would pin arena slabs, leftover follower/leader
-    // entries would pin pooled flights, and a stale unit's slot range
-    // would index *this* batch's tables. Clears are O(leftovers) and
-    // free in the steady state.
-    b.sink.clear();
-    b.followers.clear();
-    b.leaders.clear();
-    for bucket in &mut b.algo_units {
-        bucket.clear();
+    let mut last = t0;
+    let service_us = || t0.elapsed().as_micros() as u64;
+    if prov == Provenance::Batch {
+        // ordering: Relaxed — independent statistics; pair with nothing.
+        inner.batches.fetch_add(1, Ordering::Relaxed);
+        inner
+            .batched
+            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
     }
+
+    // Reset the buffers a previous job could have left populated by
+    // panicking mid-serve (the worker survives panics): leftover
+    // follower entries would pin pooled flights, and leftover traces
+    // would be recorded against this job. Clears are O(leftovers) and
+    // free in the steady state.
+    b.followers.clear();
+    b.traces.clear();
 
     // Unique keys in first-occurrence order, each with every submission
     // slot it answers (counting-sort grouping, all reusable buffers).
@@ -1383,335 +898,183 @@ fn serve_batch(
     b.out.clear();
     b.out.resize(reqs.len(), None); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
 
+    // The whole job waited in the queue together; every member is
+    // charged that window.
+    let mut queued = StageSet::new();
+    queued.add_ns(
+        Stage::QueueWait,
+        t0.saturating_duration_since(enqueued).as_nanos() as u64,
+    );
+    b.stages.clear();
+    b.stages.resize(reqs.len(), queued); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
+
     // Pass 1: one physical cache lookup per unique key, with duplicate
     // slots of a hit counted as the hits they are — per-request
     // submission performs one lookup per request, and the stats must
     // not depend on how requests were submitted.
-    b.miss_keys.clear();
-    b.key_cache_us.clear();
+    b.pending.clear();
     for kx in 0..nk {
-        let req = b.keys[kx];
-        let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
-        let lt0 = Instant::now();
-        let hit = inner.cache.get(&req);
-        let cache_us = lt0.elapsed().as_micros() as u64;
-        b.key_cache_us.push(cache_us); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-        if let Some(hit) = hit {
-            let mut stages = StageSet::new();
-            stages
-                .set(Stage::QueueWait, queue_us)
-                .set(Stage::CacheLookup, cache_us);
-            for (j, &slot) in b.key_slots[s0..s1].iter().enumerate() {
+        if let Some(hit) = inner.cache.get(&b.keys[kx]) {
+            for (j, i) in b.slots(kx).enumerate() {
                 if j > 0 {
                     inner.cache.record_extra_hit();
                 }
                 let resp = QueryResponse {
                     cached: true,
                     coalesced: false,
-                    service_us: us(&t0),
+                    service_us: service_us(),
                     ..hit.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
                 };
                 inner.finish(&resp);
-                inner.telemetry.record(&stages.trace(
-                    &req,
-                    resp.epoch,
-                    true,
-                    false,
-                    Provenance::Batch,
-                    queue_us + resp.service_us,
-                ));
-                b.out[slot as usize] = Some(resp);
+                b.out[b.key_slots[i] as usize] = Some(resp);
             }
         } else {
-            b.miss_keys.push(kx as u32); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
+            b.pending.push(kx as u32); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
         }
+        let ns = lap(&mut last);
+        b.charge(kx, Stage::CacheLookup, ns);
     }
 
-    if !b.miss_keys.is_empty() {
-        // One snapshot read for every miss in the batch; the
-        // snapshot-acquire stage covers it together with the flight
-        // joins, matching the per-request path's attribution.
-        let st0 = Instant::now();
+    // Snapshot-and-join rounds. A leader computes and publishes the
+    // moment it joins; followers are only collected. A key that meets a
+    // newer-epoch flight (an install raced this round's snapshot) rides
+    // into the next round — with no second counted cache lookup, since
+    // pass 1 already counted its miss.
+    while !b.pending.is_empty() {
         let (search, epoch) = inner.snapshot();
-        b.leaders.clear();
-        b.followers.clear();
-        b.stale_keys.clear();
-        for &kx in &b.miss_keys {
-            let req = b.keys[kx as usize];
-            match inner.join_flight(req, epoch) {
-                // contract-ok: warm pooled buffer; growth is cold
-                Role::Leader(flight) => b.leaders.push((
-                    FlightGuard {
-                        inner: inner.clone(), // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
+        let ns = lap(&mut last);
+        for i in 0..b.pending.len() {
+            let kx = b.pending[i] as usize;
+            b.charge(kx, Stage::Snapshot, ns);
+        }
+        b.stale.clear();
+        for i in 0..b.pending.len() {
+            let kx = b.pending[i] as usize;
+            let req = b.keys[kx];
+            let role = inner.join_flight(req, epoch);
+            let ns = lap(&mut last);
+            b.charge(kx, Stage::Snapshot, ns);
+            match role {
+                Role::Leader(flight) => {
+                    // The guard poisons and removes the flight if the
+                    // kernel panics, so no follower waits forever.
+                    let guard = FlightGuard {
+                        inner,
                         key: req,
                         flight,
                         published: false,
-                    },
-                    kx,
-                )),
-                Role::Follower(flight) => b.followers.push((flight, kx)), // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-                // An install raced between our snapshot and this
-                // join; resolved below via the per-request miss path.
-                Role::StaleSnapshot => b.stale_keys.push(kx), // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-            }
-        }
-        let snapshot_us = st0.elapsed().as_micros() as u64;
-
-        // Partition the servable leaders into per-algorithm runs; the
-        // unservable get the empty community immediately.
-        let ctx = BatchCtx {
-            search: &search,
-            epoch,
-            t0,
-            queue_us,
-            snapshot_us,
-            prov: Provenance::Batch,
-        };
-        b.sink.clear();
-        while b.algo_units.len() < Algorithm::ALL.len() {
-            b.algo_units.push(Vec::new()); // contract-ok: capacity-0 construction; Vec::new never touches the heap
-        }
-        let mut n_units = 0usize;
-        for (guard, kx) in b.leaders.drain(..) {
-            let (s0, s1) = (b.key_start[kx as usize], b.key_start[kx as usize + 1]);
-            if !Inner::servable(&guard.key, &search) {
-                // No kernel ran for an unservable key; a 0µs kernel
-                // stage still marks the path it took.
-                publish_unit(
-                    inner,
-                    ctx,
-                    guard,
-                    &b.key_slots[s0 as usize..s1 as usize],
-                    CommunitySummary::empty(),
-                    0,
-                    b.key_cache_us[kx as usize],
-                    &mut b.sink,
-                );
-                continue;
-            }
-            n_units += 1;
-            let cache_us = b.key_cache_us[kx as usize];
-            // contract-ok: warm pooled buffer; growth is cold
-            b.algo_units[algo_rank(guard.key.algo)].push(Unit {
-                guard,
-                slots: (s0, s1),
-                cache_us,
-            });
-        }
-
-        let fanout = inner.split_factor(n_units);
-        if fanout <= 1 {
-            // Inline: this worker answers every leader itself, one
-            // batched kernel call per algorithm present.
-            for rank in 0..Algorithm::ALL.len() {
-                if b.algo_units[rank].is_empty() {
-                    continue;
+                    };
+                    let summary = if Inner::servable(&req, &search) {
+                        // The worker's workspace provides every scratch
+                        // buffer and its arena the result storage;
+                        // nothing is allocated once both are warm.
+                        let edges = search.significant_community_arena(
+                            req.q,
+                            req.alpha as usize,
+                            req.beta as usize,
+                            req.algo,
+                            &mut k.ws,
+                            &mut k.arena,
+                        );
+                        CommunitySummary::from_arena_edges(search.graph(), edges, &mut k.ws)
+                    } else {
+                        CommunitySummary::empty()
+                    };
+                    let ns = lap(&mut last);
+                    b.charge(kx, Stage::Kernel, ns);
+                    let slots = b.slots(kx);
+                    publish_unit(
+                        inner,
+                        guard,
+                        summary,
+                        epoch,
+                        t0,
+                        &b.key_slots[slots],
+                        &mut b.out,
+                    );
+                    let ns = lap(&mut last);
+                    b.charge(kx, Stage::Publish, ns);
                 }
-                run_units(
-                    inner,
-                    ctx,
-                    Algorithm::ALL[rank],
-                    &mut b.algo_units[rank],
-                    &b.key_slots,
-                    k,
-                    &mut b.sink,
-                );
-            }
-        } else {
-            // Split: carve the leader runs into `fanout`-ish chunks
-            // (chunk boundaries respect algorithm runs, so each chunk
-            // is still one kernel call — which also means a batch with
-            // more algorithms than `fanout` carves more, smaller
-            // chunks than `fanout`; the concurrency bound is enforced
-            // on executors below, not on chunk count), park them in a
-            // pooled, claimable [`BatchShared`] and wake idle workers
-            // with hints. We claim and run whatever the pool does not,
-            // then wait for stragglers.
-            let chunk_size = n_units.div_ceil(fanout);
-            let mut shared = inner.batch_shared(search.clone(), epoch, t0, queue_us, snapshot_us); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            {
-                let s = Arc::get_mut(&mut shared).expect("owner holds the only reference");
-                for rank in 0..Algorithm::ALL.len() {
-                    if b.algo_units[rank].is_empty() {
-                        continue;
-                    }
-                    let algo = Algorithm::ALL[rank];
-                    let units_store = s.units.get_mut().unwrap();
-                    let queue = s.queue.get_mut().unwrap();
-                    for (taken, unit) in b.algo_units[rank].drain(..).enumerate() {
-                        // Re-home the unit's slot group into the shared
-                        // store so executors never touch owner scratch.
-                        let (s0, s1) = unit.slots;
-                        let ns0 = s.slot_store.len() as u32;
-                        s.slot_store
-                            .extend_from_slice(&b.key_slots[s0 as usize..s1 as usize]);
-                        let ns1 = s.slot_store.len() as u32;
-                        if taken % chunk_size == 0 {
-                            let at = units_store.len();
-                            // contract-ok: warm pooled buffer; growth is cold
-                            queue.push(SubRange {
-                                algo,
-                                units: at..at,
-                            });
-                        }
-                        // contract-ok: warm pooled buffer; growth is cold
-                        units_store.push(Some(Unit {
-                            guard: unit.guard,
-                            slots: (ns0, ns1),
-                            cache_us: unit.cache_us,
-                        }));
-                        queue.last_mut().expect("range opened above").units.end = units_store.len();
-                    }
-                }
-                s.total = s.queue.get_mut().unwrap().len();
-            }
-            // ordering: Relaxed — independent statistics; pair with
-            // nothing.
-            inner.splits.fetch_add(1, Ordering::Relaxed);
-            inner
-                .sub_batches
-                .fetch_add(shared.total as u64, Ordering::Relaxed);
-            // A hint is only a wake-up: whoever pops a chunk runs it,
-            // and a hinted worker drains chunks in a loop — so the
-            // hint count, not the chunk count, is what bounds the
-            // fan-out width. Cap it at `fanout - 1` helpers (idle
-            // capacity), or a many-algorithm batch would wake more
-            // workers than the pool has idle. A closed queue (shutdown
-            // in progress) just means we run every chunk ourselves.
-            for _ in 1..shared.total.min(fanout) {
-                // contract-ok: refcount bump, no heap
-                if !inner.queue.push(Job::Sub(shared.clone())) {
-                    break;
-                }
-            }
-            run_split_chunks(inner, &shared, k, sub);
-            let mut done = shared.done.lock().unwrap();
-            while *done < shared.total {
-                done = shared.cv.wait(done).unwrap();
-            }
-            drop(done);
-            b.sink.extend(shared.results.lock().unwrap().drain(..)); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-                                                                     // Recycle the shared state; unconsumed hints still holding
-                                                                     // it keep it out of circulation until they drain.
-            inner.shared_pool.put(shared);
-        }
-        for (slot, resp) in b.sink.drain(..) {
-            b.out[slot as usize] = Some(resp);
-        }
-
-        // Every leader above is published before we wait on anyone
-        // else's flight (the stale retries and followers below), so
-        // two workers batching each other's keys can never deadlock
-        // on one another.
-        // Rare install race: resolve each slot through the per-request
-        // path — the first without a second cache lookup (pass 1
-        // already counted this key's miss), duplicates with their own
-        // lookup, exactly as if resubmitted.
-        for i in 0..b.stale_keys.len() {
-            let kx = b.stale_keys[i] as usize;
-            let req = b.keys[kx];
-            let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
-            for (j, &slot) in b.key_slots[s0..s1].iter().enumerate() {
-                // The per-request path records through the worker's
-                // stage stopwatch; the batch's queue wait is its base
-                // and the trace carries batch provenance.
-                rec.start_with_queue_us(queue_us);
-                let resp = if j == 0 {
-                    serve_miss(inner, req, k, t0, rec)
-                } else {
-                    serve_one(inner, req, k, rec)
-                };
-                inner.telemetry.record(&rec.trace(
-                    &req,
-                    resp.epoch,
-                    resp.cached,
-                    resp.coalesced,
-                    Provenance::Batch,
-                ));
-                b.out[slot as usize] = Some(resp);
+                Role::Follower(flight) => b.followers.push((flight, kx as u32)), // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
+                Role::StaleSnapshot => b.stale.push(kx as u32), // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
             }
         }
-
-        for i in 0..b.followers.len() {
-            let (flight, kx) = (b.followers[i].0.clone(), b.followers[i].1 as usize); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            let req = b.keys[kx];
-            let wt0 = Instant::now();
-            let shared = flight.wait().unwrap_or_else(|| {
-                panic!("in-flight leader for {req:?} panicked before publishing")
-            });
-            // As on the per-request path, a coalesced request's kernel
-            // stage is the wait on the leader's computation.
-            let kernel_us = wt0.elapsed().as_micros() as u64;
-            let mut stages = StageSet::new();
-            stages
-                .set(Stage::QueueWait, queue_us)
-                .set(Stage::Snapshot, snapshot_us)
-                .set(Stage::CacheLookup, b.key_cache_us[kx])
-                .set(Stage::Kernel, kernel_us);
-            let (s0, s1) = (b.key_start[kx] as usize, b.key_start[kx + 1] as usize);
-            for (j, &slot) in b.key_slots[s0..s1].iter().enumerate() {
-                if j > 0 {
-                    // Pass 1 counted one miss for this key; its
-                    // duplicates waited on the same flight and are
-                    // accounted like the extra followers they are.
-                    inner.cache.record_extra_miss();
-                }
-                let resp = QueryResponse {
-                    cached: false,
-                    coalesced: true,
-                    service_us: us(&t0),
-                    ..shared.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-                };
-                // ordering: Relaxed — independent statistic; pairs with
-                // nothing.
-                inner.coalesced.fetch_add(1, Ordering::Relaxed);
-                inner.finish(&resp);
-                inner.telemetry.record(&stages.trace(
-                    &req,
-                    resp.epoch,
-                    false,
-                    true,
-                    Provenance::Batch,
-                    queue_us + resp.service_us,
-                ));
-                b.out[slot as usize] = Some(resp);
-            }
-        }
-        b.followers.clear();
+        std::mem::swap(&mut b.pending, &mut b.stale);
     }
 
+    // Every leader of every round is published above before we wait on
+    // anyone else's flight, so two workers serving each other's keys
+    // can never deadlock on one another.
+    for f in 0..b.followers.len() {
+        let kx = b.followers[f].1 as usize;
+        let req = b.keys[kx];
+        let shared = b.followers[f]
+            .0
+            .wait()
+            .unwrap_or_else(|| panic!("in-flight leader for {req:?} panicked before publishing"));
+        // A coalesced request's kernel stage is the wait on the
+        // leader's computation — that is where its time went.
+        let ns = lap(&mut last);
+        b.charge(kx, Stage::Kernel, ns);
+        for (j, i) in b.slots(kx).enumerate() {
+            if j > 0 {
+                // Pass 1 counted one miss for this key; its duplicates
+                // waited on the same flight and are accounted like the
+                // extra followers they are.
+                inner.cache.record_extra_miss();
+            }
+            let resp = QueryResponse {
+                cached: false,
+                coalesced: true,
+                service_us: service_us(),
+                ..shared.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
+            };
+            // ordering: Relaxed — independent statistic; pairs with nothing.
+            inner.coalesced.fetch_add(1, Ordering::Relaxed);
+            inner.finish(&resp);
+            b.out[b.key_slots[i] as usize] = Some(resp);
+        }
+        let ns = lap(&mut last);
+        b.charge(kx, Stage::Publish, ns);
+    }
+    b.followers.clear();
+
     let mut responses = inner.resp_pool.take();
-    // contract-ok: warm pooled buffer; growth is cold
-    responses.extend(
-        b.out
-            .drain(..)
-            .map(|r| r.expect("every batch slot answered")),
-    );
-    responses
+    for (resp, stages) in b.out.drain(..).zip(&b.stages) {
+        let resp = resp.expect("every batch slot answered");
+        // contract-ok: warm pooled buffer; growth is cold
+        b.traces.push(stages.trace(
+            &resp.request,
+            resp.epoch,
+            resp.cached,
+            resp.coalesced,
+            prov,
+            0,
+        ));
+        responses.push(resp); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
+    }
+    (responses, last)
 }
 
-enum Job {
-    /// One request, one response; the `Instant` is the enqueue time
-    /// (the queue-wait stage is measured from it at dequeue).
-    Single(QueryRequest, Arc<ReplyCell<QueryResponse>>, Instant),
-    /// N requests served by one worker with amortized snapshot, cache
-    /// and workspace handling; answered as one vector in request order.
-    /// The request vector is pooled and returned after serving. The
-    /// `Instant` is the enqueue time, as in [`Job::Single`].
-    Batch(
-        Vec<QueryRequest>,
-        Arc<ReplyCell<Vec<QueryResponse>>>,
-        Instant,
-    ),
-    /// Wake-up hint that a split batch has unclaimed sub-batches; the
-    /// receiving worker drains [`BatchShared::queue`] (possibly finding
-    /// nothing — the owner and other workers race for chunks).
-    Sub(Arc<BatchShared>),
+/// N requests served by one worker with amortized snapshot, cache and
+/// workspace handling, answered as one vector in request order. A
+/// per-request submission is a job of one.
+struct Job {
+    /// Pooled; returned to the shard after serving.
+    reqs: Vec<QueryRequest>,
+    reply: Arc<ReplyCell<Vec<QueryResponse>>>,
+    /// The enqueue time; the queue-wait stage is measured from it.
+    enqueued: Instant,
+    /// `Single` for [`QueryEngine::submit`], `Batch` for
+    /// [`QueryEngine::submit_batch`]; only batch jobs count in the
+    /// `batches`/`batched` counters.
+    prov: Provenance,
 }
 
 /// A pending response; produced by [`QueryEngine::submit`].
 pub struct ResponseHandle {
-    cell: Arc<ReplyCell<QueryResponse>>,
+    cell: Arc<ReplyCell<Vec<QueryResponse>>>,
+    inner: Arc<Inner>,
 }
 
 impl ResponseHandle {
@@ -1721,9 +1084,13 @@ impl ResponseHandle {
     /// Panics if the query panicked inside the engine or the engine
     /// shut down before answering.
     pub fn wait(self) -> QueryResponse {
-        self.cell
+        let mut answers = self
+            .cell
             .take()
-            .expect("query panicked in the engine or engine shut down before responding")
+            .expect("query panicked in the engine or engine shut down before responding");
+        let resp = answers.pop().expect("a job of one has one answer");
+        self.inner.resp_pool.put(answers);
+        resp
     }
 }
 
@@ -1910,8 +1277,6 @@ struct Agg {
     coalesced: u64,
     batches: u64,
     batched: u64,
-    splits: u64,
-    sub_batches: u64,
     cache: CacheStats,
     epoch: u64,
     service: HistSnapshot,
@@ -1932,8 +1297,6 @@ impl EngineCore {
             coalesced: 0,
             batches: 0,
             batched: 0,
-            splits: 0,
-            sub_batches: 0,
             cache: CacheStats {
                 hits: 0,
                 misses: 0,
@@ -1958,7 +1321,6 @@ impl EngineCore {
             // independent and stats() promises no cross-counter snapshot.
             let completed = inner.completed.load(Ordering::Relaxed);
             let coalesced = inner.coalesced.load(Ordering::Relaxed);
-            let splits = inner.splits.load(Ordering::Relaxed);
             let cache = inner.cache.stats();
             let hist = inner.hist.snapshot();
             agg.workers += inner.workers;
@@ -1967,8 +1329,6 @@ impl EngineCore {
             // ordering: Relaxed — statistics reads, as above.
             agg.batches += inner.batches.load(Ordering::Relaxed);
             agg.batched += inner.batched.load(Ordering::Relaxed);
-            agg.splits += splits;
-            agg.sub_batches += inner.sub_batches.load(Ordering::Relaxed);
             agg.cache.hits += cache.hits;
             agg.cache.misses += cache.misses;
             agg.cache.entries += cache.entries;
@@ -1997,10 +1357,8 @@ impl EngineCore {
                 coalesced,
                 cache_hits: cache.hits,
                 cache_misses: cache.misses,
-                splits,
                 p50_us: hist.quantile_us(0.50),
                 p99_us: hist.quantile_us(0.99),
-                min_sub_batch_effective: inner.effective_min_sub_batch(),
             });
             agg.slow.extend(inner.telemetry.slow_queries());
         }
@@ -2052,16 +1410,9 @@ impl ShardedEngine {
                 coalesced: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
                 batched: AtomicU64::new(0),
-                splits: AtomicU64::new(0),
-                sub_batches: AtomicU64::new(0),
-                idle_workers: AtomicUsize::new(0),
-                min_sub_batch: config.min_sub_batch.max(1),
-                split_batches: config.split_batches,
                 scratch: (0..workers).map(|_| ScratchSlot::default()).collect(),
                 reply_pool: ArcPool::new(),
-                batch_reply_pool: ArcPool::new(),
                 flight_pool: ArcPool::new(),
-                shared_pool: ArcPool::new(),
                 req_pool: VecPool::new(),
                 resp_pool: VecPool::new(),
                 workers,
@@ -2076,111 +1427,85 @@ impl ShardedEngine {
                             if n_shards > 1 {
                                 pin_worker(s, n_shards);
                             }
-                            // The worker's compute state: workspace, result
-                            // arena and staging buffers, reused across every
-                            // query it serves and across index epoch swaps
-                            // (buffers simply grow on the first query against
-                            // a larger installed graph). After warm-up the
-                            // steady-state serving path stops allocating.
+                            // The worker's compute state and job scratch,
+                            // reused across every job it serves and across
+                            // index epoch swaps (buffers simply grow on the
+                            // first query against a larger installed graph).
+                            // After warm-up the steady-state serving path
+                            // stops allocating.
                             let mut state = WorkerState {
-                                kernel: KernelState::new(arena_slab_edges),
+                                kernel: KernelState {
+                                    ws: QueryWorkspace::new(),
+                                    arena: ResultArena::with_slab_capacity(arena_slab_edges),
+                                },
                                 batch: BatchScratch::default(),
-                                sub: SubScratch::default(),
-                                rec: StageRecorder::new(),
                             };
-                            while let Some(job) = inner.queue.pop(&inner.idle_workers) {
+                            while let Some(job) = inner.queue.pop() {
                                 // Backstop: a panic in query code must not
-                                // shrink the pool. The flight guards have
-                                // already poisoned their keys' followers;
+                                // shrink the pool. The flight guard has
+                                // already poisoned its key's followers;
                                 // abandoning the reply cell makes the
-                                // submitter's wait() fail loudly. A submitter
-                                // that dropped its handle just doesn't
-                                // collect the result.
-                                //
+                                // submitter's wait() fail loudly, and the
+                                // job records no trace (the completed
+                                // counter skips it too). A submitter that
+                                // dropped its handle just doesn't collect
+                                // the result.
+                                let served =
+                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                        serve_batch(
+                                            &inner,
+                                            &job.reqs,
+                                            job.prov,
+                                            &mut state,
+                                            job.enqueued,
+                                        )
+                                    }));
                                 // Scratch accounting is published *before*
                                 // the reply: a submitter that reads stats()
                                 // the moment its blocking query returns must
                                 // see this worker's workspace and arena.
-                                let publish_scratch = |k: &KernelState| {
-                                    let slot = &inner.scratch[i];
-                                    // ordering: Relaxed — gauge stores; the
-                                    // reply-cell mutex handoff that follows
-                                    // publishes them to the submitter.
-                                    slot.bytes.store(k.ws.heap_bytes(), Ordering::Relaxed);
-                                    slot.arena_bytes
-                                        .store(k.arena.resident_bytes(), Ordering::Relaxed);
-                                    slot.allocs_avoided
-                                        // ordering: Relaxed — as above.
-                                        .store(k.ws.allocations_avoided(), Ordering::Relaxed);
-                                    slot.arena_recycled
-                                        // ordering: Relaxed — as above.
-                                        .store(k.arena.stats().recycled, Ordering::Relaxed);
+                                let k = &state.kernel;
+                                let slot = &inner.scratch[i];
+                                // ordering: Relaxed — gauge stores; the
+                                // reply-cell mutex handoff that follows
+                                // publishes them to the submitter.
+                                slot.bytes.store(k.ws.heap_bytes(), Ordering::Relaxed);
+                                slot.arena_bytes
+                                    .store(k.arena.resident_bytes(), Ordering::Relaxed);
+                                slot.allocs_avoided
+                                    // ordering: Relaxed — as above.
+                                    .store(k.ws.allocations_avoided(), Ordering::Relaxed);
+                                slot.arena_recycled
+                                    // ordering: Relaxed — as above.
+                                    .store(k.arena.stats().recycled, Ordering::Relaxed);
+                                inner.req_pool.put(job.reqs);
+                                let Ok((responses, reply_start)) = served else {
+                                    respond_and_pool(&inner.reply_pool, job.reply, None, || {});
+                                    continue;
                                 };
-                                match job {
-                                    Job::Single(req, reply, enqueued) => {
-                                        state.rec.start(enqueued);
-                                        let resp = std::panic::catch_unwind(
-                                            std::panic::AssertUnwindSafe(|| {
-                                                serve_one(
-                                                    &inner,
-                                                    req,
-                                                    &mut state.kernel,
-                                                    &mut state.rec,
-                                                )
-                                            }),
-                                        );
-                                        publish_scratch(&state.kernel);
-                                        // Trace metadata before the response
-                                        // moves into the reply cell; the
-                                        // record itself happens after the
-                                        // reply so the reply stage is real,
-                                        // and not at all on a panic (the
-                                        // completed counter skips it too).
-                                        let meta = resp
-                                            .as_ref()
-                                            .ok()
-                                            .map(|r| (r.epoch, r.cached, r.coalesced));
-                                        // Answer and pool the cell in one
-                                        // step; the submitter's handle keeps
-                                        // it unissuable until wait() is done.
-                                        respond_and_pool(&inner.reply_pool, reply, resp.ok());
-                                        if let Some((epoch, cached, coalesced)) = meta {
-                                            state.rec.mark(Stage::Reply);
-                                            inner.telemetry.record(&state.rec.trace(
-                                                &req,
-                                                epoch,
-                                                cached,
-                                                coalesced,
-                                                Provenance::Single,
-                                            ));
+                                // Answer and pool the cell in one step (the
+                                // submitter's handle keeps it unissuable
+                                // until wait() is done), then close every
+                                // member's trace with the reply window.
+                                let traces = &mut state.batch.traces;
+                                respond_and_pool(
+                                    &inner.reply_pool,
+                                    job.reply,
+                                    Some(responses),
+                                    || {
+                                        let now = Instant::now();
+                                        let reply_us =
+                                            now.saturating_duration_since(reply_start).as_micros()
+                                                as u64;
+                                        let total_us =
+                                            now.saturating_duration_since(job.enqueued).as_micros()
+                                                as u64;
+                                        for mut trace in traces.drain(..) {
+                                            trace.close(reply_us, total_us);
+                                            inner.telemetry.record(&trace);
                                         }
-                                    }
-                                    Job::Batch(reqs, reply, enqueued) => {
-                                        let resp =
-                                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                                || serve_batch(&inner, &reqs, &mut state, enqueued),
-                                            ));
-                                        publish_scratch(&state.kernel);
-                                        inner.req_pool.put(reqs);
-                                        respond_and_pool(&inner.batch_reply_pool, reply, resp.ok());
-                                    }
-                                    Job::Sub(shared) => {
-                                        // A panicking chunk already poisoned
-                                        // its flights and bumped the owner's
-                                        // done-count; the pool survives it.
-                                        let _ = std::panic::catch_unwind(
-                                            std::panic::AssertUnwindSafe(|| {
-                                                run_split_chunks(
-                                                    &inner,
-                                                    &shared,
-                                                    &mut state.kernel,
-                                                    &mut state.sub,
-                                                )
-                                            }),
-                                        );
-                                        publish_scratch(&state.kernel);
-                                    }
-                                }
+                                    },
+                                );
                             }
                         })
                         .expect("spawn worker thread"),
@@ -2204,80 +1529,45 @@ impl ShardedEngine {
         &self.core.shards[route_of(vertex, self.core.shards.len())]
     }
 
-    /// Enqueues a request on the shard its query vertex routes to; the
-    /// returned handle yields the response. The reply slot comes from
-    /// (and returns to) the shard's pool, so a warm submit+wait
-    /// round-trip allocates nothing.
+    /// Enqueues a request, as a batch of one, on the shard its query
+    /// vertex routes to; the returned handle yields the response. The
+    /// request vector, reply slot and response vector come from (and
+    /// return to) the shard's pools, so a warm submit+wait round-trip
+    /// allocates nothing.
     pub fn submit(&self, req: QueryRequest) -> ResponseHandle {
         let inner = self.shard_for(req.q);
-        let cell = match inner.reply_pool.take_free() {
-            // A reissued cell may hold the stale value of a submitter
-            // that never waited; reset it (refcount 1 ⇒ unobservable).
-            Some(cell) => {
-                *cell.state.lock().unwrap() = ReplyState::Pending;
-                cell
-            }
-            None => Arc::new(ReplyCell::new()),
-        };
-        assert!(
-            inner
-                .queue
-                .push(Job::Single(req, cell.clone(), Instant::now())),
-            "engine already shut down"
-        );
-        ResponseHandle { cell }
+        let mut reqs = inner.req_pool.take();
+        reqs.push(req);
+        ResponseHandle {
+            cell: inner.enqueue(reqs, Provenance::Single),
+            inner: inner.clone(),
+        }
     }
 
     /// Enqueues a whole batch as **one** job: one queue round-trip, one
-    /// index-snapshot read, one cache lookup per unique key, and
-    /// batched kernel calls for the leaders (see
-    /// [`scs::CommunitySearch::significant_communities_arena`]). The
-    /// handle yields every response in submission order; results are
-    /// identical to submitting each request on its own.
-    ///
-    /// Batching amortizes the per-request fixed costs; when the pool
-    /// has idle workers the engine additionally **splits** a large
-    /// batch's leader computations into per-worker sub-batches (see the
-    /// [module docs](self) and [`ServiceConfig::min_sub_batch`]), so a
-    /// single big submitter saturates the pool instead of one thread.
-    /// With splitting disabled the whole batch is served by one worker,
-    /// which still pays off when requests are individually cheap or the
-    /// submitter is one of many concurrent clients keeping the pool
-    /// busy.
+    /// index-snapshot read, one cache lookup per unique key, and one
+    /// kernel call per leader. The handle yields every response in
+    /// submission order; results are identical to submitting each
+    /// request on its own.
     ///
     /// With more than one shard the batch is partitioned by the shard
     /// router into per-shard sub-batches — each rides the machinery
-    /// above on its own shard (one job, one snapshot read, one batched
-    /// kernel call per algorithm *per shard*), and the handle merges
-    /// the answers back into submission order. Each per-shard
-    /// sub-batch counts one `batches` job in the stats, so a
-    /// cross-shard batch over k shards bumps `batches` by k; the
-    /// per-request counters (hits, misses, coalesced, completed) stay
-    /// submission-mode-invariant because routing is a pure function of
-    /// the key.
+    /// above on its own shard (one job and one snapshot read *per
+    /// shard*), and the handle merges the answers back into submission
+    /// order. Each per-shard sub-batch counts one `batches` job in the
+    /// stats, so a cross-shard batch over k shards bumps `batches` by
+    /// k; the per-request counters (hits, misses, coalesced, completed)
+    /// stay submission-mode-invariant because routing is a pure
+    /// function of the key.
     pub fn submit_batch(&self, reqs: &[QueryRequest]) -> BatchHandle {
-        let take_cell = |inner: &Inner| match inner.batch_reply_pool.take_free() {
-            Some(cell) => {
-                *cell.state.lock().unwrap() = ReplyState::Pending;
-                cell
-            }
-            None => Arc::new(ReplyCell::new()),
-        };
         let shards = &self.core.shards;
         if shards.len() == 1 {
             let inner = &shards[0];
             let mut owned = inner.req_pool.take();
             owned.extend_from_slice(reqs);
-            let cell = take_cell(inner);
-            assert!(
-                inner
-                    .queue
-                    .push(Job::Batch(owned, cell.clone(), Instant::now())),
-                "engine already shut down"
-            );
             return BatchHandle {
                 parts: BatchParts::Single {
-                    cell,
+                    cell: inner.enqueue(owned, Provenance::Batch),
                     inner: inner.clone(),
                 },
             };
@@ -2299,14 +1589,7 @@ impl ShardedEngine {
                 inner.req_pool.put(sub);
                 continue;
             }
-            let cell = take_cell(inner);
-            assert!(
-                inner
-                    .queue
-                    .push(Job::Batch(sub, cell.clone(), Instant::now())),
-                "engine already shut down"
-            );
-            parts.push((s as u32, cell));
+            parts.push((s as u32, inner.enqueue(sub, Provenance::Batch)));
         }
         BatchHandle {
             parts: BatchParts::Fanout {
@@ -2401,8 +1684,6 @@ impl ShardedEngine {
             coalesced: agg.coalesced,
             batches: agg.batches,
             batched: agg.batched,
-            splits: agg.splits,
-            sub_batches: agg.sub_batches,
             cache: agg.cache,
             epoch: agg.epoch,
             installs: agg.telem.installs,
@@ -2465,8 +1746,6 @@ impl ShardedEngine {
             || agg.coalesced < base.coalesced
             || agg.batches < base.batches
             || agg.batched < base.batched
-            || agg.splits < base.splits
-            || agg.sub_batches < base.sub_batches
             || agg.cache.hits < base.cache_hits
             || agg.cache.misses < base.cache_misses
             || agg.cache.evictions < base.cache_evictions
@@ -2489,8 +1768,6 @@ impl ShardedEngine {
             coalesced: agg.coalesced.saturating_sub(base.coalesced),
             batches: agg.batches.saturating_sub(base.batches),
             batched: agg.batched.saturating_sub(base.batched),
-            splits: agg.splits.saturating_sub(base.splits),
-            sub_batches: agg.sub_batches.saturating_sub(base.sub_batches),
             cache: CacheStats {
                 hits: agg.cache.hits.saturating_sub(base.cache_hits),
                 misses: agg.cache.misses.saturating_sub(base.cache_misses),
@@ -2532,8 +1809,6 @@ impl ShardedEngine {
             coalesced: agg.coalesced,
             batches: agg.batches,
             batched: agg.batched,
-            splits: agg.splits,
-            sub_batches: agg.sub_batches,
             cache_hits: agg.cache.hits,
             cache_misses: agg.cache.misses,
             cache_evictions: agg.cache.evictions,
@@ -2614,13 +1889,6 @@ mod tests {
                 ..ServiceConfig::default()
             },
         )
-    }
-
-    /// Workers advertise idleness once they reach the queue; give a
-    /// freshly spawned pool a beat to park so split-engagement
-    /// assertions don't race thread startup.
-    fn settle() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
     }
 
     #[test]
@@ -2827,85 +2095,10 @@ mod tests {
     }
 
     #[test]
-    fn split_batch_matches_unsplit_bit_identically() {
-        let split = QueryEngine::start(
-            CommunitySearch::shared(figure2_example()),
-            ServiceConfig {
-                workers: 4,
-                cache_capacity: 64,
-                cache_shards: 4,
-                min_sub_batch: 1,
-                split_batches: true,
-                ..ServiceConfig::default()
-            },
-        );
-        let unsplit = QueryEngine::start(
-            CommunitySearch::shared(figure2_example()),
-            ServiceConfig {
-                workers: 4,
-                cache_capacity: 64,
-                cache_shards: 4,
-                min_sub_batch: 1,
-                split_batches: false,
-                ..ServiceConfig::default()
-            },
-        );
-        settle();
-        let g = split.current_index().0.graph().clone();
-        let mut reqs: Vec<QueryRequest> = Vec::new();
-        for i in 0..g.n_upper() {
-            reqs.push(QueryRequest::new(g.upper(i), 2, 2, Algorithm::Peel));
-            reqs.push(QueryRequest::new(g.upper(i), 1, 1, Algorithm::Expand));
-        }
-        reqs.push(reqs[0]); // in-batch duplicate rides along
-        let a = split.query_batch(&reqs);
-        let b = unsplit.query_batch(&reqs);
-        assert_eq!(a.len(), reqs.len());
-        for ((req, x), y) in reqs.iter().zip(&a).zip(&b) {
-            assert_eq!(x.request, *req, "split batch broke submission order");
-            assert_eq!(y.request, *req);
-            assert_eq!(x.summary, y.summary, "{req:?} diverged under splitting");
-            assert_eq!(
-                (x.cached, x.coalesced, x.epoch),
-                (y.cached, y.coalesced, y.epoch),
-                "{req:?} flags diverged under splitting"
-            );
-        }
-        let st = split.stats();
-        let su = unsplit.stats();
-        assert_eq!(st.splits, 1, "split path must have engaged");
-        assert!(st.sub_batches >= 2, "sub_batches={}", st.sub_batches);
-        assert_eq!(su.splits, 0, "split disabled by config");
-        assert_eq!(su.sub_batches, 0);
-        assert_eq!((st.completed, st.coalesced), (su.completed, su.coalesced));
-        assert_eq!(
-            (st.cache.hits, st.cache.misses),
-            (su.cache.hits, su.cache.misses),
-            "counters drifted between split and unsplit"
-        );
-        assert_eq!(split.inflight_len(), 0, "split batch leaked a flight");
-        split.shutdown();
-        unsplit.shutdown();
-    }
-
-    #[test]
-    fn many_algorithm_batch_carves_per_algorithm_chunks() {
-        // Five algorithms force five single-algorithm chunks even when
-        // the fan-out width is smaller; the surplus chunks must queue
-        // behind the capped hints (not wake extra workers) and every
-        // slot must still be answered in order.
-        let e = QueryEngine::start(
-            CommunitySearch::shared(figure2_example()),
-            ServiceConfig {
-                workers: 2,
-                cache_capacity: 64,
-                cache_shards: 4,
-                min_sub_batch: 8,
-                split_batches: true,
-                ..ServiceConfig::default()
-            },
-        );
-        settle();
+    fn mixed_algorithm_batch_answers_every_slot_in_order() {
+        // Every algorithm in one batch: each leader runs its own kernel
+        // call, and every slot must still be answered in order.
+        let e = engine(2);
         let g = e.current_index().0.graph().clone();
         let g = &g;
         let reqs: Vec<QueryRequest> = Algorithm::ALL
@@ -2917,17 +2110,10 @@ mod tests {
             assert_eq!(resp.request, *req, "submission order broken");
         }
         // All algorithms agree on the answer, so every response of one
-        // vertex matches regardless of which chunk computed it.
+        // vertex matches regardless of which algorithm computed it.
         for chunk in resps.chunks(4) {
             assert_eq!(chunk[0].summary, resps[0].summary);
         }
-        let st = e.stats();
-        assert_eq!(st.splits, 1);
-        assert_eq!(
-            st.sub_batches,
-            Algorithm::ALL.len() as u64,
-            "one chunk per algorithm run"
-        );
         assert_eq!(e.inflight_len(), 0);
         e.shutdown();
     }
@@ -3166,35 +2352,6 @@ mod tests {
         );
         sharded.shutdown();
         unsharded.shutdown();
-    }
-
-    #[test]
-    fn min_sub_batch_feedback_respects_the_floor() {
-        let e = engine(1);
-        // Cold engine: below the sample gate, the configured floor
-        // rules (default config floor is 8).
-        assert_eq!(e.stats().per_shard.len(), 1);
-        assert_eq!(e.stats().per_shard[0].min_sub_batch_effective, 8);
-        // Warm it past the gate with unique leader queries (each
-        // records one kernel-stage sample).
-        let g = e.current_index().0.graph().clone();
-        let mut n = 0;
-        'outer: for algo in Algorithm::ALL {
-            for i in 0..g.n_upper() {
-                for (a, b) in [(1usize, 1usize), (1, 2), (2, 1), (2, 2)] {
-                    e.query(QueryRequest::new(g.upper(i), a, b, algo));
-                    n += 1;
-                    if n >= 48 {
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        // figure2 kernels are cheap, so the feedback can only raise
-        // the effective value — never drop it below the floor.
-        let eff = e.stats().per_shard[0].min_sub_batch_effective;
-        assert!(eff >= 8, "effective {eff} fell below the configured floor");
-        e.shutdown();
     }
 
     #[test]

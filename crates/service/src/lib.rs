@@ -10,30 +10,26 @@
 //! ## Architecture
 //!
 //! ```text
-//!  clients ──submit──▶ mpsc job queue ──▶ worker 0..N
-//!                                           │
-//!                         ┌─────────────────┼──────────────────┐
-//!                         ▼                 ▼                  ▼
-//!                  sharded LRU cache   in-flight table   Arc<CommunitySearch>
-//!                  (hit → respond)     (dedup identical  (read-locked slot,
-//!                                       concurrent work)  epoch-swappable)
+//!  submit ───────┐ (a batch of one)
+//!                ├──▶ per-shard job queue ──▶ worker 0..N
+//!  submit_batch ─┘    (mutex-guarded ring)      │
+//!                   ┌───────────────────────────┼───────────────────┐
+//!                   ▼                           ▼                   ▼
+//!            sharded LRU cache           in-flight table     Arc<CommunitySearch>
+//!            (hit → respond)             (dedup identical    (read-locked slot,
+//!                                         concurrent work)    epoch-swappable)
 //! ```
 //!
-//! * [`engine::QueryEngine`] — the worker pool. [`engine::QueryEngine::submit`]
-//!   enqueues and returns a handle; [`engine::QueryEngine::query`] blocks.
+//! * [`engine::QueryEngine`] — the worker pool. Every submission takes
+//!   one path: [`engine::QueryEngine::submit`] enqueues a batch of one
+//!   and returns a handle; [`engine::QueryEngine::query`] blocks.
 //! * batch submission — [`engine::QueryEngine::submit_batch`] carries N
 //!   requests through the queue as one job: one index-snapshot read, one
-//!   cache lookup per unique key, one worker workspace and one batched
-//!   kernel call per algorithm for the whole batch
-//!   ([`scs::CommunitySearch::significant_communities_in`]), answered in
-//!   submission order with results identical to per-request submission.
-//! * adaptive batch splitting — when the pool has idle workers, a large
-//!   batch's leader computations are carved into per-worker sub-batches
-//!   (at most one per [`engine::ServiceConfig::min_sub_batch`] leaders)
-//!   and fanned out through the queue, so one big submitter saturates
-//!   the pool; results and [`stats::ServiceStats`] counters are
-//!   bit-identical to the unsplit path, and `--no-split` /
-//!   [`engine::ServiceConfig::split_batches`] turns it off for A/B runs.
+//!   cache lookup per unique key, one worker workspace and one kernel
+//!   call per leader
+//!   ([`scs::CommunitySearch::significant_community_arena`]), answered
+//!   in submission order with results identical to per-request
+//!   submission.
 //! * [`cache::ShardedCache`] — a power-of-two-sharded, per-shard-locked
 //!   LRU keyed by `(q, α, β, algorithm)` with hit/miss counters.
 //! * in-flight deduplication — when identical queries race, one worker
@@ -57,7 +53,7 @@
 //!   both reused across queries (and across epoch swaps, growing if a
 //!   larger graph is installed). Summaries are arena-backed
 //!   ([`EdgeStore::Arena`]), responses travel by value, and reply
-//!   slots, flights and batch descriptors are pooled, so the
+//!   slots, flights and request/response vectors are pooled, so the
 //!   steady-state **warm leader path performs zero heap allocations
 //!   end to end** — enforced by the counting-allocator binary
 //!   `tests/alloc_free_service.rs`. Slabs recycle when the cache

@@ -7,7 +7,11 @@
 //! Hand-rolled minimal HTTP/1.1 (same no-dependency policy as the
 //! vendored crates): one `GET` per request, keep-alive by default
 //! (pipelined requests in one segment are preserved, not dropped),
-//! JSON responses. Endpoints:
+//! JSON responses. A body declared by `Content-Length` (up to 8 KiB)
+//! is read and discarded, so it can never be parsed as the next
+//! request; a longer body (`413`), a malformed or conflicting
+//! `Content-Length` (`400`) or any `Transfer-Encoding` (`501`) is
+//! answered and the connection closed. Endpoints:
 //!
 //! * `GET /query?q=<vertex>&alpha=<a>&beta=<b>[&algo=<name>]`
 //!   `[&tenant=<id>][&deadline_ms=<ms>]` — answer one
@@ -59,7 +63,7 @@
 //! [`ServiceConfig::batch_max`] requests or its deadline
 //! ([`ServiceConfig::batch_deadline_ms`]) expires — converting bursty
 //! single-request socket traffic into the engine's batch path (one
-//! queue job, one snapshot, one cache pass, batched kernel calls). A
+//! queue job, one snapshot, one cache pass). A
 //! small responder pool waits on the [`BatchHandle`]s so the batcher
 //! never blocks on the engine.
 //!
@@ -80,7 +84,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Maximum bytes of one request head (request line + headers).
+/// Maximum bytes of one request head (request line + headers), and of
+/// one declared request body.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// Responder threads waiting on in-flight [`BatchHandle`]s. Two keep
@@ -440,6 +445,28 @@ struct HttpRequest<'a> {
     path: &'a str,
     query: &'a str,
     keep_alive: bool,
+    /// Declared `Content-Length` (0 when absent), at most
+    /// [`MAX_REQUEST_BYTES`]; drained before the request is handled.
+    body_len: usize,
+}
+
+/// A request head the connection refuses: answered with `status`, then
+/// the connection closes — past a head it cannot frame, the byte
+/// stream can no longer be trusted to start at a request boundary.
+struct Rejected {
+    status: u16,
+    reason: &'static str,
+    msg: &'static str,
+}
+
+impl Rejected {
+    fn bad_request(msg: &'static str) -> Self {
+        Rejected {
+            status: 400,
+            reason: "Bad Request",
+            msg,
+        }
+    }
 }
 
 /// One response on its way out.
@@ -491,12 +518,15 @@ fn connection_loop(inner: &Arc<ServerInner>, mut stream: TcpStream) {
         };
         let (resp, outcome, keep_alive) = match parse_request(&head) {
             Ok(req) => {
+                if discard_body(&mut stream, &mut buf, req.body_len).is_err() {
+                    return; // timeout / reset / eof mid-body
+                }
                 let keep_alive = req.keep_alive;
                 let (resp, outcome) = handle_request(inner, &req);
                 (resp, outcome, keep_alive)
             }
-            Err(msg) => (
-                HttpResponse::error(400, "Bad Request", msg),
+            Err(rej) => (
+                HttpResponse::error(rej.status, rej.reason, rej.msg),
                 QueryOutcome::NotAdmitted,
                 false,
             ),
@@ -556,18 +586,40 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// Consumes a request's declared body — first the bytes already
+/// buffered past its head, then the rest from the socket — so the
+/// next request on a keep-alive connection starts exactly where this
+/// one ended. Every endpoint is a `GET`, so the body is never read as
+/// data; draining it is what keeps it from being parsed as a request.
+fn discard_body(stream: &mut TcpStream, buf: &mut Vec<u8>, len: usize) -> io::Result<()> {
+    let buffered = len.min(buf.len());
+    buf.drain(..buffered);
+    let mut left = len - buffered;
+    let mut chunk = [0u8; 1024];
+    while left > 0 {
+        let want = left.min(chunk.len());
+        let n = stream.read(chunk.get_mut(..want).unwrap_or_default())?;
+        if n == 0 {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof mid-body"));
+        }
+        left -= n;
+    }
+    Ok(())
+}
+
 // The per-connection request handler must never take the whole server
 // down: a malformed request, an unexpected parameter or a dead socket
 // ends at worst this one connection. The analyzer proves the handler
 // and its transitive callees free of panic sites.
 // scs-contract: no-panic
-fn parse_request<'a>(head: &'a str) -> Result<HttpRequest<'a>, &'static str> {
+fn parse_request<'a>(head: &'a str) -> Result<HttpRequest<'a>, Rejected> {
+    let bad = Rejected::bad_request;
     let mut lines = head.split("\r\n");
-    let request_line = lines.next().ok_or("empty request")?;
+    let request_line = lines.next().ok_or(bad("empty request"))?;
     let mut parts = request_line.split(' ');
-    let method = parts.next().ok_or("missing method")?;
-    let target = parts.next().ok_or("missing request target")?;
-    let version = parts.next().ok_or("missing HTTP version")?;
+    let method = parts.next().ok_or(bad("missing method"))?;
+    let target = parts.next().ok_or(bad("missing request target"))?;
+    let version = parts.next().ok_or(bad("missing HTTP version"))?;
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
@@ -575,11 +627,36 @@ fn parse_request<'a>(head: &'a str) -> Result<HttpRequest<'a>, &'static str> {
     // Keep-alive: HTTP/1.1 defaults on, `Connection: close` (or an
     // HTTP/1.0 client) turns it off.
     let mut keep_alive = version == "HTTP/1.1";
+    // Body framing: only a plain `Content-Length` is accepted. Any
+    // `Transfer-Encoding`, or a length that is malformed or disagrees
+    // with an earlier one, leaves the body's end ambiguous — the
+    // request-smuggling class — so the request is refused.
+    let mut body_len: Option<usize> = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
-        if name.eq_ignore_ascii_case("connection") {
+        if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(Rejected {
+                status: 501,
+                reason: "Not Implemented",
+                msg: "Transfer-Encoding is not supported",
+            });
+        }
+        if name.eq_ignore_ascii_case("content-length") {
+            // Digits only: `usize::from_str` would also take a `+`.
+            let v = value.trim();
+            let digits = !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit());
+            let len = v
+                .parse::<usize>()
+                .ok()
+                .filter(|_| digits)
+                .ok_or(bad("malformed Content-Length"))?;
+            if body_len.is_some_and(|prev| prev != len) {
+                return Err(bad("conflicting Content-Length headers"));
+            }
+            body_len = Some(len);
+        } else if name.eq_ignore_ascii_case("connection") {
             let v = value.trim();
             if v.eq_ignore_ascii_case("close") {
                 keep_alive = false;
@@ -588,11 +665,20 @@ fn parse_request<'a>(head: &'a str) -> Result<HttpRequest<'a>, &'static str> {
             }
         }
     }
+    let body_len = body_len.unwrap_or(0);
+    if body_len > MAX_REQUEST_BYTES {
+        return Err(Rejected {
+            status: 413,
+            reason: "Payload Too Large",
+            msg: "request body too large",
+        });
+    }
     Ok(HttpRequest {
         method,
         path,
         query,
         keep_alive,
+        body_len,
     })
 }
 
@@ -1030,7 +1116,13 @@ mod tests {
     }
 
     fn read_reply(s: &mut TcpStream) -> (u16, Vec<String>, String) {
-        let mut reader = io::BufReader::new(s);
+        read_reply_from(&mut io::BufReader::new(s))
+    }
+
+    /// [`read_reply`] from a reader that lives as long as the
+    /// connection, so bytes of a following reply are never buffered
+    /// away between calls.
+    fn read_reply_from(reader: &mut impl BufRead) -> (u16, Vec<String>, String) {
         let mut status_line = String::new();
         reader.read_line(&mut status_line).unwrap();
         let status: u16 = status_line
@@ -1137,6 +1229,120 @@ mod tests {
         let fin = handle.stop();
         assert_eq!(fin.admitted, 2);
         assert_eq!(fin.served, 2);
+    }
+
+    /// Sends `raw` on a fresh connection; returns the connection's
+    /// writer and a reader that outlives single replies.
+    fn send_raw(addr: SocketAddr, raw: &str) -> (TcpStream, io::BufReader<TcpStream>) {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let reader = io::BufReader::new(s.try_clone().unwrap());
+        s.write_all(raw.as_bytes()).unwrap();
+        (s, reader)
+    }
+
+    /// Asserts that the server closed the connection after its reply.
+    fn assert_closed(mut reader: io::BufReader<TcpStream>) {
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        assert!(rest.is_empty(), "connection stayed open: {rest:?}");
+    }
+
+    #[test]
+    fn request_body_is_drained_not_parsed_as_a_request() {
+        let handle = serve(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        // The 34-byte body is itself a complete request. Read as a
+        // request, it would draw a second reply (the smuggled 200).
+        let smuggled = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+        assert_eq!(smuggled.len(), 34);
+        let (mut s, mut reader) = send_raw(
+            handle.local_addr(),
+            &format!("POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 34\r\n\r\n{smuggled}"),
+        );
+        let (status, _, body) = read_reply_from(&mut reader);
+        assert_eq!(status, 405, "{body}");
+        // The connection is still in sync and serves the next request.
+        write!(
+            s,
+            "GET /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
+        let (status, _, body) = read_reply_from(&mut reader);
+        assert_eq!(status, 404, "the body was answered as a request: {body}");
+        assert_closed(reader);
+        handle.stop();
+    }
+
+    #[test]
+    fn oversized_body_gets_413_and_closes() {
+        let handle = serve(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let (_s, mut reader) = send_raw(
+            handle.local_addr(),
+            &format!(
+                "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+                MAX_REQUEST_BYTES + 1
+            ),
+        );
+        let (status, headers, body) = read_reply_from(&mut reader);
+        assert_eq!(status, 413, "{body}");
+        assert!(
+            headers.iter().any(|h| h == "Connection: close"),
+            "{headers:?}"
+        );
+        assert_closed(reader);
+        handle.stop();
+    }
+
+    #[test]
+    fn malformed_or_conflicting_content_length_gets_400_and_closes() {
+        let handle = serve(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        for lengths in [
+            "Content-Length: abc\r\n",
+            "Content-Length: +5\r\n",
+            "Content-Length: 5, 5\r\n",
+            "Content-Length: 5\r\nContent-Length: 6\r\n",
+        ] {
+            let (_s, mut reader) = send_raw(
+                handle.local_addr(),
+                &format!("GET /healthz HTTP/1.1\r\nHost: x\r\n{lengths}\r\nhello"),
+            );
+            let (status, _, body) = read_reply_from(&mut reader);
+            assert_eq!(status, 400, "{lengths:?} → {body}");
+            assert_closed(reader);
+        }
+        // Repeating the same length is not a conflict.
+        let (_s, mut reader) = send_raw(
+            handle.local_addr(),
+            "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\
+             Content-Length: 5\r\nConnection: close\r\n\r\nhello",
+        );
+        assert_eq!(read_reply_from(&mut reader).0, 200);
+        handle.stop();
+    }
+
+    #[test]
+    fn transfer_encoding_gets_501_and_closes() {
+        let handle = serve(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let (_s, mut reader) = send_raw(
+            handle.local_addr(),
+            "POST /query HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
+             0\r\n\r\nGET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        );
+        let (status, _, body) = read_reply_from(&mut reader);
+        assert_eq!(status, 501, "{body}");
+        assert_closed(reader);
+        handle.stop();
     }
 
     #[test]

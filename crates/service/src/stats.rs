@@ -67,14 +67,6 @@ impl LatencyHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all recorded samples, µs. Together with [`Self::count`]
-    /// this is the two-load mean the split-sizing feedback reads on the
-    /// batch path — cheaper than a full [`Self::snapshot`].
-    // ordering: Relaxed — monotone statistic, no pairing.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
-    }
-
     /// Mean latency in microseconds (0 when empty).
     pub fn mean_us(&self) -> f64 {
         self.snapshot().mean_us()
@@ -285,18 +277,10 @@ pub struct ShardStats {
     pub cache_hits: u64,
     /// This shard's cache-slice misses.
     pub cache_misses: u64,
-    /// Batch jobs this shard split across its own pool.
-    pub splits: u64,
     /// Median service latency on this shard, µs.
     pub p50_us: u64,
     /// 99th-percentile service latency on this shard, µs.
     pub p99_us: u64,
-    /// The sub-batch granularity this shard's split heuristic is
-    /// currently using: the configured
-    /// [`crate::ServiceConfig::min_sub_batch`] floor, raised once enough
-    /// kernel-cost samples exist to size chunks from the observed
-    /// per-record kernel time (see the engine's split-sizing feedback).
-    pub min_sub_batch_effective: usize,
 }
 
 /// Network-front-end admission counters (`scs serve`): how many
@@ -354,23 +338,13 @@ pub struct ServiceStats {
     /// cached count as the cache hits a per-request resubmission would
     /// have been — see the README's stats-semantics section.
     pub coalesced: u64,
-    /// Batch jobs served through [`crate::QueryEngine::submit_batch`].
+    /// Batch jobs served through [`crate::QueryEngine::submit_batch`]
+    /// (a per-request `submit` is a batch of one but is not counted
+    /// here).
     pub batches: u64,
     /// Requests that arrived inside a batch job (each still counts in
     /// `completed`).
     pub batched: u64,
-    /// Batch jobs whose leader computations were split across the
-    /// worker pool (adaptive batch splitting; a batch splits only when
-    /// idle capacity and enough leaders exist — see
-    /// [`crate::ServiceConfig::min_sub_batch`]).
-    pub splits: u64,
-    /// Sub-batches carved out of split batch jobs, the splitting
-    /// worker's own share included; each is one batched kernel call on
-    /// one worker. Chunk boundaries respect per-algorithm runs, so a
-    /// many-algorithm batch can carve more sub-batches than the
-    /// fan-out width that executes them (which stays capped at the
-    /// pool's idle capacity plus the owner).
-    pub sub_batches: u64,
     /// Result-cache counters. `cache.capacity` is the configured total
     /// entry budget across all shards — residency never exceeds it (see
     /// [`CacheStats::capacity`]).
@@ -427,8 +401,8 @@ pub struct ServiceStats {
     /// (for coalesced requests the kernel stage is the wait on the
     /// leader's computation).
     pub stages: [LatencySummary; N_STAGES],
-    /// Per-algorithm end-to-end latency (including queue wait and, for
-    /// per-request submissions, the reply) with the per-stage split —
+    /// Per-algorithm end-to-end latency (queue wait through reply) with
+    /// the per-stage split —
     /// indexed in [`scs::Algorithm::ALL`] order.
     pub algos: [AlgoStats; crate::telemetry::N_ALGOS],
     /// Admission-control counters of the network front end; all zero
@@ -475,8 +449,6 @@ impl fmt::Display for ServiceStats {
         writeln!(f, "│ coalesced queries   │ {:>12} │", self.coalesced)?;
         writeln!(f, "│ batch jobs          │ {:>12} │", self.batches)?;
         writeln!(f, "│ batched requests    │ {:>12} │", self.batched)?;
-        writeln!(f, "│ batch splits        │ {:>12} │", self.splits)?;
-        writeln!(f, "│ sub-batches         │ {:>12} │", self.sub_batches)?;
         writeln!(f, "│ scratch resident    │ {:>11}B │", self.scratch_bytes)?;
         writeln!(f, "│ arena resident      │ {:>11}B │", self.arena_bytes)?;
         writeln!(f, "│ allocs avoided      │ {:>12} │", self.allocs_avoided)?;
@@ -536,21 +508,20 @@ impl fmt::Display for ServiceStats {
         if self.per_shard.len() > 1 {
             write!(
                 f,
-                "\nper-shard          {:>8} {:>10} {:>9} {:>9} {:>8} {:>8} {:>9}",
-                "workers", "completed", "hits", "misses", "p50", "p99", "min-sub"
+                "\nper-shard          {:>8} {:>10} {:>9} {:>9} {:>8} {:>8}",
+                "workers", "completed", "hits", "misses", "p50", "p99"
             )?;
             for s in &self.per_shard {
                 write!(
                     f,
-                    "\n  shard {:<11} {:>8} {:>10} {:>9} {:>9} {:>8} {:>8} {:>9}",
+                    "\n  shard {:<11} {:>8} {:>10} {:>9} {:>9} {:>8} {:>8}",
                     s.shard,
                     s.workers,
                     s.completed,
                     s.cache_hits,
                     s.cache_misses,
                     s.p50_us,
-                    s.p99_us,
-                    s.min_sub_batch_effective
+                    s.p99_us
                 )?;
             }
         }
@@ -720,8 +691,6 @@ mod tests {
             coalesced: 3,
             batches: 12,
             batched: 384,
-            splits: 5,
-            sub_batches: 17,
             cache: CacheStats {
                 hits: 600,
                 misses: 400,
@@ -775,10 +744,8 @@ mod tests {
                     coalesced: 2,
                     cache_hits: 400,
                     cache_misses: 240,
-                    splits: 3,
                     p50_us: 29,
                     p99_us: 180,
-                    min_sub_batch_effective: 8,
                 },
                 ShardStats {
                     shard: 1,
@@ -787,10 +754,8 @@ mod tests {
                     coalesced: 1,
                     cache_hits: 200,
                     cache_misses: 160,
-                    splits: 2,
                     p50_us: 33,
                     p99_us: 230,
-                    min_sub_batch_effective: 12,
                 },
             ],
         };
@@ -806,9 +771,6 @@ mod tests {
         assert!(txt.contains("4321"));
         assert!(txt.contains("batch jobs"));
         assert!(txt.contains("384"));
-        assert!(txt.contains("batch splits"));
-        assert!(txt.contains("sub-batches"));
-        assert!(txt.contains("17"));
         // New observability sections.
         assert!(txt.contains("cache evictions"));
         assert!(txt.contains("installs"));
@@ -821,12 +783,10 @@ mod tests {
         assert!(txt.contains("q=17"));
         // Algorithms that served nothing stay out of the table.
         assert!(!txt.contains("baseline"));
-        // The per-shard section renders one row per shard with the
-        // effective split granularity.
+        // The per-shard section renders one row per shard.
         assert!(txt.contains("per-shard"));
         assert!(txt.contains("shard 0"));
         assert!(txt.contains("shard 1"));
-        assert!(txt.contains("min-sub"));
         // The admission section renders when any counter is nonzero...
         assert!(txt.contains("shed (429)"));
         assert!(txt.contains("quota rejected"));
@@ -872,17 +832,15 @@ mod tests {
 
     #[test]
     fn single_shard_stats_hide_the_per_shard_section() {
-        // An unsharded engine still carries its one row (the effective
-        // min_sub_batch is visible programmatically) but the table
-        // skips the section — nothing to compare.
+        // An unsharded engine still carries its one row (visible
+        // programmatically) but the table skips the section — nothing
+        // to compare.
         let mut s = ServiceStats {
             workers: 1,
             completed: 0,
             coalesced: 0,
             batches: 0,
             batched: 0,
-            splits: 0,
-            sub_batches: 0,
             cache: CacheStats {
                 hits: 0,
                 misses: 0,
@@ -916,10 +874,8 @@ mod tests {
                 coalesced: 0,
                 cache_hits: 0,
                 cache_misses: 0,
-                splits: 0,
                 p50_us: 0,
                 p99_us: 0,
-                min_sub_batch_effective: 8,
             }],
         };
         assert!(!s.to_string().contains("per-shard"));

@@ -16,28 +16,31 @@
 //! ## Stage attribution
 //!
 //! A request's end-to-end latency (enqueue → reply handed back) is
-//! split into six stages ([`Stage`]). On the per-request path the
-//! worker's [`StageRecorder`] checkpoint-tiles the whole interval, so
-//! stage sums reconcile with the total to within per-stage truncation
-//! (≤ 1µs per recorded stage — asserted by `tests/telemetry_stress.rs`).
-//! On the batched path the batch-wide phases (queue wait, snapshot
-//! acquire) are measured once and attributed to every request they
-//! covered, the per-key phases (cache lookup, kernel run, publish) are
-//! measured per key or per unit, and unattributed gaps (e.g. waiting
-//! for a sibling sub-batch) are left out — so batched stage sums are a
-//! **lower bound** on the total (`Σ stages ≤ total`), never an
-//! overcount of any single wall-clock interval. For coalesced
-//! requests the kernel stage is the wait on the leader's computation.
-//! The reply stage (handing the pooled response back to the submitter)
-//! is only measurable on the per-request path; batch entries leave it
-//! untouched rather than guessing.
+//! split into six engine stages ([`Stage`]). Every submission is a
+//! batch job (a per-request `submit` is a batch of one), and a job's
+//! timeline is cut into **contiguous windows**: each starts where the
+//! previous one ended — queue wait, each key's cache lookup, each
+//! snapshot-and-join, each leader's own kernel call and publish, each
+//! follower's wait, and finally the reply. Every window is charged, in
+//! nanoseconds, to the [`StageSet`] of the members it served. A batch
+//! of one is therefore charged every window and its stages tile its
+//! total to within per-stage truncation (≤ 1µs per recorded stage —
+//! asserted by `tests/telemetry_stress.rs`); a larger batch's member
+//! is charged a disjoint subset of the job's windows, so its stage sum
+//! is a **lower bound** on its total (`Σ stages ≤ total`), never an
+//! overcount of any single wall-clock interval. For coalesced requests
+//! the kernel stage is the wait on the leader's computation. The reply
+//! window (handing the pooled responses back to the submitter) is
+//! shared by every member. Traces are recorded once the responses are
+//! in the reply slot and before the submitter wakes, so a submitter
+//! whose wait returned finds its requests recorded, and a job that
+//! panicked records nothing.
 
 use crate::stats::{HistSnapshot, LatencyHistogram, ServiceStats, ShardStats};
 use crate::QueryRequest;
 use scs::Algorithm;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Number of fixed stages every request's latency is split into.
 pub const N_STAGES: usize = 7;
@@ -69,15 +72,13 @@ pub enum Stage {
     Snapshot = 1,
     /// Result-cache probe (and, for batches, the per-key dedup lookup).
     CacheLookup = 2,
-    /// Kernel compute — for coalesced requests, the wait on the
-    /// leader's computation; for batch members, their unit's batched
-    /// kernel run.
+    /// Kernel compute — a leader's own kernel call; for coalesced
+    /// requests, the wait on the leader's computation.
     Kernel = 3,
     /// Publishing the result: cache insert, flight publish, response
     /// construction, counters.
     Publish = 4,
-    /// Handing the response back to the submitter (per-request
-    /// submissions only).
+    /// Handing the job's responses back to the submitter.
     Reply = 5,
     /// Socket accept → engine enqueue: HTTP parse, admission control
     /// and deadline-batch accumulation in [`crate::server`]. Only the
@@ -121,13 +122,10 @@ impl Stage {
 /// so a pathological latency can be traced to its submission shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
-    /// Per-request submission (`submit` / `query`).
+    /// Per-request submission (`submit` / `query`): a batch of one.
     Single = 0,
-    /// Member of a batch job served inline by one worker.
+    /// Member of a batch submission (`submit_batch`).
     Batch = 1,
-    /// Member of a batch whose leader computations were split into
-    /// sub-batches across the pool.
-    Split = 2,
 }
 
 impl Provenance {
@@ -136,14 +134,12 @@ impl Provenance {
         match self {
             Provenance::Single => "single",
             Provenance::Batch => "batch",
-            Provenance::Split => "split",
         }
     }
 
     fn from_u8(v: u8) -> Provenance {
         match v {
             1 => Provenance::Batch,
-            2 => Provenance::Split,
             _ => Provenance::Single,
         }
     }
@@ -257,9 +253,8 @@ impl fmt::Display for SlowQuery {
 }
 
 /// Everything [`Telemetry::record`] needs about one completed request.
-/// Built on the stack (engine hot path — no allocation) either from a
-/// [`StageRecorder`] (per-request path) or a [`StageSet`] (batched
-/// attribution).
+/// Built on the stack from a [`StageSet`] (engine hot path — no
+/// allocation).
 #[derive(Debug, Clone, Copy)]
 pub struct RequestTrace {
     /// Query vertex (raw id).
@@ -288,11 +283,25 @@ pub struct RequestTrace {
     pub touched: u8,
 }
 
-/// Explicit stage attribution for the batched path: set the stages you
-/// measured, leave the rest untouched.
+impl RequestTrace {
+    /// Completes a trace assembled before its reply: attributes the
+    /// reply window and sets the end-to-end total, both µs.
+    pub fn close(&mut self, reply_us: u64, total_us: u64) {
+        self.stages_us[Stage::Reply as usize] = reply_us;
+        self.touched |= Stage::Reply.bit();
+        self.total_us = total_us;
+    }
+}
+
+/// One request's stage attribution. The engine charges each window of
+/// a job's timeline to the members it served ([`Self::add_ns`]);
+/// synthetic traces set whole stages ([`Self::set`]). Stages are kept
+/// in nanoseconds and truncated to µs once, in [`Self::trace`], so a
+/// fully tiled request's stage sum reconciles with its total to within
+/// 1µs per touched stage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageSet {
-    stages_us: [u64; N_STAGES],
+    stages_ns: [u64; N_STAGES],
     touched: u8,
 }
 
@@ -305,13 +314,21 @@ impl StageSet {
     /// Attributes `us` microseconds to `stage` (marking it touched —
     /// call with 0 for a stage that ran but took under a microsecond).
     pub fn set(&mut self, stage: Stage, us: u64) -> &mut Self {
-        self.stages_us[stage as usize] = us;
+        self.stages_ns[stage as usize] = us.saturating_mul(1_000);
+        self.touched |= stage.bit();
+        self
+    }
+
+    /// Adds one window of `ns` nanoseconds to `stage`, marking it
+    /// touched. A stage charged several windows (a stale key's repeated
+    /// snapshot-and-join) sums them.
+    pub fn add_ns(&mut self, stage: Stage, ns: u64) -> &mut Self {
+        self.stages_ns[stage as usize] += ns;
         self.touched |= stage.bit();
         self
     }
 
     /// Assembles the trace for one request.
-    #[allow(clippy::too_many_arguments)]
     pub fn trace(
         &self,
         req: &QueryRequest,
@@ -331,117 +348,10 @@ impl StageSet {
             cached,
             coalesced,
             total_us,
-            stages_us: self.stages_us,
+            stages_us: self.stages_ns.map(|ns| ns / 1_000),
             touched: self.touched,
         }
     }
-}
-
-/// Per-worker stage stopwatch for the per-request path. Preallocated
-/// (plain scalars, no heap) and reused across requests.
-///
-/// Usage: [`Self::start`] at dequeue (attributing the queue wait),
-/// then [`Self::mark`] at each stage boundary — the elapsed time since
-/// the previous checkpoint is attributed to the finished stage.
-/// Internally nanoseconds, so the µs stage sums reconcile with
-/// [`Self::total_us`] to within 1µs truncation per marked stage.
-#[derive(Debug)]
-pub struct StageRecorder {
-    stage_ns: [u64; N_STAGES],
-    touched: u8,
-    queue_us: u64,
-    start: Instant,
-    last: Instant,
-}
-
-impl Default for StageRecorder {
-    fn default() -> Self {
-        let now = Instant::now();
-        StageRecorder {
-            stage_ns: [0; N_STAGES],
-            touched: 0,
-            queue_us: 0,
-            start: now,
-            last: now,
-        }
-    }
-}
-
-impl StageRecorder {
-    /// Fresh recorder (equivalent to `default()`).
-    pub fn new() -> Self {
-        StageRecorder::default()
-    }
-
-    /// Resets and starts timing a request that was enqueued at
-    /// `enqueued`; the elapsed wait becomes the queue-wait stage.
-    pub fn start(&mut self, enqueued: Instant) {
-        let now = Instant::now();
-        self.start_with_queue_us(dur_us(now.saturating_duration_since(enqueued)));
-    }
-
-    /// Resets and starts timing with an externally measured queue wait
-    /// (the batched path measures it once per batch).
-    pub fn start_with_queue_us(&mut self, queue_us: u64) {
-        let now = Instant::now();
-        self.stage_ns = [0; N_STAGES];
-        self.touched = Stage::QueueWait.bit();
-        self.queue_us = queue_us;
-        self.start = now;
-        self.last = now;
-    }
-
-    /// Attributes the time since the previous checkpoint to `stage`
-    /// and advances the checkpoint.
-    pub fn mark(&mut self, stage: Stage) {
-        let now = Instant::now();
-        self.stage_ns[stage as usize] += dur_ns(now.saturating_duration_since(self.last));
-        self.touched |= stage.bit();
-        self.last = now;
-    }
-
-    /// Total attributed time: queue wait plus everything up to the
-    /// last checkpoint, µs.
-    pub fn total_us(&self) -> u64 {
-        self.queue_us + dur_us(self.last.saturating_duration_since(self.start))
-    }
-
-    /// Assembles the trace for the request just recorded.
-    pub fn trace(
-        &self,
-        req: &QueryRequest,
-        epoch: u64,
-        cached: bool,
-        coalesced: bool,
-        provenance: Provenance,
-    ) -> RequestTrace {
-        let mut stages_us = [0u64; N_STAGES];
-        for (i, ns) in self.stage_ns.iter().enumerate() {
-            stages_us[i] = ns / 1_000;
-        }
-        stages_us[Stage::QueueWait as usize] = self.queue_us;
-        RequestTrace {
-            q: req.q.0,
-            alpha: req.alpha,
-            beta: req.beta,
-            algo: req.algo,
-            epoch,
-            provenance,
-            cached,
-            coalesced,
-            total_us: self.total_us(),
-            stages_us,
-            touched: self.touched,
-        }
-    }
-}
-
-fn dur_us(d: std::time::Duration) -> u64 {
-    d.as_micros() as u64
-}
-
-fn dur_ns(d: std::time::Duration) -> u64 {
-    d.as_nanos() as u64
 }
 
 /// The engine's preallocated telemetry plane: per-algorithm end-to-end
@@ -547,21 +457,6 @@ impl Telemetry {
     /// after a slow warmup still captures its own spikes.
     pub fn reset_slow_window(&self) {
         self.ring.reset_window();
-    }
-
-    /// `(count, sum_us)` over every kernel-stage sample recorded so
-    /// far, across all algorithms. Two relaxed loads per algorithm —
-    /// cheap enough for the batch path to read per submission when
-    /// sizing sub-batches from the observed per-leader kernel cost.
-    pub fn kernel_cost_us(&self) -> (u64, u64) {
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        for a in 0..N_ALGOS {
-            let h = &self.stage_hists[a][Stage::Kernel as usize];
-            count += h.count();
-            sum += h.sum_us();
-        }
-        (count, sum)
     }
 }
 
@@ -980,16 +875,6 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         stats.batched,
     );
     counter(
-        "scs_batch_splits_total",
-        "Batch jobs split across the worker pool.",
-        stats.splits,
-    );
-    counter(
-        "scs_sub_batches_total",
-        "Sub-batches carved out of split batch jobs.",
-        stats.sub_batches,
-    );
-    counter(
         "scs_cache_hits_total",
         "Result-cache hits.",
         stats.cache.hits,
@@ -1138,11 +1023,6 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         "scs_shard_workers",
         "Worker threads owned by each engine shard.",
         &|r| r.workers as u64,
-    );
-    shard_gauge(
-        "scs_shard_min_sub_batch_effective",
-        "Effective sub-batch floor after kernel-cost feedback, by shard.",
-        &|r| r.min_sub_batch_effective as u64,
     );
 
     out.push_str(
@@ -1379,7 +1259,7 @@ fn parse_sample(line: &str) -> Result<(String, Vec<String>, f64), String> {
 // ─── Bench JSON (schema-versioned perf trajectory) ───────────────────
 
 /// Schema identifier stamped into every `BENCH_service.json`.
-pub const BENCH_SCHEMA: &str = "scs-bench-service/v1";
+pub const BENCH_SCHEMA: &str = "scs-bench-service/v2";
 
 /// Workload and run parameters recorded alongside the measured stats
 /// in `BENCH_service.json`, so a trajectory of artifacts is
@@ -1412,8 +1292,6 @@ pub struct BenchMeta<'a> {
     pub seed: u64,
     /// Zipf exponent of the key distribution (0 = uniform).
     pub zipf: f64,
-    /// Whether adaptive batch splitting was enabled.
-    pub split_batches: bool,
     /// Wall-clock seconds of the measured replay.
     pub wall_secs: f64,
 }
@@ -1509,7 +1387,7 @@ fn j_stats(stats: &ServiceStats) -> String {
          \"stages\":{},\"algorithms\":{{{}}},\
          \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{},\"evictions\":{},\"invalidated\":{}}},\
          \"events\":{{\"installs\":{},\"stale_publishes\":{},\"epoch\":{}}},\
-         \"batching\":{{\"batches\":{},\"batched\":{},\"splits\":{},\"sub_batches\":{},\"coalesced\":{}}},\
+         \"batching\":{{\"batches\":{},\"batched\":{},\"coalesced\":{}}},\
          \"memory\":{{\"scratch_bytes\":{},\"arena_bytes\":{},\"allocs_avoided\":{},\"arena_recycled\":{}}},\
          \"slow_queries\":[{}]}}",
         stats.workers,
@@ -1533,8 +1411,6 @@ fn j_stats(stats: &ServiceStats) -> String {
         stats.epoch,
         stats.batches,
         stats.batched,
-        stats.splits,
-        stats.sub_batches,
         stats.coalesced,
         stats.scratch_bytes,
         stats.arena_bytes,
@@ -1557,8 +1433,7 @@ pub fn render_bench_json(
         "{{\"schema\":{},\"bench\":\"serve-bench\",\
          \"workload\":{{\"dataset\":{},\"threads\":{},\"shards\":{},\"queries\":{},\
          \"warmup\":{},\"clients\":{},\"batch_size\":{},\"alpha\":{},\"beta\":{},\
-         \"algo\":{},\"repeat_fraction\":{},\"seed\":{},\"zipf\":{},\
-         \"split_batches\":{}}},\
+         \"algo\":{},\"repeat_fraction\":{},\"seed\":{},\"zipf\":{}}},\
          \"wall_secs\":{},\"cumulative\":{},\"steady\":{}}}",
         j_escape(BENCH_SCHEMA),
         j_escape(meta.dataset),
@@ -1574,7 +1449,6 @@ pub fn render_bench_json(
         j_f64(meta.repeat_fraction),
         meta.seed,
         j_f64(meta.zipf),
-        meta.split_batches,
         j_f64(meta.wall_secs),
         j_stats(cumulative),
         j_stats(steady)
@@ -1951,10 +1825,7 @@ fn validate_stats_obj(v: &JsonValue) -> Result<(), String> {
             ][..],
         ),
         ("events", &["installs", "stale_publishes", "epoch"][..]),
-        (
-            "batching",
-            &["batches", "batched", "splits", "sub_batches", "coalesced"][..],
-        ),
+        ("batching", &["batches", "batched", "coalesced"][..]),
         (
             "memory",
             &[
@@ -2010,8 +1881,6 @@ mod tests {
             coalesced: 0,
             batches: 1,
             batched: 2,
-            splits: 0,
-            sub_batches: 0,
             cache: CacheStats {
                 hits: 1,
                 misses: 2,
@@ -2045,51 +1914,71 @@ mod tests {
                 coalesced: 0,
                 cache_hits: 1,
                 cache_misses: 2,
-                splits: 0,
                 p50_us: total.quantile_us(0.5),
                 p99_us: total.quantile_us(0.99),
-                min_sub_batch_effective: 8,
             }],
         }
     }
 
     #[test]
-    fn recorder_tiles_the_request_interval() {
-        let mut rec = StageRecorder::new();
-        rec.start_with_queue_us(5);
-        rec.mark(Stage::CacheLookup);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        rec.mark(Stage::Kernel);
-        rec.mark(Stage::Publish);
-        let t = rec.trace(
+    fn stage_windows_accumulate_in_nanoseconds_and_tile_the_total() {
+        // One job's contiguous windows, charged to a batch of one.
+        let windows = [
+            (Stage::QueueWait, 5_400u64),
+            (Stage::CacheLookup, 700),
+            (Stage::Snapshot, 300),
+            (Stage::Snapshot, 900), // a stale key's second round sums
+            (Stage::Kernel, 2_000_500),
+            (Stage::Publish, 999),
+        ];
+        let mut s = StageSet::new();
+        for (stage, ns) in windows {
+            s.add_ns(stage, ns);
+        }
+        let total_ns: u64 = windows.iter().map(|w| w.1).sum();
+        let mut t = s.trace(
             &req(3, Algorithm::Peel),
             1,
             false,
             false,
             Provenance::Single,
+            total_ns / 1_000,
         );
-        assert_eq!(t.q, 3);
-        assert_eq!(t.alpha, 2);
-        assert_eq!(t.beta, 3);
+        assert_eq!((t.q, t.alpha, t.beta), (3, 2, 3));
         assert_eq!(t.stages_us[Stage::QueueWait as usize], 5);
-        assert!(t.stages_us[Stage::Kernel as usize] >= 2_000);
-        assert_eq!(t.touched & Stage::Reply.bit(), 0);
+        assert_eq!(t.stages_us[Stage::Snapshot as usize], 1);
+        assert_eq!(t.stages_us[Stage::Kernel as usize], 2_000);
+        // A sub-µs window still marks its stage as passed through.
+        assert_eq!(t.stages_us[Stage::CacheLookup as usize], 0);
         assert_ne!(t.touched & Stage::CacheLookup.bit(), 0);
-        // Stage sums reconcile with the total to ≤1µs truncation per
-        // marked stage.
+        assert_eq!(t.touched & Stage::Reply.bit(), 0);
+        // Truncation happens once per stage: the sum reconciles with
+        // the total to ≤1µs per touched stage.
+        let touched = 5;
         let sum: u64 = t.stages_us.iter().sum();
-        let marked = 4; // queue + cache + kernel + publish
         assert!(sum <= t.total_us, "sum {sum} > total {}", t.total_us);
         assert!(
-            sum + marked >= t.total_us,
-            "sum {sum} + {marked} < total {}",
+            sum + touched >= t.total_us,
+            "sum {sum} + {touched} < total {}",
             t.total_us
         );
-        // Restarting fully resets.
-        rec.start_with_queue_us(0);
-        let t2 = rec.trace(&req(3, Algorithm::Peel), 1, true, false, Provenance::Single);
-        assert_eq!(t2.stages_us[Stage::Kernel as usize], 0);
-        assert_eq!(t2.touched, Stage::QueueWait.bit());
+        // Closing the trace adds the reply window and the final total.
+        t.close(3, t.total_us + 3);
+        assert_eq!(t.stages_us[Stage::Reply as usize], 3);
+        assert_ne!(t.touched & Stage::Reply.bit(), 0);
+        let sum: u64 = t.stages_us.iter().sum();
+        assert!(sum <= t.total_us && sum + touched + 1 >= t.total_us);
+        // `set` replaces a stage; `add_ns` accumulates onto it.
+        s.set(Stage::Kernel, 7).add_ns(Stage::Kernel, 1_000);
+        let t = s.trace(
+            &req(3, Algorithm::Peel),
+            1,
+            true,
+            false,
+            Provenance::Batch,
+            0,
+        );
+        assert_eq!(t.stages_us[Stage::Kernel as usize], 8);
     }
 
     #[test]
@@ -2340,7 +2229,6 @@ mod tests {
             repeat_fraction: 0.5,
             seed: 42,
             zipf: 0.0,
-            split_batches: true,
             wall_secs: 0.125,
         };
         let text = render_bench_json(&meta, &stats, &stats);

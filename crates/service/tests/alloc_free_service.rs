@@ -1,6 +1,6 @@
 //! The tentpole guarantee of the arena-backed result layer, enforced
 //! end to end: a **warm [`QueryEngine`] serves leader queries with zero
-//! heap allocations** — submit, queue hop, flight join, batched kernel,
+//! heap allocations** — submit, queue hop, flight join, kernel,
 //! summary build, cache insert, publish and reply included.
 //!
 //! A counting global allocator wraps the system allocator. Every phase
@@ -12,11 +12,8 @@
 //!
 //! * per-request submission (`engine.query`), every algorithm;
 //! * batched submission (`query_batch_into` with a reused response
-//!   buffer), unsplit — deterministic with one worker;
-//! * batched submission with adaptive splitting across 4 workers —
-//!   here chunk-to-worker assignment is scheduling-dependent, so the
-//!   proof is that rounds reach zero (and stay there in steady state),
-//!   asserted as `min(delta over rounds) == 0`.
+//!   buffer) — deterministic with one worker;
+//! * per-request submission on a 2-shard engine.
 //!
 //! Runs as its own integration-test binary **without the libtest
 //! harness** (`harness = false` in Cargo.toml): the harness's
@@ -109,7 +106,6 @@ fn main() {
                 workers: 1,
                 cache_capacity: 64,
                 cache_shards: 4,
-                split_batches: false,
                 ..ServiceConfig::default()
             },
         );
@@ -147,9 +143,9 @@ fn main() {
         engine.shutdown();
     }
 
-    // ── Phase 2: batched leader path, unsplit ────────────────────────
+    // ── Phase 2: batched leader path ─────────────────────────────────
     // A mixed-algorithm batch with in-batch duplicates through one
-    // worker: dedup tables, flight partition, batched kernel calls,
+    // worker: dedup tables, flight joins, per-leader kernel calls,
     // per-unit publishes and the pooled response vector all must be
     // warm-reusable.
     {
@@ -159,7 +155,6 @@ fn main() {
                 workers: 1,
                 cache_capacity: 256,
                 cache_shards: 4,
-                split_batches: false,
                 ..ServiceConfig::default()
             },
         );
@@ -187,69 +182,14 @@ fn main() {
         assert_eq!(
             delta,
             0,
-            "a warm unsplit batch of {} leader queries allocated {delta} times",
+            "a warm batch of {} leader queries allocated {delta} times",
             reqs.len()
         );
         out.clear();
         engine.shutdown();
     }
 
-    // ── Phase 3: batched leader path, split across the pool ──────────
-    // Which worker runs which chunk is scheduling-dependent, so a
-    // round is only allocation-free once *every* worker that happens
-    // to claim chunks has warmed its workspace, arena and staging
-    // buffers, and the shared-state pool has a free entry. Steady
-    // state must reach zero; we assert the best observed round is
-    // exactly that.
-    {
-        let engine = QueryEngine::start(
-            search.clone(),
-            ServiceConfig {
-                workers: 4,
-                cache_capacity: 256,
-                cache_shards: 4,
-                min_sub_batch: 1,
-                split_batches: true,
-                ..ServiceConfig::default()
-            },
-        );
-        // Let the pool park so the split heuristic sees idle workers.
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        let distinct = workload(&search, 24);
-        let reqs: Vec<QueryRequest> = distinct
-            .iter()
-            .enumerate()
-            .map(|(i, r)| QueryRequest::new(r.q, 2, 2, Algorithm::ALL[i % 2 + 1])) // Peel/Expand runs
-            .collect();
-        let mut out: Vec<QueryResponse> = Vec::new();
-        for _ in 0..12 {
-            engine.install(search.clone());
-            engine.query_batch_into(&reqs, &mut out);
-            out.clear();
-        }
-        let splits_before = engine.stats().splits;
-        let mut deltas = Vec::with_capacity(12);
-        for _ in 0..12 {
-            let before = allocations();
-            engine.install(search.clone());
-            engine.query_batch_into(&reqs, &mut out);
-            deltas.push(allocations() - before);
-            assert_eq!(out.len(), reqs.len());
-            out.clear();
-        }
-        assert!(
-            engine.stats().splits > splits_before,
-            "split path never engaged — the split proof measured nothing"
-        );
-        let min = *deltas.iter().min().expect("rounds measured");
-        assert_eq!(
-            min, 0,
-            "no warm split batch round reached zero allocations (deltas: {deltas:?})"
-        );
-        engine.shutdown();
-    }
-
-    // ── Phase 4: sharded engine, per-request leader path ─────────────
+    // ── Phase 3: sharded engine, per-request leader path ─────────────
     // Two shards, telemetry on (the default): hashing the request to
     // its shard, serving it on that shard's worker from that shard's
     // arena and cache slice, and the install fan-out that precedes each
@@ -262,7 +202,6 @@ fn main() {
                 shards: 2,
                 cache_capacity: 64,
                 cache_shards: 4,
-                split_batches: false,
                 ..ServiceConfig::default()
             },
         );
@@ -311,6 +250,6 @@ fn main() {
 
     println!(
         "alloc_free_service: warm leader queries allocated 0 times end to end \
-         (per-request, cache hit, unsplit batch, split batch, 2-shard engine) — ok"
+         (per-request, cache hit, batch, 2-shard engine) — ok"
     );
 }

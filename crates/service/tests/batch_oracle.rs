@@ -99,12 +99,10 @@ fn batched_replay_is_bit_identical_to_per_request() {
 
 #[test]
 fn service_stats_are_submission_mode_invariant() {
-    // The same workload replayed serially (one client) through three
-    // fresh engines — per-request, batched unsplit, batched split —
-    // must leave identical traffic counters behind: the batch path may
-    // amortize lookups and computations, but it must *account* per
-    // request, and splitting may move work between workers, but never
-    // change what is counted.
+    // The same workload replayed serially (one client) through two
+    // fresh engines — per-request and batched — must leave identical
+    // traffic counters behind: the batch path may amortize lookups and
+    // computations, but it must *account* per request.
     let mut rng = StdRng::seed_from_u64(20260730);
     let graph = bigraph::generators::random_bipartite(90, 90, 1200, &mut rng);
     let search = CommunitySearch::shared(graph);
@@ -125,50 +123,126 @@ fn service_stats_are_submission_mode_invariant() {
     let a = per_request.stats();
     per_request.shutdown();
 
-    let unsplit = QueryEngine::start(
-        search.clone(),
-        ServiceConfig {
-            split_batches: false,
-            ..config()
-        },
-    );
-    let (_, _) = replay_batched(&unsplit, &workload, 1, 32);
-    let b = unsplit.stats();
-    unsplit.shutdown();
+    let batched = QueryEngine::start(search.clone(), config());
+    let (_, _) = replay_batched(&batched, &workload, 1, 32);
+    let b = batched.stats();
+    batched.shutdown();
 
-    let split = QueryEngine::start(
-        search.clone(),
-        ServiceConfig {
-            min_sub_batch: 2,
-            split_batches: true,
-            ..config()
-        },
+    assert_eq!(a.completed, b.completed, "batched: completed drifted");
+    assert_eq!(a.cache.hits, b.cache.hits, "batched: hits drifted");
+    assert_eq!(a.cache.misses, b.cache.misses, "batched: misses drifted");
+    assert_eq!(a.coalesced, b.coalesced, "batched: coalesced drifted");
+    assert_eq!(
+        b.cache.hits + b.cache.misses,
+        b.completed,
+        "batched: lookup accounting broken"
     );
-    // Give the 4 workers a beat to park on the queue so the split
-    // heuristic sees the idle capacity it is supposed to use.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let (_, _) = replay_batched(&split, &workload, 1, 32);
-    let c = split.stats();
-    split.shutdown();
-
-    for (label, s) in [("batched", &b), ("batched+split", &c)] {
-        assert_eq!(a.completed, s.completed, "{label}: completed drifted");
-        assert_eq!(a.cache.hits, s.cache.hits, "{label}: hits drifted");
-        assert_eq!(a.cache.misses, s.cache.misses, "{label}: misses drifted");
-        assert_eq!(a.coalesced, s.coalesced, "{label}: coalesced drifted");
-        assert_eq!(
-            s.cache.hits + s.cache.misses,
-            s.completed,
-            "{label}: lookup accounting broken"
-        );
-    }
     // A serial client coalesces nothing, in any mode.
     assert_eq!(a.coalesced, 0);
-    assert!(
-        c.splits > 0,
-        "split engine never split — vacuous comparison"
+}
+
+#[test]
+fn serial_batches_match_per_request_flag_for_flag() {
+    let mut rng = StdRng::seed_from_u64(20210415);
+    let graph = bigraph::generators::random_bipartite(120, 120, 1800, &mut rng);
+    let search = CommunitySearch::shared(graph);
+    let spec = WorkloadSpec {
+        n_queries: 900,
+        alpha: 2,
+        beta: 2,
+        algo: Algorithm::Auto,
+        repeat_fraction: 0.5,
+        zipf: 0.0,
+        seed: 11,
+    };
+    let workload = build_workload(&search, &spec);
+    assert_eq!(workload.len(), 900, "core must be populated at (2,2)");
+
+    // One client everywhere: a serial submitter makes flags and
+    // counters deterministic, so "bit-identical" can include them.
+    let engine = QueryEngine::start(search.clone(), config());
+    let (batch_report, batched) = replay_batched(&engine, &workload, 1, 64);
+    assert_eq!(engine.inflight_len(), 0, "batches leaked flights");
+    engine.shutdown();
+
+    let engine = QueryEngine::start(search.clone(), config());
+    let (per_report, per_request) = replay(&engine, &workload, 1);
+    engine.shutdown();
+
+    let mut ws = QueryWorkspace::new();
+    for (i, req) in workload.iter().enumerate() {
+        let (b, p) = (&batched[i], &per_request[i]);
+        assert_eq!(b.request, *req, "batched slot {i} out of order");
+        assert_eq!(p.request, *req, "per-request slot {i} out of order");
+        assert_eq!(
+            b.summary, p.summary,
+            "slot {i}: batched vs per-request diverged"
+        );
+        assert_eq!(
+            (b.cached, b.coalesced, b.epoch),
+            (p.cached, p.coalesced, p.epoch),
+            "slot {i}: flags diverged between batched and per-request"
+        );
+        let sub = search.significant_community_in(
+            req.q,
+            req.alpha as usize,
+            req.beta as usize,
+            req.algo,
+            &mut ws,
+        );
+        assert_eq!(
+            b.summary,
+            CommunitySummary::from_subgraph(&sub),
+            "slot {i} diverged from the single-threaded oracle"
+        );
+    }
+
+    assert_eq!(batch_report.stats.completed, per_report.stats.completed);
+    assert_eq!(batch_report.stats.cache.hits, per_report.stats.cache.hits);
+    assert_eq!(
+        batch_report.stats.cache.misses,
+        per_report.stats.cache.misses
     );
-    assert_eq!(b.splits, 0, "unsplit engine must not split");
+    assert_eq!(batch_report.stats.coalesced, per_report.stats.coalesced);
+}
+
+#[test]
+fn one_giant_batch_matches_oracle() {
+    let mut rng = StdRng::seed_from_u64(99);
+    let graph = bigraph::generators::random_bipartite(150, 150, 2200, &mut rng);
+    let search = CommunitySearch::shared(graph);
+    let engine = QueryEngine::start(search.clone(), config());
+    // Every vertex twice (two algorithms) in one submission.
+    let reqs: Vec<QueryRequest> = search
+        .graph()
+        .vertices()
+        .flat_map(|v| {
+            [
+                QueryRequest::new(v, 2, 2, Algorithm::Peel),
+                QueryRequest::new(v, 1, 2, Algorithm::Expand),
+            ]
+        })
+        .collect();
+    let resps = engine.query_batch(&reqs);
+    assert_eq!(engine.inflight_len(), 0, "flights leaked");
+    engine.shutdown();
+
+    let mut ws = QueryWorkspace::new();
+    for (req, resp) in reqs.iter().zip(&resps) {
+        assert_eq!(resp.request, *req, "submission order broken");
+        let sub = search.significant_community_in(
+            req.q,
+            req.alpha as usize,
+            req.beta as usize,
+            req.algo,
+            &mut ws,
+        );
+        assert_eq!(
+            resp.summary,
+            CommunitySummary::from_subgraph(&sub),
+            "{req:?} diverged from the oracle"
+        );
+    }
 }
 
 #[test]

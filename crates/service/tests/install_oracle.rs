@@ -1,209 +1,38 @@
-//! Integration tests for adaptive batch splitting: a split batch must
-//! be indistinguishable — response by response, counter by counter —
-//! from the same batch served unsplit by one worker, from per-request
-//! submission, and from the single-threaded oracle; and the split path
-//! must stay sound (right-epoch answers, no leaked flights) while
-//! `install` swaps the index under the pool.
+//! Concurrent-install oracles for the batch path: while `install`
+//! swaps the index under the pool, every batch response must carry a
+//! self-consistent epoch (its summary equals the single-threaded oracle
+//! on the graph that epoch served) and no flight may leak.
 //!
 //! Results are arena-backed throughout (summaries are views into
 //! per-worker slab storage), so every bit-identity assertion here also
-//! proves the arena layer: a sub-batch published from another worker's
-//! arena reads the same as an inline one, and the concurrent-install
-//! test at the bottom runs with deliberately tiny slabs and cache so
-//! recycling churns *under* the epoch swaps.
+//! proves the arena layer; the second test runs with deliberately tiny
+//! slabs and cache so recycling churns *under* the epoch swaps.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scs::{Algorithm, CommunitySearch, QueryWorkspace};
-use scs_service::{
-    build_workload, replay, replay_batched, CommunitySummary, QueryEngine, QueryRequest,
-    ServiceConfig, WorkloadSpec,
-};
+use scs_service::{CommunitySummary, QueryEngine, QueryRequest, ServiceConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn config(split: bool) -> ServiceConfig {
+fn config() -> ServiceConfig {
     ServiceConfig {
         workers: 4,
         cache_capacity: 4096,
         cache_shards: 8,
-        // Aggressive splitting so the fan-out path is exercised hard.
-        min_sub_batch: 2,
-        split_batches: split,
         ..ServiceConfig::default()
     }
 }
 
-/// Workers advertise idleness once they park on the job queue; give a
-/// freshly spawned pool a beat to get there so assertions that the
-/// split heuristic *engaged* don't race thread startup. (Correctness
-/// never depends on the idle count — only how much fans out does.)
-fn settle() {
-    std::thread::sleep(std::time::Duration::from_millis(100));
-}
-
 #[test]
-fn split_equals_unsplit_equals_per_request_bit_identically() {
-    let mut rng = StdRng::seed_from_u64(20210415);
-    let graph = bigraph::generators::random_bipartite(120, 120, 1800, &mut rng);
-    let search = CommunitySearch::shared(graph);
-    let spec = WorkloadSpec {
-        n_queries: 900,
-        alpha: 2,
-        beta: 2,
-        algo: Algorithm::Auto,
-        repeat_fraction: 0.5,
-        zipf: 0.0,
-        seed: 11,
-    };
-    let workload = build_workload(&search, &spec);
-    assert_eq!(workload.len(), 900, "core must be populated at (2,2)");
-
-    // One client everywhere: the pool has idle capacity (the scenario
-    // splitting exists for) and a serial submitter makes flags and
-    // counters deterministic, so "bit-identical" can include them.
-    let engine = QueryEngine::start(search.clone(), config(true));
-    settle();
-    let (split_report, split) = replay_batched(&engine, &workload, 1, 64);
-    assert_eq!(engine.inflight_len(), 0, "split batches leaked flights");
-    engine.shutdown();
-
-    let engine = QueryEngine::start(search.clone(), config(false));
-    let (unsplit_report, unsplit) = replay_batched(&engine, &workload, 1, 64);
-    engine.shutdown();
-
-    let engine = QueryEngine::start(search.clone(), config(false));
-    let (per_report, per_request) = replay(&engine, &workload, 1);
-    engine.shutdown();
-
-    assert!(
-        split_report.stats.splits > 0,
-        "split path never engaged — nothing was proven"
-    );
-    assert!(
-        split_report.stats.sub_batches >= 2 * split_report.stats.splits,
-        "splits={} sub_batches={}",
-        split_report.stats.splits,
-        split_report.stats.sub_batches
-    );
-    assert_eq!(unsplit_report.stats.splits, 0);
-
-    let mut ws = QueryWorkspace::new();
-    for (i, req) in workload.iter().enumerate() {
-        let (s, u, p) = (&split[i], &unsplit[i], &per_request[i]);
-        assert_eq!(s.request, *req, "split slot {i} out of order");
-        assert_eq!(u.request, *req, "unsplit slot {i} out of order");
-        assert_eq!(p.request, *req, "per-request slot {i} out of order");
-        assert_eq!(s.summary, u.summary, "slot {i}: split vs unsplit diverged");
-        assert_eq!(
-            s.summary, p.summary,
-            "slot {i}: split vs per-request diverged"
-        );
-        assert_eq!(
-            (s.cached, s.coalesced, s.epoch),
-            (u.cached, u.coalesced, u.epoch),
-            "slot {i}: flags diverged between split and unsplit"
-        );
-        assert_eq!(
-            (s.cached, s.coalesced, s.epoch),
-            (p.cached, p.coalesced, p.epoch),
-            "slot {i}: flags diverged between split and per-request"
-        );
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
-        assert_eq!(
-            s.summary,
-            CommunitySummary::from_subgraph(&sub),
-            "slot {i} diverged from the single-threaded oracle"
-        );
-    }
-
-    // Counter equivalence across all three modes.
-    for (label, r) in [("unsplit", &unsplit_report), ("per-request", &per_report)] {
-        assert_eq!(
-            split_report.stats.completed, r.stats.completed,
-            "completed drifted vs {label}"
-        );
-        assert_eq!(
-            split_report.stats.cache.hits, r.stats.cache.hits,
-            "hits drifted vs {label}"
-        );
-        assert_eq!(
-            split_report.stats.cache.misses, r.stats.cache.misses,
-            "misses drifted vs {label}"
-        );
-        assert_eq!(
-            split_report.stats.coalesced, r.stats.coalesced,
-            "coalesced drifted vs {label}"
-        );
-    }
-}
-
-#[test]
-fn one_giant_batch_fans_out_and_matches_oracle() {
-    let mut rng = StdRng::seed_from_u64(99);
-    let graph = bigraph::generators::random_bipartite(150, 150, 2200, &mut rng);
-    let search = CommunitySearch::shared(graph);
-    let engine = QueryEngine::start(
-        search.clone(),
-        ServiceConfig {
-            min_sub_batch: 8,
-            ..config(true)
-        },
-    );
-    settle();
-    // Every vertex twice (two algorithms) in one submission: the
-    // single-big-submitter case the ROADMAP called out, where an
-    // unsplit engine would leave 3 of 4 workers idle.
-    let reqs: Vec<QueryRequest> = search
-        .graph()
-        .vertices()
-        .flat_map(|v| {
-            [
-                QueryRequest::new(v, 2, 2, Algorithm::Peel),
-                QueryRequest::new(v, 1, 2, Algorithm::Expand),
-            ]
-        })
-        .collect();
-    let resps = engine.query_batch(&reqs);
-    let st = engine.stats();
-    assert_eq!(st.splits, 1, "one giant batch must split once");
-    assert!(st.sub_batches >= 2, "sub_batches={}", st.sub_batches);
-    assert_eq!(engine.inflight_len(), 0, "flights leaked");
-    engine.shutdown();
-
-    let mut ws = QueryWorkspace::new();
-    for (req, resp) in reqs.iter().zip(&resps) {
-        assert_eq!(resp.request, *req, "submission order broken");
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
-        assert_eq!(
-            resp.summary,
-            CommunitySummary::from_subgraph(&sub),
-            "{req:?} diverged from the oracle"
-        );
-    }
-}
-
-#[test]
-fn split_batches_stay_sound_under_concurrent_installs() {
+fn batches_stay_sound_under_concurrent_installs() {
     // Two structurally different graphs of the same shape are installed
-    // alternately while clients hammer the engine with split batches.
+    // alternately while clients hammer the engine with batches.
     // Every response's epoch tag must be self-consistent: the summary
     // must equal the single-threaded oracle on the graph that epoch
     // served (even epochs = graph A, odd = graph B). At quiescence the
     // in-flight table must be empty — no flight may leak, however the
-    // sub-batches interleaved with the swaps.
+    // batches interleaved with the swaps.
     let mut rng = StdRng::seed_from_u64(1);
     let graph_a = bigraph::generators::random_bipartite(80, 80, 1000, &mut rng);
     let mut rng = StdRng::seed_from_u64(2);
@@ -243,14 +72,7 @@ fn split_batches_stay_sound_under_concurrent_installs() {
         "graphs must disagree somewhere or epoch mixing is undetectable"
     );
 
-    let engine = QueryEngine::start(
-        search_a.clone(),
-        ServiceConfig {
-            min_sub_batch: 1,
-            ..config(true)
-        },
-    );
-    settle();
+    let engine = QueryEngine::start(search_a.clone(), config());
     const INSTALLS: u64 = 12;
     std::thread::scope(|scope| {
         let engine = &engine;
@@ -290,7 +112,6 @@ fn split_batches_stay_sound_under_concurrent_installs() {
 
     let st = engine.stats();
     assert_eq!(st.epoch, INSTALLS, "installer must have finished");
-    assert!(st.splits > 0, "split path never engaged under installs");
     assert_eq!(
         st.cache.hits + st.cache.misses,
         st.completed,
@@ -306,7 +127,7 @@ fn split_batches_stay_sound_under_concurrent_installs() {
 
 #[test]
 fn arena_recycling_stays_bit_identical_under_concurrent_installs() {
-    // The concurrent arena oracle: split batches, per-request racers
+    // The concurrent arena oracle: batches, per-request racers
     // and ≥ 12 epoch-swap installs over an engine configured so arena
     // slabs recycle constantly (64-edge slabs, 16-entry cache). Every
     // response — whichever worker's arena produced it, however many
@@ -359,13 +180,10 @@ fn arena_recycling_stays_bit_identical_under_concurrent_installs() {
             workers: 4,
             cache_capacity: 16,
             cache_shards: 4,
-            min_sub_batch: 1,
-            split_batches: true,
             arena_slab_edges: 64,
             ..ServiceConfig::default()
         },
     );
-    settle();
     const INSTALLS: u64 = 12;
     let mut held: Vec<scs_service::QueryResponse> = Vec::new();
     std::thread::scope(|scope| {
@@ -421,7 +239,6 @@ fn arena_recycling_stays_bit_identical_under_concurrent_installs() {
 
     let st = engine.stats();
     assert_eq!(st.epoch, INSTALLS, "installer must have finished");
-    assert!(st.splits > 0, "split path never engaged under installs");
     assert!(
         st.arena_recycled > 0,
         "slabs never recycled — the arena was not stressed"

@@ -201,7 +201,6 @@ fn sharded_engine_stays_sound_under_concurrent_installs() {
             shards: 3,
             cache_capacity: 512,
             cache_shards: 4,
-            min_sub_batch: 2,
             ..ServiceConfig::default()
         },
     );

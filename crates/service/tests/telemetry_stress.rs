@@ -6,18 +6,28 @@
 //!   dust settles every histogram must be internally consistent
 //!   (`count == Σ buckets`, sum and max match what was recorded).
 //! * A live [`QueryEngine`] under mixed per-request / batch load from
-//!   several client threads — the per-algorithm totals must reconcile
-//!   with the engine's own `completed` counter, and for every request
-//!   retained in the slow-query ring the per-stage sums must reconcile
-//!   with its end-to-end latency: the stages tile the request on the
-//!   per-request path (`queue + snapshot + cache + kernel + publish +
-//!   reply ≈ total`) and are disjoint sub-windows of it on the batch
-//!   path (`Σ stages ≤ total`).
+//!   several client threads — the per-algorithm totals and the reply
+//!   stage must reconcile with the engine's own `completed` counter,
+//!   and for every request retained in the slow-query ring the
+//!   per-stage sums must reconcile with its end-to-end latency: the
+//!   stages tile a per-request submission, a batch of one (`queue +
+//!   snapshot + cache + kernel + publish + reply ≈ total`), and are
+//!   disjoint sub-windows of it for a larger batch's members
+//!   (`Σ stages ≤ total`).
+//! * A batch of distinct leaders charges each member only its own
+//!   kernel call, so their kernel stages sum to at most the batch's
+//!   wall time.
 
 use bigraph::builder::figure2_example;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use scs::{Algorithm, CommunitySearch};
 use scs_service::telemetry::{StageSet, Telemetry};
-use scs_service::{Provenance, QueryEngine, QueryRequest, ServiceConfig, Stage, N_STAGES};
+use scs_service::{
+    build_workload, Provenance, QueryEngine, QueryRequest, ServiceConfig, Stage, WorkloadSpec,
+    N_STAGES,
+};
+use std::time::Instant;
 
 /// Truncation slack: each stage is truncated to whole µs when recorded
 /// (and the total once more), so a fully tiled request may reconcile
@@ -99,7 +109,6 @@ fn engine_under_load_reconciles_stages_with_totals() {
             workers: 4,
             cache_capacity: 64,
             cache_shards: 4,
-            min_sub_batch: 1,
             // Retain plenty so the ring holds single and batch traces.
             slow_ring_capacity: 64,
             ..ServiceConfig::default()
@@ -117,8 +126,7 @@ fn engine_under_load_reconciles_stages_with_totals() {
                     for i in 0..g.n_upper() {
                         engine.query(QueryRequest::new(g.upper(i), 2, 2, algo));
                     }
-                    // …and batches with in-batch duplicates (split and
-                    // unsplit paths, depending on idle workers).
+                    // …and batches with in-batch duplicates.
                     let mut reqs: Vec<QueryRequest> = (0..g.n_upper())
                         .map(|i| QueryRequest::new(g.upper(i), 1 + (round % 2), 2, algo))
                         .collect();
@@ -138,6 +146,9 @@ fn engine_under_load_reconciles_stages_with_totals() {
     // Every request waits in the queue; the queue-wait stage must have
     // seen them all.
     assert_eq!(stats.stages[Stage::QueueWait as usize].count, algo_total);
+    // Every job records its members' reply stage after answering, so
+    // the reply stage has seen them all too.
+    assert_eq!(stats.stages[Stage::Reply as usize].count, stats.completed);
 
     // Per-request reconciliation on what the ring retained — the ring
     // keeps the worst requests with their full breakdown, so these are
@@ -151,7 +162,8 @@ fn engine_under_load_reconciles_stages_with_totals() {
             "stages exceed the request: {sq}"
         );
         if sq.provenance == Provenance::Single {
-            // The per-request path tiles the whole interval.
+            // A per-request submission, a batch of one, tiles the
+            // whole interval.
             assert!(
                 stage_sum + SLACK_US >= sq.total_us,
                 "single-path stages must tile the request: {stage_sum}µs \
@@ -160,5 +172,52 @@ fn engine_under_load_reconciles_stages_with_totals() {
             );
         }
     }
+    engine.shutdown();
+}
+
+#[test]
+fn batch_members_are_charged_only_their_own_kernel_call() {
+    let mut rng = StdRng::seed_from_u64(20210417);
+    let search = CommunitySearch::shared(bigraph::generators::random_bipartite(
+        80, 80, 1100, &mut rng,
+    ));
+    // Eight distinct keys, one algorithm: eight leaders in one job.
+    let reqs = build_workload(
+        &search,
+        &WorkloadSpec {
+            n_queries: 8,
+            alpha: 2,
+            beta: 2,
+            algo: Algorithm::Peel,
+            repeat_fraction: 0.0,
+            zipf: 0.0,
+            seed: 3,
+        },
+    );
+    assert_eq!(reqs.len(), 8, "(2,2)-core must be populated");
+    let engine = QueryEngine::start(
+        search,
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let t0 = Instant::now();
+    let resps = engine.query_batch(&reqs);
+    let wall_us = t0.elapsed().as_micros() as f64;
+    assert!(
+        resps.iter().all(|r| !r.cached && !r.coalesced),
+        "all leaders"
+    );
+    let kernel = engine.stats().stages[Stage::Kernel as usize];
+    assert_eq!(kernel.count, reqs.len() as u64);
+    // Each member's kernel window is its own call, and the calls ran one
+    // after another inside the batch, so the windows cannot add up to
+    // more than the wall time around the whole batch.
+    let kernel_sum_us = kernel.mean_us * kernel.count as f64;
+    assert!(
+        kernel_sum_us <= wall_us,
+        "kernel stages sum to {kernel_sum_us:.0}µs, more than the batch's {wall_us:.0}µs wall time"
+    );
     engine.shutdown();
 }
