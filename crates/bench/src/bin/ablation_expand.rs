@@ -1,6 +1,9 @@
-//! Ablation study for the design choices inside SCS-Expand (DESIGN.md
-//! §6): the ε validation schedule the paper derives (ε = 2 from the
-//! geometric-series argument) and the Lemma 7/8 pruning rules.
+//! Ablation study for the design choices inside SCS-Expand: the ε
+//! validation schedule the paper derives (ε = 2 from the
+//! geometric-series argument: validating only when the query's component
+//! has grown by a factor ε since the last validation keeps the total
+//! validation work within a constant factor of the last validation) and
+//! the Lemma 7/8 pruning rules.
 //!
 //! `cargo run -p scs-bench --release --bin ablation_expand`
 

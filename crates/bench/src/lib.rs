@@ -2,7 +2,8 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper's Section V on the synthetic dataset analogues (see
-//! `datasets::catalog` and DESIGN.md §6). This library provides the
+//! `datasets::catalog`, and the README's "Experiments" section for how
+//! the runs are controlled). This library provides the
 //! common plumbing: dataset loading with a global scale knob, timing
 //! helpers, and fixed-width table printing.
 //!

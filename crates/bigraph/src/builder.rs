@@ -1,6 +1,6 @@
 //! Validated construction of [`BipartiteGraph`]s.
 
-use crate::graph::{BipartiteGraph, EdgeId, Vertex};
+use crate::graph::{BipartiteGraph, EdgeId, Side, Vertex};
 use crate::Weight;
 use std::collections::HashMap;
 use std::fmt;
@@ -29,6 +29,8 @@ pub enum BuildError {
     NanWeight { upper: usize, lower: usize },
     /// More than `u32::MAX` vertices or edges.
     TooLarge(&'static str),
+    /// A vertex index whose layer size (`id + 1`) does not fit `u32`.
+    IdOutOfRange { side: Side, id: usize },
 }
 
 impl fmt::Display for BuildError {
@@ -41,6 +43,13 @@ impl fmt::Display for BuildError {
                 write!(f, "NaN weight on edge (u{upper}, l{lower})")
             }
             BuildError::TooLarge(what) => write!(f, "graph too large: {what} exceeds u32 range"),
+            BuildError::IdOutOfRange { side, id } => {
+                let layer = match side {
+                    Side::Upper => "upper",
+                    Side::Lower => "lower",
+                };
+                write!(f, "{layer} vertex id {id} exceeds the u32 range")
+            }
         }
     }
 }
@@ -54,7 +63,9 @@ impl std::error::Error for BuildError {}
 /// every index mentioned. Isolated vertices can be forced into the graph
 /// with [`GraphBuilder::ensure_upper`]/[`GraphBuilder::ensure_lower`]
 /// (the paper assumes every vertex has an incident edge, but the builder
-/// does not require it).
+/// does not require it). An index whose layer size (`index + 1`) does
+/// not fit `u32` is never truncated: [`GraphBuilder::build`] rejects it
+/// with [`BuildError::IdOutOfRange`].
 ///
 /// ```
 /// use bigraph::GraphBuilder;
@@ -71,6 +82,8 @@ pub struct GraphBuilder {
     n_upper: u32,
     n_lower: u32,
     policy: DuplicatePolicy,
+    /// The first out-of-range index seen; `build` reports it.
+    bad_id: Option<BuildError>,
 }
 
 impl GraphBuilder {
@@ -92,30 +105,53 @@ impl GraphBuilder {
     pub fn with_capacity(n_upper: usize, n_lower: usize, m: usize) -> Self {
         let mut b = Self::new();
         b.edges.reserve(m);
-        b.n_upper = n_upper as u32;
-        b.n_lower = n_lower as u32;
+        if let Some(last) = n_upper.checked_sub(1) {
+            b.cover(Side::Upper, last);
+        }
+        if let Some(last) = n_lower.checked_sub(1) {
+            b.cover(Side::Lower, last);
+        }
         b
     }
 
     /// Adds an undirected edge between upper vertex `upper` and lower
     /// vertex `lower` with weight `w`.
     pub fn add_edge(&mut self, upper: usize, lower: usize, w: Weight) -> &mut Self {
-        self.n_upper = self.n_upper.max(upper as u32 + 1);
-        self.n_lower = self.n_lower.max(lower as u32 + 1);
-        self.edges.push((upper as u32, lower as u32, w));
+        let u = self.cover(Side::Upper, upper);
+        let l = self.cover(Side::Lower, lower);
+        if let (Some(u), Some(l)) = (u, l) {
+            self.edges.push((u, l, w));
+        }
         self
     }
 
     /// Ensures the upper layer contains index `upper` (possibly isolated).
     pub fn ensure_upper(&mut self, upper: usize) -> &mut Self {
-        self.n_upper = self.n_upper.max(upper as u32 + 1);
+        self.cover(Side::Upper, upper);
         self
     }
 
     /// Ensures the lower layer contains index `lower` (possibly isolated).
     pub fn ensure_lower(&mut self, lower: usize) -> &mut Self {
-        self.n_lower = self.n_lower.max(lower as u32 + 1);
+        self.cover(Side::Lower, lower);
         self
+    }
+
+    /// Grows `side`'s layer to contain index `id` and returns it as a
+    /// `u32`. An index whose layer size would not fit `u32` is recorded
+    /// for [`Self::build`] to report, and yields `None`.
+    fn cover(&mut self, side: Side, id: usize) -> Option<u32> {
+        let Some(size) = u32::try_from(id).ok().and_then(|i| i.checked_add(1)) else {
+            self.bad_id
+                .get_or_insert(BuildError::IdOutOfRange { side, id });
+            return None;
+        };
+        let n = match side {
+            Side::Upper => &mut self.n_upper,
+            Side::Lower => &mut self.n_lower,
+        };
+        *n = (*n).max(size);
+        Some(size - 1)
     }
 
     /// Number of edges added so far (before dedup).
@@ -126,6 +162,9 @@ impl GraphBuilder {
     /// Finalizes the graph: deduplicates per policy, sorts adjacency
     /// lists, and assembles CSR arrays.
     pub fn build(&self) -> Result<BipartiteGraph, BuildError> {
+        if let Some(e) = &self.bad_id {
+            return Err(e.clone());
+        }
         let n = self.n_upper as u64 + self.n_lower as u64;
         if n > u32::MAX as u64 {
             return Err(BuildError::TooLarge("vertex count"));
@@ -341,6 +380,42 @@ mod tests {
             b.build().unwrap_err(),
             BuildError::NanWeight { .. }
         ));
+    }
+
+    #[test]
+    fn ids_beyond_u32_are_rejected_not_truncated() {
+        // 2^32 used to alias vertex 0.
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, 0, 1.0);
+        b.add_edge(1 << 32, 1, 1.0);
+        b.add_edge(1, 0, 1.0);
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::IdOutOfRange {
+                side: Side::Upper,
+                id: 1 << 32
+            }
+        );
+        // u32::MAX itself fits, but its layer size u32::MAX + 1 does not.
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, u32::MAX as usize, 1.0);
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::IdOutOfRange {
+                side: Side::Lower,
+                id: u32::MAX as usize
+            }
+        );
+        let mut b = GraphBuilder::new();
+        b.ensure_lower(usize::MAX);
+        assert!(matches!(
+            b.build().unwrap_err(),
+            BuildError::IdOutOfRange {
+                side: Side::Lower,
+                ..
+            }
+        ));
+        assert!(GraphBuilder::with_capacity(1 << 33, 1, 0).build().is_err());
     }
 
     #[test]

@@ -95,14 +95,22 @@ pub fn read_edgelist<R: BufRead>(
                 line: lineno + 1,
                 message: format!("invalid {what} id {tok:?}"),
             })?;
-            if opts.one_based {
+            let id = if opts.one_based {
                 raw.checked_sub(1).ok_or_else(|| EdgeListError::Parse {
                     line: lineno + 1,
                     message: format!("{what} id 0 in a 1-based file"),
-                })
+                })?
             } else {
-                Ok(raw)
+                raw
+            };
+            // Vertex ids are u32 and a layer holds ids 0..=id.
+            if id >= u32::MAX as usize {
+                return Err(EdgeListError::Parse {
+                    line: lineno + 1,
+                    message: format!("{what} id {tok} is out of range (layer size must fit u32)"),
+                });
             }
+            Ok(id)
         };
         let u = parse_id(it.next(), "upper")?;
         let l = parse_id(it.next(), "lower")?;
@@ -202,6 +210,26 @@ mod tests {
         assert!(matches!(err, EdgeListError::Parse { line: 1, .. }));
         let err = read_edgelist("0\n".as_bytes(), &ReadOptions::default()).unwrap_err();
         assert!(matches!(err, EdgeListError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn rejects_ids_beyond_u32() {
+        // 2^32 used to alias vertex 0; u32::MAX used to wrap the layer
+        // size and panic in the builder.
+        for data in ["0 0\n4294967296 1\n1 0\n", "0 0 1\n4294967295 1 1\n"] {
+            let err = read_edgelist(data.as_bytes(), &ReadOptions::default()).unwrap_err();
+            assert!(
+                matches!(err, EdgeListError::Parse { line: 2, .. }),
+                "{data:?}: {err}"
+            );
+        }
+        // The largest in-range id passes the reader; a graph that large
+        // then fails the builder's vertex-count check, before allocating.
+        let g = read_edgelist("0 4294967294 1\n".as_bytes(), &ReadOptions::default());
+        assert!(matches!(
+            g,
+            Err(EdgeListError::Build(BuildError::TooLarge(_)))
+        ));
     }
 
     #[test]

@@ -172,31 +172,35 @@ impl DeltaIndex {
         assert!(alpha >= 1 && beta >= 1, "degree constraints must be >= 1");
         let mut stats = QueryStats::default();
         out.clear();
-        if alpha <= beta {
-            if alpha <= self.delta {
-                // min(α,β) > δ means the (α,β)-core is empty (Lemma 4).
-                query_level_into(
-                    g,
-                    &self.alpha_levels[alpha - 1],
-                    q,
-                    beta as u32,
-                    ws,
-                    out,
-                    &mut stats,
-                );
-            }
-        } else if beta <= self.delta {
-            query_level_into(
-                g,
-                &self.beta_levels[beta - 1],
-                q,
-                alpha as u32,
-                ws,
-                out,
-                &mut stats,
-            );
+        if let Some((level, threshold)) = self.level_for(alpha, beta) {
+            query_level_into(g, level, q, threshold, ws, out, &mut stats);
         }
         stats
+    }
+
+    /// `true` iff `q` lies in the (α,β)-core: one O(1) lookup of `q`'s own
+    /// offset in the level [`Self::query_community_into`] would search.
+    pub(crate) fn core_contains(&self, q: Vertex, alpha: usize, beta: usize) -> bool {
+        assert!(alpha >= 1 && beta >= 1, "degree constraints must be >= 1");
+        self.level_for(alpha, beta)
+            .and_then(|(level, threshold)| level.lookup(q).map(|(own, _)| own >= threshold))
+            .unwrap_or(false)
+    }
+
+    /// The level serving (α,β) and its threshold: `Iα_δ[·][α]` with
+    /// threshold β when `α ≤ β`, else `Iβ_δ[·][β]` with threshold α.
+    /// `None` when `min(α,β) > δ`, where the (α,β)-core is empty
+    /// (Lemma 4).
+    fn level_for(&self, alpha: usize, beta: usize) -> Option<(&Level, u32)> {
+        // A threshold beyond u32 saturates: no offset reaches it.
+        let saturate = |x: usize| u32::try_from(x).unwrap_or(u32::MAX);
+        if alpha <= beta {
+            self.alpha_levels
+                .get(alpha - 1)
+                .map(|l| (l, saturate(beta)))
+        } else {
+            self.beta_levels.get(beta - 1).map(|l| (l, saturate(alpha)))
+        }
     }
 }
 

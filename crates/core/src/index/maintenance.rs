@@ -8,10 +8,12 @@
 //! other levels are untouched, so an update refreshes only
 //! `O(deg(u) + deg(v))` of the `2δ` levels — plus at most one level when
 //! δ itself grows or shrinks. Within a refreshed level we recompute
-//! offsets with the `O(m)` decomposition kernel; the paper further
-//! localizes this to the affected communities (its `S⁺`/`S⁻` sets),
-//! which changes constants but not the level-selection logic — DESIGN.md
-//! records this substitution.
+//! offsets with the `O(m)` decomposition kernel. The paper further
+//! localizes this to the affected communities (its `S⁺`/`S⁻` sets).
+//! That refinement only shrinks the work inside a refreshed level: it
+//! selects the same levels and must produce the same offsets, so
+//! recomputing a refreshed level whole gives the identical index at a
+//! higher constant. Localizing it is an open roadmap item.
 //!
 //! Correctness is therefore easy to state: after every update the index
 //! is *identical* to a fresh [`DeltaIndex::build`] on the new graph

@@ -26,6 +26,14 @@
 //!    [`query::scs_binary`], or the no-index strawman
 //!    [`query::scs_baseline`].
 //!
+//! These four kernels are the paper's algorithms and the library's
+//! oracles. Serving does not run them per query: [`Algorithm::Auto`],
+//! the default, answers from a *threshold profile*. That is one peel of
+//! the whole (α,β)-core, built by the first `Auto` query at an (α,β) and
+//! shared by every later one. Each query is then a single BFS from `q`
+//! with no step 1, and it returns exactly `SCS-Peel`'s answer. A query
+//! outside the (α,β)-core is answered empty from one `Iδ` lookup.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -69,21 +77,24 @@ pub use workspace::QueryWorkspace;
 
 use bigraph::arena::{ArenaEdges, ResultArena};
 use bigraph::{BipartiteGraph, EdgeId, Subgraph, Vertex};
+use query::profile::{ProfileMemo, ThresholdProfile};
 use std::fmt;
 use std::sync::Arc;
 
-/// Which second-step algorithm to run.
+/// How to answer a significant-community query.
 ///
 /// `Hash` so the variant can key result caches (see the `scs-service`
-/// crate); for a fixed [`CommunitySearch`] every variant — including
-/// [`Algorithm::Auto`], whose resolution depends only on (α, β, δ) — is a
-/// pure function of the query, so caching per variant is sound.
+/// crate); for a fixed [`CommunitySearch`] every variant is a pure
+/// function of the query, so caching per variant is sound. All five
+/// return the same edge list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
-    /// Pick automatically from the query parameters: expansion for small
-    /// α,β (large community, small result), peeling for large α,β
-    /// (small community, large result) — the rule of thumb the paper
-    /// derives from Fig. 13.
+    /// The serving path: answer from the (α,β) threshold profile — one
+    /// peel of the whole (α,β)-core, built by the first `Auto` query at
+    /// that (α,β) and shared by every later one — with one BFS from `q`.
+    /// No step-1 retrieval, no local re-indexing, no per-query sort of
+    /// the community. Returns `SCS-Peel`'s answer (see
+    /// `query/profile.rs` for the argument).
     #[default]
     Auto,
     /// `SCS-Peel` (Algorithm 4).
@@ -125,18 +136,31 @@ impl fmt::Display for Algorithm {
     }
 }
 
-/// High-level façade: a graph plus its degeneracy-bounded index.
-#[derive(Debug, Clone)]
+/// High-level façade: a graph, its degeneracy-bounded index and the
+/// threshold profiles [`Algorithm::Auto`] answers from.
+#[derive(Debug)]
 pub struct CommunitySearch {
     graph: BipartiteGraph,
     index: DeltaIndex,
+    /// Profiles of the most recent (α,β) pairs, built lazily.
+    profiles: ProfileMemo,
+}
+
+/// A clone shares nothing mutable with its source: it starts with an
+/// empty profile memo.
+impl Clone for CommunitySearch {
+    fn clone(&self) -> Self {
+        Self::from_parts(self.graph.clone(), self.index.clone())
+    }
 }
 
 impl CommunitySearch {
     /// Builds the index (`O(δ·m)`) and takes ownership of the graph.
+    /// Threshold profiles are not built here; the first
+    /// [`Algorithm::Auto`] query at each (α,β) builds its own.
     pub fn new(graph: BipartiteGraph) -> Self {
         let index = DeltaIndex::build(&graph);
-        CommunitySearch { graph, index }
+        Self::from_parts(graph, index)
     }
 
     /// Builds the index and returns the façade ready for sharing across
@@ -155,7 +179,11 @@ impl CommunitySearch {
     /// along with) exactly this graph; queries silently misbehave
     /// otherwise, just as with a hand-rolled stale index.
     pub fn from_parts(graph: BipartiteGraph, index: DeltaIndex) -> Self {
-        CommunitySearch { graph, index }
+        CommunitySearch {
+            graph,
+            index,
+            profiles: ProfileMemo::default(),
+        }
     }
 
     /// The underlying graph.
@@ -171,24 +199,6 @@ impl CommunitySearch {
     /// The degeneracy δ of the graph.
     pub fn delta(&self) -> usize {
         self.index.delta()
-    }
-
-    /// Resolves [`Algorithm::Auto`] from the query parameters.
-    fn resolve_algorithm(&self, alpha: usize, beta: usize, algorithm: Algorithm) -> Algorithm {
-        match algorithm {
-            Algorithm::Auto => {
-                // Expansion wins when the community is much larger than
-                // the result (small constraints); peeling wins when they
-                // are close (large constraints). The measured Fig. 13
-                // crossover sits around a quarter of the degeneracy.
-                if alpha.min(beta) * 4 >= self.delta().max(1) {
-                    Algorithm::Peel
-                } else {
-                    Algorithm::Expand
-                }
-            }
-            other => other,
-        }
     }
 
     /// Step 1: the (α,β)-community of `q` (`Qopt`, optimal time).
@@ -239,47 +249,6 @@ impl CommunitySearch {
         Subgraph::from_edges(&self.graph, out)
     }
 
-    /// Batch entry point: answers every `(q, α, β)` query in
-    /// `queries`, in order, through **one** workspace.
-    ///
-    /// The epoch-stamped scratch inside `ws` is what makes the batch
-    /// cheaper than a loop over [`Self::significant_community`]: buffer
-    /// clears between adjacent queries are O(1) epoch bumps, never
-    /// graph-sized writes, and every buffer stays resident at the size
-    /// of the largest query served so far. The serving layer's batch
-    /// path (`scs-service`) sits directly on this kernel.
-    pub fn significant_communities_in(
-        &self,
-        queries: &[(Vertex, usize, usize)],
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-    ) -> Vec<Subgraph<'_>> {
-        let mut outs = Vec::new();
-        self.significant_communities_into(queries, algorithm, ws, &mut outs);
-        outs.into_iter()
-            .map(|edges| Subgraph::from_edges(&self.graph, edges))
-            .collect()
-    }
-
-    /// [`Self::significant_communities_in`] writing into caller-owned
-    /// result buffers: `outs` is resized to `queries.len()` and
-    /// `outs[i]` receives the sorted edge ids of query `i`'s community.
-    /// With a warm `ws` and warm `outs`, a repeated batch performs zero
-    /// heap allocations.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
-    pub fn significant_communities_into(
-        &self,
-        queries: &[(Vertex, usize, usize)],
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-        outs: &mut Vec<Vec<EdgeId>>,
-    ) {
-        outs.resize_with(queries.len(), Vec::new); // contract-ok: capacity-0 construction; Vec::new never touches the heap
-        for (&(q, alpha, beta), out) in queries.iter().zip(outs.iter_mut()) {
-            self.significant_community_into(q, alpha, beta, algorithm, ws, out);
-        }
-    }
-
     /// [`Self::significant_community_into`] storing the result in
     /// arena storage: the community's sorted edge ids are copied into a
     /// slab of `arena` and the returned [`ArenaEdges`] handle pins
@@ -304,29 +273,6 @@ impl CommunitySearch {
         stored
     }
 
-    /// Batch form of [`Self::significant_community_arena`]: answers
-    /// every query through one workspace and one arena, pushing one
-    /// handle per query into `outs` (cleared first; previous handles
-    /// are released, returning their slab space to circulation once
-    /// nothing else pins it). Warm, a repeated batch is allocation-free
-    /// end to end.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
-    pub fn significant_communities_arena(
-        &self,
-        queries: &[(Vertex, usize, usize)],
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-        arena: &mut ResultArena,
-        outs: &mut Vec<ArenaEdges>,
-    ) {
-        outs.clear();
-        outs.reserve(queries.len()); // contract-ok: workspace scratch retains warm capacity across queries; growth is cold (alloc-gated)
-        for &(q, alpha, beta) in queries {
-            let stored = self.significant_community_arena(q, alpha, beta, algorithm, ws, arena);
-            outs.push(stored); // contract-ok: workspace scratch retains warm capacity across queries; growth is cold (alloc-gated)
-        }
-    }
-
     /// Fully allocation-free query: `out` is cleared and receives the
     /// sorted edge ids of the significant (α,β)-community. With a warm
     /// `ws` and a warm `out`, a repeated query performs zero heap
@@ -341,7 +287,10 @@ impl CommunitySearch {
         ws: &mut QueryWorkspace,
         out: &mut Vec<EdgeId>,
     ) {
-        let algorithm = self.resolve_algorithm(alpha, beta, algorithm);
+        if algorithm == Algorithm::Auto {
+            self.profile_answer_into(q, alpha, beta, ws, out);
+            return;
+        }
         if algorithm == Algorithm::Baseline {
             query::scs_baseline_into(&self.graph, q, alpha, beta, ws, out);
             return;
@@ -352,7 +301,7 @@ impl CommunitySearch {
         });
         let community = ws.take_community();
         match algorithm {
-            Algorithm::Auto | Algorithm::Baseline => unreachable!("resolved above"),
+            Algorithm::Auto | Algorithm::Baseline => unreachable!("answered above"),
             Algorithm::Peel => {
                 query::scs_peel_into(&self.graph, &community, q, alpha, beta, ws, out)
             }
@@ -371,6 +320,29 @@ impl CommunitySearch {
             }
         }
         ws.restore_community(community);
+    }
+
+    /// [`Algorithm::Auto`]: answers from the (α,β) threshold profile,
+    /// building it on the first query that needs it. A query outside
+    /// the (α,β)-core — including every query with `min(α,β) > δ` — is
+    /// answered empty from one `Iδ` lookup and never touches the memo.
+    fn profile_answer_into(
+        &self,
+        q: Vertex,
+        alpha: usize,
+        beta: usize,
+        ws: &mut QueryWorkspace,
+        out: &mut Vec<EdgeId>,
+    ) {
+        out.clear();
+        if !self.index.core_contains(q, alpha, beta) {
+            return;
+        }
+        let slot = self.profiles.slot(alpha, beta);
+        let profile: &ThresholdProfile = slot.get_or_init(|| {
+            ThresholdProfile::build(&self.graph, alpha, beta, &mut ws.base) // contract-ok: cold build — once per (α,β) per snapshot; later queries find the slot filled
+        });
+        profile.answer_into(&self.graph, q, &mut ws.base, out);
     }
 }
 
@@ -400,54 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_per_query_results() {
-        let search = CommunitySearch::new(figure2_example());
-        let g = search.graph();
-        let queries: Vec<(Vertex, usize, usize)> = (0..g.n_upper())
-            .flat_map(|i| [(g.upper(i), 2, 2), (g.upper(i), 1, 1)])
-            .collect();
-        for algo in Algorithm::ALL {
-            let mut ws = QueryWorkspace::new();
-            let batched = search.significant_communities_in(&queries, algo, &mut ws);
-            assert_eq!(batched.len(), queries.len());
-            for (&(q, a, b), got) in queries.iter().zip(&batched) {
-                let solo = search.significant_community(q, a, b, algo);
-                assert_eq!(got.edges(), solo.edges(), "q={q:?} α={a} β={b} {algo}");
-            }
-            // A warm workspace answers the same batch without growing.
-            let bytes = ws.heap_bytes();
-            let again = search.significant_communities_in(&queries, algo, &mut ws);
-            assert_eq!(ws.heap_bytes(), bytes, "warm batch must not grow scratch");
-            for (x, y) in batched.iter().zip(&again) {
-                assert_eq!(x.edges(), y.edges());
-            }
-        }
-    }
-
-    #[test]
-    fn batch_into_reuses_result_buffers() {
-        let search = CommunitySearch::new(figure2_example());
-        let q = search.graph().upper(2);
-        let mut ws = QueryWorkspace::new();
-        let mut outs = Vec::new();
-        // A longer batch first, then a shorter one: `outs` must shrink.
-        search.significant_communities_into(
-            &[(q, 2, 2), (q, 1, 1), (q, 3, 3)],
-            Algorithm::Peel,
-            &mut ws,
-            &mut outs,
-        );
-        assert_eq!(outs.len(), 3);
-        assert_eq!(outs[0].len(), 4);
-        search.significant_communities_into(&[(q, 2, 2)], Algorithm::Peel, &mut ws, &mut outs);
-        assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].len(), 4);
-        // Empty batch: no results, no panic.
-        search.significant_communities_into(&[], Algorithm::Auto, &mut ws, &mut outs);
-        assert!(outs.is_empty());
-    }
-
-    #[test]
     fn arena_results_match_vec_results() {
         let search = CommunitySearch::new(figure2_example());
         let g = search.graph();
@@ -456,9 +380,15 @@ mod tests {
             .collect();
         let mut ws = QueryWorkspace::new();
         let mut arena = ResultArena::new();
-        let mut handles = Vec::new();
         for algo in Algorithm::ALL {
-            search.significant_communities_arena(&queries, algo, &mut ws, &mut arena, &mut handles);
+            // Every handle of the round is held at once, so later stores
+            // must not clobber earlier results.
+            let handles: Vec<ArenaEdges> = queries
+                .iter()
+                .map(|&(q, a, b)| {
+                    search.significant_community_arena(q, a, b, algo, &mut ws, &mut arena)
+                })
+                .collect();
             assert_eq!(handles.len(), queries.len());
             for (&(q, a, b), stored) in queries.iter().zip(&handles) {
                 let solo = search.significant_community(q, a, b, algo);

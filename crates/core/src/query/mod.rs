@@ -5,6 +5,7 @@ pub mod binary;
 pub mod expand;
 pub mod oracle;
 pub mod peel;
+pub(crate) mod profile;
 
 pub use baseline::{scs_baseline, scs_baseline_in, scs_baseline_into};
 pub use binary::{scs_binary, scs_binary_in, scs_binary_into};

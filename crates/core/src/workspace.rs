@@ -2,8 +2,9 @@
 //!
 //! A [`QueryWorkspace`] bundles everything a significant-community query
 //! needs besides the graph and the index: the graph-sized epoch-stamped
-//! buffers of [`bigraph::workspace::Workspace`] (used by index retrieval
-//! and the online baselines) and the community-sized local scratch of the
+//! buffers of [`bigraph::workspace::Workspace`] (used by index retrieval,
+//! the online baselines and the threshold-profile path of
+//! [`crate::Algorithm::Auto`]) and the community-sized local scratch of the
 //! second-step kernels (the re-indexed [`LocalGraph`], liveness sets,
 //! degree arrays, sort orders, the expansion heap and component
 //! tracker). Everything grows monotonically to the largest query served,
@@ -91,7 +92,8 @@ impl LocalScratch {
 /// [module docs](self)).
 #[derive(Debug, Default)]
 pub struct QueryWorkspace {
-    /// Graph-sized scratch: index retrieval, online peels, baselines.
+    /// Graph-sized scratch: index retrieval, online peels, baselines,
+    /// threshold-profile builds and answers.
     pub(crate) base: Workspace,
     /// The re-indexed community, rebuilt in place per query.
     pub(crate) local: LocalGraph,

@@ -7,8 +7,17 @@
 //! on — which side is heavy, degree skew, hub extremity, δ vs α_max —
 //! plus the MovieLens-style rating generator with planted taste
 //! communities that the effectiveness experiments (Fig. 6/7, Table II)
-//! require, and query workload sampling. See DESIGN.md §3 for the full
-//! substitution argument.
+//! require, and query workload sampling.
+//!
+//! The substitution is sound for what the experiments measure: the
+//! paper's algorithms are exact, so an analogue can only change *how
+//! long* they take and *how big* the answers are, never whether they
+//! are right. Those costs depend on the structural properties above —
+//! δ bounds the index size (Lemma 5), the degree skew and hub extremity
+//! set the community sizes `|C_{α,β}(q)|` each query touches — and the
+//! [`catalog`] keeps each dataset's properties while scaling its size
+//! down. Absolute times therefore differ from the paper's; the relative
+//! shapes across datasets and parameters are what the figures compare.
 
 // No unsafe in this crate — and none may creep in.
 #![forbid(unsafe_code)]

@@ -81,11 +81,15 @@ fn main() {
 
     // Varying the parameters (still within warmed capacity) stays free
     // too: the buffers are sized by the graph, not by one specific query.
-    for (a, b) in [(1, 1), (3, 3), (2, 3)] {
-        search.significant_community_into(q, a, b, Algorithm::Peel, &mut ws, &mut out);
-        let before = allocations();
-        search.significant_community_into(q, a, b, Algorithm::Peel, &mut ws, &mut out);
-        assert_eq!(allocations() - before, 0, "α={a} β={b}");
+    // For `Auto` the first call at each (α,β) builds that pair's
+    // threshold profile; the second must find it and allocate nothing.
+    for algo in [Algorithm::Peel, Algorithm::Auto] {
+        for (a, b) in [(1, 1), (3, 3), (2, 3)] {
+            search.significant_community_into(q, a, b, algo, &mut ws, &mut out);
+            let before = allocations();
+            search.significant_community_into(q, a, b, algo, &mut ws, &mut out);
+            assert_eq!(allocations() - before, 0, "{algo} α={a} β={b}");
+        }
     }
 
     // The arena entry points extend the guarantee to the *result*: a

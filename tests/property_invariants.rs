@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scs::query::oracle::verify_significant;
 use scs::query::{scs_binary, scs_expand, scs_peel};
-use scs::{DeltaIndex, DynamicIndex};
+use scs::{Algorithm, CommunitySearch, DeltaIndex, DynamicIndex};
 
 /// Cases per property (matches the old `ProptestConfig::with_cases(48)`).
 const CASES: u64 = 48;
@@ -145,11 +145,13 @@ fn index_query_equivalence() {
 }
 
 /// The three SCS algorithms agree and satisfy Definition 5 (checked by
-/// the independent oracle).
+/// the independent oracle), and `Auto`'s threshold-profile answer equals
+/// Peel's for every vertex — empty outside the core.
 #[test]
 fn scs_algorithms_agree() {
     for_random_graphs(9, 9, 45, |g, _| {
         let idx = DeltaIndex::build(g);
+        let search = CommunitySearch::new(g.clone());
         for (a, b) in [(1usize, 1usize), (2, 2), (1, 2), (2, 1)] {
             for v in g.vertices().step_by(3) {
                 let c = idx.query_community(g, v, a, b);
@@ -161,6 +163,16 @@ fn scs_algorithms_agree() {
                 if let Err(e) = verify_significant(g, &c, v, a, b, &rp) {
                     panic!("oracle rejected: {e}");
                 }
+            }
+            for v in g.vertices() {
+                let c = idx.query_community(g, v, a, b);
+                let rp = scs_peel(g, &c, v, a, b);
+                let auto = search.significant_community(v, a, b, Algorithm::Auto);
+                assert_eq!(
+                    auto.edges(),
+                    rp.edges(),
+                    "Auto vs Peel: v={v:?} α={a} β={b}"
+                );
             }
         }
     });
