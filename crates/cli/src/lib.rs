@@ -8,8 +8,8 @@
 //!   significant (α,β)-community;
 //! * `index <edgelist> <out.scsidx>` — build and save the `Iδ` index;
 //! * `serve <edgelist> [--addr HOST:PORT] ...` — serve queries over a
-//!   std-only HTTP/1.1 front end with admission control and deadline
-//!   batching (see `scs-service`'s `server` module); prints the bound
+//!   std-only HTTP/1.1 front end with admission control (see
+//!   `scs-service`'s `server` module); prints the bound
 //!   address, then blocks until killed;
 //! * `serve-bench <edgelist> [--threads N] [--queries K] ...` — replay a
 //!   generated query workload through the concurrent `scs-service`
@@ -140,10 +140,6 @@ pub struct ServeArgs {
     /// Admission budget: admitted-but-unanswered requests past this
     /// are shed with `429 + Retry-After`.
     pub pending_budget: usize,
-    /// Deadline-batcher flush deadline, milliseconds (0 = no batching).
-    pub batch_deadline_ms: u64,
-    /// Deadline-batcher size flush threshold.
-    pub batch_max: usize,
     /// Per-tenant token-bucket refill rate, requests/second (0 = off).
     pub tenant_rate: u64,
     /// Per-tenant token-bucket burst capacity.
@@ -229,8 +225,7 @@ USAGE:
   scs index <edgelist> <out.scsidx> [--one-based]
   scs generate <dir> [--scale S] [--seed N]
   scs serve <edgelist> [--addr HOST:PORT] [--threads N] [--shards S]
-             [--pending-budget N] [--batch-deadline-ms MS]
-             [--batch-max N] [--tenant-rate R] [--tenant-burst B]
+             [--pending-budget N] [--tenant-rate R] [--tenant-burst B]
              [--socket-timeout-ms MS] [--one-based]
   scs serve-bench <edgelist> [--threads N] [--shards S] [--queries K]
              [--clients C] [--alpha A] [--beta B] [--repeat F]
@@ -303,8 +298,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut remote: Option<String> = None;
     let serve_defaults = scs_service::ServiceConfig::default();
     let mut pending_budget = serve_defaults.pending_budget;
-    let mut batch_deadline_ms = serve_defaults.batch_deadline_ms;
-    let mut batch_max = serve_defaults.batch_max;
     let mut tenant_rate = serve_defaults.tenant_rate;
     let mut tenant_burst = serve_defaults.tenant_burst;
     let mut socket_timeout_ms = serve_defaults.socket_timeout_ms;
@@ -314,7 +307,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut serve_flags: Vec<&'static str> = Vec::new();
     // Engine sizing shared by `serve` and `serve-bench`.
     let mut engine_flags: Vec<&'static str> = Vec::new();
-    // Admission/batching knobs of `serve` only.
+    // Listen address and admission knobs of `serve` only.
     let mut serve_only_flags: Vec<&'static str> = Vec::new();
     let mut scale_flag_seen = false;
     let mut algo_flag_seen = false;
@@ -379,23 +372,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .next()
                     .ok_or_else(|| CliError::new("--pending-budget needs a value"))?;
                 pending_budget = parse_usize(val, "pending budget")?;
-            }
-            "--batch-deadline-ms" => {
-                serve_only_flags.push("--batch-deadline-ms");
-                let val = it
-                    .next()
-                    .ok_or_else(|| CliError::new("--batch-deadline-ms needs a value"))?;
-                // Zero is meaningful (batching off), so parse directly.
-                batch_deadline_ms = val
-                    .parse()
-                    .map_err(|_| CliError::new(format!("invalid batch deadline {val:?}")))?;
-            }
-            "--batch-max" => {
-                serve_only_flags.push("--batch-max");
-                let val = it
-                    .next()
-                    .ok_or_else(|| CliError::new("--batch-max needs a value"))?;
-                batch_max = parse_usize(val, "batch max")?;
             }
             "--tenant-rate" => {
                 serve_only_flags.push("--tenant-rate");
@@ -675,8 +651,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 threads,
                 shards,
                 pending_budget,
-                batch_deadline_ms,
-                batch_max,
                 tenant_rate,
                 tenant_burst,
                 socket_timeout_ms,
@@ -865,10 +839,10 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
 }
 
 /// `scs serve`: build the engine from the edge list, bind the std-only
-/// HTTP front end (admission control + deadline batching, see
-/// `scs-service`'s `server` module) and serve until killed. Prints the
-/// bound address up front — flushed, so supervisors and the CI smoke
-/// job can poll readiness — and never returns on success.
+/// HTTP front end (admission control, see `scs-service`'s `server`
+/// module) and serve until killed. Prints the bound address up front —
+/// flushed, so supervisors and the CI smoke job can poll readiness —
+/// and never returns on success.
 fn run_serve(args: ServeArgs) -> Result<String, CliError> {
     use scs_service::{QueryEngine, Server, ServiceConfig};
     use std::io::Write as _;
@@ -880,8 +854,6 @@ fn run_serve(args: ServeArgs) -> Result<String, CliError> {
         workers: args.threads,
         shards: args.shards,
         pending_budget: args.pending_budget,
-        batch_deadline_ms: args.batch_deadline_ms,
-        batch_max: args.batch_max,
         tenant_rate: args.tenant_rate,
         tenant_burst: args.tenant_burst,
         socket_timeout_ms: args.socket_timeout_ms,
@@ -893,14 +865,11 @@ fn run_serve(args: ServeArgs) -> Result<String, CliError> {
     println!("scs serve: {summary}");
     println!(
         "listening on {} — {} worker(s) in {} shard(s), pending budget {}, \
-         batches of ≤ {} flushed after {} ms, tenant quota {}/s (burst {}), \
-         socket timeout {} ms",
+         tenant quota {}/s (burst {}), socket timeout {} ms",
         handle.local_addr(),
         args.threads,
         args.shards,
         args.pending_budget,
-        args.batch_max,
-        args.batch_deadline_ms,
         args.tenant_rate,
         args.tenant_burst,
         args.socket_timeout_ms,
@@ -1660,8 +1629,6 @@ mod tests {
                 // Admission knobs default to the ServiceConfig values.
                 let d = scs_service::ServiceConfig::default();
                 assert_eq!(a.pending_budget, d.pending_budget);
-                assert_eq!(a.batch_deadline_ms, d.batch_deadline_ms);
-                assert_eq!(a.batch_max, d.batch_max);
                 assert_eq!(a.tenant_rate, d.tenant_rate);
                 assert_eq!(a.tenant_burst, d.tenant_burst);
                 assert_eq!(a.socket_timeout_ms, d.socket_timeout_ms);
@@ -1679,10 +1646,6 @@ mod tests {
             "2",
             "--pending-budget",
             "64",
-            "--batch-deadline-ms",
-            "0",
-            "--batch-max",
-            "16",
             "--tenant-rate",
             "100",
             "--tenant-burst",
@@ -1700,8 +1663,6 @@ mod tests {
                 threads: 8,
                 shards: 2,
                 pending_budget: 64,
-                batch_deadline_ms: 0,
-                batch_max: 16,
                 tenant_rate: 100,
                 tenant_burst: 10,
                 socket_timeout_ms: 500,
@@ -1716,7 +1677,6 @@ mod tests {
         assert!(parse_args(&args(&["serve", "g", "--threads", "2"])).is_ok());
         assert!(parse_args(&args(&["stats", "g", "--threads", "2"])).is_err());
         assert!(parse_args(&args(&["serve", "g", "--pending-budget", "0"])).is_err());
-        assert!(parse_args(&args(&["serve", "g", "--batch-max", "0"])).is_err());
         assert!(parse_args(&args(&["serve", "g", "--addr"])).is_err());
         assert!(parse_args(&args(&["serve"])).is_err());
     }

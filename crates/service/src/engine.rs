@@ -105,9 +105,9 @@ use bigraph::Vertex;
 use scs::{CommunitySearch, QueryWorkspace};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -146,14 +146,6 @@ pub struct ServiceConfig {
     /// past it new requests get `429 + Retry-After` instead of
     /// queueing unboundedly. Clamped to ≥ 1.
     pub pending_budget: usize,
-    /// Server only: how long an accumulation bucket may wait for
-    /// compatible requests before the deadline batcher flushes it into
-    /// [`QueryEngine::submit_batch`], milliseconds. 0 flushes every
-    /// request immediately (batching off).
-    pub batch_deadline_ms: u64,
-    /// Server only: an accumulation bucket reaching this many requests
-    /// flushes immediately, deadline or not. Clamped to ≥ 1.
-    pub batch_max: usize,
     /// Server only: per-tenant token-bucket refill rate,
     /// requests/second. 0 disables tenant quotas.
     pub tenant_rate: u64,
@@ -162,7 +154,9 @@ pub struct ServiceConfig {
     pub tenant_burst: u64,
     /// Server only: socket read/write timeout, milliseconds — a slow
     /// or dead client is disconnected instead of pinning a connection
-    /// thread. 0 means no timeout.
+    /// thread. 0 means no timeout. The server also waits at most
+    /// `max(socket_timeout_ms, 1 s)` for an admitted request's reply
+    /// before answering `503`.
     pub socket_timeout_ms: u64,
 }
 
@@ -176,8 +170,6 @@ impl Default for ServiceConfig {
             arena_slab_edges: bigraph::arena::DEFAULT_SLAB_EDGES,
             slow_ring_capacity: 16,
             pending_budget: 1024,
-            batch_deadline_ms: 2,
-            batch_max: 64,
             tenant_rate: 0,
             tenant_burst: 64,
             socket_timeout_ms: 10_000,
@@ -322,6 +314,21 @@ impl<T> ReplyCell<T> {
             }
         }
     }
+
+    /// [`Self::take`] that gives up after `timeout` (`None`). Poisoning
+    /// is recovered, not propagated: the state is whole at every unlock,
+    /// and this runs under the connection handler's no-panic contract.
+    fn take_timeout(&self, timeout: Duration) -> Option<T> {
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut state, _) = self
+            .cv
+            .wait_timeout_while(state, timeout, |s| matches!(s, ReplyState::Pending))
+            .unwrap_or_else(PoisonError::into_inner);
+        match std::mem::replace(&mut *state, ReplyState::Pending) {
+            ReplyState::Done(v) => Some(v),
+            ReplyState::Pending | ReplyState::Abandoned => None,
+        }
+    }
 }
 
 /// Answers a reply cell (`Some` = responses, `None` = the job panicked)
@@ -401,9 +408,15 @@ impl<T> VecPool<T> {
         self.items.lock().unwrap().pop().unwrap_or_default()
     }
 
+    // A poisoned pool is still a valid list of cleared vectors, so the
+    // lock is recovered rather than unwrapped: `put` runs on the
+    // server's no-panic request path.
     fn put(&self, mut v: Vec<T>) {
         v.clear();
-        self.items.lock().unwrap().push(v);
+        self.items
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(v);
     }
 }
 
@@ -1092,6 +1105,18 @@ impl ResponseHandle {
         self.inner.resp_pool.put(answers);
         resp
     }
+
+    /// [`Self::wait`] that gives up after `timeout`: `None` if the
+    /// engine has not answered by then, or the query panicked. A cell
+    /// given up on is still answered later and pooled; the pool resets
+    /// it before reissuing it, so its late answer never reaches
+    /// another submitter.
+    pub(crate) fn wait_timeout(self, timeout: Duration) -> Option<QueryResponse> {
+        let mut answers = self.cell.take_timeout(timeout)?;
+        let resp = answers.pop();
+        self.inner.resp_pool.put(answers);
+        resp
+    }
 }
 
 /// A pending batch of responses; produced by
@@ -1370,18 +1395,15 @@ impl EngineCore {
     }
 }
 
-/// The concurrent query-serving engine — since the sharding refactor a
-/// thin router over `ServiceConfig::shards` independent shards (see
-/// the [module docs](self)); `QueryEngine` remains the primary name.
-pub type QueryEngine = ShardedEngine;
-
-/// The sharded query-serving engine. See the [module docs](self).
-pub struct ShardedEngine {
+/// The concurrent query-serving engine: a thin router over
+/// `ServiceConfig::shards` independent shards. See the
+/// [module docs](self).
+pub struct QueryEngine {
     core: Arc<EngineCore>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl ShardedEngine {
+impl QueryEngine {
     /// Spawns every shard's worker pool and returns the serving handle.
     pub fn start(search: Arc<CommunitySearch>, config: ServiceConfig) -> Self {
         let n_shards = config.shards.max(1);
@@ -1521,11 +1543,12 @@ impl ShardedEngine {
             install_lock: Mutex::new(()),
             slow_ring: config.slow_ring_capacity,
         });
-        ShardedEngine { core, handles }
+        QueryEngine { core, handles }
     }
 
     /// The shard serving `vertex`'s requests.
     fn shard_for(&self, vertex: Vertex) -> &Arc<Inner> {
+        // contract-ok: `route_of` returns an index below `shards.len()`, and `start` builds at least one shard
         &self.core.shards[route_of(vertex, self.core.shards.len())]
     }
 
@@ -1838,15 +1861,14 @@ impl ShardedEngine {
         crate::telemetry::render_prometheus(&stats, &agg.telem)
     }
 
-    /// Records one network-front-end accept window (socket accept →
+    /// Records one network-front-end accept window (admission →
     /// engine enqueue, µs) into the [`crate::telemetry::Stage::Accept`]
     /// histogram of the shard that will serve `req` — so the stage
     /// breakdown attributes front-end time to the same per-algorithm
     /// plane as the engine-side stages. Only [`crate::Server`] calls
     /// this; the in-process submission paths never touch the stage.
     pub fn record_accept(&self, req: &QueryRequest, accept_us: u64) {
-        let shard = route_of(req.q, self.core.shards.len());
-        self.core.shards[shard]
+        self.shard_for(req.q)
             .telemetry
             .record_accept(req.algo, accept_us);
     }
@@ -1867,7 +1889,7 @@ impl ShardedEngine {
     }
 }
 
-impl Drop for ShardedEngine {
+impl Drop for QueryEngine {
     fn drop(&mut self) {
         self.shutdown_in_place();
     }
@@ -2174,6 +2196,54 @@ mod tests {
         // Appending: a second wait_into extends rather than clobbers.
         e.query_batch_into(&reqs, &mut out);
         assert_eq!(out.len(), 2 * reqs.len());
+        e.shutdown();
+    }
+
+    #[test]
+    fn timed_wait_gives_up_and_its_cell_is_reissued_reset() {
+        // One worker, and the shard's in-flight lock held: the worker
+        // blocks in `join_flight`, so the answer cannot arrive in time.
+        let e = engine(1);
+        let search = e.current_index().0;
+        let g = search.graph();
+        let a = QueryRequest::new(g.upper(2), 2, 2, Algorithm::Peel);
+        let b = QueryRequest::new(g.upper(0), 1, 1, Algorithm::Peel);
+        let oracle = |r: QueryRequest| {
+            CommunitySummary::from_subgraph(&search.significant_community(
+                r.q,
+                r.alpha as usize,
+                r.beta as usize,
+                r.algo,
+            ))
+        };
+        assert_ne!(oracle(a), oracle(b), "a stale answer must be visible");
+        let shard = &e.core.shards[0];
+        let blocked = shard.inflight.lock().unwrap();
+        let handle = e.submit(a);
+        let given_up = Arc::as_ptr(&handle.cell);
+        assert!(handle.wait_timeout(Duration::from_millis(20)).is_none());
+        drop(blocked);
+        // The worker answers `a` into the given-up cell and pools it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while shard.reply_pool.items.lock().unwrap().is_empty() {
+            assert!(
+                Instant::now() < deadline,
+                "the given-up cell never returned to the pool"
+            );
+            std::thread::yield_now();
+        }
+        // A different key reuses that cell and gets its own answer.
+        let handle = e.submit(b);
+        assert_eq!(
+            Arc::as_ptr(&handle.cell),
+            given_up,
+            "the cell was not reissued"
+        );
+        let resp = handle
+            .wait_timeout(Duration::from_secs(10))
+            .expect("the engine answers an unblocked request");
+        assert_eq!(resp.request, b);
+        assert_eq!(resp.summary, oracle(b));
         e.shutdown();
     }
 

@@ -67,6 +67,12 @@
 //! * [`replay`] — workload construction (reusing `datasets::workload`)
 //!   and a multi-client replay harness, the backing of the
 //!   `scs serve-bench` subcommand and the scaling benchmark.
+//! * [`server`] — the `scs serve` HTTP/1.1 front end. Each connection
+//!   thread admits its own requests (tenant quotas, a pending budget,
+//!   429 + `Retry-After` when over) and serves them with
+//!   [`engine::QueryEngine::submit`] and a timed wait, so a socket
+//!   request reaches the engine's job queue with no thread or timer in
+//!   between.
 //!
 //! ## Example
 //!
@@ -96,7 +102,6 @@
 // module-level `allow`); everything else in the crate is checked.
 #![deny(unsafe_code)]
 
-pub mod batcher;
 pub mod cache;
 pub mod engine;
 pub mod replay;
@@ -104,9 +109,8 @@ pub mod server;
 pub mod stats;
 pub mod telemetry;
 
-pub use batcher::{DeadlineBuckets, FlushCause, TenantQuotas, TokenBucket};
 pub use cache::{CacheStats, ShardedCache};
-pub use engine::{BatchHandle, QueryEngine, ResponseHandle, ServiceConfig, ShardedEngine};
+pub use engine::{BatchHandle, QueryEngine, ResponseHandle, ServiceConfig};
 pub use replay::{
     build_workload, replay, replay_batched, try_build_workload, ReplayReport, WorkloadError,
     WorkloadSpec,

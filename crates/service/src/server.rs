@@ -1,6 +1,5 @@
 //! `scs serve` — a std-only TCP network front end over the
-//! [`QueryEngine`], with admission control, deadline batching and
-//! graceful overload.
+//! [`QueryEngine`], with admission control and graceful overload.
 //!
 //! # Protocol
 //!
@@ -13,64 +12,56 @@
 //! `Content-Length` (`400`) or any `Transfer-Encoding` (`501`) is
 //! answered and the connection closed. Endpoints:
 //!
-//! * `GET /query?q=<vertex>&alpha=<a>&beta=<b>[&algo=<name>]`
-//!   `[&tenant=<id>][&deadline_ms=<ms>]` — answer one
-//!   (α,β)-community query. `algo` is one of
+//! * `GET /query?q=<vertex>&alpha=<a>&beta=<b>[&algo=<name>][&tenant=<id>]`
+//!   — answer one (α,β)-community query. `algo` is one of
 //!   `auto|peel|expand|binary|baseline` (default `auto`); `tenant`
-//!   attributes the request to a per-tenant quota bucket;
-//!   `deadline_ms` tightens (never loosens) the deadline batcher's
-//!   flush for the bucket this request lands in. The response carries
-//!   the community's size and minimum weight, epoch provenance
-//!   (`epoch`, `cached`, `coalesced`) and per-request timings:
-//!   `accept_us` (socket accept → engine enqueue — the batching
-//!   latency the operator dialed in), `service_us` (engine dequeue →
-//!   response) and `total_us` (admission → reply handoff).
+//!   attributes the request to a per-tenant quota bucket; unknown
+//!   parameters are ignored. The response carries the community's size
+//!   and minimum weight, epoch provenance (`epoch`, `cached`,
+//!   `coalesced`) and per-request timings: `accept_us` (admission →
+//!   engine enqueue), `service_us` (engine dequeue → response) and
+//!   `total_us` (admission → reply handoff).
 //! * `GET /metrics` — Prometheus text exposition, the engine families
 //!   plus the live `scs_admission_*` counters.
 //! * `GET /stats` — the human-readable stats table.
 //! * `GET /healthz` — liveness probe.
 //!
+//! # Request path
+//!
+//! Each connection has its own thread, and that thread serves its
+//! requests: it parses a request, admits it, submits it to the engine
+//! ([`QueryEngine::submit`], a batch of one on the shard its vertex
+//! routes to) and waits for the answer, then writes the reply. Nothing
+//! sits between the socket and the engine's job queue, so a request
+//! waits on no timer and crosses no other server thread.
+//!
 //! # Admission control and overload
 //!
-//! A request is admitted only if (a) its tenant's token bucket
-//! ([`crate::TenantQuotas`]) has a token and (b) the **pending
-//! budget** ([`ServiceConfig::pending_budget`]) — admitted requests
-//! not yet answered — has room. Anything else is shed *immediately*
-//! with `429 Too Many Requests` and a `Retry-After` whose value is
-//! derived from the observed accept-stage p99 (how long admitted
-//! requests are currently waiting to reach the engine), jittered
-//! ±25% so a synchronized client herd does not return as one wave.
-//! Under overload the server therefore degrades by answering fast
-//! 429s rather than growing an unbounded queue; admitted requests
-//! keep bounded latency because the budget caps what can be in
-//! flight. Socket read/write timeouts
-//! ([`ServiceConfig::socket_timeout_ms`]) stop a slow or dead client
-//! from pinning its connection thread.
+//! A request is admitted only if (a) its tenant's token bucket has a
+//! token and (b) the **pending budget**
+//! ([`ServiceConfig::pending_budget`]) — admitted requests not yet
+//! answered — has room. Anything else is shed *immediately* with
+//! `429 Too Many Requests` and a `Retry-After` whose value is derived
+//! from the p99 of admitted requests' admission → reply time (how long
+//! a request admitted now can expect to take), jittered ±25% so a
+//! synchronized client herd does not return as one wave. Under
+//! overload the server therefore degrades by answering fast 429s
+//! rather than growing an unbounded queue; admitted requests keep
+//! bounded latency because the budget caps what can be in flight.
+//! Socket read/write timeouts ([`ServiceConfig::socket_timeout_ms`])
+//! stop a slow or dead client from pinning its connection thread, and
+//! a reply the engine has not produced within
+//! `max(socket_timeout_ms, 1 s)` is answered `503`.
 //!
 //! At quiescence the counters reconcile exactly:
 //! `admitted == served + shed_after_admit` — every admitted request
 //! is resolved by its owning connection thread as either a written
 //! reply or a recorded post-admission shed (client death, reply
-//! timeout or shutdown drain). No reply is lost or duplicated: each
-//! request has exactly one reply channel, each flushed batch member
-//! is answered from [`submit_batch`]'s submission-order responses.
-//!
-//! # Deadline batching
-//!
-//! Admitted requests flow to a single batcher thread that accumulates
-//! them in per-`(α, β, algorithm)` buckets ([`DeadlineBuckets`]) and
-//! flushes a bucket into [`QueryEngine::submit_batch`] when it holds
-//! [`ServiceConfig::batch_max`] requests or its deadline
-//! ([`ServiceConfig::batch_deadline_ms`]) expires — converting bursty
-//! single-request socket traffic into the engine's batch path (one
-//! queue job, one snapshot, one cache pass). A
-//! small responder pool waits on the [`BatchHandle`]s so the batcher
-//! never blocks on the engine.
-//!
-//! [`submit_batch`]: QueryEngine::submit_batch
+//! timeout or shutdown). No reply is lost or duplicated: the thread
+//! that admitted a request is the only one that waits on its reply
+//! cell, and it writes at most one reply.
 
-use crate::batcher::{DeadlineBuckets, Flush, FlushCause, TenantQuotas};
-use crate::engine::{BatchHandle, QueryEngine, ServiceConfig};
+use crate::engine::{QueryEngine, ResponseHandle, ServiceConfig};
 use crate::stats::{AdmissionStats, LatencyHistogram, ServiceStats};
 use crate::{QueryRequest, QueryResponse};
 use bigraph::Vertex;
@@ -79,7 +70,6 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,30 +77,6 @@ use std::time::{Duration, Instant};
 /// Maximum bytes of one request head (request line + headers), and of
 /// one declared request body.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
-
-/// Responder threads waiting on in-flight [`BatchHandle`]s. Two keep
-/// the batcher pipelined: a new batch can form while the previous one
-/// computes.
-const N_RESPONDERS: usize = 2;
-
-/// One admitted request in flight between a connection thread and the
-/// batcher.
-struct Admitted {
-    req: QueryRequest,
-    /// Where the responder delivers this request's answer.
-    tx: mpsc::Sender<QueryResponse>,
-    /// When the connection thread admitted it (accept-stage start).
-    t_admit: Instant,
-    /// The request's own `deadline_ms`, if it sent one.
-    deadline: Option<Duration>,
-}
-
-/// One flushed batch on its way to a responder thread: the engine's
-/// pending handle plus the reply channels in submission order.
-struct Dispatch {
-    handle: BatchHandle,
-    txs: Vec<mpsc::Sender<QueryResponse>>,
-}
 
 /// Everything the server's threads share.
 struct ServerInner {
@@ -128,19 +94,14 @@ struct ServerInner {
     shed: AtomicU64,
     quota_rejected: AtomicU64,
     shed_after_admit: AtomicU64,
-    deadline_flushes: AtomicU64,
-    size_flushes: AtomicU64,
     quotas: Mutex<TenantQuotas>,
-    /// Accept-stage (admission → engine enqueue) samples; its p99
+    /// Admission → reply time of every admitted request; its p99
     /// feeds the `Retry-After` hint on 429s.
-    queue_wait: LatencyHistogram,
+    reply_latency: LatencyHistogram,
     /// Jitter state for `Retry-After` (a splitmix64 counter — no
     /// external RNG, deterministic per process but decorrelated across
     /// rejections).
     jitter: AtomicU64,
-    /// The batcher's intake. `None` once the server started shutting
-    /// down.
-    batch_tx: Mutex<Option<mpsc::Sender<Admitted>>>,
     /// Clones of live connection sockets keyed by connection id, so
     /// shutdown can unblock reads immediately instead of waiting out
     /// socket timeouts. Each connection thread removes its own entry
@@ -167,16 +128,16 @@ impl ServerInner {
             shed: self.shed.load(Ordering::Relaxed),
             quota_rejected: self.quota_rejected.load(Ordering::Relaxed), // ordering: Relaxed, as above
             shed_after_admit: self.shed_after_admit.load(Ordering::Relaxed), // ordering: Relaxed, as above
-            deadline_flushes: self.deadline_flushes.load(Ordering::Relaxed), // ordering: Relaxed, as above
-            size_flushes: self.size_flushes.load(Ordering::Relaxed), // ordering: Relaxed, as above
+            ..AdmissionStats::default()
         }
     }
 
-    /// The jittered `Retry-After` hint, milliseconds: the observed
-    /// accept-stage p99 (how long admitted requests currently wait to
-    /// reach the engine), clamped to [50ms, 5s], ±25% jitter.
+    /// The jittered `Retry-After` hint, milliseconds: the p99 of
+    /// admitted requests' admission → reply time (how long a request
+    /// admitted now can expect to take), clamped to [50ms, 5s], ±25%
+    /// jitter.
     fn retry_after_ms(&self) -> u64 {
-        let p99_us = self.queue_wait.snapshot().quantile_us(0.99);
+        let p99_us = self.reply_latency.snapshot().quantile_us(0.99);
         let base_ms = (p99_us / 1000).clamp(50, 5000);
         // splitmix64 over a counter: cheap decorrelated jitter.
         // ordering: Relaxed — the counter only needs uniqueness-ish,
@@ -207,15 +168,14 @@ pub struct ServerHandle {
     inner: Arc<ServerInner>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
-    responders: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), takes
-    /// ownership of `engine` and starts the accept loop, the deadline
-    /// batcher and the responder pool. Admission/batching knobs come
-    /// from `config` (the same struct that sized the engine).
+    /// ownership of `engine` and starts the accept loop; each accepted
+    /// connection gets a thread that serves its requests. Admission
+    /// knobs come from `config` (the same struct that sized the
+    /// engine).
     pub fn start(
         engine: QueryEngine,
         addr: &str,
@@ -227,13 +187,7 @@ impl Server {
             0 => None,
             ms => Some(Duration::from_millis(ms)),
         };
-        let reply_timeout = Duration::from_millis(
-            config
-                .socket_timeout_ms
-                .max(config.batch_deadline_ms.saturating_mul(2) + 1_000)
-                .max(1_000),
-        );
-        let (batch_tx, batch_rx) = mpsc::channel::<Admitted>();
+        let reply_timeout = Duration::from_millis(config.socket_timeout_ms.max(1_000));
         let inner = Arc::new(ServerInner {
             engine,
             stop: AtomicBool::new(false),
@@ -246,40 +200,13 @@ impl Server {
             shed: AtomicU64::new(0),
             quota_rejected: AtomicU64::new(0),
             shed_after_admit: AtomicU64::new(0),
-            deadline_flushes: AtomicU64::new(0),
-            size_flushes: AtomicU64::new(0),
             quotas: Mutex::new(TenantQuotas::new(config.tenant_rate, config.tenant_burst)),
-            queue_wait: LatencyHistogram::default(),
+            reply_latency: LatencyHistogram::default(),
             jitter: AtomicU64::new(0x5ca1_ab1e),
-            batch_tx: Mutex::new(Some(batch_tx)),
             conns: Mutex::new(HashMap::new()),
             conn_joins: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
         });
-
-        let (disp_tx, disp_rx) = mpsc::channel::<Dispatch>();
-        let responders = {
-            let disp_rx = Arc::new(Mutex::new(disp_rx));
-            (0..N_RESPONDERS)
-                .map(|i| {
-                    let rx = Arc::clone(&disp_rx);
-                    std::thread::Builder::new()
-                        .name(format!("scs-respond-{i}"))
-                        .spawn(move || responder_loop(&rx))
-                        .expect("spawn responder")
-                })
-                .collect()
-        };
-
-        let batcher = {
-            let inner = Arc::clone(&inner);
-            let batch_max = config.batch_max.max(1);
-            let deadline = Duration::from_millis(config.batch_deadline_ms);
-            std::thread::Builder::new()
-                .name("scs-batcher".into())
-                .spawn(move || batcher_loop(&inner, &batch_rx, &disp_tx, batch_max, deadline))
-                .expect("spawn batcher")
-        };
 
         let accept = {
             let inner = Arc::clone(&inner);
@@ -293,8 +220,6 @@ impl Server {
             inner,
             addr: local,
             accept: Some(accept),
-            batcher: Some(batcher),
-            responders,
         })
     }
 }
@@ -318,10 +243,9 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, unblock and join every
-    /// connection thread (their in-flight requests resolve as served
-    /// or shed-after-admit), drain the batcher into the engine, join
-    /// the responders, then shut the engine down. Returns the final
-    /// admission counters, reconciled
+    /// connection thread (each resolves its in-flight request as
+    /// served or shed-after-admit), then shut the engine down. Returns
+    /// the final admission counters, reconciled
     /// (`admitted == served + shed_after_admit`).
     pub fn stop(mut self) -> AdmissionStats {
         // ordering: Release pairs with the Acquire loads in the accept
@@ -347,16 +271,6 @@ impl ServerHandle {
             j.drain().map(|(_, h)| h).collect()
         };
         for h in joins {
-            let _ = h.join();
-        }
-        // With every connection thread gone, dropping the server's
-        // sender disconnects the batcher's intake; it drains its
-        // buckets into the engine and exits.
-        self.inner.batch_tx.lock().unwrap().take();
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
-        for h in self.responders.drain(..) {
             let _ = h.join();
         }
         self.inner.admission()
@@ -740,7 +654,6 @@ struct QueryParams {
     beta: Option<u32>,
     algo: Option<Algorithm>,
     tenant: Option<String>,
-    deadline_ms: Option<u64>,
 }
 
 // scs-contract: no-panic — parameter parsing runs on every socket
@@ -764,9 +677,6 @@ fn parse_query_params(query: &str) -> Result<QueryParams, &'static str> {
                 })
             }
             "tenant" => p.tenant = Some(url_decode(value).ok_or("bad tenant encoding")?),
-            "deadline_ms" => {
-                p.deadline_ms = Some(value.parse().map_err(|_| "deadline_ms must be a u64")?)
-            }
             _ => {} // ignore unknown parameters (forward compatibility)
         }
     }
@@ -806,8 +716,8 @@ fn hex_val(b: u8) -> Option<u8> {
     }
 }
 
-/// The `/query` path: admission control, the deadline batcher
-/// round-trip, and the JSON reply.
+/// The `/query` path: admission control, the engine round trip on
+/// this thread, and the JSON reply.
 // scs-contract: no-panic — the heart of the connection handler: every
 // exit is an HTTP response, never an unwind.
 fn handle_query(inner: &Arc<ServerInner>, query: &str) -> (HttpResponse, QueryOutcome) {
@@ -872,53 +782,27 @@ fn handle_query(inner: &Arc<ServerInner>, query: &str) -> (HttpResponse, QueryOu
     // ordering: Relaxed — independent statistics counter.
     inner.admitted.fetch_add(1, Ordering::Relaxed);
 
-    // Hand the request to the batcher and wait for its reply.
-    let (tx, rx) = mpsc::channel();
-    let sent = {
-        let guard = match inner.batch_tx.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        match guard.as_ref() {
-            Some(batch_tx) => batch_tx
-                .send(Admitted {
-                    req,
-                    tx,
-                    t_admit,
-                    deadline: params.deadline_ms.map(Duration::from_millis),
-                })
-                .is_ok(),
-            None => false,
-        }
-    };
-    if !sent {
-        // Shutting down: the admission is resolved here as shed.
-        // ordering: Relaxed — statistics counters, as above.
-        inner.pending.fetch_sub(1, Ordering::Relaxed);
-        inner.shed_after_admit.fetch_add(1, Ordering::Relaxed);
-        return (
-            HttpResponse::error(503, "Service Unavailable", "server is shutting down"),
-            QueryOutcome::NotAdmitted,
-        );
-    }
-    match rx.recv_timeout(inner.reply_timeout) {
-        Ok(resp) => {
-            // ordering: Relaxed — budget release; see the admission
-            // increment above.
-            inner.pending.fetch_sub(1, Ordering::Relaxed);
-            let total_us = u64::try_from(t_admit.elapsed().as_micros()).unwrap_or(u64::MAX);
-            (
-                HttpResponse::json(200, "OK", render_query_json(&resp, total_us)),
-                QueryOutcome::Delivered,
-            )
-        }
-        Err(_) => {
-            // Reply never arrived (engine wedged or shutdown drain
-            // raced us): resolve as shed-after-admit. The late reply,
-            // if any, lands in a closed channel and is dropped — never
-            // double-delivered.
-            // ordering: Relaxed — statistics counters, as above.
-            inner.pending.fetch_sub(1, Ordering::Relaxed);
+    // Straight to the engine, and wait here for the answer.
+    let accept_us = micros_since(t_admit);
+    inner.engine.record_accept(&req, accept_us);
+    let handle: ResponseHandle = inner.engine.submit(req);
+    let reply = handle.wait_timeout(inner.reply_timeout);
+    // ordering: Relaxed — budget release; see the admission increment
+    // above.
+    inner.pending.fetch_sub(1, Ordering::Relaxed);
+    let total_us = micros_since(t_admit);
+    inner.reply_latency.record(total_us);
+    match reply {
+        Some(resp) => (
+            HttpResponse::json(200, "OK", render_query_json(&resp, accept_us, total_us)),
+            QueryOutcome::Delivered,
+        ),
+        None => {
+            // No answer in time (engine wedged, or the query panicked):
+            // resolve as shed-after-admit. A late answer lands in the
+            // given-up reply cell, which the engine resets before
+            // reuse, so it is never delivered.
+            // ordering: Relaxed — independent statistics counter.
             inner.shed_after_admit.fetch_add(1, Ordering::Relaxed);
             (
                 HttpResponse::error(503, "Service Unavailable", "reply timed out"),
@@ -926,6 +810,10 @@ fn handle_query(inner: &Arc<ServerInner>, query: &str) -> (HttpResponse, QueryOu
             )
         }
     }
+}
+
+fn micros_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 // scs-contract: no-panic — the overload exit must itself be
@@ -941,7 +829,7 @@ fn reject_429(inner: &Arc<ServerInner>, msg: &str) -> HttpResponse {
     }
 }
 
-fn render_query_json(resp: &QueryResponse, total_us: u64) -> String {
+fn render_query_json(resp: &QueryResponse, accept_us: u64, total_us: u64) -> String {
     let r = &resp.request;
     let min_weight = match resp.summary.min_weight {
         Some(w) => format!("{w}"),
@@ -950,7 +838,7 @@ fn render_query_json(resp: &QueryResponse, total_us: u64) -> String {
     format!(
         "{{\"q\":{},\"alpha\":{},\"beta\":{},\"algo\":\"{}\",\"epoch\":{},\
          \"cached\":{},\"coalesced\":{},\"n_upper\":{},\"n_lower\":{},\
-         \"edges\":{},\"min_weight\":{},\"service_us\":{},\"total_us\":{}}}\n",
+         \"edges\":{},\"min_weight\":{},\"accept_us\":{},\"service_us\":{},\"total_us\":{}}}\n",
         r.q.0,
         r.alpha,
         r.beta,
@@ -962,6 +850,7 @@ fn render_query_json(resp: &QueryResponse, total_us: u64) -> String {
         resp.summary.n_lower,
         resp.summary.size(),
         min_weight,
+        accept_us,
         resp.service_us,
         total_us,
     )
@@ -987,109 +876,101 @@ fn write_response(stream: &mut TcpStream, resp: &HttpResponse, keep_alive: bool)
     stream.flush()
 }
 
-/// The deadline batcher: accumulates admitted requests in
-/// per-(α, β, algorithm) buckets and flushes them into the engine by
-/// size or deadline. Exits (after draining) when every sender is gone.
-fn batcher_loop(
-    inner: &Arc<ServerInner>,
-    rx: &mpsc::Receiver<Admitted>,
-    disp_tx: &mpsc::Sender<Dispatch>,
-    batch_max: usize,
-    deadline: Duration,
-) {
-    let mut buckets: DeadlineBuckets<(mpsc::Sender<QueryResponse>, Instant)> =
-        DeadlineBuckets::new(batch_max, deadline);
-    loop {
-        let now = Instant::now();
-        // Sleep until the earliest bucket deadline (or indefinitely
-        // when empty — a new request wakes us).
-        let msg = match buckets.next_deadline() {
-            Some(due) => rx.recv_timeout(due.saturating_duration_since(now)),
-            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+/// A classic token bucket: `burst` capacity, refilled at `rate`
+/// tokens/second, one token per admitted request. Time is supplied by
+/// the caller. Token arithmetic is integer nanoseconds of "earned
+/// refill" rather than floats, so long-running buckets cannot drift.
+struct TokenBucket {
+    rate: u64,
+    burst: u64,
+    tokens: u64,
+    /// Nanoseconds of refill credit below one whole token.
+    frac_ns: u128,
+    last: Instant,
+}
+
+impl TokenBucket {
+    /// A full bucket: `burst` tokens available immediately.
+    fn new(rate: u64, burst: u64, now: Instant) -> Self {
+        let burst = burst.max(1);
+        TokenBucket {
+            rate,
+            burst,
+            tokens: burst,
+            frac_ns: 0,
+            last: now,
+        }
+    }
+
+    /// Takes one token if available after refilling up to `now`.
+    fn try_take(&mut self, now: Instant) -> bool {
+        let elapsed = now.saturating_duration_since(self.last).as_nanos() + self.frac_ns;
+        self.last = now;
+        let earned = elapsed * u128::from(self.rate) / 1_000_000_000;
+        // Keep the unconverted remainder so sub-token intervals add up.
+        self.frac_ns = if self.rate == 0 {
+            0
+        } else {
+            elapsed - earned * 1_000_000_000 / u128::from(self.rate)
         };
-        match msg {
-            Ok(adm) => {
-                let now = Instant::now();
-                if let Some(flush) = buckets.push(adm.req, (adm.tx, adm.t_admit), now, adm.deadline)
-                {
-                    dispatch(inner, disp_tx, flush, now);
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Shutdown: drain what's accumulated into the engine —
-                // the admitted requests still get real answers (their
-                // connection threads may still be waiting).
-                let now = Instant::now();
-                for flush in buckets.drain() {
-                    dispatch(inner, disp_tx, flush, now);
-                }
-                return;
-            }
+        self.tokens = self
+            .tokens
+            .saturating_add(u64::try_from(earned).unwrap_or(u64::MAX))
+            .min(self.burst);
+        if self.tokens == 0 {
+            return false;
         }
-        // Flush everything that came due while we slept or pushed.
-        let now = Instant::now();
-        while let Some(flush) = buckets.expired(now) {
-            dispatch(inner, disp_tx, flush, now);
-        }
+        self.tokens -= 1;
+        true
     }
 }
 
-/// Submits one flushed bucket to the engine and hands the pending
-/// handle to the responder pool. Records each member's accept-stage
-/// latency (admission → this enqueue) into the telemetry plane and
-/// the server's Retry-After histogram.
-fn dispatch(
-    inner: &Arc<ServerInner>,
-    disp_tx: &mpsc::Sender<Dispatch>,
-    flush: Flush<(mpsc::Sender<QueryResponse>, Instant)>,
-    now: Instant,
-) {
-    match flush.cause {
-        // ordering: Relaxed — independent statistics counters.
-        FlushCause::Size => inner.size_flushes.fetch_add(1, Ordering::Relaxed),
-        // ordering: Relaxed — as above. A drain flush counts as a
-        // deadline flush: the deadline was simply "now".
-        FlushCause::Deadline | FlushCause::Drain => {
-            inner.deadline_flushes.fetch_add(1, Ordering::Relaxed)
-        }
-    };
-    let mut reqs = Vec::with_capacity(flush.items.len());
-    let mut txs = Vec::with_capacity(flush.items.len());
-    for (req, (tx, t_admit)) in flush.items {
-        let us =
-            u64::try_from(now.saturating_duration_since(t_admit).as_micros()).unwrap_or(u64::MAX);
-        inner.engine.record_accept(&req, us);
-        inner.queue_wait.record(us);
-        reqs.push(req);
-        txs.push(tx);
-    }
-    let handle = inner.engine.submit_batch(&reqs);
-    if disp_tx.send(Dispatch { handle, txs }).is_err() {
-        // Responders are gone (shutdown tail): nobody will wait on the
-        // handle; dropping it leaves the engine to answer into the
-        // pooled cell, which is reclaimed on engine shutdown. The
-        // waiting connection threads resolve via their reply timeout.
-    }
+/// Tenant → token-bucket table. Bounded: past [`Self::MAX_TENANTS`]
+/// distinct tenant names, new tenants share one overflow bucket — an
+/// adversarial stream of unique names cannot grow the map without
+/// bound (and shares one quota, which is exactly what an abuser
+/// deserves).
+struct TenantQuotas {
+    rate: u64,
+    burst: u64,
+    buckets: HashMap<String, TokenBucket>,
+    overflow: Option<TokenBucket>,
 }
 
-/// Waits on dispatched batches and routes each response to its
-/// request's connection thread. A dead reply channel (client gone) is
-/// fine — the connection thread owns the shed-after-admit accounting.
-fn responder_loop(rx: &Arc<Mutex<mpsc::Receiver<Dispatch>>>) {
-    loop {
-        let msg = {
-            let guard = match rx.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.recv()
-        };
-        let Ok(dispatch) = msg else { return };
-        let responses = dispatch.handle.wait();
-        for (resp, tx) in responses.into_iter().zip(dispatch.txs) {
-            let _ = tx.send(resp);
+impl TenantQuotas {
+    /// Distinct tenants tracked individually before the overflow
+    /// bucket takes over.
+    const MAX_TENANTS: usize = 10_000;
+
+    /// `rate == 0` disables quotas: every [`Self::admit`] succeeds.
+    fn new(rate: u64, burst: u64) -> Self {
+        TenantQuotas {
+            rate,
+            burst: burst.max(1),
+            buckets: HashMap::new(),
+            overflow: None,
         }
+    }
+
+    /// Whether `tenant` may spend one quota token at `now`. Requests
+    /// without a tenant are exempt (quotas bound tenants, not the
+    /// total — the pending budget does that).
+    fn admit(&mut self, tenant: Option<&str>, now: Instant) -> bool {
+        if self.rate == 0 {
+            return true;
+        }
+        let Some(name) = tenant else { return true };
+        let (rate, burst) = (self.rate, self.burst);
+        let bucket = if self.buckets.len() >= Self::MAX_TENANTS && !self.buckets.contains_key(name)
+        {
+            self.overflow
+                .get_or_insert_with(|| TokenBucket::new(rate, burst, now))
+        } else {
+            self.buckets
+                .entry(name.to_string())
+                .or_insert_with(|| TokenBucket::new(rate, burst, now))
+        };
+        bucket.try_take(now)
     }
 }
 
@@ -1168,6 +1049,7 @@ mod tests {
         assert!(body.contains("\"min_weight\":13"), "{body}");
         assert!(body.contains("\"cached\":false"), "{body}");
         assert!(body.contains("\"epoch\":0"), "{body}");
+        assert!(body.contains("\"accept_us\":"), "{body}");
         assert!(body.contains("\"service_us\":"), "{body}");
         assert!(body.contains("\"total_us\":"), "{body}");
         // Same key again: the engine's cache answers.
@@ -1411,7 +1293,6 @@ mod tests {
             "/query?q=abc&alpha=1&beta=1",
             "/query?q=1&alpha=1",
             "/query?q=1&alpha=1&beta=1&algo=quantum",
-            "/query?q=1&alpha=1&beta=1&deadline_ms=soon",
         ] {
             let (status, _, body) = get(addr, target);
             assert_eq!(status, 400, "{target} → {body}");
@@ -1491,44 +1372,74 @@ mod tests {
     }
 
     #[test]
-    fn deadline_batcher_forms_multi_request_batches() {
-        // A generous deadline and concurrent clients: the batcher must
-        // merge compatible requests into engine batch jobs.
-        let config = ServiceConfig {
-            workers: 2,
-            batch_deadline_ms: 50,
-            batch_max: 64,
+    fn retry_after_tracks_admitted_latency() {
+        let handle = serve(ServiceConfig {
+            workers: 1,
             ..ServiceConfig::default()
-        };
-        let handle = serve(config);
-        let addr = handle.local_addr();
-        let g = figure2_example();
-        let n_upper = g.n_upper();
-        let clients: Vec<_> = (0..8u32)
-            .map(|c| {
-                std::thread::spawn(move || {
-                    let q = figure2_example().upper(c as usize % n_upper).0;
-                    let (status, _, _) = get(addr, &format!("/query?q={q}&alpha=1&beta=1"));
-                    assert_eq!(status, 200);
-                })
-            })
-            .collect();
-        for c in clients {
-            c.join().unwrap();
+        });
+        let inner = &handle.inner;
+        // Before any admitted request the hint sits at the floor.
+        assert!((37..=63).contains(&inner.retry_after_ms()));
+        // Admitted requests taking about 400 ms move it there, within
+        // the ±25% jitter.
+        for i in 0..100 {
+            inner.reply_latency.record(380_000 + 400 * i);
         }
-        let stats = handle.stats();
+        let hints: Vec<u64> = (0..64).map(|_| inner.retry_after_ms()).collect();
+        for &ms in &hints {
+            assert!(
+                (285..=525).contains(&ms),
+                "Retry-After {ms} ms for ~400 ms replies"
+            );
+        }
         assert!(
-            stats.batches > 0,
-            "batcher formed no engine batches: {stats:?}"
+            hints.iter().min() < hints.iter().max(),
+            "Retry-After is not jittered: {hints:?}"
         );
-        assert!(
-            stats.batched >= 2,
-            "no multi-request batch formed (batched = {})",
-            stats.batched
-        );
-        let fin = handle.stop();
-        assert_eq!(fin.admitted, 8);
-        assert_eq!(fin.served + fin.shed_after_admit, 8);
-        assert!(fin.deadline_flushes + fin.size_flushes > 0);
+        handle.stop();
+    }
+
+    #[test]
+    fn token_bucket_enforces_rate_and_burst() {
+        let t0 = Instant::now();
+        let mut tb = TokenBucket::new(10, 3, t0);
+        // The burst is immediately spendable, then the bucket is dry.
+        assert!(tb.try_take(t0));
+        assert!(tb.try_take(t0));
+        assert!(tb.try_take(t0));
+        assert!(!tb.try_take(t0));
+        // 100ms at 10 tokens/s earns exactly one token.
+        assert!(tb.try_take(t0 + Duration::from_millis(100)));
+        assert!(!tb.try_take(t0 + Duration::from_millis(100)));
+        // Sub-token intervals accumulate without float drift: 2 × 50ms
+        // = one token.
+        assert!(!tb.try_take(t0 + Duration::from_millis(150)));
+        assert!(tb.try_take(t0 + Duration::from_millis(200)));
+        // A long idle period refills to burst, not beyond.
+        let later = t0 + Duration::from_secs(60);
+        assert!(tb.try_take(later));
+        assert!(tb.try_take(later));
+        assert!(tb.try_take(later));
+        assert!(!tb.try_take(later));
+    }
+
+    #[test]
+    fn tenant_quotas_isolate_tenants_and_exempt_the_anonymous() {
+        let t0 = Instant::now();
+        let mut q = TenantQuotas::new(1, 2);
+        // Tenant A spends its burst; tenant B is unaffected.
+        assert!(q.admit(Some("a"), t0));
+        assert!(q.admit(Some("a"), t0));
+        assert!(!q.admit(Some("a"), t0));
+        assert!(q.admit(Some("b"), t0));
+        // Anonymous requests bypass tenant quotas entirely.
+        for _ in 0..10 {
+            assert!(q.admit(None, t0));
+        }
+        // rate == 0 disables quotas.
+        let mut off = TenantQuotas::new(0, 1);
+        for _ in 0..10 {
+            assert!(off.admit(Some("a"), t0));
+        }
     }
 }

@@ -55,7 +55,7 @@ impl LatencyHistogram {
     // ordering: Relaxed throughout — each counter is an independent
     // statistic; nothing synchronizes on histogram contents.
     pub fn record(&self, us: u64) {
-        self.buckets[Self::bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket_of(us)].fetch_add(1, Ordering::Relaxed); // contract-ok: `bucket_of` clamps to `BUCKETS - 1`
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
@@ -152,9 +152,9 @@ impl HistSnapshot {
         self.max_us
     }
 
-    /// Samples in bucket `i`.
+    /// Samples in bucket `i` (0 past the last bucket).
     pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
+        self.buckets.get(i).copied().unwrap_or(0)
     }
 
     /// Exclusive upper edge of bucket `i` in µs, `None` for the
@@ -213,8 +213,12 @@ impl HistSnapshot {
     /// Bucket-wise sum of two snapshots (aggregating per-algorithm
     /// histograms into one per-stage row).
     pub fn merge(&self, other: &HistSnapshot) -> HistSnapshot {
+        let mut buckets = self.buckets;
+        for (b, o) in buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
         HistSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i] + other.buckets[i]),
+            buckets,
             count: self.count + other.count,
             sum_us: self.sum_us + other.sum_us,
             max_us: self.max_us.max(other.max_us),
@@ -284,10 +288,10 @@ pub struct ShardStats {
 }
 
 /// Network-front-end admission counters (`scs serve`): how many
-/// requests the server admitted, shed or quota-rejected, and how its
-/// deadline batcher flushed. All zero for an in-process engine — the
-/// engine itself never sheds; [`crate::Server`] injects its live
-/// counters into the snapshots it exposes over `/metrics` and `/stats`.
+/// requests the server admitted, served, shed or quota-rejected. All
+/// zero for an in-process engine — the engine itself never sheds;
+/// [`crate::Server`] injects its live counters into the snapshots it
+/// exposes over `/metrics` and `/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     /// Requests admitted past the pending budget and tenant quotas.
@@ -300,16 +304,17 @@ pub struct AdmissionStats {
     pub shed: u64,
     /// Requests rejected with `429` by a per-tenant token bucket.
     pub quota_rejected: u64,
-    /// Admitted requests whose reply was never delivered — the server
-    /// shut down while they were pending, or their socket died before
-    /// the response could be written. At quiescence
+    /// Admitted requests whose reply was never delivered — the engine
+    /// did not answer within the reply timeout, the server shut down
+    /// while they were pending, or their socket died before the
+    /// response could be written. At quiescence
     /// `admitted == served + shed_after_admit`, where `served` is the
     /// count of replies actually written.
     pub shed_after_admit: u64,
-    /// Accumulation buckets flushed into `submit_batch` because their
-    /// deadline expired.
+    /// Always 0: the server forms no batches. Kept so code that reads
+    /// it still compiles.
     pub deadline_flushes: u64,
-    /// Accumulation buckets flushed because they reached `batch_max`.
+    /// Always 0, like [`Self::deadline_flushes`].
     pub size_flushes: u64,
 }
 
@@ -463,8 +468,6 @@ impl fmt::Display for ServiceStats {
             writeln!(f, "│ shed (429)          │ {:>12} │", a.shed)?;
             writeln!(f, "│ quota rejected      │ {:>12} │", a.quota_rejected)?;
             writeln!(f, "│ shed after admit    │ {:>12} │", a.shed_after_admit)?;
-            writeln!(f, "│ deadline flushes    │ {:>12} │", a.deadline_flushes)?;
-            writeln!(f, "│ size flushes        │ {:>12} │", a.size_flushes)?;
         }
         writeln!(f, "└─────────────────────┴──────────────┘")?;
         writeln!(
@@ -733,8 +736,7 @@ mod tests {
                 shed: 123,
                 quota_rejected: 45,
                 shed_after_admit: 2,
-                deadline_flushes: 67,
-                size_flushes: 89,
+                ..AdmissionStats::default()
             },
             per_shard: vec![
                 ShardStats {
@@ -790,7 +792,7 @@ mod tests {
         // The admission section renders when any counter is nonzero...
         assert!(txt.contains("shed (429)"));
         assert!(txt.contains("quota rejected"));
-        assert!(txt.contains("deadline flushes"));
+        assert!(txt.contains("shed after admit"));
         // ...and hides for the in-process (all-zero) case.
         let mut quiet = s.clone();
         quiet.admission = AdmissionStats::default();

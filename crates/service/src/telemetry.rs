@@ -80,8 +80,9 @@ pub enum Stage {
     Publish = 4,
     /// Handing the job's responses back to the submitter.
     Reply = 5,
-    /// Socket accept → engine enqueue: HTTP parse, admission control
-    /// and deadline-batch accumulation in [`crate::server`]. Only the
+    /// Admission → engine enqueue on the network front end: the tenant
+    /// quota and pending-budget checks in [`crate::server`], then the
+    /// hand-off to the engine on the connection thread. Only the
     /// network front end records it — the in-process path never touches
     /// this stage, so the zero-allocation warm-path proof is unchanged.
     Accept = 6,
@@ -440,7 +441,7 @@ impl Telemetry {
         out
     }
 
-    /// Records one network-front-end accept window (socket accept →
+    /// Records one network-front-end accept window (admission →
     /// engine enqueue) into the per-algorithm [`Stage::Accept`]
     /// histogram. The end-to-end total histogram is untouched — the
     /// engine records that when the request completes, and double
@@ -523,14 +524,18 @@ impl TelemetrySnapshot {
     /// summing per-shard planes would multiply-count each install by
     /// the shard count.
     pub fn merge(&self, other: &TelemetrySnapshot) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            stage: std::array::from_fn(|a| {
-                std::array::from_fn(|s| self.stage[a][s].merge(&other.stage[a][s]))
-            }),
-            total: std::array::from_fn(|a| self.total[a].merge(&other.total[a])),
-            installs: self.installs.max(other.installs),
-            stale_publishes: self.stale_publishes + other.stale_publishes,
+        let mut out = *self;
+        let pairs = out
+            .stage
+            .iter_mut()
+            .flatten()
+            .zip(other.stage.iter().flatten());
+        for (h, o) in pairs.chain(out.total.iter_mut().zip(&other.total)) {
+            *h = h.merge(o);
         }
+        out.installs = self.installs.max(other.installs);
+        out.stale_publishes += other.stale_publishes;
+        out
     }
 
     /// Per-stage summaries aggregated over every algorithm (the stats
@@ -936,18 +941,8 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
     );
     counter(
         "scs_admission_shed_after_admit_total",
-        "Admitted requests whose reply was never delivered (shutdown drain or dead socket).",
+        "Admitted requests whose reply was never delivered (reply timeout, shutdown or dead socket).",
         stats.admission.shed_after_admit,
-    );
-    counter(
-        "scs_admission_deadline_flushes_total",
-        "Accumulation buckets flushed into submit_batch by deadline expiry.",
-        stats.admission.deadline_flushes,
-    );
-    counter(
-        "scs_admission_size_flushes_total",
-        "Accumulation buckets flushed into submit_batch by reaching batch_max.",
-        stats.admission.size_flushes,
     );
     let mut gauge = |name: &str, help: &str, v: u64| {
         out.push_str(&format!(
@@ -1029,28 +1024,18 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         "# HELP scs_request_duration_us End-to-end request latency (enqueue to reply), microseconds.\n\
          # TYPE scs_request_duration_us histogram\n",
     );
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
+    for (algo, total) in Algorithm::ALL.iter().zip(&telem.total) {
         let labels = format!("algo=\"{}\"", algo.name());
-        render_histogram(
-            &mut out,
-            "scs_request_duration_us",
-            &labels,
-            &telem.total[a],
-        );
+        render_histogram(&mut out, "scs_request_duration_us", &labels, total);
     }
     out.push_str(
         "# HELP scs_stage_duration_us Per-stage request latency attribution, microseconds.\n\
          # TYPE scs_stage_duration_us histogram\n",
     );
-    for (a, algo) in Algorithm::ALL.iter().enumerate() {
-        for stage in Stage::ALL {
+    for (algo, stages) in Algorithm::ALL.iter().zip(&telem.stage) {
+        for (stage, h) in Stage::ALL.iter().zip(stages) {
             let labels = format!("algo=\"{}\",stage=\"{}\"", algo.name(), stage.name());
-            render_histogram(
-                &mut out,
-                "scs_stage_duration_us",
-                &labels,
-                &telem.stage[a][stage as usize],
-            );
+            render_histogram(&mut out, "scs_stage_duration_us", &labels, h);
         }
     }
     out
