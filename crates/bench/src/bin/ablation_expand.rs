@@ -10,8 +10,8 @@
 use datasets::random_core_queries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scs::query::{scs_expand_with_options, ExpandOptions};
-use scs::DeltaIndex;
+use scs::query::{scs_expand_into, ExpandOptions};
+use scs::{DeltaIndex, QueryWorkspace};
 use scs_bench::*;
 
 fn measure(
@@ -21,10 +21,13 @@ fn measure(
     a: usize,
     b: usize,
     opts: ExpandOptions,
+    ws: &mut QueryWorkspace,
 ) -> f64 {
+    let mut out = Vec::new();
     let (mean, _) = mean_std(&time_queries(queries, |q| {
         let c = id.query_community(g, q, a, b);
-        std::hint::black_box(scs_expand_with_options(g, &c, q, a, b, opts));
+        scs_expand_into(g, c.edges(), q, a, b, opts, ws, &mut out);
+        std::hint::black_box(&out);
     }));
     mean
 }
@@ -51,6 +54,8 @@ fn main() {
             continue;
         }
         println!("=== {name} (δ = {delta}, α = β = {a}) ===\n");
+        // One warm workspace per dataset, shared by every configuration.
+        let mut ws = QueryWorkspace::new();
 
         println!("(1) ε sweep — the paper derives ε = 2 as optimal:");
         let widths = [8, 12];
@@ -66,6 +71,7 @@ fn main() {
                     epsilon: eps,
                     ..Default::default()
                 },
+                &mut ws,
             );
             print_row(&[format!("{eps}"), fmt_secs(t)], &widths);
         }
@@ -91,6 +97,7 @@ fn main() {
                     use_lemma7: l7,
                     use_lemma8: l8,
                 },
+                &mut ws,
             );
             print_row(&[label.to_string(), fmt_secs(t)], &widths);
         }

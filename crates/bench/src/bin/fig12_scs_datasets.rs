@@ -8,7 +8,7 @@
 use datasets::random_core_queries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scs::query::{scs_baseline_in, scs_expand_in, scs_peel_in};
+use scs::query::{scs_baseline_into, scs_expand_into, scs_peel_into, ExpandOptions};
 use scs::{DeltaIndex, QueryWorkspace};
 use scs_bench::*;
 
@@ -33,16 +33,21 @@ fn main() {
         // One warm workspace per dataset, shared by all three
         // contenders — the serving layer's reuse discipline.
         let mut ws = QueryWorkspace::new();
+        let mut out = Vec::new();
         let (bl_m, bl_s) = mean_std(&time_queries(&queries, |q| {
-            std::hint::black_box(scs_baseline_in(&g, q, t, t, &mut ws));
+            scs_baseline_into(&g, q, t, t, &mut ws, &mut out);
+            std::hint::black_box(&out);
         }));
         let (pe_m, pe_s) = mean_std(&time_queries(&queries, |q| {
             let c = id.query_community(&g, q, t, t);
-            std::hint::black_box(scs_peel_in(&g, &c, q, t, t, &mut ws));
+            scs_peel_into(&g, c.edges(), q, t, t, &mut ws, &mut out);
+            std::hint::black_box(&out);
         }));
         let (ex_m, ex_s) = mean_std(&time_queries(&queries, |q| {
             let c = id.query_community(&g, q, t, t);
-            std::hint::black_box(scs_expand_in(&g, &c, q, t, t, &mut ws));
+            let opts = ExpandOptions::default();
+            scs_expand_into(&g, c.edges(), q, t, t, opts, &mut ws, &mut out);
+            std::hint::black_box(&out);
         }));
         let pm = |m: f64, s: f64| format!("{}±{}", fmt_secs(m), fmt_secs(s));
         print_row(

@@ -7,7 +7,7 @@
 use datasets::random_core_queries;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scs::query::{scs_baseline_in, scs_expand_in, scs_peel_in};
+use scs::query::{scs_baseline_into, scs_expand_into, scs_peel_into, ExpandOptions};
 use scs::{DeltaIndex, QueryWorkspace};
 use scs_bench::*;
 
@@ -33,16 +33,21 @@ fn sweep(
         }
         // Warm-workspace runs, as in the serving layer.
         let mut ws = QueryWorkspace::new();
+        let mut out = Vec::new();
         let (bl, _) = mean_std(&time_queries(&queries, |q| {
-            std::hint::black_box(scs_baseline_in(g, q, a, b, &mut ws));
+            scs_baseline_into(g, q, a, b, &mut ws, &mut out);
+            std::hint::black_box(&out);
         }));
         let (pe, _) = mean_std(&time_queries(&queries, |q| {
             let cm = id.query_community(g, q, a, b);
-            std::hint::black_box(scs_peel_in(g, &cm, q, a, b, &mut ws));
+            scs_peel_into(g, cm.edges(), q, a, b, &mut ws, &mut out);
+            std::hint::black_box(&out);
         }));
         let (ex, _) = mean_std(&time_queries(&queries, |q| {
             let cm = id.query_community(g, q, a, b);
-            std::hint::black_box(scs_expand_in(g, &cm, q, a, b, &mut ws));
+            let opts = ExpandOptions::default();
+            scs_expand_into(g, cm.edges(), q, a, b, opts, &mut ws, &mut out);
+            std::hint::black_box(&out);
         }));
         print_row(
             &[

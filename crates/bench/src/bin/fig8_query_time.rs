@@ -3,7 +3,7 @@
 //!
 //! `cargo run -p scs-bench --release --bin fig8_query_time`
 
-use bicore::abcore::abcore_community_in;
+use bicore::abcore::abcore_community_into;
 use bicore::bicore_index::BicoreIndex;
 use bigraph::workspace::Workspace;
 use datasets::random_core_queries;
@@ -34,14 +34,17 @@ fn main() {
         // Each contender reuses one warm workspace across its queries,
         // mirroring how the serving layer runs them.
         let mut ws = Workspace::new();
+        let mut out = Vec::new();
         let (qo_mean, _) = mean_std(&time_queries(&queries, |q| {
-            std::hint::black_box(abcore_community_in(&g, q, t, t, &mut ws));
+            abcore_community_into(&g, q, t, t, &mut ws, &mut out);
+            std::hint::black_box(&out);
         }));
         let (qv_mean, _) = mean_std(&time_queries(&queries, |q| {
             std::hint::black_box(iv.query_community(&g, q, t, t));
         }));
         let (qopt_mean, _) = mean_std(&time_queries(&queries, |q| {
-            std::hint::black_box(id.query_community_in(&g, q, t, t, &mut ws));
+            id.query_community_into(&g, q, t, t, &mut ws, &mut out);
+            std::hint::black_box(&out);
         }));
         print_row(
             &[

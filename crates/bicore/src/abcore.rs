@@ -4,7 +4,6 @@
 //! whole graph from scratch and then extracts the connected component of
 //! the query vertex — the index-free baseline of the paper's Fig. 8.
 
-use bigraph::arena::{ArenaEdges, ResultArena};
 use bigraph::workspace::Workspace;
 use bigraph::{BipartiteGraph, EdgeId, Subgraph, Vertex};
 use std::collections::VecDeque;
@@ -153,26 +152,17 @@ pub fn abcore_in(g: &BipartiteGraph, alpha: usize, beta: usize, ws: &mut Workspa
 /// by peeling from scratch and BFS. `O(m)` time per query.
 ///
 /// Returns the empty subgraph when `q` is not in the (α,β)-core.
+///
+/// Thin wrapper over [`abcore_community_into`] with a throwaway
+/// [`Workspace`].
 pub fn abcore_community<'g>(
     g: &'g BipartiteGraph,
     q: Vertex,
     alpha: usize,
     beta: usize,
 ) -> Subgraph<'g> {
-    let mut ws = Workspace::new();
-    abcore_community_in(g, q, alpha, beta, &mut ws)
-}
-
-/// [`abcore_community`] with reusable scratch; see [`abcore_community_into`].
-pub fn abcore_community_in<'g>(
-    g: &'g BipartiteGraph,
-    q: Vertex,
-    alpha: usize,
-    beta: usize,
-    ws: &mut Workspace,
-) -> Subgraph<'g> {
     let mut out = Vec::new();
-    abcore_community_into(g, q, alpha, beta, ws, &mut out);
+    abcore_community_into(g, q, alpha, beta, &mut Workspace::new(), &mut out);
     Subgraph::from_edges(g, out)
 }
 
@@ -221,30 +211,6 @@ pub fn abcore_community_into(
     }
     out.sort_unstable();
     out.dedup();
-}
-
-/// [`abcore_community_into`] writing the result into arena storage
-/// instead of a caller-owned `Vec`: the community's edge ids land in a
-/// slab of `arena` and the returned [`ArenaEdges`] handle pins them.
-/// With a warm workspace *and* a warm arena (a free slab available)
-/// this is fully allocation-free — the serving layer's step-1 analogue
-/// of `scs::CommunitySearch::significant_community_arena`. Clobbers the
-/// same workspace fields as [`abcore_community_into`] plus
-/// `ws.out_edges` (used as the staging buffer).
-// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
-pub fn abcore_community_arena(
-    g: &BipartiteGraph,
-    q: Vertex,
-    alpha: usize,
-    beta: usize,
-    ws: &mut Workspace,
-    arena: &mut ResultArena,
-) -> ArenaEdges {
-    let mut out = std::mem::take(&mut ws.out_edges);
-    abcore_community_into(g, q, alpha, beta, ws, &mut out);
-    let stored = arena.store(&out);
-    ws.out_edges = out;
-    stored
 }
 
 /// BFS extraction of `q`'s component within a precomputed core
@@ -411,27 +377,5 @@ mod tests {
             }
         }
         assert!(ws.allocations_avoided() > 0);
-    }
-
-    #[test]
-    fn arena_community_matches_vec_community() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let g = random_bipartite(25, 25, 140, &mut rng);
-        let mut ws = Workspace::new();
-        let mut arena = ResultArena::new();
-        let mut held = Vec::new();
-        for qi in 0..10 {
-            let q = g.upper(qi);
-            let direct = abcore_community(&g, q, 2, 2);
-            let stored = abcore_community_arena(&g, q, 2, 2, &mut ws, &mut arena);
-            assert_eq!(stored.as_slice(), direct.edges(), "q={q:?}");
-            assert!(stored.pinned());
-            held.push((stored, direct));
-        }
-        // All handles stay valid together — live results pin storage.
-        for (stored, direct) in &held {
-            assert_eq!(stored.as_slice(), direct.edges());
-        }
-        assert_eq!(arena.stats().stored, 10);
     }
 }

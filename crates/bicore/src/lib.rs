@@ -20,9 +20,7 @@ pub mod bicore_index;
 pub mod decompose;
 pub mod degeneracy;
 
-pub use abcore::{
-    abcore, abcore_community, abcore_community_in, abcore_community_into, abcore_in, CoreMembership,
-};
+pub use abcore::{abcore, abcore_community, abcore_community_into, abcore_in, CoreMembership};
 pub use bicore_index::BicoreIndex;
 pub use decompose::{
     alpha_offsets, alpha_offsets_into, beta_offsets, beta_offsets_into, OffsetTable,

@@ -369,8 +369,8 @@ impl WorkspaceStats {
 /// not an algorithm): `visited` marks BFS/DFS discovery, `dead` marks
 /// peeled-away vertices, `edges` is whichever edge membership the
 /// running kernel needs (alive set, inserted set, …), `degree` holds
-/// live degrees, `queue`/`stack` are traversal worklists of raw vertex
-/// ids, and `out_edges` receives result edge ids. Every algorithm that
+/// live degrees, and `queue`/`stack` are traversal worklists of raw
+/// vertex ids. Every algorithm that
 /// takes `&mut Workspace` documents which fields it clobbers; two
 /// algorithms can share one workspace sequentially, never concurrently.
 #[derive(Debug, Clone, Default)]
@@ -387,8 +387,6 @@ pub struct Workspace {
     pub queue: Vec<u32>,
     /// Secondary worklist (cascades).
     pub stack: Vec<u32>,
-    /// Result edge buffer.
-    pub out_edges: Vec<EdgeId>,
     stats: WorkspaceStats,
 }
 
@@ -408,8 +406,7 @@ impl Workspace {
         grows += self.degree.ensure(n, 0) as u64;
         grows += grow_vec(&mut self.queue, n) as u64;
         grows += grow_vec(&mut self.stack, n) as u64;
-        grows += grow_vec(&mut self.out_edges, m) as u64;
-        self.stats.acquisitions += 7;
+        self.stats.acquisitions += 6;
         self.stats.grows += grows;
     }
 
@@ -427,7 +424,6 @@ impl Workspace {
             + self.degree.heap_bytes()
             + self.queue.capacity() * std::mem::size_of::<u32>()
             + self.stack.capacity() * std::mem::size_of::<u32>()
-            + self.out_edges.capacity() * std::mem::size_of::<EdgeId>()
     }
 
     /// Reuse accounting since construction.
@@ -546,7 +542,7 @@ mod tests {
         let second = ws.stats();
         assert_eq!(second.grows, first.grows, "warm fit must not grow");
         assert_eq!(ws.heap_bytes(), bytes);
-        assert!(ws.allocations_avoided() >= 7);
+        assert!(ws.allocations_avoided() >= 6);
         // Buffers are addressable for the fitted graph.
         ws.visited.clear();
         assert!(ws.visited.insert(g.upper(1)));

@@ -6,7 +6,6 @@
 //! * `community <edgelist> <side:q> <alpha> <beta>` — the (α,β)-community;
 //! * `search <edgelist> <side:q> <alpha> <beta> [--algo ...]` — the
 //!   significant (α,β)-community;
-//! * `index <edgelist> <out.scsidx>` — build and save the `Iδ` index;
 //! * `serve <edgelist> [--addr HOST:PORT] ...` — serve queries over a
 //!   std-only HTTP/1.1 front end with admission control (see
 //!   `scs-service`'s `server` module); prints the bound
@@ -58,12 +57,6 @@ pub enum Command {
         alpha: usize,
         beta: usize,
         algo: Algorithm,
-    },
-    /// Build and persist the index.
-    Index {
-        path: String,
-        one_based: bool,
-        out: String,
     },
     /// Write the 11 synthetic dataset analogues as edge lists.
     Generate(GenerateArgs),
@@ -222,7 +215,6 @@ USAGE:
   scs community <edgelist> <u:IDX|l:IDX> <alpha> <beta> [--one-based]
   scs search <edgelist> <u:IDX|l:IDX> <alpha> <beta>
              [--algo auto|peel|expand|binary|baseline] [--one-based]
-  scs index <edgelist> <out.scsidx> [--one-based]
   scs generate <dir> [--scale S] [--seed N]
   scs serve <edgelist> [--addr HOST:PORT] [--threads N] [--shards S]
              [--pending-budget N] [--tenant-rate R] [--tenant-burst B]
@@ -618,14 +610,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 algo,
             })
         }
-        "index" => {
-            need(2)?;
-            Ok(Command::Index {
-                path: rest[0].into(),
-                one_based,
-                out: rest[1].into(),
-            })
-        }
         "generate" => {
             need(1)?;
             Ok(Command::Generate(GenerateArgs {
@@ -818,22 +802,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     analysis.diagnostics.len()
                 )))
             }
-        }
-        Command::Index {
-            path,
-            one_based,
-            out,
-        } => {
-            let g = load(&path, one_based)?;
-            let index = DeltaIndex::build(&g);
-            scs::index::save_index_file(&g, &index, &out)
-                .map_err(|e| CliError::new(format!("{out}: {e}")))?;
-            Ok(format!(
-                "indexed {} (δ = {}, {} entries) → {out}",
-                g.summary(),
-                index.delta(),
-                index.n_entries()
-            ))
         }
     }
 }
@@ -1443,7 +1411,6 @@ mod tests {
         assert!(err.to_string().contains("serve-bench"), "{err}");
         assert!(parse_args(&args(&["stats", "g", "--queries", "10"])).is_err());
         assert!(parse_args(&args(&["stats", "g", "--batch-size", "8"])).is_err());
-        assert!(parse_args(&args(&["index", "g", "o", "--repeat", "0.5"])).is_err());
         let err = parse_args(&args(&["serve-bench", "g", "--scale", "0.5"])).unwrap_err();
         assert!(err.to_string().contains("generate"), "{err}");
         assert!(parse_args(&args(&[
@@ -2016,16 +1983,6 @@ mod tests {
         // The two weight-1 edges force l2 out: 4 edges, f = 3.
         assert!(out.contains("4 edges"), "{out}");
         assert!(out.contains("f = 3"), "{out}");
-
-        let idx_path = dir.join("toy.scsidx");
-        let out = run(Command::Index {
-            path: p.clone(),
-            one_based: false,
-            out: idx_path.to_str().unwrap().into(),
-        })
-        .unwrap();
-        assert!(out.contains("δ = 2"), "{out}");
-        assert!(idx_path.exists());
 
         let err = run(Command::Search {
             path: p,

@@ -8,7 +8,7 @@
 //! which explodes on datasets with very large hubs (the paper could not
 //! even build it on DUI/EN within its time limit).
 
-use super::level::{query_level, query_level_into, Entry, Level, QueryStats};
+use super::level::{query_level_into, Entry, Level, QueryStats};
 use bicore::decompose::{alpha_offsets, beta_offsets};
 use bigraph::workspace::Workspace;
 use bigraph::{BipartiteGraph, EdgeId, Side, Subgraph, Vertex};
@@ -148,17 +148,9 @@ impl BasicIndex {
         alpha: usize,
         beta: usize,
     ) -> (Subgraph<'g>, QueryStats) {
-        assert!(alpha >= 1 && beta >= 1, "degree constraints must be >= 1");
-        let (k, threshold) = match self.side {
-            Side::Upper => (alpha, beta as u32),
-            Side::Lower => (beta, alpha as u32),
-        };
-        let mut stats = QueryStats::default();
-        if k == 0 || k > self.levels.len() {
-            return (Subgraph::empty(g), stats);
-        }
-        let sub = query_level(g, &self.levels[k - 1], q, threshold, &mut stats);
-        (sub, stats)
+        let mut out = Vec::new();
+        let stats = self.query_community_into(g, q, alpha, beta, &mut Workspace::new(), &mut out);
+        (Subgraph::from_edges(g, out), stats)
     }
 
     /// Allocation-free retrieval on reusable scratch; `out` is cleared

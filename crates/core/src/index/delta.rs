@@ -143,20 +143,6 @@ impl DeltaIndex {
         (Subgraph::from_edges(g, out), stats)
     }
 
-    /// [`Self::query_community`] with caller-provided reusable scratch.
-    pub fn query_community_in<'g>(
-        &self,
-        g: &'g BipartiteGraph,
-        q: Vertex,
-        alpha: usize,
-        beta: usize,
-        ws: &mut Workspace,
-    ) -> Subgraph<'g> {
-        let mut out = Vec::new();
-        self.query_community_into(g, q, alpha, beta, ws, &mut out);
-        Subgraph::from_edges(g, out)
-    }
-
     /// Allocation-free retrieval: `out` is cleared and receives the
     /// sorted edge ids of `C_{α,β}(q)`; all scratch comes from `ws`.
     // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.

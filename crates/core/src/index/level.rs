@@ -9,7 +9,7 @@
 //! what makes retrieval time linear in the result size.
 
 use bigraph::workspace::Workspace;
-use bigraph::{BipartiteGraph, EdgeId, Subgraph, Vertex};
+use bigraph::{BipartiteGraph, EdgeId, Vertex};
 
 /// One annotated adjacency entry of an index level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,76 +111,6 @@ impl Level {
     }
 }
 
-impl Level {
-    /// Serializes the level as little-endian u32 words (see
-    /// [`crate::index::persist`] for the container format).
-    pub fn write_to<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        let w32 = |out: &mut W, x: u32| out.write_all(&x.to_le_bytes());
-        w32(out, self.slot_of.len() as u32)?;
-        w32(out, self.verts.len() as u32)?;
-        w32(out, self.entries.len() as u32)?;
-        for (v, &own) in self.verts.iter().zip(&self.own_offset) {
-            w32(out, v.0)?;
-            w32(out, own)?;
-        }
-        for &s in &self.starts {
-            w32(out, s)?;
-        }
-        for e in &self.entries {
-            w32(out, e.nbr.0)?;
-            w32(out, e.edge.0)?;
-            w32(out, e.offset)?;
-        }
-        Ok(())
-    }
-
-    /// Inverse of [`Self::write_to`].
-    pub fn read_from<R: std::io::Read>(inp: &mut R) -> std::io::Result<Level> {
-        fn r32<R: std::io::Read>(inp: &mut R) -> std::io::Result<u32> {
-            let mut b = [0u8; 4];
-            inp.read_exact(&mut b)?;
-            Ok(u32::from_le_bytes(b))
-        }
-        let n = r32(inp)? as usize;
-        let n_verts = r32(inp)? as usize;
-        let n_entries = r32(inp)? as usize;
-        let mut level = Level::new(n);
-        let mut verts = Vec::with_capacity(n_verts);
-        let mut own = Vec::with_capacity(n_verts);
-        for _ in 0..n_verts {
-            verts.push(Vertex(r32(inp)?));
-            own.push(r32(inp)?);
-        }
-        let n_starts = if n_verts == 0 { 0 } else { n_verts + 1 };
-        let mut starts = Vec::with_capacity(n_starts);
-        for _ in 0..n_starts {
-            starts.push(r32(inp)?);
-        }
-        let mut entries = Vec::with_capacity(n_entries);
-        for _ in 0..n_entries {
-            entries.push(Entry {
-                nbr: Vertex(r32(inp)?),
-                edge: EdgeId(r32(inp)?),
-                offset: r32(inp)?,
-            });
-        }
-        for (i, (&v, &o)) in verts.iter().zip(&own).enumerate() {
-            let range = starts[i] as usize..starts[i + 1] as usize;
-            let slice = entries.get(range).ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "corrupt level CSR")
-            })?;
-            if v.index() >= n {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "vertex id out of range",
-                ));
-            }
-            level.push_vertex(v, o, slice);
-        }
-        Ok(level)
-    }
-}
-
 /// Touch statistics for the optimality assertions and Fig. 8 analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
@@ -199,30 +129,11 @@ pub struct QueryStats {
 /// threshold α, …). Entries are scanned in offset-descending order and
 /// the scan stops at the first entry below the threshold, so only result
 /// edges (plus one probe per vertex) are touched.
-pub(crate) fn query_level<'g>(
-    g: &'g BipartiteGraph,
-    level: &Level,
-    q: Vertex,
-    threshold: u32,
-    stats: &mut QueryStats,
-) -> Subgraph<'g> {
-    let mut out = Vec::new();
-    query_level_into(
-        g,
-        level,
-        q,
-        threshold,
-        &mut Workspace::new(),
-        &mut out,
-        stats,
-    );
-    Subgraph::from_edges(g, out)
-}
-
-/// [`query_level`] on reusable scratch: the epoch-stamped visited set
-/// replaces the per-query `vec![false; n]` bitmap (whose O(n) memset
-/// dominated small queries), and `out` receives the sorted community
-/// edges (cleared first). Clobbers `ws.visited` and `ws.queue`.
+///
+/// Runs on reusable scratch: the epoch-stamped visited set replaces a
+/// per-query `vec![false; n]` bitmap (whose O(n) memset dominated small
+/// queries), and `out` receives the sorted community edges (cleared
+/// first). Clobbers `ws.visited` and `ws.queue`.
 pub(crate) fn query_level_into(
     g: &BipartiteGraph,
     level: &Level,
@@ -272,7 +183,28 @@ pub(crate) fn query_level_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigraph::GraphBuilder;
+    use bigraph::{GraphBuilder, Subgraph};
+
+    /// [`query_level_into`] on fresh scratch, as a subgraph.
+    fn retrieve<'g>(
+        g: &'g BipartiteGraph,
+        level: &Level,
+        q: Vertex,
+        threshold: u32,
+        stats: &mut QueryStats,
+    ) -> Subgraph<'g> {
+        let mut out = Vec::new();
+        query_level_into(
+            g,
+            level,
+            q,
+            threshold,
+            &mut Workspace::new(),
+            &mut out,
+            stats,
+        );
+        Subgraph::from_edges(g, out)
+    }
 
     #[test]
     fn push_and_lookup() {
@@ -364,18 +296,18 @@ mod tests {
             ],
         );
         let mut stats = QueryStats::default();
-        let r = query_level(&g, &level, g.upper(0), 2, &mut stats);
+        let r = retrieve(&g, &level, g.upper(0), 2, &mut stats);
         assert_eq!(r.size(), 1);
         assert!(r.contains_vertex(g.lower(0)));
         assert!(!r.contains_vertex(g.upper(1)));
         // Low-offset query vertex short-circuits.
-        let r = query_level(&g, &level, g.upper(1), 2, &mut Default::default());
+        let r = retrieve(&g, &level, g.upper(1), 2, &mut Default::default());
         assert!(r.is_empty());
         // Unknown vertex short-circuits.
-        let r = query_level(&g, &level, g.lower(1), 1, &mut Default::default());
+        let r = retrieve(&g, &level, g.lower(1), 1, &mut Default::default());
         assert!(r.is_empty());
         // Threshold 1 returns everything.
-        let r = query_level(&g, &level, g.upper(0), 1, &mut Default::default());
+        let r = retrieve(&g, &level, g.upper(0), 1, &mut Default::default());
         assert_eq!(r.size(), 2);
     }
 }

@@ -6,10 +6,8 @@ pub(crate) mod level;
 pub mod basic;
 pub mod delta;
 pub mod maintenance;
-pub mod persist;
 
 pub use basic::{BasicIndex, BudgetExceeded};
 pub use delta::DeltaIndex;
 pub use level::QueryStats;
 pub use maintenance::DynamicIndex;
-pub use persist::{load_index, load_index_file, save_index, save_index_file};

@@ -83,10 +83,9 @@ use std::sync::Arc;
 
 /// How to answer a significant-community query.
 ///
-/// `Hash` so the variant can key result caches (see the `scs-service`
-/// crate); for a fixed [`CommunitySearch`] every variant is a pure
-/// function of the query, so caching per variant is sound. All five
-/// return the same edge list.
+/// All five variants return the same edge list, so the answer depends
+/// only on `(q, α, β)` and the index: the variant picks the kernel that
+/// computes it, never which answer comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
     /// The serving path: answer from the (α,β) threshold profile — one
@@ -206,7 +205,8 @@ impl CommunitySearch {
         self.index.query_community(&self.graph, q, alpha, beta)
     }
 
-    /// [`Self::community`] with caller-provided reusable scratch.
+    /// [`Self::community`] with caller-provided reusable scratch: after
+    /// warm-up the only allocation left is the returned subgraph.
     pub fn community_in(
         &self,
         q: Vertex,
@@ -214,13 +214,15 @@ impl CommunitySearch {
         beta: usize,
         ws: &mut QueryWorkspace,
     ) -> Subgraph<'_> {
+        let mut out = Vec::new();
         self.index
-            .query_community_in(&self.graph, q, alpha, beta, ws.base_mut())
+            .query_community_into(&self.graph, q, alpha, beta, ws.base_mut(), &mut out);
+        Subgraph::from_edges(&self.graph, out)
     }
 
     /// Steps 1+2: the significant (α,β)-community of `q`.
     ///
-    /// Thin wrapper over [`Self::significant_community_in`] with a
+    /// Thin wrapper over [`Self::significant_community_into`] with a
     /// throwaway workspace; callers issuing many queries (the serving
     /// layer, benchmark loops) should hold a [`QueryWorkspace`] instead.
     pub fn significant_community(
@@ -230,21 +232,8 @@ impl CommunitySearch {
         beta: usize,
         algorithm: Algorithm,
     ) -> Subgraph<'_> {
-        self.significant_community_in(q, alpha, beta, algorithm, &mut QueryWorkspace::new())
-    }
-
-    /// [`Self::significant_community`] with caller-provided reusable
-    /// scratch: after warm-up the only allocation left is the returned
-    /// result subgraph.
-    pub fn significant_community_in(
-        &self,
-        q: Vertex,
-        alpha: usize,
-        beta: usize,
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-    ) -> Subgraph<'_> {
         let mut out = Vec::new();
+        let ws = &mut QueryWorkspace::new();
         self.significant_community_into(q, alpha, beta, algorithm, ws, &mut out);
         Subgraph::from_edges(&self.graph, out)
     }

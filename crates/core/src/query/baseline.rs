@@ -14,26 +14,15 @@ use bigraph::{BipartiteGraph, EdgeId, Subgraph, Vertex};
 /// in `G`. Correct but slow — the search space is the whole component,
 /// not the (α,β)-community.
 ///
-/// Thin wrapper over [`scs_baseline_in`] with a throwaway workspace.
+/// Thin wrapper over [`scs_baseline_into`] with a throwaway workspace.
 pub fn scs_baseline<'g>(
     g: &'g BipartiteGraph,
     q: Vertex,
     alpha: usize,
     beta: usize,
 ) -> Subgraph<'g> {
-    scs_baseline_in(g, q, alpha, beta, &mut QueryWorkspace::new())
-}
-
-/// [`scs_baseline`] with caller-provided reusable scratch.
-pub fn scs_baseline_in<'g>(
-    g: &'g BipartiteGraph,
-    q: Vertex,
-    alpha: usize,
-    beta: usize,
-    ws: &mut QueryWorkspace,
-) -> Subgraph<'g> {
     let mut out = Vec::new();
-    scs_baseline_into(g, q, alpha, beta, ws, &mut out);
+    scs_baseline_into(g, q, alpha, beta, &mut QueryWorkspace::new(), &mut out);
     Subgraph::from_edges(g, out)
 }
 
@@ -129,6 +118,7 @@ mod tests {
     fn random_graphs_match_peel() {
         let mut rng = StdRng::seed_from_u64(500);
         let mut ws = QueryWorkspace::new();
+        let mut out = Vec::new();
         for trial in 0..3 {
             let g0 = random_bipartite(16, 16, 110 + 10 * trial, &mut rng);
             let g = WeightModel::Uniform { lo: 1.0, hi: 9.0 }.apply(&g0, &mut rng);
@@ -146,8 +136,8 @@ mod tests {
                         let rp = scs_peel(&g, &c, q, a, b);
                         assert!(rb.same_edges(&rp), "α={a} β={b} q={q:?}");
                         // Workspace-reusing form agrees.
-                        let rw = scs_baseline_in(&g, q, a, b, &mut ws);
-                        assert!(rw.same_edges(&rb), "α={a} β={b} q={q:?}");
+                        scs_baseline_into(&g, q, a, b, &mut ws, &mut out);
+                        assert_eq!(out, rb.edges(), "α={a} β={b} q={q:?}");
                     }
                 }
             }

@@ -18,7 +18,7 @@ use bigraph::{BipartiteGraph, EdgeId, Subgraph, Vertex, Weight};
 /// on the weight threshold. `O(log W · size(C))` time where `W` is the
 /// number of distinct weights in the community.
 ///
-/// Thin wrapper over [`scs_binary_in`] with a throwaway workspace.
+/// Thin wrapper over [`scs_binary_into`] with a throwaway workspace.
 pub fn scs_binary<'g>(
     g: &'g BipartiteGraph,
     community: &Subgraph<'g>,
@@ -26,19 +26,8 @@ pub fn scs_binary<'g>(
     alpha: usize,
     beta: usize,
 ) -> Subgraph<'g> {
-    scs_binary_in(g, community, q, alpha, beta, &mut QueryWorkspace::new())
-}
-
-/// [`scs_binary`] with caller-provided reusable scratch.
-pub fn scs_binary_in<'g>(
-    g: &'g BipartiteGraph,
-    community: &Subgraph<'g>,
-    q: Vertex,
-    alpha: usize,
-    beta: usize,
-    ws: &mut QueryWorkspace,
-) -> Subgraph<'g> {
     let mut out = Vec::new();
+    let ws = &mut QueryWorkspace::new();
     scs_binary_into(g, community.edges(), q, alpha, beta, ws, &mut out);
     Subgraph::from_edges(g, out)
 }
@@ -165,6 +154,7 @@ mod tests {
     fn random_graphs_match_peel() {
         let mut rng = StdRng::seed_from_u64(400);
         let mut ws = QueryWorkspace::new();
+        let mut out = Vec::new();
         for trial in 0..4 {
             let g0 = random_bipartite(18, 18, 120 + trial * 12, &mut rng);
             let g = WeightModel::Ratings { levels: 5 }.apply(&g0, &mut rng);
@@ -181,8 +171,8 @@ mod tests {
                         let rb = scs_binary(&g, &c, q, a, b);
                         assert!(rb.same_edges(&rp), "α={a} β={b} q={q:?}");
                         // The reused-workspace form gives the same answer.
-                        let rw = scs_binary_in(&g, &c, q, a, b, &mut ws);
-                        assert!(rw.same_edges(&rb), "α={a} β={b} q={q:?}");
+                        scs_binary_into(&g, c.edges(), q, a, b, &mut ws, &mut out);
+                        assert_eq!(out, rb.edges(), "α={a} β={b} q={q:?}");
                     }
                 }
             }

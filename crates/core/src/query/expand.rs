@@ -50,7 +50,14 @@ impl PartialOrd for HeapEdge {
     }
 }
 
-/// `SCS-Expand` with the default ε = 2.
+/// `SCS-Expand` with the default [`ExpandOptions`] (ε = 2, both
+/// pruning lemmas).
+///
+/// `community` must be `C_{α,β}(q)`; the paper's baseline variant that
+/// expands over the whole graph component instead lives in
+/// [`crate::query::baseline::scs_baseline`].
+///
+/// Thin wrapper over [`scs_expand_into`] with a throwaway workspace.
 pub fn scs_expand<'g>(
     g: &'g BipartiteGraph,
     community: &Subgraph<'g>,
@@ -58,24 +65,15 @@ pub fn scs_expand<'g>(
     alpha: usize,
     beta: usize,
 ) -> Subgraph<'g> {
-    scs_expand_with_epsilon(g, community, q, alpha, beta, DEFAULT_EPSILON)
+    let mut out = Vec::new();
+    let (opts, ws) = (ExpandOptions::default(), &mut QueryWorkspace::new());
+    scs_expand_into(g, community.edges(), q, alpha, beta, opts, ws, &mut out);
+    Subgraph::from_edges(g, out)
 }
 
-/// [`scs_expand`] with caller-provided reusable scratch.
-pub fn scs_expand_in<'g>(
-    g: &'g BipartiteGraph,
-    community: &Subgraph<'g>,
-    q: Vertex,
-    alpha: usize,
-    beta: usize,
-    ws: &mut QueryWorkspace,
-) -> Subgraph<'g> {
-    scs_expand_with_options_in(g, community, q, alpha, beta, ExpandOptions::default(), ws)
-}
-
-/// Tuning knobs for [`scs_expand_with_options`], used by the ablation
-/// study (`ablation_expand` in the bench crate) to quantify what each
-/// of the paper's design choices buys.
+/// Tuning knobs for [`scs_expand_into`], used by the ablation study
+/// (`ablation_expand` in the bench crate) to quantify what each of the
+/// paper's design choices buys.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpandOptions {
     /// Geometric validation factor (> 1); the paper derives ε = 2.
@@ -96,74 +94,14 @@ impl Default for ExpandOptions {
     }
 }
 
-/// `SCS-Expand` with an explicit expansion parameter `epsilon > 1`.
-///
-/// `community` must be `C_{α,β}(q)`; the paper's baseline variant that
-/// expands over the whole graph component instead lives in
-/// [`crate::query::baseline::scs_baseline`].
-pub fn scs_expand_with_epsilon<'g>(
-    g: &'g BipartiteGraph,
-    community: &Subgraph<'g>,
-    q: Vertex,
-    alpha: usize,
-    beta: usize,
-    epsilon: f64,
-) -> Subgraph<'g> {
-    scs_expand_with_options(
-        g,
-        community,
-        q,
-        alpha,
-        beta,
-        ExpandOptions {
-            epsilon,
-            ..Default::default()
-        },
-    )
-}
-
-/// `SCS-Expand` with full control over the pruning heuristics. Thin
-/// wrapper over [`scs_expand_with_options_in`] with a throwaway
-/// workspace.
-pub fn scs_expand_with_options<'g>(
-    g: &'g BipartiteGraph,
-    community: &Subgraph<'g>,
-    q: Vertex,
-    alpha: usize,
-    beta: usize,
-    opts: ExpandOptions,
-) -> Subgraph<'g> {
-    scs_expand_with_options_in(
-        g,
-        community,
-        q,
-        alpha,
-        beta,
-        opts,
-        &mut QueryWorkspace::new(),
-    )
-}
-
-/// [`scs_expand_with_options`] with caller-provided reusable scratch.
-pub fn scs_expand_with_options_in<'g>(
-    g: &'g BipartiteGraph,
-    community: &Subgraph<'g>,
-    q: Vertex,
-    alpha: usize,
-    beta: usize,
-    opts: ExpandOptions,
-    ws: &mut QueryWorkspace,
-) -> Subgraph<'g> {
-    let mut out = Vec::new();
-    scs_expand_into(g, community.edges(), q, alpha, beta, opts, ws, &mut out);
-    Subgraph::from_edges(g, out)
-}
-
 /// Allocation-free `SCS-Expand` over a community given as a sorted
-/// edge-id slice; `out` is cleared first and receives the sorted result
-/// edges.
-#[allow(clippy::too_many_arguments)] // mirrors the wrapper's signature plus scratch
-                                     // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+/// edge-id slice, with full control over the pruning heuristics; `out`
+/// is cleared first and receives the sorted result edges.
+///
+/// # Panics
+/// Panics unless `opts.epsilon > 1`.
+// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+#[allow(clippy::too_many_arguments)] // the wrapper's arguments plus options and scratch
 pub fn scs_expand_into(
     g: &BipartiteGraph,
     community: &[EdgeId],
@@ -390,6 +328,7 @@ mod tests {
         let g = WeightModel::Uniform { lo: 0.0, hi: 4.0 }.apply(&g0, &mut rng);
         let idx = DeltaIndex::build(&g);
         let mut ws = QueryWorkspace::new();
+        let mut out = Vec::new();
         for a in 1..=3 {
             for b in 1..=3 {
                 for qi in 0..5 {
@@ -399,8 +338,9 @@ mod tests {
                         continue;
                     }
                     let fresh = scs_expand(&g, &c, q, a, b);
-                    let reused = scs_expand_in(&g, &c, q, a, b, &mut ws);
-                    assert!(reused.same_edges(&fresh), "α={a} β={b} q={q:?}");
+                    let opts = ExpandOptions::default();
+                    scs_expand_into(&g, c.edges(), q, a, b, opts, &mut ws, &mut out);
+                    assert_eq!(out, fresh.edges(), "α={a} β={b} q={q:?}");
                 }
             }
         }
@@ -417,10 +357,15 @@ mod tests {
         if c.is_empty() {
             return;
         }
-        let base = scs_expand_with_epsilon(&g, &c, q, 2, 2, 2.0);
-        for eps in [1.2, 1.5, 3.0, 10.0] {
-            let r = scs_expand_with_epsilon(&g, &c, q, 2, 2, eps);
-            assert!(r.same_edges(&base), "ε={eps}");
+        let base = scs_expand(&g, &c, q, 2, 2);
+        let (mut ws, mut out) = (QueryWorkspace::new(), Vec::new());
+        for epsilon in [1.2, 1.5, 3.0, 10.0] {
+            let opts = ExpandOptions {
+                epsilon,
+                ..Default::default()
+            };
+            scs_expand_into(&g, c.edges(), q, 2, 2, opts, &mut ws, &mut out);
+            assert_eq!(out, base.edges(), "ε={epsilon}");
         }
     }
 
@@ -428,8 +373,12 @@ mod tests {
     #[should_panic(expected = "must exceed 1")]
     fn epsilon_must_exceed_one() {
         let g = figure2_example();
-        let c = Subgraph::empty(&g);
-        scs_expand_with_epsilon(&g, &c, g.upper(0), 2, 2, 1.0);
+        let opts = ExpandOptions {
+            epsilon: 1.0,
+            ..Default::default()
+        };
+        let ws = &mut QueryWorkspace::new();
+        scs_expand_into(&g, &[], g.upper(0), 2, 2, opts, ws, &mut Vec::new());
     }
 
     #[test]

@@ -7,10 +7,7 @@ pub mod oracle;
 pub mod peel;
 pub(crate) mod profile;
 
-pub use baseline::{scs_baseline, scs_baseline_in, scs_baseline_into};
-pub use binary::{scs_binary, scs_binary_in, scs_binary_into};
-pub use expand::{
-    scs_expand, scs_expand_in, scs_expand_into, scs_expand_with_epsilon, scs_expand_with_options,
-    scs_expand_with_options_in, ExpandOptions, DEFAULT_EPSILON,
-};
-pub use peel::{scs_peel, scs_peel_in, scs_peel_into};
+pub use baseline::{scs_baseline, scs_baseline_into};
+pub use binary::{scs_binary, scs_binary_into};
+pub use expand::{scs_expand, scs_expand_into, ExpandOptions, DEFAULT_EPSILON};
+pub use peel::{scs_peel, scs_peel_into};

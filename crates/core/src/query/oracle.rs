@@ -155,24 +155,24 @@ mod tests {
         // The oracle is the definitional ground truth; the reused-
         // workspace entry points must satisfy every clause of
         // Definition 5 just like the fresh-allocation paths do.
-        use crate::query::{scs_binary_in, scs_expand_in, scs_peel_in};
         use crate::workspace::QueryWorkspace;
-        let g = figure2_example();
+        use crate::{Algorithm, CommunitySearch};
+        let search = CommunitySearch::new(figure2_example());
+        let g = search.graph();
         let mut ws = QueryWorkspace::new();
+        let mut out = Vec::new();
         for (a, b) in [(2, 2), (3, 3), (2, 3)] {
             for qi in 0..4 {
                 let q = g.upper(qi);
-                let c = abcore_community(&g, q, a, b);
+                let c = abcore_community(g, q, a, b);
                 if c.is_empty() {
                     continue;
                 }
-                for (name, r) in [
-                    ("peel", scs_peel_in(&g, &c, q, a, b, &mut ws)),
-                    ("expand", scs_expand_in(&g, &c, q, a, b, &mut ws)),
-                    ("binary", scs_binary_in(&g, &c, q, a, b, &mut ws)),
-                ] {
-                    verify_significant(&g, &c, q, a, b, &r)
-                        .unwrap_or_else(|e| panic!("{name} α={a} β={b} q={q:?}: {e}"));
+                for algo in [Algorithm::Peel, Algorithm::Expand, Algorithm::Binary] {
+                    search.significant_community_into(q, a, b, algo, &mut ws, &mut out);
+                    let r = Subgraph::from_edges(g, out.clone());
+                    verify_significant(g, &c, q, a, b, &r)
+                        .unwrap_or_else(|e| panic!("{algo} α={a} β={b} q={q:?}: {e}"));
                 }
             }
         }

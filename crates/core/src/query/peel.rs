@@ -197,20 +197,6 @@ pub fn scs_peel_into(
     lg.emit_globals(&s.out, out);
 }
 
-/// [`scs_peel`] with caller-provided reusable scratch.
-pub fn scs_peel_in<'g>(
-    g: &'g BipartiteGraph,
-    community: &Subgraph<'g>,
-    q: Vertex,
-    alpha: usize,
-    beta: usize,
-    ws: &mut QueryWorkspace,
-) -> Subgraph<'g> {
-    let mut out = Vec::new();
-    scs_peel_into(g, community.edges(), q, alpha, beta, ws, &mut out);
-    Subgraph::from_edges(g, out)
-}
-
 /// `SCS-Peel`: extracts the significant (α,β)-community of `q` from its
 /// (α,β)-community.
 ///
@@ -218,7 +204,7 @@ pub fn scs_peel_in<'g>(
 /// [`crate::index::DeltaIndex::query_community`]); passing the empty
 /// subgraph yields the empty result.
 ///
-/// Thin wrapper over [`scs_peel_in`] with a throwaway workspace.
+/// Thin wrapper over [`scs_peel_into`] with a throwaway workspace.
 /// Complexity: `O(sort(C) + size(C))` time, `O(size(C))` space.
 pub fn scs_peel<'g>(
     g: &'g BipartiteGraph,
@@ -227,7 +213,10 @@ pub fn scs_peel<'g>(
     alpha: usize,
     beta: usize,
 ) -> Subgraph<'g> {
-    scs_peel_in(g, community, q, alpha, beta, &mut QueryWorkspace::new())
+    let mut out = Vec::new();
+    let ws = &mut QueryWorkspace::new();
+    scs_peel_into(g, community.edges(), q, alpha, beta, ws, &mut out);
+    Subgraph::from_edges(g, out)
 }
 
 #[cfg(test)]
@@ -319,8 +308,6 @@ mod tests {
                     continue;
                 }
                 let fresh = scs_peel(&g, &c, q, a, b);
-                let reused = scs_peel_in(&g, &c, q, a, b, &mut ws);
-                assert!(reused.same_edges(&fresh), "α={a} β={b} q={q:?}");
                 scs_peel_into(&g, c.edges(), q, a, b, &mut ws, &mut out);
                 assert_eq!(out, fresh.edges(), "α={a} β={b} q={q:?}");
             }

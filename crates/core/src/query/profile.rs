@@ -268,10 +268,11 @@ mod tests {
     /// `Auto` equals `Peel` for every vertex of `search`'s graph at (α,β).
     fn assert_auto_matches_peel(search: &CommunitySearch, alpha: usize, beta: usize) {
         let mut ws = QueryWorkspace::new();
+        let mut auto = Vec::new();
         for q in search.graph().vertices() {
-            let auto = search.significant_community_in(q, alpha, beta, Algorithm::Auto, &mut ws);
+            search.significant_community_into(q, alpha, beta, Algorithm::Auto, &mut ws, &mut auto);
             let peel = search.significant_community(q, alpha, beta, Algorithm::Peel);
-            assert_eq!(auto.edges(), peel.edges(), "q={q:?} α={alpha} β={beta}");
+            assert_eq!(auto, peel.edges(), "q={q:?} α={alpha} β={beta}");
         }
     }
 

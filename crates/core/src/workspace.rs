@@ -23,9 +23,10 @@
 //! let search = CommunitySearch::new(figure2_example());
 //! let mut ws = QueryWorkspace::new();
 //! let q = search.graph().upper(2);
-//! // Same answers as `significant_community`, no per-query scratch.
-//! let r = search.significant_community_in(q, 2, 2, Algorithm::Auto, &mut ws);
-//! assert_eq!(r.min_weight(), Some(13.0));
+//! let mut out = Vec::new();
+//! // Same answers as `significant_community`, no per-query allocation.
+//! search.significant_community_into(q, 2, 2, Algorithm::Auto, &mut ws, &mut out);
+//! assert_eq!(out, search.significant_community(q, 2, 2, Algorithm::Auto).edges());
 //! assert!(ws.heap_bytes() > 0);
 //! ```
 

@@ -10,7 +10,11 @@
 //!    are the blocking conveniences.
 //! 2. A worker dequeues the job and looks every *unique* key up in the
 //!    sharded LRU cache once; a hit answers its key at once
-//!    (`cached = true`).
+//!    (`cached = true`). A key is `(q, α, β)`: every algorithm returns
+//!    the same community, so requests that differ only in `algo` share
+//!    one cache entry and one flight, and the first request of a key
+//!    picks the kernel that a miss runs. Every response carries its own
+//!    slot's request.
 //! 3. The misses read one index snapshot and join the in-flight table.
 //!    The first thread for a key becomes its *leader*; a key already in
 //!    flight makes this job a *follower* that waits for the leader
@@ -177,6 +181,15 @@ impl Default for ServiceConfig {
     }
 }
 
+/// What an answer depends on: `(q, α, β)`, never the algorithm (see
+/// the module docs). Keys the result cache, the in-flight table and a
+/// job's dedup table.
+type QueryKey = (Vertex, u32, u32);
+
+fn key_of(req: &QueryRequest) -> QueryKey {
+    (req.q, req.alpha, req.beta)
+}
+
 /// What a flight's followers eventually observe.
 enum FlightState {
     /// Leader still computing.
@@ -233,7 +246,7 @@ enum Role {
 /// returns to the pool for reuse.
 struct FlightGuard<'a> {
     inner: &'a Inner,
-    key: QueryRequest,
+    key: QueryKey,
     flight: Arc<Flight>,
     published: bool,
 }
@@ -381,8 +394,10 @@ impl<T> ArcPool<T> {
         }
     }
 
+    // Poisoning is recovered, as in `VecPool`: `submit` runs on the
+    // server's no-panic request path.
     fn take_free(&self) -> Option<Arc<T>> {
-        let mut items = self.items.lock().unwrap();
+        let mut items = self.items.lock().unwrap_or_else(PoisonError::into_inner);
         let i = items.iter().position(|a| Arc::strong_count(a) == 1)?;
         Some(items.swap_remove(i))
     }
@@ -404,13 +419,17 @@ impl<T> VecPool<T> {
         }
     }
 
+    // A poisoned pool is still a valid list of cleared vectors, so the
+    // lock is recovered rather than unwrapped: `take` and `put` run on
+    // the server's no-panic request path.
     fn take(&self) -> Vec<T> {
-        self.items.lock().unwrap().pop().unwrap_or_default()
+        self.items
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop()
+            .unwrap_or_default()
     }
 
-    // A poisoned pool is still a valid list of cleared vectors, so the
-    // lock is recovered rather than unwrapped: `put` runs on the
-    // server's no-panic request path.
     fn put(&self, mut v: Vec<T>) {
         v.clear();
         self.items
@@ -444,8 +463,9 @@ impl JobQueue {
     }
 
     /// Enqueues unless the queue is closed; returns whether it did.
+    /// Poisoning is recovered: the state is whole at every unlock.
     fn push(&self, job: Job) -> bool {
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if !state.open {
             return false;
         }
@@ -533,8 +553,8 @@ impl WindowBase {
 /// sharded engine above it only routes, fans out and aggregates.
 struct Inner {
     search: RwLock<(Arc<CommunitySearch>, u64)>,
-    cache: ShardedCache<QueryRequest, QueryResponse>,
-    inflight: Mutex<HashMap<QueryRequest, Arc<Flight>>>,
+    cache: ShardedCache<QueryKey, QueryResponse>,
+    inflight: Mutex<HashMap<QueryKey, Arc<Flight>>>,
     queue: JobQueue,
     hist: LatencyHistogram,
     completed: AtomicU64,
@@ -572,7 +592,8 @@ impl Inner {
     ) -> Arc<ReplyCell<Vec<QueryResponse>>> {
         let reply = match self.reply_pool.take_free() {
             Some(cell) => {
-                *cell.state.lock().unwrap() = ReplyState::Pending;
+                // The state is whole at every unlock; recover poisoning.
+                *cell.state.lock().unwrap_or_else(PoisonError::into_inner) = ReplyState::Pending;
                 cell
             }
             None => Arc::new(ReplyCell::new()),
@@ -583,6 +604,7 @@ impl Inner {
             enqueued: Instant::now(),
             prov,
         };
+        // contract-ok: the queue closes only in `shutdown`, and the server joins every connection thread before its engine shuts down
         assert!(self.queue.push(job), "engine already shut down");
         reply
     }
@@ -593,7 +615,7 @@ impl Inner {
     /// retired index. A resident flight from a *newer* epoch means the
     /// caller's snapshot is stale (an install won the race); it must
     /// re-read and retry rather than evict current-epoch work.
-    fn join_flight(&self, key: QueryRequest, epoch: u64) -> Role {
+    fn join_flight(&self, key: QueryKey, epoch: u64) -> Role {
         let mut map = self.inflight.lock().unwrap();
         if let Some(flight) = map.get(&key) {
             // ordering: Relaxed — `epoch` is only read/written under the
@@ -691,10 +713,10 @@ impl Inner {
     /// makes the epoch-check + insert atomic w.r.t. `install`, which
     /// clears the cache under the write lock — so a stale entry can
     /// never land after the clear.
-    fn cache_if_current(&self, req: QueryRequest, resp: &QueryResponse, epoch: u64) -> bool {
+    fn cache_if_current(&self, key: QueryKey, resp: &QueryResponse, epoch: u64) -> bool {
         let lock = self.search.read().unwrap();
         if lock.1 == epoch {
-            self.cache.insert(req, resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
+            self.cache.insert(key, resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
             true
         } else {
             self.telemetry.note_stale_publish();
@@ -717,12 +739,14 @@ struct KernelState {
 #[derive(Default)]
 struct BatchScratch {
     out: Vec<Option<QueryResponse>>,
+    /// The first request of each unique key; its `algo` picks the
+    /// kernel a miss runs.
     keys: Vec<QueryRequest>,
     key_of_slot: Vec<u32>,
     key_start: Vec<u32>,
     key_cursor: Vec<u32>,
     key_slots: Vec<u32>,
-    first: HashMap<QueryRequest, u32>,
+    first: HashMap<QueryKey, u32>,
     /// Keys of the current snapshot-and-join round, and the stale ones
     /// carried into the next.
     pending: Vec<u32>,
@@ -765,9 +789,10 @@ fn lap(last: &mut Instant) -> u64 {
     ns
 }
 
-/// Publishes one leader's response (cache + flight), then answers
-/// every submission slot of its key into `out`; `slots[0]` is the
-/// leader's own. Duplicate slots are answered the way a serial
+/// Publishes one leader's response `resp` (cache + flight), then
+/// answers every submission slot of its key into `out`, each under its
+/// own request from `reqs`; `slots[0]` is the leader's own. Duplicate
+/// slots are answered the way a serial
 /// per-request resubmission would be: as cache hits when the leader's
 /// result went into the cache, otherwise (an install retired the epoch
 /// before the insert) as misses coalesced onto this computation — so
@@ -781,23 +806,14 @@ fn lap(last: &mut Instant) -> u64 {
 fn publish_unit(
     inner: &Inner,
     mut guard: FlightGuard<'_>,
-    summary: CommunitySummary,
-    epoch: u64,
+    resp: QueryResponse,
     t0: Instant,
+    reqs: &[QueryRequest],
     slots: &[u32],
     out: &mut [Option<QueryResponse>],
 ) {
     let service_us = || t0.elapsed().as_micros() as u64;
-    let req = guard.key;
-    let resp = QueryResponse {
-        request: req,
-        summary,
-        cached: false,
-        coalesced: false,
-        epoch,
-        service_us: service_us(),
-    };
-    let resident = inner.cache_if_current(req, &resp, epoch);
+    let resident = inner.cache_if_current(guard.key, &resp, resp.epoch);
     // Publish, then let the guard's Drop clear the table entry: a
     // thread that found this flight always gets an answer; threads
     // arriving after the removal start a fresh flight (and typically
@@ -806,9 +822,11 @@ fn publish_unit(
     drop(guard);
     inner.finish(&resp);
     for &slot in &slots[1..] {
+        let request = reqs[slot as usize];
         let r = if resident {
             inner.cache.record_extra_hit();
             QueryResponse {
+                request,
                 cached: true,
                 service_us: service_us(),
                 ..resp.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
@@ -818,6 +836,7 @@ fn publish_unit(
             // ordering: Relaxed — independent statistic; pairs with nothing.
             inner.coalesced.fetch_add(1, Ordering::Relaxed);
             QueryResponse {
+                request,
                 coalesced: true,
                 service_us: service_us(),
                 ..resp.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
@@ -878,7 +897,7 @@ fn serve_batch(
     b.first.clear();
     for req in reqs {
         // contract-ok: warm pooled buffer; growth is cold
-        let idx = match b.first.entry(*req) {
+        let idx = match b.first.entry(key_of(req)) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 let i = b.keys.len() as u32;
@@ -927,12 +946,13 @@ fn serve_batch(
     // not depend on how requests were submitted.
     b.pending.clear();
     for kx in 0..nk {
-        if let Some(hit) = inner.cache.get(&b.keys[kx]) {
+        if let Some(hit) = inner.cache.get(&key_of(&b.keys[kx])) {
             for (j, i) in b.slots(kx).enumerate() {
                 if j > 0 {
                     inner.cache.record_extra_hit();
                 }
                 let resp = QueryResponse {
+                    request: reqs[b.key_slots[i] as usize],
                     cached: true,
                     coalesced: false,
                     service_us: service_us(),
@@ -964,7 +984,8 @@ fn serve_batch(
         for i in 0..b.pending.len() {
             let kx = b.pending[i] as usize;
             let req = b.keys[kx];
-            let role = inner.join_flight(req, epoch);
+            let key = key_of(&req);
+            let role = inner.join_flight(key, epoch);
             let ns = lap(&mut last);
             b.charge(kx, Stage::Snapshot, ns);
             match role {
@@ -973,7 +994,7 @@ fn serve_batch(
                     // kernel panics, so no follower waits forever.
                     let guard = FlightGuard {
                         inner,
-                        key: req,
+                        key,
                         flight,
                         published: false,
                     };
@@ -995,13 +1016,21 @@ fn serve_batch(
                     };
                     let ns = lap(&mut last);
                     b.charge(kx, Stage::Kernel, ns);
+                    let resp = QueryResponse {
+                        request: req,
+                        summary,
+                        cached: false,
+                        coalesced: false,
+                        epoch,
+                        service_us: service_us(),
+                    };
                     let slots = b.slots(kx);
                     publish_unit(
                         inner,
                         guard,
-                        summary,
-                        epoch,
+                        resp,
                         t0,
+                        reqs,
                         &b.key_slots[slots],
                         &mut b.out,
                     );
@@ -1037,6 +1066,7 @@ fn serve_batch(
                 inner.cache.record_extra_miss();
             }
             let resp = QueryResponse {
+                request: reqs[b.key_slots[i] as usize],
                 cached: false,
                 coalesced: true,
                 service_us: service_us(),
@@ -1558,7 +1588,7 @@ impl QueryEngine {
     /// return to) the shard's pools, so a warm submit+wait round-trip
     /// allocates nothing.
     pub fn submit(&self, req: QueryRequest) -> ResponseHandle {
-        let inner = self.shard_for(req.q);
+        let inner: &Arc<Inner> = self.shard_for(req.q);
         let mut reqs = inner.req_pool.take();
         reqs.push(req);
         ResponseHandle {
@@ -1956,13 +1986,23 @@ mod tests {
     }
 
     #[test]
-    fn distinct_algorithms_get_distinct_cache_slots() {
+    fn algorithms_share_one_answer() {
+        // Every algorithm returns the same community, so requests that
+        // differ only in `algo` share one cache entry; each response
+        // still carries its own request.
         let e = engine(1);
         let q = e.current_index().0.graph().upper(2);
-        let a = e.query(QueryRequest::new(q, 2, 2, Algorithm::Peel));
-        let b = e.query(QueryRequest::new(q, 2, 2, Algorithm::Expand));
-        assert!(!a.cached && !b.cached);
-        assert_eq!(a.summary, b.summary); // algorithms agree on the answer
+        let peel = QueryRequest::new(q, 2, 2, Algorithm::Peel);
+        let auto = QueryRequest::new(q, 2, 2, Algorithm::Auto);
+        let a = e.query(peel);
+        let b = e.query(auto);
+        assert!(!a.cached);
+        assert!(b.cached, "Auto must hit the entry Peel computed");
+        assert_eq!(a.request, peel);
+        assert_eq!(b.request, auto);
+        assert_eq!(a.summary, b.summary);
+        let st = e.stats();
+        assert_eq!((st.cache.misses, st.cache.hits), (1, 1));
         e.shutdown();
     }
 
@@ -2014,7 +2054,7 @@ mod tests {
             QueryRequest::new(q, 2, 2, Algorithm::Peel),
             QueryRequest::new(other, 1, 1, Algorithm::Peel),
             QueryRequest::new(q, 2, 2, Algorithm::Peel), // in-batch duplicate
-            QueryRequest::new(q, 2, 2, Algorithm::Expand), // distinct key
+            QueryRequest::new(q, 2, 2, Algorithm::Expand), // same key: algo is not part of it
         ];
         let resps = e.query_batch(&reqs);
         assert_eq!(resps.len(), 4);
@@ -2024,20 +2064,23 @@ mod tests {
         assert_eq!(resps[0].summary.size(), 4);
         assert_eq!(resps[0].summary, resps[2].summary);
         assert!(!resps[0].cached && !resps[0].coalesced);
-        assert!(
-            resps[2].cached && !resps[2].coalesced,
-            "duplicate key inside a batch is answered like a serial \
-             resubmission: a cache hit on the leader's fresh result"
-        );
+        for dup in [2, 3] {
+            assert!(
+                resps[dup].cached && !resps[dup].coalesced,
+                "duplicate key inside a batch is answered like a serial \
+                 resubmission: a cache hit on the leader's fresh result"
+            );
+            assert_eq!(resps[dup].summary, resps[0].summary);
+        }
         let st = e.stats();
         assert_eq!(st.completed, 4);
         assert_eq!(st.batches, 1);
         assert_eq!(st.batched, 4);
         assert_eq!(st.coalesced, 0);
-        // 3 unique keys miss; the duplicate slot counts as the hit a
+        // 2 unique keys miss; each duplicate slot counts as the hit a
         // per-request resubmission would have been.
-        assert_eq!(st.cache.misses, 3);
-        assert_eq!(st.cache.hits, 1);
+        assert_eq!(st.cache.misses, 2);
+        assert_eq!(st.cache.hits, 2);
         assert_eq!(
             st.cache.hits + st.cache.misses,
             st.completed,
@@ -2052,7 +2095,7 @@ mod tests {
             assert_eq!(a.summary, b.summary);
         }
         let st = e.stats();
-        assert_eq!(st.cache.hits, 5);
+        assert_eq!(st.cache.hits, 6);
         assert_eq!(st.completed, 8);
         assert_eq!(st.cache.hits + st.cache.misses, st.completed);
         e.shutdown();
@@ -2118,8 +2161,9 @@ mod tests {
 
     #[test]
     fn mixed_algorithm_batch_answers_every_slot_in_order() {
-        // Every algorithm in one batch: each leader runs its own kernel
-        // call, and every slot must still be answered in order.
+        // Every algorithm in one batch: requests that differ only in
+        // `algo` share a key, so the first one's leader answers the
+        // rest, and every slot must still be answered in order.
         let e = engine(2);
         let g = e.current_index().0.graph().clone();
         let g = &g;
@@ -2265,12 +2309,12 @@ mod tests {
         // prime engine-shard count.
         const N: usize = 80_000;
         const CACHE_SHARDS: usize = 16;
-        let cache: ShardedCache<QueryRequest, ()> = ShardedCache::new(1024, CACHE_SHARDS);
+        let cache: ShardedCache<QueryKey, ()> = ShardedCache::new(1024, CACHE_SHARDS);
         for &n_shards in &[4usize, 7] {
             let mut grid = vec![vec![0u32; CACHE_SHARDS]; n_shards];
             for v in 0..N as u32 {
                 let req = QueryRequest::new(Vertex(v), 2, 2, Algorithm::Peel);
-                grid[route_of(req.q, n_shards)][cache.shard_index(&req)] += 1;
+                grid[route_of(req.q, n_shards)][cache.shard_index(&key_of(&req))] += 1;
             }
             let expect = (N / (n_shards * CACHE_SHARDS)) as u32;
             for (s, row) in grid.iter().enumerate() {

@@ -31,9 +31,12 @@
 //!   in submission order with results identical to per-request
 //!   submission.
 //! * [`cache::ShardedCache`] — a power-of-two-sharded, per-shard-locked
-//!   LRU keyed by `(q, α, β, algorithm)` with hit/miss counters.
-//! * in-flight deduplication — when identical queries race, one worker
-//!   computes and the rest wait on the same result (`singleflight`).
+//!   LRU keyed by `(q, α, β)` with hit/miss counters. Every algorithm
+//!   returns the same community, so requests that differ only in
+//!   `algo` share one entry.
+//! * in-flight deduplication — when queries with the same `(q, α, β)`
+//!   race, one worker computes and the rest wait on the same result
+//!   (`singleflight`).
 //! * [`stats::ServiceStats`] — QPS, p50/p90/p99 latency from a lock-free
 //!   log-bucketed histogram, cache hit rate, coalescing counters, plus
 //!   scratch/arena residency, allocations-avoided and slab-recycle
@@ -135,7 +138,11 @@ pub struct QueryRequest {
     pub alpha: u32,
     /// Minimum degree for lower vertices.
     pub beta: u32,
-    /// Second-step algorithm.
+    /// The second-step algorithm that computes the answer on a miss.
+    /// Not part of the answer's identity: every algorithm returns the
+    /// same community, so the engine caches and coalesces on
+    /// `(q, α, β)` alone, and the first request of a key picks the
+    /// kernel.
     pub algo: Algorithm,
 }
 
@@ -288,8 +295,9 @@ pub struct QueryResponse {
     pub summary: CommunitySummary,
     /// `true` if served from the result cache (no recomputation).
     pub cached: bool,
-    /// `true` if this thread waited on another in-flight identical query
-    /// instead of computing (always `false` when `cached`).
+    /// `true` if this thread waited on another in-flight query with the
+    /// same `(q, α, β)` instead of computing (always `false` when
+    /// `cached`).
     pub coalesced: bool,
     /// Index epoch that produced the summary (bumped by
     /// [`engine::QueryEngine::install`]).

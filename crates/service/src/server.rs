@@ -1093,19 +1093,21 @@ mod tests {
             ..ServiceConfig::default()
         });
         let q = figure2_example().upper(2).0;
-        let mut s = TcpStream::connect(handle.local_addr()).unwrap();
         // Two requests in one write: the head reader must retain the
         // bytes past the first `\r\n\r\n` instead of discarding them.
-        write!(
-            s,
-            "GET /query?q={q}&alpha=1&beta=1 HTTP/1.1\r\nHost: x\r\n\r\n\
-             GET /query?q={q}&alpha=1&beta=2 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-        )
-        .unwrap();
-        let (status1, _, body1) = read_reply(&mut s);
+        // Both replies go through one reader, which may buffer them
+        // together.
+        let (_s, mut reader) = send_raw(
+            handle.local_addr(),
+            &format!(
+                "GET /query?q={q}&alpha=1&beta=1 HTTP/1.1\r\nHost: x\r\n\r\n\
+                 GET /query?q={q}&alpha=1&beta=2 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+            ),
+        );
+        let (status1, _, body1) = read_reply_from(&mut reader);
         assert_eq!(status1, 200, "{body1}");
         assert!(body1.contains("\"beta\":1"), "{body1}");
-        let (status2, _, body2) = read_reply(&mut s);
+        let (status2, _, body2) = read_reply_from(&mut reader);
         assert_eq!(status2, 200, "{body2}");
         assert!(body2.contains("\"beta\":2"), "{body2}");
         let fin = handle.stop();

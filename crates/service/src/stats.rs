@@ -407,8 +407,8 @@ pub struct ServiceStats {
     /// leader's computation).
     pub stages: [LatencySummary; N_STAGES],
     /// Per-algorithm end-to-end latency (queue wait through reply) with
-    /// the per-stage split —
-    /// indexed in [`scs::Algorithm::ALL`] order.
+    /// the per-stage split, indexed in [`scs::Algorithm::ALL`] order.
+    /// Each row counts the requests that named its algorithm.
     pub algos: [AlgoStats; crate::telemetry::N_ALGOS],
     /// Admission-control counters of the network front end; all zero
     /// when the engine serves in-process calls only.

@@ -176,11 +176,13 @@ impl LatencySummary {
 }
 
 /// Per-algorithm latency: end-to-end summary plus the per-stage split.
+/// A row counts the requests that *named* its algorithm; a cache hit
+/// or a coalesced request may have been computed by another one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlgoStats {
     /// Which algorithm.
     pub algo: Algorithm,
-    /// End-to-end latency (enqueue → recorded) of requests served with
+    /// End-to-end latency (enqueue → recorded) of requests that named
     /// this algorithm.
     pub total: LatencySummary,
     /// Per-stage summaries, indexed by [`Stage`]. A stage's count can

@@ -14,7 +14,7 @@
 use bigraph::arena::ArenaEdges;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scs::{Algorithm, CommunitySearch, QueryWorkspace};
+use scs::{Algorithm, CommunitySearch};
 use scs_service::{
     CommunitySummary, EdgeStore, QueryEngine, QueryRequest, QueryResponse, ServiceConfig,
 };
@@ -118,17 +118,11 @@ fn recycled_slabs_are_never_observed_by_live_handles() {
 
     // Every live handle still reads exactly what was computed: compare
     // against the single-threaded oracle and check the generation tags.
-    let mut ws = QueryWorkspace::new();
     let mut arena_backed = 0usize;
     for resp in &held {
         let req = resp.request;
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         assert_eq!(
             resp.summary,
             CommunitySummary::from_subgraph(&sub),
@@ -194,13 +188,8 @@ fn recycled_slabs_are_never_observed_by_live_handles() {
             assert!(handle.pinned(), "{:?} lost its slab", resp.request);
         }
         let req = resp.request;
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         assert_eq!(
             resp.summary,
             CommunitySummary::from_subgraph(&sub),

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scs::{Algorithm, CommunitySearch, QueryWorkspace};
+use scs::{Algorithm, CommunitySearch};
 use scs_service::{
     build_workload, replay, replay_batched, CommunitySummary, QueryEngine, QueryRequest,
     ServiceConfig, WorkloadSpec,
@@ -51,7 +51,6 @@ fn batched_replay_is_bit_identical_to_per_request() {
     engine.shutdown();
 
     assert_eq!(per_request.len(), batched.len());
-    let mut ws = QueryWorkspace::new();
     for (i, ((req, a), b)) in workload.iter().zip(&per_request).zip(&batched).enumerate() {
         assert_eq!(a.request, *req, "per-request slot {i} out of order");
         assert_eq!(b.request, *req, "batched slot {i} out of order");
@@ -60,13 +59,8 @@ fn batched_replay_is_bit_identical_to_per_request() {
             "slot {i} diverged between submission modes (batched cached={} coalesced={})",
             b.cached, b.coalesced
         );
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         assert_eq!(
             b.summary,
             CommunitySummary::from_subgraph(&sub),
@@ -169,7 +163,6 @@ fn serial_batches_match_per_request_flag_for_flag() {
     let (per_report, per_request) = replay(&engine, &workload, 1);
     engine.shutdown();
 
-    let mut ws = QueryWorkspace::new();
     for (i, req) in workload.iter().enumerate() {
         let (b, p) = (&batched[i], &per_request[i]);
         assert_eq!(b.request, *req, "batched slot {i} out of order");
@@ -183,13 +176,8 @@ fn serial_batches_match_per_request_flag_for_flag() {
             (p.cached, p.coalesced, p.epoch),
             "slot {i}: flags diverged between batched and per-request"
         );
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         assert_eq!(
             b.summary,
             CommunitySummary::from_subgraph(&sub),
@@ -227,16 +215,10 @@ fn one_giant_batch_matches_oracle() {
     assert_eq!(engine.inflight_len(), 0, "flights leaked");
     engine.shutdown();
 
-    let mut ws = QueryWorkspace::new();
     for (req, resp) in reqs.iter().zip(&resps) {
         assert_eq!(resp.request, *req, "submission order broken");
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         assert_eq!(
             resp.summary,
             CommunitySummary::from_subgraph(&sub),
@@ -300,15 +282,9 @@ fn batches_race_single_requests_on_one_engine() {
     });
     engine.shutdown();
 
-    let mut ws = QueryWorkspace::new();
     for (req, summary) in collected {
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         assert_eq!(
             summary,
             CommunitySummary::from_subgraph(&sub),

@@ -24,9 +24,10 @@ fn oracle(
     req: &QueryRequest,
     ws: &mut QueryWorkspace,
 ) -> CommunitySummary {
-    let sub =
-        search.significant_community_in(req.q, req.alpha as usize, req.beta as usize, req.algo, ws);
-    CommunitySummary::from_subgraph(&sub)
+    let (a, b) = (req.alpha as usize, req.beta as usize);
+    let mut out = Vec::new();
+    search.significant_community_into(req.q, a, b, req.algo, ws, &mut out);
+    CommunitySummary::from_subgraph(&bigraph::Subgraph::from_edges(search.graph(), out))
 }
 
 #[test]

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scs::{Algorithm, CommunitySearch, QueryWorkspace};
+use scs::{Algorithm, CommunitySearch};
 use scs_service::{CommunitySummary, QueryEngine, QueryRequest, ServiceConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -52,16 +52,14 @@ fn batches_stay_sound_under_concurrent_installs() {
             ]
         })
         .collect();
-    let mut ws = QueryWorkspace::new();
     let mut expected: HashMap<QueryRequest, [CommunitySummary; 2]> = HashMap::new();
     for req in &keys {
-        let mut on = |search: &Arc<CommunitySearch>| {
-            let sub = search.significant_community_in(
+        let on = |search: &Arc<CommunitySearch>| {
+            let sub = search.significant_community(
                 req.q,
                 req.alpha as usize,
                 req.beta as usize,
                 req.algo,
-                &mut ws,
             );
             CommunitySummary::from_subgraph(&sub)
         };
@@ -154,16 +152,14 @@ fn arena_recycling_stays_bit_identical_under_concurrent_installs() {
             ]
         })
         .collect();
-    let mut ws = QueryWorkspace::new();
     let mut expected: HashMap<QueryRequest, [CommunitySummary; 2]> = HashMap::new();
     for req in &keys {
-        let mut on = |search: &Arc<CommunitySearch>| {
-            let sub = search.significant_community_in(
+        let on = |search: &Arc<CommunitySearch>| {
+            let sub = search.significant_community(
                 req.q,
                 req.alpha as usize,
                 req.beta as usize,
                 req.algo,
-                &mut ws,
             );
             CommunitySummary::from_subgraph(&sub)
         };

@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scs::{Algorithm, CommunitySearch, QueryWorkspace};
+use scs::{Algorithm, CommunitySearch};
 use scs_service::{
     build_workload, replay, replay_batched, CommunitySummary, QueryEngine, QueryRequest,
     ServiceConfig, WorkloadSpec,
@@ -60,16 +60,10 @@ fn sharded_matches_unsharded_and_oracle_bit_identically() {
     }
 
     // Single-threaded oracle for every slot, then pairwise identity.
-    let mut ws = QueryWorkspace::new();
     let (_, base_report, base) = &runs[0];
     for (i, req) in workload.iter().enumerate() {
-        let sub = search.significant_community_in(
-            req.q,
-            req.alpha as usize,
-            req.beta as usize,
-            req.algo,
-            &mut ws,
-        );
+        let sub =
+            search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
         let want = CommunitySummary::from_subgraph(&sub);
         for (shards, _, resps) in &runs {
             let r = &resps[i];
@@ -174,16 +168,14 @@ fn sharded_engine_stays_sound_under_concurrent_installs() {
             ]
         })
         .collect();
-    let mut ws = QueryWorkspace::new();
     let mut expected: HashMap<QueryRequest, [CommunitySummary; 2]> = HashMap::new();
     for req in &keys {
-        let mut on = |search: &Arc<CommunitySearch>| {
-            let sub = search.significant_community_in(
+        let on = |search: &Arc<CommunitySearch>| {
+            let sub = search.significant_community(
                 req.q,
                 req.alpha as usize,
                 req.beta as usize,
                 req.algo,
-                &mut ws,
             );
             CommunitySummary::from_subgraph(&sub)
         };

@@ -290,25 +290,6 @@ fn edgelist_roundtrip() {
     });
 }
 
-/// Index persistence round-trips and answers identically.
-#[test]
-fn index_persist_roundtrip() {
-    for_random_graphs(9, 9, 45, |g, _| {
-        let idx = DeltaIndex::build(g);
-        let mut buf = Vec::new();
-        scs::index::save_index(g, &idx, &mut buf).unwrap();
-        let loaded = scs::index::load_index(g, buf.as_slice()).unwrap();
-        assert_eq!(loaded.delta(), idx.delta());
-        for (a, b) in [(1usize, 1usize), (2, 2), (1, 3), (3, 1)] {
-            for v in g.vertices().step_by(5) {
-                assert!(loaded
-                    .query_community(g, v, a, b)
-                    .same_edges(&idx.query_community(g, v, a, b)));
-            }
-        }
-    });
-}
-
 /// Projection edge count equals the number of same-side pairs with a
 /// common neighbor, and total wedge count is conserved.
 #[test]

@@ -1,6 +1,6 @@
 //! Property test (seeded, exhaustive over a random grid): every
-//! workspace-reusing `*_in` / `*_into` entry point returns exactly the
-//! same community as the fresh-allocation wrapper it shadows.
+//! workspace-reusing `*_into` entry point returns exactly the same
+//! community as the fresh-allocation wrapper it shadows.
 //!
 //! One `QueryWorkspace` is deliberately reused across random Chung–Lu
 //! graphs of *different sizes* — the serving layer does exactly this
@@ -14,8 +14,8 @@ use bigraph::{BipartiteGraph, Vertex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scs::query::{
-    scs_baseline, scs_baseline_in, scs_binary, scs_binary_in, scs_expand, scs_expand_in, scs_peel,
-    scs_peel_in,
+    scs_baseline, scs_baseline_into, scs_binary, scs_binary_into, scs_expand, scs_expand_into,
+    scs_peel, scs_peel_into, ExpandOptions,
 };
 use scs::{Algorithm, CommunitySearch, QueryWorkspace};
 
@@ -49,10 +49,8 @@ fn reused_workspace_matches_fresh_wrappers_across_graph_swaps() {
             let algo = Algorithm::ALL[rng.gen_range(0..Algorithm::ALL.len())];
             let label = format!("q={q:?} α={alpha} β={beta} algo={algo}");
 
-            // Facade level: _in and _into agree with the wrapper.
+            // Facade level: _into agrees with the wrapper.
             let fresh = search.significant_community(q, alpha, beta, algo);
-            let reused = search.significant_community_in(q, alpha, beta, algo, &mut ws);
-            assert!(reused.same_edges(&fresh), "{label}");
             search.significant_community_into(q, alpha, beta, algo, &mut ws, &mut out);
             assert_eq!(out, fresh.edges(), "{label}");
 
@@ -63,27 +61,21 @@ fn reused_workspace_matches_fresh_wrappers_across_graph_swaps() {
 
             // Kernel level: every algorithm entry point, same workspace.
             if !c.is_empty() {
-                assert!(
-                    scs_peel_in(&g, &c, q, alpha, beta, &mut ws)
-                        .same_edges(&scs_peel(&g, &c, q, alpha, beta)),
-                    "peel {label}"
-                );
-                assert!(
-                    scs_expand_in(&g, &c, q, alpha, beta, &mut ws)
-                        .same_edges(&scs_expand(&g, &c, q, alpha, beta)),
-                    "expand {label}"
-                );
-                assert!(
-                    scs_binary_in(&g, &c, q, alpha, beta, &mut ws)
-                        .same_edges(&scs_binary(&g, &c, q, alpha, beta)),
-                    "binary {label}"
-                );
+                let ce = c.edges();
+                scs_peel_into(&g, ce, q, alpha, beta, &mut ws, &mut out);
+                let peel = scs_peel(&g, &c, q, alpha, beta);
+                assert_eq!(out, peel.edges(), "peel {label}");
+                let opts = ExpandOptions::default();
+                scs_expand_into(&g, ce, q, alpha, beta, opts, &mut ws, &mut out);
+                let expand = scs_expand(&g, &c, q, alpha, beta);
+                assert_eq!(out, expand.edges(), "expand {label}");
+                scs_binary_into(&g, ce, q, alpha, beta, &mut ws, &mut out);
+                let binary = scs_binary(&g, &c, q, alpha, beta);
+                assert_eq!(out, binary.edges(), "binary {label}");
             }
-            assert!(
-                scs_baseline_in(&g, q, alpha, beta, &mut ws)
-                    .same_edges(&scs_baseline(&g, q, alpha, beta)),
-                "baseline {label}"
-            );
+            scs_baseline_into(&g, q, alpha, beta, &mut ws, &mut out);
+            let baseline = scs_baseline(&g, q, alpha, beta);
+            assert_eq!(out, baseline.edges(), "baseline {label}");
         }
     }
     assert!(
