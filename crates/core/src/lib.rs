@@ -30,9 +30,11 @@
 //! oracles. Serving does not run them per query: [`Algorithm::Auto`],
 //! the default, answers from a *threshold profile*. That is one peel of
 //! the whole (α,β)-core, built by the first `Auto` query at an (α,β) and
-//! shared by every later one. Each query is then a single BFS from `q`
-//! with no step 1, and it returns exactly `SCS-Peel`'s answer. A query
-//! outside the (α,β)-core is answered empty from one `Iδ` lookup.
+//! shared by every later one, which stores every distinct answer once as
+//! a slice of one edge array. Each query then emits `q`'s slice in id
+//! order, with no step 1 and no traversal, and it returns exactly
+//! `SCS-Peel`'s answer. A query outside the (α,β)-core is answered empty
+//! from one `Iδ` lookup.
 //!
 //! ## Quick start
 //!
@@ -90,10 +92,11 @@ use std::sync::Arc;
 pub enum Algorithm {
     /// The serving path: answer from the (α,β) threshold profile — one
     /// peel of the whole (α,β)-core, built by the first `Auto` query at
-    /// that (α,β) and shared by every later one — with one BFS from `q`.
-    /// No step-1 retrieval, no local re-indexing, no per-query sort of
-    /// the community. Returns `SCS-Peel`'s answer (see
-    /// `query/profile.rs` for the argument).
+    /// that (α,β) and shared by every later one — by emitting `q`'s
+    /// precomputed answer class in id order. No step-1 retrieval, no
+    /// local re-indexing, no traversal, no per-query sort of the
+    /// community. Returns `SCS-Peel`'s answer (see `query/profile.rs`
+    /// for the argument).
     #[default]
     Auto,
     /// `SCS-Peel` (Algorithm 4).
@@ -331,7 +334,7 @@ impl CommunitySearch {
         let profile: &ThresholdProfile = slot.get_or_init(|| {
             ThresholdProfile::build(&self.graph, alpha, beta, &mut ws.base) // contract-ok: cold build — once per (α,β) per snapshot; later queries find the slot filled
         });
-        profile.answer_into(&self.graph, q, &mut ws.base, out);
+        profile.answer_into(&self.graph, q, ws, out);
     }
 }
 

@@ -12,42 +12,73 @@
 //! - the components of the (α,β)-core peel independently: deleting an
 //!   edge changes degrees in its own component only.
 //!
-//! So a [`ThresholdProfile`] peels the whole core once, to the end, and
-//! records for every vertex `v` the 1-based rank `fail[v]` of the
-//! iteration in which `v` fails, and for every edge `e` the rank
-//! `level[e]` of the iteration in which `e` is removed (0 outside the
-//! core, for both).
+//! So a [`ThresholdProfile`] build peels the whole core once, to the
+//! end, and ranks for every vertex `v` the 1-based iteration `fail(v)`
+//! in which `v` fails, and for every edge `e` the iteration `level(e)` in
+//! which `e` is removed (0 outside the core, for both).
 //!
-//! **Why a BFS over the profile equals Peel.** At the start of iteration
-//! `r` the live edge set is exactly `{e : level[e] ≥ r}`. Restricted to
-//! `C_{α,β}(q)`, the whole-core peel runs Peel's iterations in the same
-//! ascending weight order; an iteration whose weight no longer occurs in
-//! `q`'s component is a no-op there, and every other iteration removes
-//! the same group and cascades to the same fixpoint. `q` therefore fails
-//! in iteration `fail[q]` of the whole-core peel exactly when it fails in
-//! Peel, and [`ThresholdProfile::answer_into`] returns `q`'s component of
-//! `{e : level[e] ≥ fail[q]}` — Peel's answer, edge for edge.
+//! **Why `q`'s component of the profile equals Peel.** At the start of
+//! iteration `r` the live edge set is exactly `{e : level(e) ≥ r}`.
+//! Restricted to `C_{α,β}(q)`, the whole-core peel runs Peel's iterations
+//! in the same ascending weight order; an iteration whose weight no
+//! longer occurs in `q`'s component is a no-op there, and every other
+//! iteration removes the same group and cascades to the same fixpoint.
+//! `q` therefore fails in iteration `fail(q)` of the whole-core peel
+//! exactly when it fails in Peel, and Peel's answer is `q`'s component
+//! of `{e : level(e) ≥ fail(q)}`, edge for edge.
 //!
-//! **Cost.** A profile stores `4·(n + m)` bytes and costs one
-//! `O(m_core log m_core)` build; each answer is then one BFS over the
-//! answer's vertices plus a sort of its upper vertices. No step-1
-//! retrieval, no local re-indexing and no per-query weight sort remain.
+//! **Answer classes.** That component depends on `q` only through
+//! `fail(q)` and `q`'s place in a merge tree, so the build stores each
+//! distinct answer once. It adds the core edges to a union-find in
+//! descending level, all edges of one level at a time, and then creates
+//! one tree node per component of `{e : level(e) ≥ t}` that a level-`t`
+//! edge touches. The node's children are the newest nodes of the
+//! components level `t` merged into it, so its edges — its own level-`t`
+//! edges plus its children's — are exactly its component. A vertex `v`
+//! that fails in iteration `t` loses an edge of level `t` there, so its
+//! component after level `t` has a node of level `t`: `v`'s *class*.
+//! Nodes are created only once every level-`t` edge is merged, so a node
+//! never gains an edge after vertices are classed onto it, and `q`'s
+//! class holds `q`'s component of `{e : level(e) ≥ fail(q)}` — Peel's
+//! answer. Distinct classes have distinct answers: two nodes of one
+//! level are disjoint components, and a node of level `t` owns a
+//! level-`t` edge that no node of a higher level holds. This is the
+//! tree of the ICP-index of Li, Qin, Yu and Mao, "Influential Community
+//! Search in Large Networks" (PVLDB 2015), which stores every
+//! k-influential community of a vertex-weighted graph in one tree.
+//!
+//! **Layout and emission.** The build lays the tree out as one
+//! permutation of the core edges in which every node owns the slice
+//! `[start, start + len)`: its children's slices, then its own edges.
+//! [`ThresholdProfile::answer_into`] sets the bits of `q`'s class slice
+//! in a zeroed [`EdgeBits`] and scans the words between the class's
+//! lowest and highest edge id in order, clearing them as it goes. That
+//! emits ascending edge ids in `O(|R| + span/64) ⊆ O(|R| + m/64)`, with
+//! no traversal and no sort.
+//!
+//! **Cost.** A profile stores `4·n + 4·m_core + 16·nodes` bytes
+//! (`nodes ≤ m_core`) and costs one `O(m_core log m_core)` build: the
+//! peel's weight sort, then a counting sort by level and a near-linear
+//! union-find pass. A query then does no step-1 retrieval, no local
+//! re-indexing, no traversal and no sort.
 //!
 //! **Whole core, not per component.** A profile covers the whole
 //! (α,β)-core, so the first query at an (α,β) pays for every component,
 //! however small its own. Building per component would bound that first
 //! query by one Peel, but finding `q`'s component costs a step-1
 //! retrieval on every query — in a traced perfbench `en_kernel` run on
-//! a 2-vCPU VM, step 1 took 7.3 ms against 2.1 ms for the whole warm
+//! a 2-vCPU VM, step 1 took 6.7 ms against 0.15 ms for the whole warm
 //! answer — or a shared, mutable vertex→component table. On the same
-//! VM the whole-core build took 3–22 ms on the README's kernel-table
+//! VM the whole-core build took 4–25 ms on the README's kernel-table
 //! configurations, less than one per-query Peel at the same (α,β).
 //!
 //! [`CommunitySearch`](crate::CommunitySearch) keeps the profiles of its
 //! most recent (α,β) pairs in a [`ProfileMemo`], built lazily by the first
 //! `Algorithm::Auto` query that needs one.
 
+use crate::QueryWorkspace;
 use bicore::abcore::abcore_in;
+use bigraph::unionfind::UnionFind;
 use bigraph::workspace::Workspace;
 use bigraph::{BipartiteGraph, EdgeId, Vertex};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -55,146 +86,330 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 /// `level` of a core edge not yet removed during the build.
 const LIVE: u32 = u32::MAX;
 
+/// The class of a vertex outside the core, and the parent of a root node.
+const NONE: u32 = u32::MAX;
+
 /// How many (α,β) profiles one [`ProfileMemo`] keeps; the oldest is
 /// evicted beyond this.
 const MEMO_CAPACITY: usize = 8;
 
-/// One peel of the whole (α,β)-core, recorded per vertex and per edge
-/// (see the [module docs](self)).
+/// One merge-tree node: a component of `{e : level(e) ≥ t}` that a
+/// level-`t` edge touches (see the [module docs](self)).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The node's edges are `ThresholdProfile::edges[start..start + len]`.
+    start: u32,
+    len: u32,
+    /// Lowest edge id among them.
+    lo: u32,
+    /// Highest edge id among them.
+    hi: u32,
+}
+
+impl Node {
+    /// The bitset words the node's edge ids span.
+    fn words(self) -> std::ops::RangeInclusive<usize> {
+        self.lo as usize / 64..=self.hi as usize / 64
+    }
+}
+
+/// The answer classes of one (α,β)-core, laid out for emission (see the
+/// [module docs](self)).
 #[derive(Debug)]
 pub(crate) struct ThresholdProfile {
-    /// Per vertex: 1-based rank of the iteration in which it fails; 0
-    /// outside the core.
-    fail: Vec<u32>,
-    /// Per edge: 1-based rank of the iteration in which it is removed; 0
-    /// outside the core.
-    level: Vec<u32>,
+    /// Per vertex: its class, the node of its component right after the
+    /// level it fails at; [`NONE`] outside the core.
+    class: Vec<u32>,
+    /// The core edges in tree order: each node's children's slices, then
+    /// its own edges in ascending id order.
+    edges: Vec<EdgeId>,
+    /// The merge-tree nodes, every child before its parent.
+    nodes: Vec<Node>,
 }
 
 impl ThresholdProfile {
-    /// Peels the whole (α,β)-core of `g` to the end. Clobbers `ws.dead`,
-    /// `ws.degree`, `ws.queue` and `ws.stack`. `O(m_core log m_core)`.
+    /// Peels the whole (α,β)-core of `g` to the end and builds its
+    /// merge tree. Clobbers `ws.dead`, `ws.degree`, `ws.queue` and
+    /// `ws.stack`. `O(m_core log m_core)`.
     pub(crate) fn build(g: &BipartiteGraph, alpha: usize, beta: usize, ws: &mut Workspace) -> Self {
-        abcore_in(g, alpha, beta, ws);
-        let Workspace {
-            dead,
-            degree,
-            stack,
-            ..
-        } = ws;
-        let need = |v: Vertex| if g.is_upper(v) { alpha } else { beta } as u32;
-        let mut fail = vec![0u32; g.n_vertices()];
-        let mut level = vec![0u32; g.n_edges()];
-        // Core edges by (weight in `total_cmp` order, edge id).
-        let mut order: Vec<(i64, EdgeId)> = g
-            .edge_ids()
-            .filter(|&e| {
-                let (u, l) = g.endpoints(e);
-                !dead.contains(u) && !dead.contains(l)
-            })
-            .map(|e| (total_order_key(g.weight(e)), e))
-            .collect();
-        for &(_, e) in &order {
-            level[e.index()] = LIVE;
-        }
-        order.sort_unstable();
+        let (fail, level, n_levels) = peel_ranks(g, alpha, beta, ws);
 
-        // `weighted_peel_in`'s group loop, run over the whole core and to
-        // the end. `degree` holds live core degrees (from `abcore_in`); a
-        // vertex fails when its degree first drops below its need, and its
-        // remaining edges go in the same iteration.
-        let mut remove = |e: EdgeId, rank: u32, level: &mut [u32], stack: &mut Vec<u32>| {
-            level[e.index()] = rank;
-            let (u, l) = g.endpoints(e);
-            for v in [u, l] {
-                degree[v] -= 1;
-                if degree[v] + 1 == need(v) {
-                    fail[v.index()] = rank;
-                    if degree[v] > 0 {
-                        stack.push(v.0);
+        // Counting sort of the core edges by level: level `t` owns
+        // `by_level[bounds[t]..bounds[t + 1]]`, in ascending id order.
+        let mut bounds = vec![0usize; n_levels as usize + 2];
+        for &t in level.iter().filter(|&&t| t > 0) {
+            bounds[t as usize + 1] += 1;
+        }
+        for t in 1..bounds.len() {
+            bounds[t] += bounds[t - 1];
+        }
+        let mut by_level = vec![EdgeId(0); bounds[n_levels as usize + 1]];
+        let mut fill = bounds.clone();
+        for e in g.edge_ids().filter(|e| level[e.index()] > 0) {
+            let t = level[e.index()] as usize;
+            by_level[fill[t]] = e;
+            fill[t] += 1;
+        }
+
+        // The merge tree, level by level from the top. `newest[r]` is the
+        // newest node of the component rooted at `r`.
+        let n = g.n_vertices();
+        let mut uf = UnionFind::new(n);
+        let mut newest = vec![NONE; n];
+        let mut class = vec![NONE; n];
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut parent: Vec<u32> = Vec::new();
+        let mut node_of = vec![0u32; by_level.len()];
+        let mut children: Vec<(u32, usize)> = Vec::new();
+        for t in (1..=n_levels).rev() {
+            let span = bounds[t as usize]..bounds[t as usize + 1];
+            let level_edges = &by_level[span.clone()];
+            let first_new = nodes.len() as u32;
+            // Merge the level. A root that loses a union hands its newest
+            // node on as a child of one of the level's nodes.
+            children.clear();
+            for &e in level_edges {
+                let (u, l) = g.endpoints(e);
+                let (ru, rl) = (uf.find(u.index()), uf.find(l.index()));
+                if let Some(root) = uf.union(ru, rl) {
+                    let lost = if root == ru { rl } else { ru };
+                    if newest[lost] != NONE {
+                        children.push((newest[lost], lost));
                     }
                 }
             }
-        };
-        stack.clear();
-        let mut rank = 0u32;
-        let mut i = 0;
-        while i < order.len() {
-            if level[order[i].1.index()] != LIVE {
-                i += 1;
-                continue;
-            }
-            rank += 1;
-            let w_min = order[i].0;
-            while i < order.len() && order[i].0 == w_min {
-                let e = order[i].1;
-                i += 1;
-                if level[e.index()] == LIVE {
-                    remove(e, rank, &mut level, stack);
+            // One node per touched component, created only now that the
+            // level is fully merged, with the root's own newest node as a
+            // child; the vertices failing at `t` are classed onto it.
+            for (&e, slot) in level_edges.iter().zip(&mut node_of[span]) {
+                let (u, l) = g.endpoints(e);
+                let r = uf.find(u.index());
+                if newest[r] == NONE || newest[r] < first_new {
+                    if newest[r] != NONE {
+                        parent[newest[r] as usize] = nodes.len() as u32;
+                    }
+                    newest[r] = nodes.len() as u32;
+                    nodes.push(Node {
+                        start: 0,
+                        len: 0,
+                        lo: e.0,
+                        hi: e.0,
+                    });
+                    parent.push(NONE);
                 }
-            }
-            while let Some(v) = stack.pop() {
-                for (_, e) in g.neighbors_with_edges(Vertex(v)) {
-                    if level[e.index()] == LIVE {
-                        remove(e, rank, &mut level, stack);
+                let c = newest[r];
+                *slot = c;
+                nodes[c as usize].len += 1;
+                nodes[c as usize].hi = e.0;
+                for v in [u, l] {
+                    if fail[v.index()] == t {
+                        class[v.index()] = c;
                     }
                 }
+            }
+            for &(c, r) in &children {
+                parent[c as usize] = newest[uf.find(r)];
             }
         }
-        ThresholdProfile { fail, level }
+
+        // Subtree sizes and id spans; every parent comes after its
+        // children.
+        for (c, &p) in parent.iter().enumerate().filter(|&(_, &p)| p != NONE) {
+            let child = nodes[c];
+            let node = &mut nodes[p as usize];
+            node.len += child.len;
+            node.lo = node.lo.min(child.lo);
+            node.hi = node.hi.max(child.hi);
+        }
+
+        // Layout, parents first: one slice per child, then the node's own
+        // edges. `next[c]` is where `c`'s next child slice, and after
+        // the last one its own edges, start.
+        let mut next_root = 0;
+        let mut next = vec![0u32; nodes.len()];
+        for c in (0..nodes.len()).rev() {
+            let at = match parent[c] {
+                NONE => &mut next_root,
+                p => &mut next[p as usize],
+            };
+            nodes[c].start = *at;
+            *at += nodes[c].len;
+            next[c] = nodes[c].start;
+        }
+        let mut edges = vec![EdgeId(0); by_level.len()];
+        for (&e, &c) in by_level.iter().zip(&node_of) {
+            edges[next[c as usize] as usize] = e;
+            next[c as usize] += 1;
+        }
+        ThresholdProfile {
+            class,
+            edges,
+            nodes,
+        }
     }
 
-    /// `q`'s significant (α,β)-community: `q`'s component of the edges
-    /// removed no earlier than `q` fails, written to `out` (cleared
-    /// first) as ascending edge ids — the list
+    /// `q`'s significant (α,β)-community: `q`'s class slice, written to
+    /// `out` (cleared first) as ascending edge ids — the list
     /// [`scs_peel_into`](super::scs_peel_into) produces. Empty when `q`
-    /// is outside the core. Clobbers `ws.visited` and `ws.queue`; a warm
-    /// `ws` and a warm `out` make this heap-silent.
+    /// is outside the core. Clobbers only `ws.bits`, which it fits to
+    /// `g`'s edge count; a warm `ws` and a warm `out` make this
+    /// heap-silent.
     pub(crate) fn answer_into(
         &self,
         g: &BipartiteGraph,
         q: Vertex,
-        ws: &mut Workspace,
+        ws: &mut QueryWorkspace,
         out: &mut Vec<EdgeId>,
     ) {
         out.clear();
-        let f = self.fail[q.index()];
-        if f == 0 {
+        let c = self.class[q.index()];
+        if c == NONE {
             return;
         }
-        ws.fit(g);
-        ws.visited.clear();
-        ws.queue.clear();
-        let Workspace { visited, queue, .. } = ws;
-        visited.insert(q); // contract-ok: warm workspace capacity (fitted to the graph above)
-        queue.push(q.0); // contract-ok: warm workspace capacity (fitted to the graph above)
-        let mut head = 0;
-        while let Some(&v) = queue.get(head) {
-            head += 1;
-            for (w, e) in g.neighbors_with_edges(Vertex(v)) {
-                // contract-ok: warm workspace capacity (fitted to the graph above)
-                if self.level[e.index()] >= f && visited.insert(w) {
-                    queue.push(w.0); // contract-ok: warm workspace capacity (fitted to the graph above)
-                }
-            }
-        }
-        // `GraphBuilder` numbers edges by (upper, lower): each upper
-        // vertex owns one ascending run of ids, so emitting the reached
-        // upper vertices in id order yields ascending edge ids with no
-        // sort over the edges.
-        queue.retain(|&v| g.is_upper(Vertex(v)));
-        queue.sort_unstable();
-        for &u in queue.iter() {
-            for &e in g.incident_edges(Vertex(u)) {
-                if self.level[e.index()] >= f {
-                    out.push(e); // contract-ok: warm output capacity across queries; growth is cold
-                }
-            }
-        }
+        let node = self.nodes[c as usize];
+        let slice = &self.edges[node.start as usize..(node.start + node.len) as usize];
+        ws.fit_bits(g.n_edges());
+        ws.bits.emit_ascending(slice, node.words(), out);
         debug_assert!(
             out.windows(2).all(|w| w[0] < w[1]),
             "edge ids not ascending"
         );
+    }
+}
+
+/// Ranks the whole-core peel: per vertex the 1-based iteration in which
+/// it fails, per edge the iteration in which it is removed (0 outside
+/// the core, for both), and the number of iterations.
+/// `weighted_peel_in`'s group loop, run over the whole core and to the
+/// end.
+fn peel_ranks(
+    g: &BipartiteGraph,
+    alpha: usize,
+    beta: usize,
+    ws: &mut Workspace,
+) -> (Vec<u32>, Vec<u32>, u32) {
+    abcore_in(g, alpha, beta, ws);
+    let Workspace {
+        dead,
+        degree,
+        stack,
+        ..
+    } = ws;
+    let need = |v: Vertex| if g.is_upper(v) { alpha } else { beta } as u32;
+    let mut fail = vec![0u32; g.n_vertices()];
+    let mut level = vec![0u32; g.n_edges()];
+    // Core edges by (weight in `total_cmp` order, edge id).
+    let mut order: Vec<(i64, EdgeId)> = g
+        .edge_ids()
+        .filter(|&e| {
+            let (u, l) = g.endpoints(e);
+            !dead.contains(u) && !dead.contains(l)
+        })
+        .map(|e| (total_order_key(g.weight(e)), e))
+        .collect();
+    for &(_, e) in &order {
+        level[e.index()] = LIVE;
+    }
+    order.sort_unstable();
+
+    // `degree` holds live core degrees (from `abcore_in`); a vertex
+    // fails when its degree first drops below its need, and its
+    // remaining edges go in the same iteration.
+    let mut remove = |e: EdgeId, rank: u32, level: &mut [u32], stack: &mut Vec<u32>| {
+        level[e.index()] = rank;
+        let (u, l) = g.endpoints(e);
+        for v in [u, l] {
+            degree[v] -= 1;
+            if degree[v] + 1 == need(v) {
+                fail[v.index()] = rank;
+                if degree[v] > 0 {
+                    stack.push(v.0);
+                }
+            }
+        }
+    };
+    stack.clear();
+    let mut rank = 0u32;
+    let mut i = 0;
+    while i < order.len() {
+        if level[order[i].1.index()] != LIVE {
+            i += 1;
+            continue;
+        }
+        rank += 1;
+        let w_min = order[i].0;
+        while i < order.len() && order[i].0 == w_min {
+            let e = order[i].1;
+            i += 1;
+            if level[e.index()] == LIVE {
+                remove(e, rank, &mut level, stack);
+            }
+        }
+        while let Some(v) = stack.pop() {
+            for (_, e) in g.neighbors_with_edges(Vertex(v)) {
+                if level[e.index()] == LIVE {
+                    remove(e, rank, &mut level, stack);
+                }
+            }
+        }
+    }
+    (fail, level, rank)
+}
+
+/// A zeroed bitset over edge ids, the scratch
+/// [`ThresholdProfile::answer_into`] emits ascending ids through. It is
+/// grown on the first `Auto` answer only, so index builds and set-up
+/// never allocate it.
+#[derive(Debug, Default)]
+pub(crate) struct EdgeBits {
+    words: Vec<u64>,
+    /// Set while bits may be set. A panic between marking and the
+    /// clearing scan leaves it set (engine workers survive panics and
+    /// reuse their workspace), and the next emission zeroes every word.
+    dirty: bool,
+}
+
+impl EdgeBits {
+    /// Grows the bitset to hold edge ids `0..m`. Never shrinks; returns
+    /// `true` if it grew.
+    pub(crate) fn ensure(&mut self, m: usize) -> bool {
+        let n_words = m.div_ceil(64);
+        let grow = self.words.len() < n_words;
+        if grow {
+            self.words.resize(n_words, 0); // contract-ok: grow-only scratch sized by the graph; a warm workspace never grows it
+        }
+        grow
+    }
+
+    /// Marks `edges`, then scans `words` in order and pushes each set
+    /// bit's edge id to `out`, clearing the words as it goes. `words`
+    /// must cover every id in `edges`.
+    fn emit_ascending(
+        &mut self,
+        edges: &[EdgeId],
+        words: std::ops::RangeInclusive<usize>,
+        out: &mut Vec<EdgeId>,
+    ) {
+        if self.dirty {
+            self.words.fill(0);
+        }
+        self.dirty = true;
+        for &e in edges {
+            self.words[e.index() / 64] |= 1 << (e.index() % 64);
+        }
+        for w in words {
+            let mut word = std::mem::take(&mut self.words[w]);
+            while word != 0 {
+                out.push(EdgeId((w * 64) as u32 + word.trailing_zeros())); // contract-ok: warm output capacity across queries; growth is cold
+                word &= word - 1;
+            }
+        }
+        self.dirty = false;
+    }
+
+    /// Resident heap bytes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -263,6 +478,7 @@ mod tests {
     use bigraph::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
     use std::sync::Barrier;
 
     /// `Auto` equals `Peel` for every vertex of `search`'s graph at (α,β).
@@ -288,13 +504,21 @@ mod tests {
         CommunitySearch::new(b.build().unwrap())
     }
 
+    /// Four random graphs with weights tied in 1..=6.
+    fn tied_random_graphs() -> Vec<CommunitySearch> {
+        let mut rng = StdRng::seed_from_u64(17);
+        (0..4)
+            .map(|trial| {
+                let g = random_bipartite(20, 22, 110 + 30 * trial, &mut rng)
+                    .reweighted(|_, _, _| rng.gen_range(1..=6) as f64);
+                CommunitySearch::new(g)
+            })
+            .collect()
+    }
+
     #[test]
     fn answers_equal_peel_on_random_graphs_with_ties() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for trial in 0..4 {
-            let g = random_bipartite(20, 22, 110 + 30 * trial, &mut rng)
-                .reweighted(|_, _, _| rng.gen_range(1..=6) as f64);
-            let search = CommunitySearch::new(g);
+        for search in tied_random_graphs() {
             for a in 1..=search.delta() + 1 {
                 for b in 1..=search.delta() + 1 {
                     assert_auto_matches_peel(&search, a, b);
@@ -304,22 +528,91 @@ mod tests {
     }
 
     #[test]
-    fn figure2_profile_records_fail_and_level_ranks() {
+    fn core_members_share_a_class_exactly_when_their_answers_are_equal() {
+        for search in tied_random_graphs() {
+            let g = search.graph();
+            for a in 1..=search.delta() + 1 {
+                for b in 1..=search.delta() + 1 {
+                    let p = ThresholdProfile::build(g, a, b, &mut Workspace::new());
+                    let mut ws = QueryWorkspace::new();
+                    let mut answer_of = BTreeMap::new();
+                    let mut class_of = BTreeMap::new();
+                    for q in g.vertices().filter(|&q| p.class[q.index()] != NONE) {
+                        let mut out = Vec::new();
+                        p.answer_into(g, q, &mut ws, &mut out);
+                        let c = p.class[q.index()];
+                        assert_eq!(*answer_of.entry(c).or_insert(out.clone()), out);
+                        assert_eq!(*class_of.entry(out).or_insert(c), c, "α={a} β={b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_class_spanning_the_id_range_equals_peel() {
+        // u0 and u15 share only v10, at weight 1: their class is edge 0
+        // and edge m−1. A 14×10 block at weight 2 fills the ids between,
+        // so the bitset scans 3 words for 2 edges.
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, 10, 1.0);
+        for u in 1..15 {
+            for l in 0..10 {
+                b.add_edge(u, l, 2.0);
+            }
+        }
+        b.add_edge(15, 10, 1.0);
+        let search = CommunitySearch::new(b.build().unwrap());
+        let g = search.graph();
+        let m = g.n_edges() as u32;
+        let p = ThresholdProfile::build(g, 1, 1, &mut Workspace::new());
+        let node = p.nodes[p.class[g.upper(0).index()] as usize];
+        assert_eq!((node.len, node.lo, node.hi), (2, 0, m - 1));
+        let mut out = Vec::new();
+        p.answer_into(g, g.upper(0), &mut QueryWorkspace::new(), &mut out);
+        assert_eq!(out, [EdgeId(0), EdgeId(m - 1)]);
+        assert_auto_matches_peel(&search, 1, 1);
+    }
+
+    #[test]
+    fn figure2_profile_classes_and_slices() {
         let g = figure2_example();
         let p = ThresholdProfile::build(&g, 2, 2, &mut Workspace::new());
         // u501 has degree 1: outside the (2,2)-core, so is its edge.
         let outside = g.upper(500);
-        assert_eq!(p.fail[outside.index()], 0);
-        assert_eq!(p.level[g.incident_edges(outside)[0].index()], 0);
-        // Every edge of the answer of u3 survives until u3 fails.
+        assert_eq!(p.class[outside.index()], NONE);
+        assert!(!p.edges.contains(&g.incident_edges(outside)[0]));
+        // u3's answer is its class slice, as 4 ascending edge ids.
         let u3 = g.upper(2);
-        let f = p.fail[u3.index()];
-        assert!(f > 0);
+        let node = p.nodes[p.class[u3.index()] as usize];
         let mut out = Vec::new();
-        p.answer_into(&g, u3, &mut Workspace::new(), &mut out);
+        p.answer_into(&g, u3, &mut QueryWorkspace::new(), &mut out);
         assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|e| p.level[e.index()] >= f));
         assert!(out.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+        let mut slice = p.edges[node.start as usize..][..node.len as usize].to_vec();
+        slice.sort_unstable();
+        assert_eq!(out, slice);
+    }
+
+    #[test]
+    fn a_panic_mid_emission_leaves_no_stale_bits() {
+        let g = figure2_example();
+        let p = ThresholdProfile::build(&g, 2, 2, &mut Workspace::new());
+        let u3 = g.upper(2);
+        let mut ws = QueryWorkspace::new();
+        let mut clean = Vec::new();
+        p.answer_into(&g, u3, &mut ws, &mut clean);
+        // Mark every edge, then panic scanning past the bitset's end.
+        let all: Vec<EdgeId> = g.edge_ids().collect();
+        let far = usize::MAX / 64;
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ws.bits.emit_ascending(&all, far..=far, &mut Vec::new());
+        }));
+        assert!(panicked.is_err() && ws.bits.dirty);
+        let mut out = Vec::new();
+        p.answer_into(&g, u3, &mut ws, &mut out);
+        assert_eq!(out, clean);
+        assert!(!ws.bits.dirty && ws.bits.words.iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! A [`QueryWorkspace`] bundles everything a significant-community query
 //! needs besides the graph and the index: the graph-sized epoch-stamped
 //! buffers of [`bigraph::workspace::Workspace`] (used by index retrieval,
-//! the online baselines and the threshold-profile path of
-//! [`crate::Algorithm::Auto`]) and the community-sized local scratch of the
-//! second-step kernels (the re-indexed [`LocalGraph`], liveness sets,
-//! degree arrays, sort orders, the expansion heap and component
-//! tracker). Everything grows monotonically to the largest query served,
-//! so a warm workspace answers an unbounded query stream with zero
-//! further heap allocations.
+//! the online baselines and threshold-profile builds), the edge bitset
+//! the threshold-profile answers of [`crate::Algorithm::Auto`] emit
+//! through, and the community-sized local scratch of the second-step
+//! kernels (the re-indexed [`LocalGraph`], liveness sets, degree arrays,
+//! sort orders, the expansion heap and component tracker). Everything
+//! grows monotonically to the largest query served, so a warm workspace
+//! answers an unbounded query stream with zero further heap allocations.
 //!
 //! One workspace serves one thread: the serving layer gives each worker
 //! its own, reused across queries and across index epoch swaps.
@@ -32,6 +32,7 @@
 
 use crate::local::LocalGraph;
 use crate::query::expand::HeapEdge;
+use crate::query::profile::EdgeBits;
 use bigraph::unionfind::ComponentTracker;
 use bigraph::workspace::{EdgeSet, VertexSet, Workspace};
 use bigraph::{BipartiteGraph, EdgeId};
@@ -93,8 +94,8 @@ impl LocalScratch {
 /// [module docs](self)).
 #[derive(Debug, Default)]
 pub struct QueryWorkspace {
-    /// Graph-sized scratch: index retrieval, online peels, baselines,
-    /// threshold-profile builds and answers.
+    /// Graph-sized scratch: index retrieval, online peels, baselines and
+    /// threshold-profile builds.
     pub(crate) base: Workspace,
     /// The re-indexed community, rebuilt in place per query.
     pub(crate) local: LocalGraph,
@@ -105,6 +106,9 @@ pub struct QueryWorkspace {
     pub(crate) result: Vec<EdgeId>,
     /// Community-sized kernel scratch.
     pub(crate) scratch: LocalScratch,
+    /// Edge bitset the threshold-profile answers of
+    /// [`crate::Algorithm::Auto`] emit through; empty until the first.
+    pub(crate) bits: EdgeBits,
     acquisitions: u64,
     grows: u64,
 }
@@ -136,6 +140,13 @@ impl QueryWorkspace {
         grows += grow(&mut s.heap, m) as u64;
         self.acquisitions += 12;
         self.grows += grows;
+    }
+
+    /// Ensures the edge bitset covers edge ids `0..m`. Grow-only and
+    /// counted, like [`Self::fit_local`].
+    pub(crate) fn fit_bits(&mut self, m: usize) {
+        self.grows += self.bits.ensure(m) as u64;
+        self.acquisitions += 1;
     }
 
     /// The graph-sized base workspace (index retrieval, baselines).
@@ -193,6 +204,7 @@ impl QueryWorkspace {
             + self.community.capacity() * std::mem::size_of::<EdgeId>()
             + self.result.capacity() * std::mem::size_of::<EdgeId>()
             + self.scratch.heap_bytes()
+            + self.bits.heap_bytes()
     }
 
     /// Scratch acquisitions served from already-resident memory — the

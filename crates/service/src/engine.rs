@@ -1086,14 +1086,7 @@ fn serve_batch(
     for (resp, stages) in b.out.drain(..).zip(&b.stages) {
         let resp = resp.expect("every batch slot answered");
         // contract-ok: warm pooled buffer; growth is cold
-        b.traces.push(stages.trace(
-            &resp.request,
-            resp.epoch,
-            resp.cached,
-            resp.coalesced,
-            prov,
-            0,
-        ));
+        b.traces.push(stages.trace(&resp, prov, 0));
         responses.push(resp); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
     }
     (responses, last)
@@ -2512,6 +2505,30 @@ mod tests {
     }
 
     #[test]
+    fn slow_ring_entries_report_the_answer_size() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let g = bigraph::generators::random_bipartite(60, 60, 900, &mut rng);
+        let e = QueryEngine::start(CommunitySearch::shared(g), ServiceConfig::default());
+        // Baseline leaders on a 900-edge graph take well over the 1 µs
+        // the ring needs to retain an entry.
+        let mut sizes = std::collections::HashMap::new();
+        for i in 0..8 {
+            let q = e.current_index().0.graph().upper(i);
+            let resp = e.query(QueryRequest::new(q, 2, 2, Algorithm::Baseline));
+            assert!(!resp.cached && !resp.coalesced, "every request leads");
+            sizes.insert(q.0, resp.summary.size() as u64);
+        }
+        assert!(sizes.values().any(|&n| n > 0));
+        let slow = e.stats().slow;
+        assert_eq!(slow.len(), sizes.len(), "{slow:?}");
+        for s in &slow {
+            assert_eq!(s.result_edges, sizes[&s.q], "{s}");
+        }
+        e.shutdown();
+    }
+
+    #[test]
     fn stats_window_rearms_the_slow_ring() {
         // Regression (ISSUE 10, satellite 2), engine-level: each window
         // rollover clears the per-shard slow rings, so a window's slow
@@ -2531,6 +2548,7 @@ mod tests {
             provenance: Provenance::Single,
             cached: false,
             coalesced: false,
+            result_edges: 0,
             total_us,
             stages_us: [0; crate::telemetry::N_STAGES],
             touched: 0,

@@ -45,7 +45,7 @@
 //!   acquire, cache lookup, kernel compute, arena publish, reply) into
 //!   per-algorithm × per-stage lock-free histograms, a fixed-capacity
 //!   slow-query ring retaining the worst requests with their full stage
-//!   breakdown and provenance, and machine-readable exporters:
+//!   breakdown, provenance and answer size, and machine-readable exporters:
 //!   Prometheus text ([`engine::QueryEngine::render_metrics`]) and the
 //!   schema-versioned `BENCH_service.json` bench artifact. Recording is
 //!   lock-free and allocation-free, on by default — the counting-

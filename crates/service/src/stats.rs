@@ -727,6 +727,7 @@ mod tests {
                 provenance: crate::telemetry::Provenance::Batch,
                 cached: false,
                 coalesced: false,
+                result_edges: 4,
                 total_us: 900,
                 stages_us: [1, 2, 3, 880, 10, 4, 0],
             }],
@@ -783,6 +784,7 @@ mod tests {
         assert!(txt.contains("peel"));
         assert!(txt.contains("slow queries (worst 1)"));
         assert!(txt.contains("q=17"));
+        assert!(txt.contains("result_edges=4"));
         // Algorithms that served nothing stay out of the table.
         assert!(!txt.contains("baseline"));
         // The per-shard section renders one row per shard.

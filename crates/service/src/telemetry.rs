@@ -37,7 +37,7 @@
 //! panicked records nothing.
 
 use crate::stats::{HistSnapshot, LatencyHistogram, ServiceStats, ShardStats};
-use crate::QueryRequest;
+use crate::QueryResponse;
 use scs::Algorithm;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,6 +222,8 @@ pub struct SlowQuery {
     pub cached: bool,
     /// Waited on an identical in-flight computation.
     pub coalesced: bool,
+    /// Edges in the answer.
+    pub result_edges: u64,
     /// End-to-end latency, µs.
     pub total_us: u64,
     /// Per-stage attribution, µs, indexed by [`Stage`]. Stages the
@@ -248,6 +250,7 @@ impl fmt::Display for SlowQuery {
         if self.coalesced {
             write!(f, " coalesced")?;
         }
+        write!(f, " result_edges={}", self.result_edges)?;
         for stage in Stage::ALL {
             write!(f, " {}={}", stage.name(), self.stages_us[stage as usize])?;
         }
@@ -276,6 +279,8 @@ pub struct RequestTrace {
     pub cached: bool,
     /// Waited on an identical in-flight computation.
     pub coalesced: bool,
+    /// Edges in the answer.
+    pub result_edges: u64,
     /// End-to-end latency, µs.
     pub total_us: u64,
     /// Per-stage attribution, µs.
@@ -331,25 +336,24 @@ impl StageSet {
         self
     }
 
-    /// Assembles the trace for one request.
+    /// Assembles the trace for the request `resp` answers.
     pub fn trace(
         &self,
-        req: &QueryRequest,
-        epoch: u64,
-        cached: bool,
-        coalesced: bool,
+        resp: &QueryResponse,
         provenance: Provenance,
         total_us: u64,
     ) -> RequestTrace {
+        let req = &resp.request;
         RequestTrace {
             q: req.q.0,
             alpha: req.alpha,
             beta: req.beta,
             algo: req.algo,
-            epoch,
+            epoch: resp.epoch,
             provenance,
-            cached,
-            coalesced,
+            cached: resp.cached,
+            coalesced: resp.coalesced,
+            result_edges: resp.summary.size() as u64,
             total_us,
             stages_us: self.stages_ns.map(|ns| ns / 1_000),
             touched: self.touched,
@@ -575,6 +579,7 @@ struct RingSlot {
     /// (bit 0 cached, bit 1 coalesced).
     mid: AtomicU64,
     epoch: AtomicU64,
+    result_edges: AtomicU64,
     stages: [AtomicU64; N_STAGES],
 }
 
@@ -586,6 +591,7 @@ impl RingSlot {
             lo: AtomicU64::new(0),
             mid: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
+            result_edges: AtomicU64::new(0),
             stages: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -702,6 +708,7 @@ impl SlowRing {
             s.lo.store(lo, Ordering::Relaxed);
             s.mid.store(mid, Ordering::Relaxed);
             s.epoch.store(t.epoch, Ordering::Relaxed);
+            s.result_edges.store(t.result_edges, Ordering::Relaxed);
             for (slot, &us) in s.stages.iter().zip(t.stages_us.iter()) {
                 // ordering: Relaxed — same data-store batch as above.
                 slot.store(us, Ordering::Relaxed);
@@ -778,6 +785,7 @@ impl SlowRing {
             s.lo.store(0, Ordering::Relaxed);
             s.mid.store(0, Ordering::Relaxed);
             s.epoch.store(0, Ordering::Relaxed);
+            s.result_edges.store(0, Ordering::Relaxed);
             for slot in &s.stages {
                 // ordering: Relaxed — same data-store batch as above.
                 slot.store(0, Ordering::Relaxed);
@@ -808,6 +816,7 @@ impl SlowRing {
             let lo = s.lo.load(Ordering::Relaxed);
             let mid = s.mid.load(Ordering::Relaxed);
             let epoch = s.epoch.load(Ordering::Relaxed);
+            let result_edges = s.result_edges.load(Ordering::Relaxed);
             let mut stages_us = [0u64; N_STAGES];
             for (out, slot) in stages_us.iter_mut().zip(s.stages.iter()) {
                 // ordering: Relaxed — same data-load batch as above.
@@ -832,6 +841,7 @@ impl SlowRing {
                 provenance: Provenance::from_u8((mid >> 8) as u8),
                 cached: mid & 1 != 0,
                 coalesced: mid & 2 != 0,
+                result_edges,
                 total_us,
                 stages_us,
             });
@@ -1354,7 +1364,7 @@ fn j_stats(stats: &ServiceStats) -> String {
                 .collect();
             format!(
                 "{{\"q\":{},\"alpha\":{},\"beta\":{},\"algo\":{},\"epoch\":{},\"provenance\":{},\
-                 \"cached\":{},\"coalesced\":{},\"total_us\":{},\"stages_us\":{{{}}}}}",
+                 \"cached\":{},\"coalesced\":{},\"result_edges\":{},\"total_us\":{},\"stages_us\":{{{}}}}}",
                 s.q,
                 s.alpha,
                 s.beta,
@@ -1363,6 +1373,7 @@ fn j_stats(stats: &ServiceStats) -> String {
                 j_escape(s.provenance.name()),
                 s.cached,
                 s.coalesced,
+                s.result_edges,
                 s.total_us,
                 stages.join(",")
             )
@@ -1837,14 +1848,23 @@ fn validate_stats_obj(v: &JsonValue) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::cache::CacheStats;
+    use crate::{CommunitySummary, QueryRequest};
     use bigraph::Vertex;
 
-    fn req(q: u32, algo: Algorithm) -> QueryRequest {
-        QueryRequest {
-            q: Vertex(q),
-            alpha: 2,
-            beta: 3,
-            algo,
+    /// An empty answer to `q` at (2,3), served at `epoch`.
+    fn resp(q: u32, algo: Algorithm, epoch: u64, cached: bool) -> QueryResponse {
+        QueryResponse {
+            request: QueryRequest {
+                q: Vertex(q),
+                alpha: 2,
+                beta: 3,
+                algo,
+            },
+            summary: CommunitySummary::empty(),
+            cached,
+            coalesced: false,
+            epoch,
+            service_us: 0,
         }
     }
 
@@ -1853,7 +1873,7 @@ mod tests {
         s.set(Stage::QueueWait, 1)
             .set(Stage::CacheLookup, 0)
             .set(Stage::Kernel, kernel_us);
-        s.trace(&req(q, algo), 7, false, false, Provenance::Single, total_us)
+        s.trace(&resp(q, algo, 7, false), Provenance::Single, total_us)
     }
 
     fn stats_for(telem: &Telemetry) -> ServiceStats {
@@ -1924,10 +1944,7 @@ mod tests {
         }
         let total_ns: u64 = windows.iter().map(|w| w.1).sum();
         let mut t = s.trace(
-            &req(3, Algorithm::Peel),
-            1,
-            false,
-            false,
+            &resp(3, Algorithm::Peel, 1, false),
             Provenance::Single,
             total_ns / 1_000,
         );
@@ -1957,14 +1974,7 @@ mod tests {
         assert!(sum <= t.total_us && sum + touched + 1 >= t.total_us);
         // `set` replaces a stage; `add_ns` accumulates onto it.
         s.set(Stage::Kernel, 7).add_ns(Stage::Kernel, 1_000);
-        let t = s.trace(
-            &req(3, Algorithm::Peel),
-            1,
-            true,
-            false,
-            Provenance::Batch,
-            0,
-        );
+        let t = s.trace(&resp(3, Algorithm::Peel, 1, true), Provenance::Batch, 0);
         assert_eq!(t.stages_us[Stage::Kernel as usize], 8);
     }
 
@@ -2199,7 +2209,9 @@ mod tests {
     fn bench_json_round_trips_and_validates() {
         let telem = Telemetry::new(4);
         for i in 0..20u32 {
-            telem.record(&trace(i, Algorithm::ALL[i as usize % 5], 10 + i as u64, 5));
+            let mut t = trace(i, Algorithm::ALL[i as usize % 5], 10 + i as u64, 5);
+            t.result_edges = u64::from(i) * 3;
+            telem.record(&t);
         }
         let stats = stats_for(&telem);
         let meta = BenchMeta {
@@ -2242,6 +2254,17 @@ mod tests {
             .and_then(|s| s.get("kernel"))
             .and_then(|k| k.get("p50_us"))
             .is_some());
+        // Each slow-query object reports its answer's size.
+        let Some(JsonValue::Arr(slow)) = doc.get("steady").and_then(|s| s.get("slow_queries"))
+        else {
+            panic!("slow_queries array missing");
+        };
+        assert_eq!(slow.len(), 4);
+        for sq in slow {
+            let q = sq.get("q").and_then(JsonValue::as_f64).unwrap();
+            let edges = sq.get("result_edges").and_then(JsonValue::as_f64);
+            assert_eq!(edges, Some(q * 3.0), "{sq:?}");
+        }
         // Tampering breaks validation.
         let broken = text.replace("\"kernel\"", "\"kernle\"");
         assert!(validate_bench_json(&broken).is_err());

@@ -24,8 +24,8 @@ use rand::SeedableRng;
 use scs::{Algorithm, CommunitySearch};
 use scs_service::telemetry::{StageSet, Telemetry};
 use scs_service::{
-    build_workload, Provenance, QueryEngine, QueryRequest, ServiceConfig, Stage, WorkloadSpec,
-    N_STAGES,
+    build_workload, CommunitySummary, Provenance, QueryEngine, QueryRequest, QueryResponse,
+    ServiceConfig, Stage, WorkloadSpec, N_STAGES,
 };
 use std::time::Instant;
 
@@ -43,12 +43,19 @@ fn concurrent_recording_keeps_histograms_consistent() {
         for t in 0..THREADS {
             let telem = &telem;
             scope.spawn(move || {
-                let req = QueryRequest::new(
-                    bigraph::Vertex(t as u32),
-                    2,
-                    2,
-                    Algorithm::ALL[(t % Algorithm::ALL.len() as u64) as usize],
-                );
+                let resp = QueryResponse {
+                    request: QueryRequest::new(
+                        bigraph::Vertex(t as u32),
+                        2,
+                        2,
+                        Algorithm::ALL[(t % Algorithm::ALL.len() as u64) as usize],
+                    ),
+                    summary: CommunitySummary::empty(),
+                    cached: false,
+                    coalesced: false,
+                    epoch: 0,
+                    service_us: 0,
+                };
                 let mut stages = StageSet::new();
                 for i in 0..PER_THREAD {
                     // Deterministic spread across buckets, with the
@@ -58,14 +65,7 @@ fn concurrent_recording_keeps_histograms_consistent() {
                         .set(Stage::QueueWait, i % 7)
                         .set(Stage::CacheLookup, 1)
                         .set(Stage::Kernel, kernel);
-                    telem.record(&stages.trace(
-                        &req,
-                        0,
-                        false,
-                        false,
-                        Provenance::Single,
-                        i % 7 + 1 + kernel,
-                    ));
+                    telem.record(&stages.trace(&resp, Provenance::Single, i % 7 + 1 + kernel));
                 }
             });
         }
