@@ -2,8 +2,7 @@
 //!
 //! The serving engine is built on hand-rolled lock-free protocols (the
 //! seqlock slow-query ring, epoch-swap installs, pooled one-shot reply
-//! cells, generation-tagged arena slabs) and a zero-allocation leader
-//! query path. Their invariants live in comments; this crate makes the
+//! cells) and a zero-allocation query path. Their invariants live in comments; this crate makes the
 //! comments *mandatory* and machine-checks the repo conventions clippy
 //! cannot express. Since PR 9 it is call-graph-aware: a std-only lexer
 //! ([`lexer`]) and item/block parser ([`parser`]) build a cross-crate

@@ -47,6 +47,8 @@ fn the_real_workspace_is_clean_and_the_rules_saw_real_work() {
         a.contract_fns_checked
     );
     // The lock-order graph is populated (and, per is_clean, acyclic).
+    // Since the result cache and the in-flight table went, only the
+    // reply-cell hand-off and the serialized install nest locks.
     assert!(a.lock_sites >= 20, "only {} lock sites", a.lock_sites);
-    assert!(a.lock_edges >= 5, "only {} lock edges", a.lock_edges);
+    assert!(a.lock_edges >= 2, "only {} lock edges", a.lock_edges);
 }

@@ -1,13 +1,12 @@
 //! Batched-submission smoke benchmark in two modes: the same replayed
 //! workload submitted per-request (`QueryEngine::query`, one queue
-//! round-trip, snapshot read and cache handshake per request) and
-//! batched (`QueryEngine::submit_batch`, those costs paid once per
+//! round-trip and snapshot read per request) and batched (`QueryEngine::submit_batch`, those costs paid once per
 //! batch, one worker per batch).
 //!
 //! The graph is the same grid of small disjoint bicliques as
 //! `workspace_reuse`: every answer is tiny, so the per-request fixed
 //! costs dominate and batching's amortization is exactly what is
-//! measured. Each mode gets a fresh engine (an empty cache) per round;
+//! measured. Each mode gets a fresh engine per round;
 //! rounds are interleaved and each mode keeps its best, so one
 //! scheduling hiccup cannot decide the comparison.
 //!
@@ -44,7 +43,7 @@ fn biclique_grid(blocks: usize, side: usize) -> bigraph::BipartiteGraph {
 }
 
 /// Best replay QPS of `rounds` interleaved measurements on fresh
-/// engines (cold caches), plus the last round's report for counters.
+/// engines, plus the last round's report for counters.
 fn best_of(
     rounds: usize,
     search: &Arc<CommunitySearch>,
@@ -96,8 +95,6 @@ fn main() {
 
     let config = ServiceConfig {
         workers,
-        cache_capacity: 4096,
-        cache_shards: 16,
         ..ServiceConfig::default()
     };
 

@@ -1,7 +1,6 @@
 //! Serving-throughput scaling: replays the same workload through the
 //! `scs-service` engine with 1/2/4/8 workers and reports QPS, speedup
-//! over the single-worker run, latency quantiles and cache hit rate —
-//! then re-runs the widest configuration sharded (2 shards) and gates
+//! over the single-worker run and latency quantiles — then re-runs the widest configuration sharded (2 shards) and gates
 //! on every shard actually serving traffic.
 //!
 //! Knobs: `SCS_SCALE` (dataset scale, default 0.05 here — serving runs
@@ -46,15 +45,7 @@ fn main() {
         spec.seed
     );
 
-    let header = [
-        "workers",
-        "QPS",
-        "speedup",
-        "p50 µs",
-        "p99 µs",
-        "hit rate",
-        "coalesced",
-    ];
+    let header = ["workers", "QPS", "speedup", "p50 µs", "p99 µs"];
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut baseline_qps = None;
     for workers in [1usize, 2, 4, 8] {
@@ -62,8 +53,6 @@ fn main() {
             search.clone(),
             ServiceConfig {
                 workers,
-                cache_capacity: 4096,
-                cache_shards: 16,
                 ..ServiceConfig::default()
             },
         );
@@ -77,8 +66,6 @@ fn main() {
             format!("{:.2}x", qps / base),
             report.stats.p50_us.to_string(),
             report.stats.p99_us.to_string(),
-            format!("{:.1}%", report.stats.cache.hit_rate() * 100.0),
-            report.stats.coalesced.to_string(),
         ]);
     }
     print_table(&header, &rows);
@@ -92,8 +79,6 @@ fn main() {
         ServiceConfig {
             workers: 8,
             shards: 2,
-            cache_capacity: 4096,
-            cache_shards: 16,
             ..ServiceConfig::default()
         },
     );
@@ -105,10 +90,7 @@ fn main() {
         report.replay_qps, st.p99_us
     );
     for s in &st.per_shard {
-        println!(
-            "  shard {}: {} completed, {} hits, {} misses",
-            s.shard, s.completed, s.cache_hits, s.cache_misses
-        );
+        println!("  shard {}: {} completed", s.shard, s.completed);
     }
     if st.per_shard.len() != 2 || st.per_shard.iter().any(|s| s.completed == 0) {
         eprintln!("sharded engine left a shard idle: {:?}", st.per_shard);

@@ -170,7 +170,7 @@ pub fn abcore_community<'g>(
 /// then BFS-extracts `q`'s component into `out` (cleared first; sorted
 /// and deduplicated like [`Subgraph::from_edges`]). Clobbers `ws.dead`,
 /// `ws.degree`, `ws.visited` and `ws.queue`.
-// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
 pub fn abcore_community_into(
     g: &BipartiteGraph,
     q: Vertex,

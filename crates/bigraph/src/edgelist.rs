@@ -4,6 +4,13 @@
 //! edge per line: `upper lower [weight]`, whitespace-separated, with `%`
 //! or `#` comment lines and 1-based vertex ids. This module parses that
 //! format (both 0- and 1-based) and writes it back deterministically.
+//!
+//! Vertex ids are untrusted input, and a graph allocates every vertex
+//! of a layer up to its highest id. So [`read_edgelist`] bounds each
+//! layer by the input's size: a file of `m` data lines may declare at
+//! most `64·m + 65,536` vertices per layer. A
+//! two-line file naming vertex 3·10⁹ is a parse error, not a 12 GB
+//! allocation.
 
 use crate::builder::{BuildError, DuplicatePolicy, GraphBuilder};
 use crate::graph::BipartiteGraph;
@@ -70,23 +77,50 @@ impl Default for ReadOptions {
     }
 }
 
+/// Vertices per data line a layer may grow by.
+const LAYER_VERTICES_PER_LINE: usize = 64;
+
+/// Layer size every edge list may reach regardless of its length.
+const LAYER_VERTICES_SLACK: usize = 65_536;
+
+/// The most vertices [`read_edgelist`] accepts in one layer of an input
+/// with `data_lines` data lines: `64·data_lines + 65,536`.
+fn max_layer_size(data_lines: usize) -> usize {
+    LAYER_VERTICES_PER_LINE
+        .saturating_mul(data_lines)
+        .saturating_add(LAYER_VERTICES_SLACK)
+}
+
+/// The highest id seen in one layer: `(0-based id, id as written,
+/// 1-based line)`.
+type Widest = Option<(usize, usize, usize)>;
+
 /// Parses an edge list from any reader.
 ///
 /// Lines starting with `%` or `#` (after trimming) and blank lines are
 /// skipped. Each data line is `upper lower [weight]`.
+///
+/// A graph allocates every vertex of a layer up to its highest id, so an
+/// input of `m` data lines may declare at most `64·m + 65,536` vertices
+/// per layer. Real inputs number their vertices densely and stay far
+/// below that bound; an id beyond it is an [`EdgeListError::Parse`]
+/// error naming its line, raised before the graph is built.
 pub fn read_edgelist<R: BufRead>(
     reader: R,
     opts: &ReadOptions,
 ) -> Result<BipartiteGraph, EdgeListError> {
     let mut b = GraphBuilder::with_policy(opts.duplicates);
+    let mut data_lines = 0usize;
+    let mut widest: [Widest; 2] = [None, None];
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') || t.starts_with('#') {
             continue;
         }
+        data_lines += 1;
         let mut it = t.split_whitespace();
-        let parse_id = |tok: Option<&str>, what: &str| -> Result<usize, EdgeListError> {
+        let parse_id = |tok: Option<&str>, what: &str| -> Result<(usize, usize), EdgeListError> {
             let tok = tok.ok_or_else(|| EdgeListError::Parse {
                 line: lineno + 1,
                 message: format!("missing {what} column"),
@@ -110,10 +144,15 @@ pub fn read_edgelist<R: BufRead>(
                     message: format!("{what} id {tok} is out of range (layer size must fit u32)"),
                 });
             }
-            Ok(id)
+            Ok((id, raw))
         };
-        let u = parse_id(it.next(), "upper")?;
-        let l = parse_id(it.next(), "lower")?;
+        let (u, raw_u) = parse_id(it.next(), "upper")?;
+        let (l, raw_l) = parse_id(it.next(), "lower")?;
+        for (layer, id, raw) in [(0, u, raw_u), (1, l, raw_l)] {
+            if widest[layer].is_none_or(|(top, _, _)| id > top) {
+                widest[layer] = Some((id, raw, lineno + 1));
+            }
+        }
         let w = match it.next() {
             Some(tok) => tok.parse::<Weight>().map_err(|_| EdgeListError::Parse {
                 line: lineno + 1,
@@ -122,6 +161,20 @@ pub fn read_edgelist<R: BufRead>(
             None => opts.default_weight,
         };
         b.add_edge(u, l, w);
+    }
+    let bound = max_layer_size(data_lines);
+    for (what, top) in ["upper", "lower"].into_iter().zip(widest) {
+        if let Some((id, raw, line)) = top.filter(|&(id, _, _)| id >= bound) {
+            return Err(EdgeListError::Parse {
+                line,
+                message: format!(
+                    "{what} id {raw} needs a layer of {} vertices, over the bound of {bound} \
+                     for {data_lines} data lines ({LAYER_VERTICES_PER_LINE} per line + \
+                     {LAYER_VERTICES_SLACK})",
+                    id + 1
+                ),
+            });
+        }
     }
     Ok(b.build()?)
 }
@@ -223,13 +276,55 @@ mod tests {
                 "{data:?}: {err}"
             );
         }
-        // The largest in-range id passes the reader; a graph that large
-        // then fails the builder's vertex-count check, before allocating.
+        // The largest in-range id passes the id check but not the
+        // layer bound of a one-line file.
         let g = read_edgelist("0 4294967294 1\n".as_bytes(), &ReadOptions::default());
-        assert!(matches!(
-            g,
-            Err(EdgeListError::Build(BuildError::TooLarge(_)))
-        ));
+        assert!(matches!(g, Err(EdgeListError::Parse { line: 1, .. })));
+    }
+
+    #[test]
+    fn a_huge_id_in_a_short_file_is_rejected_before_building() {
+        let data = "0 0 1\n3000000000 1 1\n";
+        let err = read_edgelist(data.as_bytes(), &ReadOptions::default()).unwrap_err();
+        let EdgeListError::Parse { line, message } = &err else {
+            panic!("expected a parse error, got {err}");
+        };
+        assert_eq!(*line, 2);
+        assert!(message.contains("upper id 3000000000"), "{message}");
+        assert!(
+            message.contains(&max_layer_size(2).to_string()),
+            "{message}"
+        );
+        // A huge lower id is caught the same way, at its own line.
+        let data = "% header\n0 3000000000 1\n1 0 1\n";
+        let err = read_edgelist(data.as_bytes(), &ReadOptions::default()).unwrap_err();
+        assert!(matches!(err, EdgeListError::Parse { line: 2, .. }), "{err}");
+    }
+
+    #[test]
+    fn a_sparse_file_within_the_bound_parses() {
+        // Two data lines may reach ids up to 64·2 + 65,536 − 1.
+        let top = max_layer_size(2) - 1;
+        let data = format!("0 0 1\n{top} {top} 2\n");
+        let g = read_edgelist(data.as_bytes(), &ReadOptions::default()).unwrap();
+        assert_eq!(
+            (g.n_upper(), g.n_lower(), g.n_edges()),
+            (top + 1, top + 1, 2)
+        );
+        // One more vertex is over it.
+        let data = format!("0 0 1\n{} 0 2\n", top + 1);
+        let err = read_edgelist(data.as_bytes(), &ReadOptions::default()).unwrap_err();
+        assert!(matches!(err, EdgeListError::Parse { line: 2, .. }), "{err}");
+        // One-based ids are bounded after the shift.
+        let opts = ReadOptions {
+            one_based: true,
+            ..Default::default()
+        };
+        let data = format!("1 1 1\n{} 1 2\n", top + 1);
+        assert_eq!(
+            read_edgelist(data.as_bytes(), &opts).unwrap().n_upper(),
+            top + 1
+        );
     }
 
     #[test]

@@ -24,21 +24,16 @@
 //!   statistics used by the effectiveness experiments;
 //! * [`workspace`] — reusable, epoch-stamped scratch memory
 //!   ([`workspace::Workspace`]) that keeps the whole query pipeline
-//!   allocation-free after warm-up;
-//! * [`arena`] — recyclable bump-arena storage ([`arena::ResultArena`])
-//!   for query *results*, so the answers themselves stop allocating too
-//!   once a serving worker is warm.
+//!   allocation-free after warm-up.
 //!
 //! Vertices live in a single `u32` id space: upper vertices first
 //! (`0..n_upper`), then lower vertices. [`Vertex`] is a transparent
 //! newtype; use [`BipartiteGraph::upper`]/[`BipartiteGraph::lower`] or the
 //! [`Side`] accessors to move between the typed view and raw indices.
 
-// Unsafe is confined to the one module that needs it (see the
-// module-level `allow`); everything else in the crate is checked.
-#![deny(unsafe_code)]
+// No unsafe in this crate — and none may creep in.
+#![forbid(unsafe_code)]
 
-pub mod arena;
 pub mod builder;
 pub mod edgelist;
 pub mod generators;
@@ -50,7 +45,6 @@ pub mod unionfind;
 pub mod weights;
 pub mod workspace;
 
-pub use arena::{ArenaEdges, ResultArena};
 pub use builder::{BuildError, DuplicatePolicy, GraphBuilder};
 pub use graph::{BipartiteGraph, EdgeId, Side, Vertex};
 pub use subgraph::Subgraph;

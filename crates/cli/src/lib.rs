@@ -12,7 +12,7 @@
 //!   address, then blocks until killed;
 //! * `serve-bench <edgelist> [--threads N] [--queries K] ...` — replay a
 //!   generated query workload through the concurrent `scs-service`
-//!   engine and print the QPS/latency/cache stats table; with
+//!   engine and print its replay QPS and the latency stats table; with
 //!   `--remote HOST:PORT` the same workload is driven over HTTP
 //!   against a running `scs serve` instead;
 //! * `analyze [--root DIR] [--allow RULE]` — run the workspace's
@@ -84,8 +84,8 @@ pub struct ServeBenchArgs {
     pub one_based: bool,
     /// Worker threads in the engine.
     pub threads: usize,
-    /// Engine shards the workers (and caches, arenas, index replicas)
-    /// are partitioned into.
+    /// Engine shards the workers (and index replicas) are partitioned
+    /// into.
     pub shards: usize,
     /// Queries in the replayed workload.
     pub queries: usize,
@@ -854,9 +854,9 @@ fn run_serve(args: ServeArgs) -> Result<String, CliError> {
 /// The derived `--warmup` default: `queries / 10`, rounded **up** to a
 /// whole number of `--batch-size` submission batches. An unaligned
 /// default (e.g. 10 warmup with batches of 16) would end the warmup
-/// replay on a partial batch, so warmed caches and the batch-size
-/// steady state would disagree with what the measured window claims to
-/// measure. An explicit `--warmup` is taken verbatim.
+/// replay on a partial batch, so the warmed profiles and the
+/// batch-size steady state would disagree with what the measured
+/// window claims to measure. An explicit `--warmup` is taken verbatim.
 fn aligned_default_warmup(queries: usize, batch_size: usize) -> usize {
     let base = queries / 10;
     if batch_size <= 1 || base == 0 {
@@ -866,8 +866,10 @@ fn aligned_default_warmup(queries: usize, batch_size: usize) -> usize {
 }
 
 /// `scs serve-bench`: build the index, replay a core-sampled workload
-/// with repeats through the concurrent engine, print the stats table
-/// (plus a steady-state window excluding warmup), and optionally export
+/// with repeats through the concurrent engine, print the replay QPS —
+/// measured requests over the measured replay's wall time, the run's
+/// one throughput figure — and the stats table (plus a steady-state
+/// latency window excluding warmup), and optionally export
 /// Prometheus text and the `BENCH_service.json` artifact. With
 /// `--remote`, the same workload is driven over HTTP against a running
 /// `scs serve` instead ([`run_remote_bench`]).
@@ -888,7 +890,7 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
     let search = CommunitySearch::shared(g);
     let spec = WorkloadSpec {
         // One workload covers warmup + measured run, so the measured
-        // requests see a cache already primed by the same distribution.
+        // requests find the profiles the same distribution built.
         n_queries: warmup + args.queries,
         alpha: args.alpha,
         beta: args.beta,
@@ -949,9 +951,9 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
         out.push('\n'); // the stats table ends flush after the slow-query ring
     }
     out.push_str(&format!(
-        "steady state (excl. warmup): {} queries in window — {:.1} QPS, \
+        "steady state (excl. warmup): {} queries in window — \
          mean {:.1}µs, p50 {}µs, p99 {}µs, max {}µs\n",
-        steady.completed, steady.qps, steady.mean_us, steady.p50_us, steady.p99_us, steady.max_us,
+        steady.completed, steady.mean_us, steady.p50_us, steady.p99_us, steady.max_us,
     ));
     if let Some(path) = &args.metrics_out {
         let text = engine.render_metrics();
@@ -1023,9 +1025,8 @@ fn run_remote_bench(
         .map_err(|e| CliError::new(format!("{}: {e}; lower --alpha/--beta", args.path)))?;
     drop(search); // the client side needs only the request list
 
-    // Warmup over one connection, results discarded (the server's
-    // caches and batch heuristics see the same distribution the
-    // measured run uses).
+    // Warmup over one connection, results discarded (the server builds
+    // the profiles of the distribution the measured run uses).
     if warmup > 0 {
         let mut conn = HttpClient::connect(remote)?;
         for req in &workload[..warmup] {
@@ -1475,10 +1476,10 @@ mod tests {
         .unwrap();
         assert!(out.contains("200 queries"), "{out}");
         assert!(out.contains("per-request"), "{out}");
-        assert!(out.contains("QPS"), "{out}");
-        assert!(out.contains("cache hit rate"), "{out}");
-        // 200 queries over ≤ 18 distinct keys: hits are guaranteed.
-        assert!(!out.contains("cache hits          │            0"), "{out}");
+        // One throughput figure per run: the replay rate.
+        assert_eq!(out.matches("QPS").count(), 1, "{out}");
+        // The table counts the 200 measured and 20 warm-up requests.
+        assert!(out.contains("completed           │          220"), "{out}");
 
         // The same workload submitted in batches reports its batch jobs.
         let out = run(Command::ServeBench(ServeBenchArgs {

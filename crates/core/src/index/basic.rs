@@ -155,7 +155,7 @@ impl BasicIndex {
 
     /// Allocation-free retrieval on reusable scratch; `out` is cleared
     /// and receives the sorted edge ids of `C_{α,β}(q)`.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
     pub fn query_community_into(
         &self,
         g: &BipartiteGraph,

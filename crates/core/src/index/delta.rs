@@ -145,7 +145,7 @@ impl DeltaIndex {
 
     /// Allocation-free retrieval: `out` is cleared and receives the
     /// sorted edge ids of `C_{α,β}(q)`; all scratch comes from `ws`.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
     pub fn query_community_into(
         &self,
         g: &BipartiteGraph,

@@ -27,14 +27,28 @@
 //!    [`query::scs_baseline`].
 //!
 //! These four kernels are the paper's algorithms and the library's
-//! oracles. Serving does not run them per query: [`Algorithm::Auto`],
-//! the default, answers from a *threshold profile*. That is one peel of
-//! the whole (α,β)-core, built by the first `Auto` query at an (α,β) and
-//! shared by every later one, which stores every distinct answer once as
-//! a slice of one edge array. Each query then emits `q`'s slice in id
-//! order, with no step 1 and no traversal, and it returns exactly
-//! `SCS-Peel`'s answer. A query outside the (α,β)-core is answered empty
-//! from one `Iδ` lookup.
+//! oracles. Serving does not run them per query:
+//! [`CommunitySearch::answer`] answers from a *threshold profile*. That
+//! is one peel of the whole (α,β)-core, built by the first query at an
+//! (α,β) and shared by every later one, which stores every distinct
+//! answer once, as a slice of one edge array, together with its member
+//! counts and minimum weight. An [`Answer`] is a handle on `q`'s slice:
+//! its summary is O(1), and its edges, emitted on request in id order
+//! with no step 1 and no traversal, are exactly `SCS-Peel`'s answer.
+//! [`Algorithm::Auto`], the default, emits them. A query outside the
+//! (α,β)-core is answered empty from one `Iδ` lookup.
+//!
+//! ```text
+//!  answer(q, α, β) ──▶ Iδ: q in the (α,β)-core? ── no ──▶ empty Answer
+//!                            │ yes
+//!                            ▼
+//!             profile memo (8 most recent (α,β)) ── miss ──▶ one peel of
+//!                            │ hit                           the whole core
+//!                            ▼                               (built once)
+//!             q's class ──▶ Answer { profile, class }
+//!                            ├─ size, n_upper, n_lower, min_weight: O(1)
+//!                            └─ edges_into(ws, out): ascending edge ids
+//! ```
 //!
 //! ## Quick start
 //!
@@ -74,10 +88,10 @@ pub mod workspace;
 pub(crate) mod local;
 
 pub use index::{BasicIndex, DeltaIndex, DynamicIndex};
+pub use query::profile::Answer;
 pub use query::{scs_baseline, scs_binary, scs_expand, scs_peel};
 pub use workspace::QueryWorkspace;
 
-use bigraph::arena::{ArenaEdges, ResultArena};
 use bigraph::{BipartiteGraph, EdgeId, Subgraph, Vertex};
 use query::profile::{ProfileMemo, ThresholdProfile};
 use std::fmt;
@@ -90,10 +104,10 @@ use std::sync::Arc;
 /// computes it, never which answer comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
-    /// The serving path: answer from the (α,β) threshold profile — one
-    /// peel of the whole (α,β)-core, built by the first `Auto` query at
-    /// that (α,β) and shared by every later one — by emitting `q`'s
-    /// precomputed answer class in id order. No step-1 retrieval, no
+    /// Emit [`CommunitySearch::answer`]'s view: `q`'s precomputed
+    /// answer class in the (α,β) threshold profile — one peel of the
+    /// whole (α,β)-core, built by the first query at that (α,β) and
+    /// shared by every later one — in id order. No step-1 retrieval, no
     /// local re-indexing, no traversal, no per-query sort of the
     /// community. Returns `SCS-Peel`'s answer (see `query/profile.rs`
     /// for the argument).
@@ -139,7 +153,7 @@ impl fmt::Display for Algorithm {
 }
 
 /// High-level façade: a graph, its degeneracy-bounded index and the
-/// threshold profiles [`Algorithm::Auto`] answers from.
+/// threshold profiles [`Self::answer`] answers from.
 #[derive(Debug)]
 pub struct CommunitySearch {
     graph: BipartiteGraph,
@@ -159,7 +173,7 @@ impl Clone for CommunitySearch {
 impl CommunitySearch {
     /// Builds the index (`O(δ·m)`) and takes ownership of the graph.
     /// Threshold profiles are not built here; the first
-    /// [`Algorithm::Auto`] query at each (α,β) builds its own.
+    /// [`Self::answer`] at each (α,β) builds its own.
     pub fn new(graph: BipartiteGraph) -> Self {
         let index = DeltaIndex::build(&graph);
         Self::from_parts(graph, index)
@@ -241,35 +255,11 @@ impl CommunitySearch {
         Subgraph::from_edges(&self.graph, out)
     }
 
-    /// [`Self::significant_community_into`] storing the result in
-    /// arena storage: the community's sorted edge ids are copied into a
-    /// slab of `arena` and the returned [`ArenaEdges`] handle pins
-    /// them. With a warm `ws` **and** a warm arena (a free slab — every
-    /// result of a retired generation dropped), a repeated query
-    /// performs zero heap allocations *including the result itself* —
-    /// the contract the serving layer's leader path is built on.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
-    pub fn significant_community_arena(
-        &self,
-        q: Vertex,
-        alpha: usize,
-        beta: usize,
-        algorithm: Algorithm,
-        ws: &mut QueryWorkspace,
-        arena: &mut ResultArena,
-    ) -> ArenaEdges {
-        let mut out = std::mem::take(&mut ws.result);
-        self.significant_community_into(q, alpha, beta, algorithm, ws, &mut out);
-        let stored = arena.store(&out);
-        ws.result = out;
-        stored
-    }
-
     /// Fully allocation-free query: `out` is cleared and receives the
     /// sorted edge ids of the significant (α,β)-community. With a warm
     /// `ws` and a warm `out`, a repeated query performs zero heap
     /// allocations.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
     pub fn significant_community_into(
         &self,
         q: Vertex,
@@ -280,7 +270,7 @@ impl CommunitySearch {
         out: &mut Vec<EdgeId>,
     ) {
         if algorithm == Algorithm::Auto {
-            self.profile_answer_into(q, alpha, beta, ws, out);
+            self.answer(q, alpha, beta, ws).edges_into(ws, out);
             return;
         }
         if algorithm == Algorithm::Baseline {
@@ -314,27 +304,26 @@ impl CommunitySearch {
         ws.restore_community(community);
     }
 
-    /// [`Algorithm::Auto`]: answers from the (α,β) threshold profile,
-    /// building it on the first query that needs it. A query outside
-    /// the (α,β)-core — including every query with `min(α,β) > δ` — is
-    /// answered empty from one `Iδ` lookup and never touches the memo.
-    fn profile_answer_into(
-        &self,
-        q: Vertex,
-        alpha: usize,
-        beta: usize,
-        ws: &mut QueryWorkspace,
-        out: &mut Vec<EdgeId>,
-    ) {
-        out.clear();
+    /// `q`'s significant (α,β)-community as an [`Answer`]: a handle on
+    /// `q`'s class in the (α,β) threshold profile, built by the first
+    /// call that needs it. The summary accessors are O(1) and the edges
+    /// are emitted on request, so a warm call allocates nothing. A
+    /// query outside the (α,β)-core — including every query with
+    /// `min(α,β) > δ` — is answered empty from one `Iδ` lookup and never
+    /// touches the memo.
+    ///
+    /// # Panics
+    /// Panics if `alpha` or `beta` is 0.
+    // scs-contract: no-alloc — every served request is answered here; a warm profile makes it a lookup and a refcount bump.
+    pub fn answer(&self, q: Vertex, alpha: usize, beta: usize, ws: &mut QueryWorkspace) -> Answer {
         if !self.index.core_contains(q, alpha, beta) {
-            return;
+            return Answer::default();
         }
         let slot = self.profiles.slot(alpha, beta);
-        let profile: &ThresholdProfile = slot.get_or_init(|| {
-            ThresholdProfile::build(&self.graph, alpha, beta, &mut ws.base) // contract-ok: cold build — once per (α,β) per snapshot; later queries find the slot filled
+        slot.get_or_init(|| {
+            ThresholdProfile::build(&self.graph, alpha, beta, &mut ws.base) // contract-ok: cold build — once per (α,β) per snapshot while the memo keeps it; later queries find the slot filled
         });
-        profile.answer_into(&self.graph, q, ws, out);
+        Answer::in_profile(slot, q)
     }
 }
 
@@ -361,46 +350,6 @@ mod tests {
             assert_eq!(r.size(), 4);
             assert_eq!(r.min_weight(), Some(13.0));
         }
-    }
-
-    #[test]
-    fn arena_results_match_vec_results() {
-        let search = CommunitySearch::new(figure2_example());
-        let g = search.graph();
-        let queries: Vec<(Vertex, usize, usize)> = (0..g.n_upper())
-            .flat_map(|i| [(g.upper(i), 2, 2), (g.upper(i), 1, 1)])
-            .collect();
-        let mut ws = QueryWorkspace::new();
-        let mut arena = ResultArena::new();
-        for algo in Algorithm::ALL {
-            // Every handle of the round is held at once, so later stores
-            // must not clobber earlier results.
-            let handles: Vec<ArenaEdges> = queries
-                .iter()
-                .map(|&(q, a, b)| {
-                    search.significant_community_arena(q, a, b, algo, &mut ws, &mut arena)
-                })
-                .collect();
-            assert_eq!(handles.len(), queries.len());
-            for (&(q, a, b), stored) in queries.iter().zip(&handles) {
-                let solo = search.significant_community(q, a, b, algo);
-                assert_eq!(
-                    stored.as_slice(),
-                    solo.edges(),
-                    "q={q:?} α={a} β={b} {algo}"
-                );
-                assert!(stored.pinned());
-            }
-        }
-        // Single-query form agrees too, sharing the same arena.
-        let q = g.upper(2);
-        let one = search.significant_community_arena(q, 2, 2, Algorithm::Peel, &mut ws, &mut arena);
-        assert_eq!(
-            one.as_slice(),
-            search
-                .significant_community(q, 2, 2, Algorithm::Peel)
-                .edges()
-        );
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl LocalGraph {
     /// Fills `out` with all local edge ids sorted by weight (ascending
     /// when `asc`, else descending); ties broken by edge id for
     /// determinism.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
     pub fn edges_by_weight_into(&self, asc: bool, out: &mut Vec<u32>) {
         out.clear();
         out.extend(0..self.n_edges() as u32); // contract-ok: workspace scratch retains warm capacity across queries; growth is cold (alloc-gated)
@@ -246,7 +246,7 @@ impl LocalGraph {
     /// DFS over edges alive in `alive` from `start`; fills `out` with the
     /// local edge ids of `start`'s connected component. `visited` and
     /// `stack` are reusable scratch (cleared here); `out` is cleared too.
-    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+    // scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
     pub fn component_edges_into(
         &self,
         start: u32,

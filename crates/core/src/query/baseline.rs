@@ -30,7 +30,7 @@ pub fn scs_baseline<'g>(
 /// the sorted result edges. The component extraction and the
 /// q-in-core guard both run on the graph-sized workspace buffers
 /// (flat stamped sets) instead of the old hash-map peel.
-// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
 pub fn scs_baseline_into(
     g: &BipartiteGraph,
     q: Vertex,

@@ -62,7 +62,7 @@ fn feasible(
 /// Allocation-free `SCS-Binary` over a community given as a sorted
 /// edge-id slice; `out` is cleared first and receives the sorted result
 /// edges.
-// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
 pub fn scs_binary_into(
     g: &BipartiteGraph,
     community: &[EdgeId],

@@ -100,7 +100,7 @@ impl Default for ExpandOptions {
 ///
 /// # Panics
 /// Panics unless `opts.epsilon > 1`.
-// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
 #[allow(clippy::too_many_arguments)] // the wrapper's arguments plus options and scratch
 pub fn scs_expand_into(
     g: &BipartiteGraph,

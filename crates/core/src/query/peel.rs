@@ -147,7 +147,7 @@ pub(crate) fn weighted_peel_in(
 /// of `q` from its (α,β)-community given as a sorted edge-id slice.
 /// `out` is cleared first and receives the sorted result edges. All
 /// scratch comes from `ws`; a warm workspace makes this heap-silent.
-// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace/arena; warm queries must stay heap-silent.
+// scs-contract: no-alloc — kernels draw every buffer from the caller's workspace; warm queries must stay heap-silent.
 pub fn scs_peel_into(
     g: &BipartiteGraph,
     community: &[EdgeId],

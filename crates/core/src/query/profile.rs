@@ -50,17 +50,30 @@
 //! **Layout and emission.** The build lays the tree out as one
 //! permutation of the core edges in which every node owns the slice
 //! `[start, start + len)`: its children's slices, then its own edges.
-//! [`ThresholdProfile::answer_into`] sets the bits of `q`'s class slice
-//! in a zeroed [`EdgeBits`] and scans the words between the class's
-//! lowest and highest edge id in order, clearing them as it goes. That
-//! emits ascending edge ids in `O(|R| + span/64) ⊆ O(|R| + m/64)`, with
-//! no traversal and no sort.
+//! [`Answer::edges_into`] sets the bits of `q`'s class slice in a zeroed
+//! [`EdgeBits`] and scans the words between the class's lowest and
+//! highest edge id in order, clearing them as it goes. That emits
+//! ascending edge ids in `O(|R| + span/64) ⊆ O(|R| + m/64)`, with no
+//! traversal and no sort.
 //!
-//! **Cost.** A profile stores `4·n + 4·m_core + 16·nodes` bytes
+//! **Summaries.** Every node also stores what a reply reports about its
+//! answer, so [`Answer`]'s accessors are O(1) and never touch an edge:
+//!
+//! - `n_upper` and `n_lower`, the side counts of the union-find root
+//!   of the node's component, read when the node is created — the
+//!   component's vertices are exactly its edges' endpoints;
+//! - `min_weight`, the weight of the group its level `t` removes, set
+//!   when the node is created. Every edge of the node is live at the
+//!   start of iteration `t`, when the group's weight is the lowest live
+//!   one, and the node holds an edge of that group: a cascade never
+//!   leaves the component it starts in. So that weight is its minimum,
+//!   read once per level instead of once per edge.
+//!
+//! **Cost.** A profile stores `4·n + 4·m_core + 32·nodes` bytes
 //! (`nodes ≤ m_core`) and costs one `O(m_core log m_core)` build: the
 //! peel's weight sort, then a counting sort by level and a near-linear
-//! union-find pass. A query then does no step-1 retrieval, no local
-//! re-indexing, no traversal and no sort.
+//! union-find pass that also carries each root's side counts. A query then does no step-1 retrieval, no local
+//! re-indexing, no traversal and no sort; its summary is a node read.
 //!
 //! **Whole core, not per component.** A profile covers the whole
 //! (α,β)-core, so the first query at an (α,β) pays for every component,
@@ -74,13 +87,16 @@
 //!
 //! [`CommunitySearch`](crate::CommunitySearch) keeps the profiles of its
 //! most recent (α,β) pairs in a [`ProfileMemo`], built lazily by the first
-//! `Algorithm::Auto` query that needs one.
+//! [`CommunitySearch::answer`](crate::CommunitySearch::answer) that needs
+//! one, and hands out each answer as an [`Answer`]: the profile slot plus
+//! `q`'s class.
 
 use crate::QueryWorkspace;
 use bicore::abcore::abcore_in;
 use bigraph::unionfind::UnionFind;
 use bigraph::workspace::Workspace;
-use bigraph::{BipartiteGraph, EdgeId, Vertex};
+use bigraph::{BipartiteGraph, EdgeId, Vertex, Weight};
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// `level` of a core edge not yet removed during the build.
@@ -104,6 +120,12 @@ struct Node {
     lo: u32,
     /// Highest edge id among them.
     hi: u32,
+    /// Upper-side vertices among their endpoints.
+    n_upper: u32,
+    /// Lower-side vertices among their endpoints.
+    n_lower: u32,
+    /// Their minimum weight: the group weight of the node's level.
+    min_weight: Weight,
 }
 
 impl Node {
@@ -132,7 +154,8 @@ impl ThresholdProfile {
     /// merge tree. Clobbers `ws.dead`, `ws.degree`, `ws.queue` and
     /// `ws.stack`. `O(m_core log m_core)`.
     pub(crate) fn build(g: &BipartiteGraph, alpha: usize, beta: usize, ws: &mut Workspace) -> Self {
-        let (fail, level, n_levels) = peel_ranks(g, alpha, beta, ws);
+        let (fail, level, group_weight) = peel_ranks(g, alpha, beta, ws);
+        let n_levels = group_weight.len() as u32;
 
         // Counting sort of the core edges by level: level `t` owns
         // `by_level[bounds[t]..bounds[t + 1]]`, in ascending id order.
@@ -152,9 +175,14 @@ impl ThresholdProfile {
         }
 
         // The merge tree, level by level from the top. `newest[r]` is the
-        // newest node of the component rooted at `r`.
+        // newest node of the component rooted at `r`, and `sides[r]` its
+        // upper- and lower-side vertex counts.
         let n = g.n_vertices();
         let mut uf = UnionFind::new(n);
+        let mut sides: Vec<[u32; 2]> = g
+            .vertices()
+            .map(|v| if g.is_upper(v) { [1, 0] } else { [0, 1] })
+            .collect();
         let mut newest = vec![NONE; n];
         let mut class = vec![NONE; n];
         let mut nodes: Vec<Node> = Vec::new();
@@ -173,6 +201,9 @@ impl ThresholdProfile {
                 let (ru, rl) = (uf.find(u.index()), uf.find(l.index()));
                 if let Some(root) = uf.union(ru, rl) {
                     let lost = if root == ru { rl } else { ru };
+                    let [lost_upper, lost_lower] = sides[lost];
+                    sides[root][0] += lost_upper;
+                    sides[root][1] += lost_lower;
                     if newest[lost] != NONE {
                         children.push((newest[lost], lost));
                     }
@@ -189,11 +220,15 @@ impl ThresholdProfile {
                         parent[newest[r] as usize] = nodes.len() as u32;
                     }
                     newest[r] = nodes.len() as u32;
+                    let [n_upper, n_lower] = sides[r];
                     nodes.push(Node {
                         start: 0,
                         len: 0,
                         lo: e.0,
                         hi: e.0,
+                        n_upper,
+                        n_lower,
+                        min_weight: group_weight[t as usize - 1],
                     });
                     parent.push(NONE);
                 }
@@ -248,28 +283,97 @@ impl ThresholdProfile {
         }
     }
 
-    /// `q`'s significant (α,β)-community: `q`'s class slice, written to
-    /// `out` (cleared first) as ascending edge ids — the list
-    /// [`scs_peel_into`](super::scs_peel_into) produces. Empty when `q`
-    /// is outside the core. Clobbers only `ws.bits`, which it fits to
-    /// `g`'s edge count; a warm `ws` and a warm `out` make this
-    /// heap-silent.
-    pub(crate) fn answer_into(
-        &self,
-        g: &BipartiteGraph,
-        q: Vertex,
-        ws: &mut QueryWorkspace,
-        out: &mut Vec<EdgeId>,
-    ) {
-        out.clear();
-        let c = self.class[q.index()];
-        if c == NONE {
-            return;
+    /// `q`'s class; `None` outside the core.
+    fn class_of(&self, q: Vertex) -> Option<u32> {
+        Some(self.class[q.index()]).filter(|&c| c != NONE)
+    }
+
+    /// The edges of `node`, in tree order.
+    fn slice(&self, node: Node) -> &[EdgeId] {
+        &self.edges[node.start as usize..(node.start + node.len) as usize]
+    }
+}
+
+/// A significant (α,β)-community as a view: the threshold profile it
+/// was answered from and `q`'s class in it, or nothing for an empty
+/// answer. Made by [`CommunitySearch::answer`](crate::CommunitySearch::answer).
+///
+/// The handle keeps its profile alive, so it answers per the snapshot
+/// it came from for as long as it lives, whatever is installed or
+/// evicted meanwhile. Cloning it is a refcount bump. The summary
+/// accessors are O(1) reads of the class's merge-tree node; the edges
+/// are emitted only on request.
+#[derive(Clone, Default)]
+pub struct Answer {
+    /// A filled profile slot and `q`'s class in it; `None` when empty.
+    class: Option<(ProfileSlot, u32)>,
+}
+
+/// The class and its size, not the profile behind them.
+impl fmt::Debug for Answer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Answer")
+            .field("class", &self.class.as_ref().map(|&(_, c)| c))
+            .field("size", &self.size())
+            .finish()
+    }
+}
+
+impl Answer {
+    /// `q`'s class in the profile of `slot`, which must be filled;
+    /// empty when `q` is outside its core.
+    pub(crate) fn in_profile(slot: ProfileSlot, q: Vertex) -> Answer {
+        let class = slot.get().and_then(|p| p.class_of(q));
+        Answer {
+            class: class.map(|c| (slot, c)),
         }
-        let node = self.nodes[c as usize];
-        let slice = &self.edges[node.start as usize..(node.start + node.len) as usize];
-        ws.fit_bits(g.n_edges());
-        ws.bits.emit_ascending(slice, node.words(), out);
+    }
+
+    /// The profile and the class's node; `None` when empty.
+    fn view(&self) -> Option<(&ThresholdProfile, Node)> {
+        let (slot, c) = self.class.as_ref()?;
+        let profile = slot.get()?;
+        Some((profile, *profile.nodes.get(*c as usize)?))
+    }
+
+    /// Number of edges.
+    // scs-contract: no-alloc — an answer's summary is a node read; replies are built from it on the serving path.
+    pub fn size(&self) -> usize {
+        self.view().map_or(0, |(_, node)| node.len as usize)
+    }
+
+    /// Upper-side member count.
+    // scs-contract: no-alloc — an answer's summary is a node read; replies are built from it on the serving path.
+    pub fn n_upper(&self) -> usize {
+        self.view().map_or(0, |(_, node)| node.n_upper as usize)
+    }
+
+    /// Lower-side member count.
+    // scs-contract: no-alloc — an answer's summary is a node read; replies are built from it on the serving path.
+    pub fn n_lower(&self) -> usize {
+        self.view().map_or(0, |(_, node)| node.n_lower as usize)
+    }
+
+    /// `f(R)`, the minimum edge weight in [`f64::total_cmp`] order;
+    /// `None` when empty.
+    // scs-contract: no-alloc — an answer's summary is a node read; replies are built from it on the serving path.
+    pub fn min_weight(&self) -> Option<Weight> {
+        self.view().map(|(_, node)| node.min_weight)
+    }
+
+    /// Writes the community's edges to `out` (cleared first) as
+    /// ascending edge ids: exactly [`scs_peel_into`](super::scs_peel_into)'s
+    /// list. Clobbers only `ws.bits`, which it grows to the class's
+    /// highest id; a warm `ws` and a warm `out` make this heap-silent.
+    // scs-contract: no-alloc — emission draws on the caller's warm workspace and output buffer.
+    pub fn edges_into(&self, ws: &mut QueryWorkspace, out: &mut Vec<EdgeId>) {
+        out.clear();
+        let Some((profile, node)) = self.view() else {
+            return;
+        };
+        ws.fit_bits(node.hi as usize + 1);
+        ws.bits
+            .emit_ascending(profile.slice(node), node.words(), out);
         debug_assert!(
             out.windows(2).all(|w| w[0] < w[1]),
             "edge ids not ascending"
@@ -279,7 +383,8 @@ impl ThresholdProfile {
 
 /// Ranks the whole-core peel: per vertex the 1-based iteration in which
 /// it fails, per edge the iteration in which it is removed (0 outside
-/// the core, for both), and the number of iterations.
+/// the core, for both), and per iteration `t` the weight of the group
+/// it removes, at index `t − 1`.
 /// `weighted_peel_in`'s group loop, run over the whole core and to the
 /// end.
 fn peel_ranks(
@@ -287,7 +392,7 @@ fn peel_ranks(
     alpha: usize,
     beta: usize,
     ws: &mut Workspace,
-) -> (Vec<u32>, Vec<u32>, u32) {
+) -> (Vec<u32>, Vec<u32>, Vec<Weight>) {
     abcore_in(g, alpha, beta, ws);
     let Workspace {
         dead,
@@ -330,6 +435,7 @@ fn peel_ranks(
     };
     stack.clear();
     let mut rank = 0u32;
+    let mut group_weight = Vec::new();
     let mut i = 0;
     while i < order.len() {
         if level[order[i].1.index()] != LIVE {
@@ -338,6 +444,7 @@ fn peel_ranks(
         }
         rank += 1;
         let w_min = order[i].0;
+        group_weight.push(weight_of_key(w_min));
         while i < order.len() && order[i].0 == w_min {
             let e = order[i].1;
             i += 1;
@@ -353,13 +460,12 @@ fn peel_ranks(
             }
         }
     }
-    (fail, level, rank)
+    (fail, level, group_weight)
 }
 
-/// A zeroed bitset over edge ids, the scratch
-/// [`ThresholdProfile::answer_into`] emits ascending ids through. It is
-/// grown on the first `Auto` answer only, so index builds and set-up
-/// never allocate it.
+/// A zeroed bitset over edge ids, the scratch [`Answer::edges_into`]
+/// emits ascending ids through. It is grown on the first emission only,
+/// so index builds and set-up never allocate it.
 #[derive(Debug, Default)]
 pub(crate) struct EdgeBits {
     words: Vec<u64>,
@@ -376,7 +482,7 @@ impl EdgeBits {
         let n_words = m.div_ceil(64);
         let grow = self.words.len() < n_words;
         if grow {
-            self.words.resize(n_words, 0); // contract-ok: grow-only scratch sized by the graph; a warm workspace never grows it
+            self.words.resize(n_words, 0); // contract-ok: grow-only scratch sized by the highest id emitted; a warm workspace never grows it
         }
         grow
     }
@@ -418,6 +524,13 @@ impl EdgeBits {
 fn total_order_key(w: f64) -> i64 {
     let bits = w.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The weight whose [`total_order_key`] is `key`. The flip keeps the
+/// sign bit, so applying it again undoes it; this spares the peel a
+/// random read of the weight array per iteration.
+fn weight_of_key(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
 }
 
 /// A memo slot: filled once by the first query at its (α,β), shared by
@@ -481,6 +594,20 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::Barrier;
 
+    /// The profile of `g` at (α,β), in a filled slot.
+    fn profile(g: &BipartiteGraph, alpha: usize, beta: usize) -> ProfileSlot {
+        let slot = ProfileSlot::default();
+        slot.get_or_init(|| ThresholdProfile::build(g, alpha, beta, &mut Workspace::new()));
+        slot
+    }
+
+    /// `q`'s answer from the profile in `slot`, emitted through `ws`.
+    fn emit(slot: &ProfileSlot, q: Vertex, ws: &mut QueryWorkspace) -> Vec<EdgeId> {
+        let mut out = Vec::new();
+        Answer::in_profile(slot.clone(), q).edges_into(ws, &mut out);
+        out
+    }
+
     /// `Auto` equals `Peel` for every vertex of `search`'s graph at (α,β).
     fn assert_auto_matches_peel(search: &CommunitySearch, alpha: usize, beta: usize) {
         let mut ws = QueryWorkspace::new();
@@ -528,18 +655,60 @@ mod tests {
     }
 
     #[test]
+    fn answers_summarise_and_emit_like_peel() {
+        let graphs = tied_random_graphs()
+            .into_iter()
+            .chain([CommunitySearch::new(figure2_example()), dense_tied()]);
+        for search in graphs {
+            let mut ws = QueryWorkspace::new();
+            let mut out = Vec::new();
+            for a in 1..=search.delta() + 1 {
+                for b in 1..=search.delta() + 1 {
+                    for q in search.graph().vertices() {
+                        let answer = search.answer(q, a, b, &mut ws);
+                        let peel = search.significant_community(q, a, b, Algorithm::Peel);
+                        let (us, ls) = peel.layer_vertices();
+                        let at = format!("q={q:?} α={a} β={b}");
+                        assert_eq!(answer.size(), peel.size(), "{at}");
+                        assert_eq!(answer.n_upper(), us.len(), "{at}");
+                        assert_eq!(answer.n_lower(), ls.len(), "{at}");
+                        assert_eq!(answer.min_weight(), peel.min_weight(), "{at}");
+                        answer.edges_into(&mut ws, &mut out);
+                        assert_eq!(out, peel.edges(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weight_of_key_inverts_total_order_key() {
+        for w in [
+            -7.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1.0,
+            13.0,
+            f64::INFINITY,
+        ] {
+            assert_eq!(weight_of_key(total_order_key(w)).to_bits(), w.to_bits());
+        }
+    }
+
+    #[test]
     fn core_members_share_a_class_exactly_when_their_answers_are_equal() {
         for search in tied_random_graphs() {
             let g = search.graph();
             for a in 1..=search.delta() + 1 {
                 for b in 1..=search.delta() + 1 {
-                    let p = ThresholdProfile::build(g, a, b, &mut Workspace::new());
+                    let slot = profile(g, a, b);
+                    let p = slot.get().unwrap();
                     let mut ws = QueryWorkspace::new();
                     let mut answer_of = BTreeMap::new();
                     let mut class_of = BTreeMap::new();
                     for q in g.vertices().filter(|&q| p.class[q.index()] != NONE) {
-                        let mut out = Vec::new();
-                        p.answer_into(g, q, &mut ws, &mut out);
+                        let out = emit(&slot, q, &mut ws);
                         let c = p.class[q.index()];
                         assert_eq!(*answer_of.entry(c).or_insert(out.clone()), out);
                         assert_eq!(*class_of.entry(out).or_insert(c), c, "α={a} β={b}");
@@ -565,11 +734,11 @@ mod tests {
         let search = CommunitySearch::new(b.build().unwrap());
         let g = search.graph();
         let m = g.n_edges() as u32;
-        let p = ThresholdProfile::build(g, 1, 1, &mut Workspace::new());
+        let slot = profile(g, 1, 1);
+        let p = slot.get().unwrap();
         let node = p.nodes[p.class[g.upper(0).index()] as usize];
         assert_eq!((node.len, node.lo, node.hi), (2, 0, m - 1));
-        let mut out = Vec::new();
-        p.answer_into(g, g.upper(0), &mut QueryWorkspace::new(), &mut out);
+        let out = emit(&slot, g.upper(0), &mut QueryWorkspace::new());
         assert_eq!(out, [EdgeId(0), EdgeId(m - 1)]);
         assert_auto_matches_peel(&search, 1, 1);
     }
@@ -577,16 +746,17 @@ mod tests {
     #[test]
     fn figure2_profile_classes_and_slices() {
         let g = figure2_example();
-        let p = ThresholdProfile::build(&g, 2, 2, &mut Workspace::new());
+        let slot = profile(&g, 2, 2);
+        let p = slot.get().unwrap();
         // u501 has degree 1: outside the (2,2)-core, so is its edge.
         let outside = g.upper(500);
         assert_eq!(p.class[outside.index()], NONE);
         assert!(!p.edges.contains(&g.incident_edges(outside)[0]));
+        assert_eq!(Answer::in_profile(slot.clone(), outside).size(), 0);
         // u3's answer is its class slice, as 4 ascending edge ids.
         let u3 = g.upper(2);
         let node = p.nodes[p.class[u3.index()] as usize];
-        let mut out = Vec::new();
-        p.answer_into(&g, u3, &mut QueryWorkspace::new(), &mut out);
+        let out = emit(&slot, u3, &mut QueryWorkspace::new());
         assert_eq!(out.len(), 4);
         assert!(out.windows(2).all(|w| w[0] < w[1]), "ascending ids");
         let mut slice = p.edges[node.start as usize..][..node.len as usize].to_vec();
@@ -597,11 +767,10 @@ mod tests {
     #[test]
     fn a_panic_mid_emission_leaves_no_stale_bits() {
         let g = figure2_example();
-        let p = ThresholdProfile::build(&g, 2, 2, &mut Workspace::new());
+        let slot = profile(&g, 2, 2);
         let u3 = g.upper(2);
         let mut ws = QueryWorkspace::new();
-        let mut clean = Vec::new();
-        p.answer_into(&g, u3, &mut ws, &mut clean);
+        let clean = emit(&slot, u3, &mut ws);
         // Mark every edge, then panic scanning past the bitset's end.
         let all: Vec<EdgeId> = g.edge_ids().collect();
         let far = usize::MAX / 64;
@@ -609,9 +778,7 @@ mod tests {
             ws.bits.emit_ascending(&all, far..=far, &mut Vec::new());
         }));
         assert!(panicked.is_err() && ws.bits.dirty);
-        let mut out = Vec::new();
-        p.answer_into(&g, u3, &mut ws, &mut out);
-        assert_eq!(out, clean);
+        assert_eq!(emit(&slot, u3, &mut ws), clean);
         assert!(!ws.bits.dirty && ws.bits.words.iter().all(|&w| w == 0));
     }
 

@@ -4,10 +4,10 @@
 //! needs besides the graph and the index: the graph-sized epoch-stamped
 //! buffers of [`bigraph::workspace::Workspace`] (used by index retrieval,
 //! the online baselines and threshold-profile builds), the edge bitset
-//! the threshold-profile answers of [`crate::Algorithm::Auto`] emit
-//! through, and the community-sized local scratch of the second-step
-//! kernels (the re-indexed [`LocalGraph`], liveness sets, degree arrays,
-//! sort orders, the expansion heap and component tracker). Everything
+//! [`crate::Answer::edges_into`] emits through, and the community-sized
+//! local scratch of the second-step kernels (the re-indexed
+//! [`LocalGraph`], liveness sets, degree arrays, sort orders, the
+//! expansion heap and component tracker). Everything
 //! grows monotonically to the largest query served, so a warm workspace
 //! answers an unbounded query stream with zero further heap allocations.
 //!
@@ -35,7 +35,7 @@ use crate::query::expand::HeapEdge;
 use crate::query::profile::EdgeBits;
 use bigraph::unionfind::ComponentTracker;
 use bigraph::workspace::{EdgeSet, VertexSet, Workspace};
-use bigraph::{BipartiteGraph, EdgeId};
+use bigraph::EdgeId;
 
 /// Community-sized scratch of the second-step kernels. Field roles are
 /// by convention, like [`Workspace`]'s; every kernel documents what it
@@ -101,13 +101,10 @@ pub struct QueryWorkspace {
     pub(crate) local: LocalGraph,
     /// Step-1 result: the community's global edge ids.
     pub(crate) community: Vec<EdgeId>,
-    /// Staging buffer for arena-bound results (the kernel writes here,
-    /// then the edges are copied into a `ResultArena` slab).
-    pub(crate) result: Vec<EdgeId>,
     /// Community-sized kernel scratch.
     pub(crate) scratch: LocalScratch,
-    /// Edge bitset the threshold-profile answers of
-    /// [`crate::Algorithm::Auto`] emit through; empty until the first.
+    /// Edge bitset [`crate::Answer::edges_into`] emits through; empty
+    /// until the first emission.
     pub(crate) bits: EdgeBits,
     acquisitions: u64,
     grows: u64,
@@ -172,37 +169,13 @@ impl QueryWorkspace {
         self.community = community;
     }
 
-    /// Counts the distinct upper- and lower-side endpoints of `edges`
-    /// without allocating, using the workspace's `visited` set (which
-    /// is clobbered). This is how the serving layer sizes a summary of
-    /// an arena-stored result — the allocation-free replacement for
-    /// materialising the vertex list.
-    pub fn layer_counts(&mut self, g: &BipartiteGraph, edges: &[EdgeId]) -> (usize, usize) {
-        self.base.visited.ensure(g.n_vertices());
-        self.base.visited.clear();
-        let (mut n_upper, mut n_lower) = (0, 0);
-        for &e in edges {
-            let (u, l) = g.endpoints(e);
-            // contract-ok: warm workspace scratch; growth is cold
-            if self.base.visited.insert(u) {
-                n_upper += 1;
-            }
-            // contract-ok: warm workspace scratch; growth is cold
-            if self.base.visited.insert(l) {
-                n_lower += 1;
-            }
-        }
-        (n_upper, n_lower)
-    }
-
     /// Resident heap bytes across every buffer — what it costs to keep
-    /// this workspace warm. Reported by the service layer next to its
-    /// cache statistics.
+    /// this workspace warm. Reported by the service layer as its
+    /// workers' scratch residency.
     pub fn heap_bytes(&self) -> usize {
         self.base.heap_bytes()
             + self.local.heap_bytes()
             + self.community.capacity() * std::mem::size_of::<EdgeId>()
-            + self.result.capacity() * std::mem::size_of::<EdgeId>()
             + self.scratch.heap_bytes()
             + self.bits.heap_bytes()
     }
@@ -234,21 +207,5 @@ mod tests {
         assert!(ws.allocations_avoided() >= avoided_before + 24);
         ws.fit_local(100, 300);
         assert!(ws.heap_bytes() > bytes, "bigger community grows the pool");
-    }
-
-    #[test]
-    fn layer_counts_match_subgraph_vertices() {
-        let g = bigraph::builder::figure2_example();
-        let mut ws = QueryWorkspace::new();
-        let full = bigraph::Subgraph::full(&g);
-        let (us, ls) = full.layer_vertices();
-        assert_eq!(ws.layer_counts(&g, full.edges()), (us.len(), ls.len()));
-        // A sub-list counts only its own endpoints; repeated calls
-        // reuse the same visited set.
-        let some = &full.edges()[..3];
-        let sub = bigraph::Subgraph::from_edges(&g, some.to_vec());
-        let (su, sl) = sub.layer_vertices();
-        assert_eq!(ws.layer_counts(&g, some), (su.len(), sl.len()));
-        assert_eq!(ws.layer_counts(&g, &[]), (0, 0));
     }
 }

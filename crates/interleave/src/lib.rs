@@ -1,8 +1,7 @@
 //! # scs-interleave — a bounded interleaving checker for the engine's protocols
 //!
-//! The serving stack rests on a handful of hand-rolled concurrent
-//! protocols: the seqlock slow-query ring, pooled one-shot reply cells,
-//! epoch-swap installs, and generation-tagged arena slabs. Their stress
+//! The serving stack rests on hand-rolled concurrent protocols: the
+//! seqlock slow-query ring and pooled one-shot reply cells. Their stress
 //! tests sample a few schedules per run; this crate checks *every*
 //! schedule of a bounded model, in the spirit of
 //! [loom](https://docs.rs/loom) — but vendored and std-only, like the
@@ -19,8 +18,7 @@
 //! are checked two ways:
 //!
 //! * [`Model::step`] returns `Err` the moment a thread observes an
-//!   impossible state (a torn seqlock read, a recycled slab behind a
-//!   pinned handle);
+//!   impossible state (a torn seqlock read, a recycled reply cell);
 //! * the explorer itself reports **deadlock** (no thread enabled but not
 //!   all finished — the shape of a lost wakeup) and **depth exhaustion**
 //!   (a schedule longer than the bound — the shape of a livelock).

@@ -15,8 +15,6 @@
 //! |---|---|---|
 //! | [`Seqlock`] | `telemetry::SlowRing` slots | torn read accepted |
 //! | [`ReplyCell`] | engine's pooled one-shot reply cells | lost wakeup; recycled cell observed |
-//! | [`EpochInstall`] | epoch-swap installs vs. leader publish | stale publish cached |
-//! | [`ArenaRecycle`] | `bigraph::arena` slab recycling | recycle under a pinned handle |
 
 use crate::Model;
 
@@ -332,303 +330,9 @@ impl Model for ReplyCell {
     }
 }
 
-/// Epoch-swap install vs. a leader publishing a computed result: the
-/// leader snapshots the epoch without a lock, computes, then must
-/// re-check the epoch *under the cache lock* before publishing — a
-/// result computed against a retired epoch is dropped (counted as a
-/// stale publish), never cached.
-///
-/// The broken variant publishes without the re-check, leaving a retired
-/// epoch's result in the cache after the install invalidated it.
-#[derive(Debug, Clone)]
-pub struct EpochInstall {
-    epoch: u64,
-    /// The result cache: `(epoch_tag, value)`.
-    cache: Option<(u64, u64)>,
-    lock: Option<usize>,
-    stale_publishes: u32,
-    lpc: usize,
-    ipc: usize,
-    e_snap: u64,
-    skip_recheck: bool,
-}
-
-impl EpochInstall {
-    /// The correct protocol.
-    pub fn correct() -> EpochInstall {
-        EpochInstall {
-            epoch: 1,
-            cache: None,
-            lock: None,
-            stale_publishes: 0,
-            lpc: 0,
-            ipc: 0,
-            e_snap: 0,
-            skip_recheck: false,
-        }
-    }
-
-    /// The broken leader: publishes without re-checking the epoch under
-    /// the lock.
-    pub fn buggy() -> EpochInstall {
-        EpochInstall {
-            skip_recheck: true,
-            ..EpochInstall::correct()
-        }
-    }
-
-    /// No retired result may be visible in the cache while the lock is
-    /// free.
-    fn quiescent(&self) -> Result<(), String> {
-        if self.lock.is_none() {
-            if let Some((tag, _)) = self.cache {
-                if tag != self.epoch {
-                    return Err(format!(
-                        "cache holds a result from retired epoch {tag} at epoch {} \
-                         (stale publish cached)",
-                        self.epoch
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Model for EpochInstall {
-    fn threads(&self) -> usize {
-        2
-    }
-
-    fn finished(&self, tid: usize) -> bool {
-        if tid == 0 {
-            self.lpc >= 6
-        } else {
-            self.ipc >= 6
-        }
-    }
-
-    fn enabled(&self, tid: usize) -> bool {
-        let (pc, done) = if tid == 0 {
-            (self.lpc, 6)
-        } else {
-            (self.ipc, 6)
-        };
-        if pc >= done {
-            return false;
-        }
-        // Step 3 of either thread acquires the cache lock.
-        pc != 3 || self.lock.is_none()
-    }
-
-    fn step(&mut self, tid: usize) -> Result<(), String> {
-        if tid == 0 {
-            // Leader: snapshot epoch, compute, publish under the lock.
-            match self.lpc {
-                0 => self.e_snap = self.epoch,
-                1 | 2 => {} // compute against the snapshot (local)
-                3 => self.lock = Some(0),
-                4 => {
-                    if self.skip_recheck || self.epoch == self.e_snap {
-                        self.cache = Some((self.e_snap, 100 + self.e_snap));
-                    } else {
-                        self.stale_publishes += 1;
-                    }
-                }
-                5 => self.lock = None,
-                _ => unreachable!("leader finished"),
-            }
-            self.lpc += 1;
-        } else {
-            // Installer: build, bump the epoch and invalidate under the
-            // lock.
-            match self.ipc {
-                0 | 1 => {} // build the new index (local)
-                2 => {}     // swap preparation (local)
-                3 => self.lock = Some(1),
-                4 => {
-                    self.epoch += 1;
-                    if let Some((tag, _)) = self.cache {
-                        if tag < self.epoch {
-                            self.cache = None;
-                        }
-                    }
-                }
-                5 => self.lock = None,
-                _ => unreachable!("installer finished"),
-            }
-            self.ipc += 1;
-        }
-        self.quiescent()
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        self.quiescent()?;
-        if self.cache.is_none() && self.stale_publishes == 0 && self.lpc >= 6 {
-            // The leader must have published or counted a stale publish
-            // — unless the installer invalidated the published entry.
-            // Both orders are fine; nothing further to check.
-        }
-        Ok(())
-    }
-}
-
-/// The original payload of the modelled arena slab.
-const ORIG: u64 = 7;
-
-/// Arena slab recycle vs. a pinned handle: the owner may bump the
-/// generation and overwrite the payload only after observing that no
-/// handle pins the slab (`strong_count == 1`); a reader holding a
-/// handle must see its generation stable and its bytes frozen.
-///
-/// The broken variant recycles without the strong-count check.
-#[derive(Debug, Clone)]
-pub struct ArenaRecycle {
-    slab_gen: u64,
-    data: u64,
-    strong: u32,
-    rpc: usize,
-    opc: usize,
-    rd1: u64,
-    rg: u64,
-    retries: u32,
-    recycled: bool,
-    skip_strong_check: bool,
-}
-
-impl ArenaRecycle {
-    /// Owner retries of the strong-count check before giving up.
-    const MAX_RETRIES: u32 = 3;
-
-    /// The correct protocol.
-    pub fn correct() -> ArenaRecycle {
-        ArenaRecycle {
-            slab_gen: 0,
-            data: ORIG,
-            strong: 2, // the pool's reference + the reader's handle
-            rpc: 0,
-            opc: 0,
-            rd1: 0,
-            rg: 0,
-            retries: 0,
-            recycled: false,
-            skip_strong_check: false,
-        }
-    }
-
-    /// The broken owner: recycles without checking the refcount.
-    pub fn buggy() -> ArenaRecycle {
-        ArenaRecycle {
-            skip_strong_check: true,
-            ..ArenaRecycle::correct()
-        }
-    }
-}
-
-impl Model for ArenaRecycle {
-    fn threads(&self) -> usize {
-        2
-    }
-
-    fn finished(&self, tid: usize) -> bool {
-        if tid == 0 {
-            self.rpc >= 6
-        } else {
-            self.opc >= 6
-        }
-    }
-
-    fn step(&mut self, tid: usize) -> Result<(), String> {
-        if tid == 0 {
-            // Reader: use the pinned handle, then drop it.
-            match self.rpc {
-                0 => self.rd1 = self.data,
-                1 => self.rg = self.slab_gen,
-                2 => {
-                    // handle_gen is 0: the handle was created before any
-                    // recycle.
-                    if self.rg != 0 {
-                        return Err(format!(
-                            "slab recycled to generation {} while a handle pinned it",
-                            self.rg
-                        ));
-                    }
-                    if self.rd1 != ORIG {
-                        return Err(format!(
-                            "pinned handle read {} instead of its frozen payload {ORIG}",
-                            self.rd1
-                        ));
-                    }
-                }
-                3 => {
-                    let rd2 = self.data;
-                    if rd2 != ORIG {
-                        return Err(format!(
-                            "frozen region changed under a live handle: {rd2} != {ORIG}"
-                        ));
-                    }
-                }
-                4 => {}                // hand the result to the client (local)
-                5 => self.strong -= 1, // drop the handle
-                _ => unreachable!("reader finished"),
-            }
-            self.rpc += 1;
-        } else {
-            // Owner: recycle the slab once (it believes) it is unpinned.
-            match self.opc {
-                0 => {} // pick the best-fit free slab (local)
-                1 => {} // observe the refcount next step (local pacing)
-                2 => {
-                    let unpinned = self.strong == 1;
-                    if unpinned || self.skip_strong_check {
-                        self.opc = 3;
-                    } else if self.retries < Self::MAX_RETRIES {
-                        self.retries += 1;
-                        self.opc = 2; // re-observe
-                    } else {
-                        self.opc = 6; // give up; allocate fresh instead
-                    }
-                    return Ok(());
-                }
-                3 => self.slab_gen += 1,
-                4 => self.data = 99,
-                5 => {} // hand out the recycled storage (local)
-                _ => unreachable!("owner finished"),
-            }
-            self.opc += 1;
-        }
-        if self.opc == 6 && self.slab_gen > 0 {
-            self.recycled = true;
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        if self.recycled && self.data != 99 {
-            return Err("recycle bumped the generation without reclaiming storage".to_string());
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn arena_retry_loop_is_bounded() {
-        // The owner's strong-count retry loop must terminate even if the
-        // reader never runs: drive the owner alone.
-        let mut m = ArenaRecycle::correct();
-        for _ in 0..32 {
-            if m.finished(1) {
-                break;
-            }
-            m.step(1).unwrap();
-        }
-        assert!(m.finished(1), "owner gave up after bounded retries");
-        assert_eq!(m.slab_gen, 0, "pinned slab was not recycled");
-    }
 
     #[test]
     fn seqlock_retry_loop_is_bounded() {

@@ -8,106 +8,99 @@
 //!    [`QueryEngine::submit_batch`] enqueues N requests as one job per
 //!    shard. [`QueryEngine::query`] and [`QueryEngine::query_batch`]
 //!    are the blocking conveniences.
-//! 2. A worker dequeues the job and looks every *unique* key up in the
-//!    sharded LRU cache once; a hit answers its key at once
-//!    (`cached = true`). A key is `(q, α, β)`: every algorithm returns
-//!    the same community, so requests that differ only in `algo` share
-//!    one cache entry and one flight, and the first request of a key
-//!    picks the kernel that a miss runs. Every response carries its own
-//!    slot's request.
-//! 3. The misses read one index snapshot and join the in-flight table.
-//!    The first thread for a key becomes its *leader*; a key already in
-//!    flight makes this job a *follower* that waits for the leader
-//!    instead of duplicating work (`coalesced = true`). A key whose
-//!    resident flight belongs to a newer epoch (an install raced the
-//!    join) gets another snapshot-and-join round inside the same job;
-//!    epochs are monotonic, so the rounds end.
-//! 4. Each leader runs its own kernel call
-//!    ([`scs::CommunitySearch::significant_community_arena`]) and
-//!    publishes at once: the response goes into the cache and the
-//!    flight (waking its followers) and answers the key's slots.
-//! 5. Only once every leader of every round is published does the job
-//!    wait on its follower flights, so two jobs following each other's
-//!    keys can never deadlock.
-//! 6. The worker hands the responses back in submission order and
+//! 2. A worker dequeues the job and reads one index snapshot — the
+//!    shard's `Arc<CommunitySearch>` and its epoch — for all of the
+//!    job's requests.
+//! 3. It answers each request with [`CommunitySearch::answer`]: `q`'s
+//!    class in the (α,β) threshold profile, a table lookup once that
+//!    profile is built. The first request at an (α,β) builds it;
+//!    requests racing that build on other workers wait in the profile
+//!    slot's `OnceLock` and share the one build. The response's
+//!    [`crate::CommunitySummary`] reads the class's member counts and
+//!    minimum weight in O(1); no edge is emitted or copied. The
+//!    request's `algo` is echoed and keys the telemetry rows, but it
+//!    picks no kernel: every algorithm returns the same community.
+//! 4. The worker hands the responses back in submission order and
 //!    records every member's stage trace (see [`crate::telemetry`]).
 //!
-//! Duplicate keys inside a batch are computed once and their extra
-//! slots answered exactly as a serial resubmission would be, and only
-//! [`QueryEngine::submit_batch`] jobs count in the `batches`/`batched`
-//! counters, so [`ServiceStats`] cannot drift between submission modes.
+//! Only [`QueryEngine::submit_batch`] jobs count in the
+//! `batches`/`batched` counters.
 //!
-//! # The warm leader path allocates nothing
+//! # The warm path allocates nothing
 //!
-//! Together with the per-worker [`QueryWorkspace`] and
-//! [`ResultArena`], every piece of per-request state is recycled, so a
-//! warm engine serves leader queries with **zero** heap allocations end
-//! to end (proven by `tests/alloc_free_service.rs`):
+//! Together with the per-worker [`QueryWorkspace`], every piece of
+//! per-request state is recycled, so a warm engine serves requests with
+//! **zero** heap allocations end to end (proven by
+//! `tests/alloc_free_service.rs`):
 //!
 //! * the job queue is a mutex-protected ring (`VecDeque`) instead of a
 //!   node-allocating channel;
-//! * request and response vectors, reply slots ([`ReplyCell`]) and
-//!   flights are pooled, reused whenever their refcount proves nothing
-//!   else holds them;
-//! * results are written into the worker's [`ResultArena`] — the
-//!   [`crate::CommunitySummary`] wraps a slab view, not a fresh `Vec` —
-//!   and [`crate::QueryResponse`] travels **by value** (cloning is a
-//!   refcount bump), so there is no `Arc::new` per response;
-//! * cache entries hold responses by value; **eviction (or an
-//!   epoch-swap clear) drops the entry's slab handle, and once every
-//!   handle of a slab's generation is gone the owning worker recycles
-//!   the slab in place** — live handles pin their slab via refcount and
-//!   a generation tag proves they can never observe recycled storage;
-//! * job bookkeeping (slot grouping, follower list, stage traces) lives
-//!   in per-worker scratch, all capacity-retaining.
+//! * request and response vectors and reply slots ([`ReplyCell`]) are
+//!   pooled, reused whenever their refcount proves nothing else holds
+//!   them;
+//! * an answer is a refcount bump on its profile slot plus a class id,
+//!   and [`crate::QueryResponse`] travels **by value**, so there is no
+//!   `Arc::new` per response;
+//! * the job's stage traces live in per-worker scratch that keeps its
+//!   capacity.
+//!
+//! What does allocate is cold: a profile build, once per (α,β) per
+//! snapshot for as long as the memo keeps it, and
+//! [`crate::CommunitySummary::edges`], which emits an answer's edges on
+//! the caller's first read and which the engine itself never calls.
+//!
+//! # Assumption: the live (α,β) pairs fit the profile memo
+//!
+//! A request is O(1) only while its (α,β) profile is in the snapshot's
+//! memo, which holds the 8 most recently built profiles, first in,
+//! first out; the engine keeps no result cache. Traffic that rotates
+//! through more pairs evicts a profile on every miss, and the next
+//! request at the evicted pair rebuilds the whole core's profile (22 ms
+//! on the EN analogue at (2,2)), even for a key answered before. In a
+//! closed-loop probe on a 2-vCPU VM (EN, 2 workers, 4 clients), 256 hot
+//! keys were answered at 145,396 QPS over 8 (α,β) pairs and at 319 QPS
+//! over 12. Every request also locks the one memo mutex and bumps one
+//! profile slot's refcount, shared by all shards' workers; nothing has
+//! measured that beyond 2 workers.
 //!
 //! # Sharding
 //!
 //! The engine is built from `ServiceConfig::shards` **independent
-//! shards**: each owns its worker pool, job queue, result-cache slice,
-//! in-flight table, workspaces + result arenas, telemetry plane and
-//! `Arc<CommunitySearch>` index replica. Requests route to a shard by
-//! a stable hash of the query vertex ([`route_of`] — a splitmix64
-//! mixer, deliberately decorrelated from the cache's internal SipHash
-//! sharding), so a given key always lands on the same shard and every
-//! single-shard invariant above (coalescing, caching, counter
-//! invariance, the allocation-free warm path) holds per shard and
-//! therefore engine-wide. Cross-shard batches are partitioned into
-//! per-shard sub-batches and reassembled in submission order by the
-//! [`BatchHandle`]; installs fan out to every shard (serialized, so
-//! all shards agree on the epoch sequence); stats aggregate. On Linux,
-//! each shard's workers are pinned to a distinct CPU set
-//! (best-effort); elsewhere pinning is a no-op and sharding still
-//! isolates the queues, caches and arenas.
+//! shards**: each owns its worker pool, job queue, workspaces, telemetry
+//! plane and `Arc<CommunitySearch>` index replica. Requests route to a
+//! shard by a stable hash of the query vertex ([`route_of`], a
+//! splitmix64 mixer), so a given key always lands on the same shard.
+//! Cross-shard batches are partitioned into per-shard sub-batches and
+//! reassembled in submission order by the [`BatchHandle`]; installs fan
+//! out to every shard (serialized, so all shards agree on the epoch
+//! sequence); stats aggregate. On Linux, each shard's workers are
+//! pinned to a distinct CPU set (best-effort); elsewhere pinning is a
+//! no-op and sharding still isolates the queues.
 //!
 //! [`QueryEngine::install`] atomically replaces the index (one
-//! write-lock per shard), bumps the epoch and clears the cache, so a
-//! rebuilt index — e.g. [`scs::DynamicIndex::snapshot`] after edge
-//! updates — goes live without stopping the workers. In-flight leaders that started on the
-//! old snapshot finish on it (their Arc keeps it alive) and their
-//! responses carry the old epoch; the cache only ever holds entries
-//! inserted under the epoch read together with the snapshot, and is
-//! cleared on install, so a hit never serves a community computed
-//! against an index older than the last install. The in-flight table is
-//! fenced the same way: a request only coalesces onto a flight whose
-//! epoch matches the one it observed as current, so a post-install
-//! request never receives a pre-install result.
+//! write-lock per shard) and bumps the epoch, so a rebuilt index — e.g.
+//! [`scs::DynamicIndex::snapshot`] after edge updates — goes live
+//! without stopping the workers. A job that read the old snapshot
+//! finishes on it (its `Arc` keeps it alive) and its responses carry the
+//! old epoch. Each answer holds the profile it was read from, so a
+//! response materialises its own snapshot's edges even after the
+//! install; the new snapshot starts with an empty profile memo.
 
 // The crate denies `unsafe_code`; this module is the one exception,
 // for the `sched_setaffinity` FFI shim in `pin_worker`. Every site
 // is budgeted in `unsafe-allowlist.txt` and checked by `scs analyze`.
 #![allow(unsafe_code)]
 
-use crate::cache::{CacheStats, ShardedCache};
-use crate::stats::{AdmissionStats, HistSnapshot, LatencyHistogram, ServiceStats, ShardStats};
+use crate::stats::{
+    AdmissionStats, CacheStats, HistSnapshot, LatencyHistogram, ServiceStats, ShardStats,
+};
 use crate::telemetry::{
     Provenance, RequestTrace, SlowQuery, Stage, StageSet, Telemetry, TelemetrySnapshot,
 };
 use crate::{CommunitySummary, QueryRequest, QueryResponse};
-use bigraph::arena::ResultArena;
 use bigraph::Vertex;
 use scs::{CommunitySearch, QueryWorkspace};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -123,23 +116,18 @@ pub struct ServiceConfig {
     /// [`crate::stats::ServiceStats::workers`]).
     pub workers: usize,
     /// Independent engine shards (≥ 1). Each shard owns its worker
-    /// pool, job queue, result-cache slice, in-flight table, telemetry
-    /// plane and index replica; requests are routed by a stable hash of
-    /// the query vertex, so one key always lands on one shard and the
-    /// single-shard coalescing/caching guarantees carry over verbatim.
-    /// On Linux each shard's workers are additionally pinned to a
-    /// distinct CPU set (best-effort; elsewhere pinning is a no-op).
+    /// pool, job queue, telemetry plane and index replica; requests are
+    /// routed by a stable hash of the query vertex, so one key always
+    /// lands on one shard. On Linux each shard's workers are
+    /// additionally pinned to a distinct CPU set (best-effort;
+    /// elsewhere pinning is a no-op).
     pub shards: usize,
-    /// Total result-cache entries across all shards.
+    /// Ignored: the engine keeps no result cache, since every answer is
+    /// a view into a threshold profile. Kept so configurations that set
+    /// it still compile. The profile memo that replaces the cache holds
+    /// at most 8 (α,β) pairs per snapshot; traffic over more pairs
+    /// rebuilds profiles (see the [module docs](self)).
     pub cache_capacity: usize,
-    /// Cache shards (rounded up to a power of two).
-    pub cache_shards: usize,
-    /// Edge capacity of each result-arena slab (per worker). Smaller
-    /// slabs turn over — and recycle — faster at the cost of more
-    /// pinned-slab fragmentation; the default
-    /// ([`bigraph::arena::DEFAULT_SLAB_EDGES`]) suits production, tests
-    /// shrink it to exercise recycling. Clamped to ≥ 1.
-    pub arena_slab_edges: usize,
     /// Capacity of the slow-query ring: how many worst-latency requests
     /// the telemetry plane retains with their full stage breakdown
     /// (see [`crate::telemetry`]). 0 disables retention (recording
@@ -170,121 +158,12 @@ impl Default for ServiceConfig {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             shards: 1,
             cache_capacity: 4096,
-            cache_shards: 16,
-            arena_slab_edges: bigraph::arena::DEFAULT_SLAB_EDGES,
             slow_ring_capacity: 16,
             pending_budget: 1024,
             tenant_rate: 0,
             tenant_burst: 64,
             socket_timeout_ms: 10_000,
         }
-    }
-}
-
-/// What an answer depends on: `(q, α, β)`, never the algorithm (see
-/// the module docs). Keys the result cache, the in-flight table and a
-/// job's dedup table.
-type QueryKey = (Vertex, u32, u32);
-
-fn key_of(req: &QueryRequest) -> QueryKey {
-    (req.q, req.alpha, req.beta)
-}
-
-/// What a flight's followers eventually observe.
-enum FlightState {
-    /// Leader still computing.
-    Pending,
-    /// Leader published.
-    Done(QueryResponse),
-    /// Leader unwound without publishing (panic in the query code).
-    Poisoned,
-}
-
-/// One in-flight computation; followers sleep on `cv` until the leader
-/// fills `slot`. `epoch` is the index epoch the leader computes on —
-/// followers only join flights of the epoch they themselves observed as
-/// current, so a post-install request can never coalesce onto a
-/// pre-install computation. Flights are pooled: after the guard removes
-/// one from the table it returns to [`Inner::flight_pool`], and it is
-/// reset and reused once its last follower drops its reference.
-struct Flight {
-    epoch: AtomicU64,
-    slot: Mutex<FlightState>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn wait(&self) -> Option<QueryResponse> {
-        let mut slot = self.slot.lock().unwrap();
-        loop {
-            match &*slot {
-                FlightState::Pending => slot = self.cv.wait(slot).unwrap(),
-                FlightState::Done(resp) => return Some(resp.clone()),
-                FlightState::Poisoned => return None,
-            }
-        }
-    }
-
-    fn publish(&self, state: FlightState) {
-        *self.slot.lock().unwrap() = state;
-        self.cv.notify_all();
-    }
-}
-
-enum Role {
-    Leader(Arc<Flight>),
-    Follower(Arc<Flight>),
-    /// The caller's epoch snapshot is older than the resident flight's:
-    /// an install raced in; re-read the snapshot and rejoin.
-    StaleSnapshot,
-}
-
-/// Cleans a leader's flight out of the in-flight table even if the
-/// query code panics: on unwind the flight is poisoned (waking every
-/// follower, who re-panic with context instead of blocking forever)
-/// and removed so the key is not permanently wedged. The flight then
-/// returns to the pool for reuse.
-struct FlightGuard<'a> {
-    inner: &'a Inner,
-    key: QueryKey,
-    flight: Arc<Flight>,
-    published: bool,
-}
-
-impl FlightGuard<'_> {
-    fn publish(&mut self, resp: QueryResponse) {
-        self.flight.publish(FlightState::Done(resp));
-        self.published = true;
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            self.flight.publish(FlightState::Poisoned);
-        }
-        // Remove only our own flight — a newer-epoch leader may have
-        // replaced the entry under this key.
-        {
-            let mut map = self.inner.inflight.lock().unwrap();
-            if map
-                .get(&self.key)
-                .is_some_and(|f| Arc::ptr_eq(f, &self.flight))
-            {
-                map.remove(&self.key);
-            }
-        }
-        // Pool the flight. If no follower holds it (the common case —
-        // it is out of the table, so none can appear), drop the
-        // published response now rather than at reuse: a stale `Done`
-        // would pin its summary's arena slab for as long as the flight
-        // sat in the pool. Followers may still hold references
-        // otherwise; the pool only hands the flight back out once the
-        // refcount proves they are gone.
-        if Arc::strong_count(&self.flight) == 1 {
-            *self.flight.slot.lock().unwrap() = FlightState::Pending;
-        }
-        self.inner.flight_pool.put(self.flight.clone());
     }
 }
 
@@ -379,10 +258,9 @@ fn respond_and_pool<T>(
 
 /// A pool of reusable `Arc`'d objects. `take_free` only returns an
 /// entry whose strong count is 1 — nothing else references it, so the
-/// caller may reset and reuse it; busy entries (a follower still
-/// holding a pooled flight, a submitter yet to take its reply) stay
-/// pooled until they free up. Warm `put`s push within retained
-/// capacity.
+/// caller may reset and reuse it; busy entries (a submitter yet to take
+/// its reply) stay pooled until they free up. Entries return through
+/// [`respond_and_pool`], which pushes within retained capacity.
 struct ArcPool<T> {
     items: Mutex<Vec<Arc<T>>>,
 }
@@ -400,10 +278,6 @@ impl<T> ArcPool<T> {
         let mut items = self.items.lock().unwrap_or_else(PoisonError::into_inner);
         let i = items.iter().position(|a| Arc::strong_count(a) == 1)?;
         Some(items.swap_remove(i))
-    }
-
-    fn put(&self, item: Arc<T>) {
-        self.items.lock().unwrap().push(item); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
     }
 }
 
@@ -497,19 +371,15 @@ impl JobQueue {
     }
 }
 
-/// Per-worker scratch accounting, published after every served request
-/// so [`QueryEngine::stats`] can aggregate without touching the
-/// workspaces themselves (they are owned by the worker threads).
+/// Per-worker scratch accounting, published after every served job so
+/// [`QueryEngine::stats`] can aggregate without touching the workspaces
+/// themselves (they are owned by the worker threads).
 #[derive(Default)]
 struct ScratchSlot {
     /// Resident bytes of the worker's [`QueryWorkspace`].
     bytes: AtomicUsize,
-    /// Resident bytes of the worker's [`ResultArena`] slabs.
-    arena_bytes: AtomicUsize,
     /// Cumulative scratch acquisitions served without allocating.
     allocs_avoided: AtomicU64,
-    /// Cumulative slab recycles in the worker's arena.
-    arena_recycled: AtomicU64,
 }
 
 /// The previous [`QueryEngine::stats_window`] baseline: plain-value
@@ -520,13 +390,8 @@ struct WindowBase {
     service: HistSnapshot,
     telem: TelemetrySnapshot,
     completed: u64,
-    coalesced: u64,
     batches: u64,
     batched: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
-    cache_invalidated: u64,
 }
 
 impl WindowBase {
@@ -536,34 +401,24 @@ impl WindowBase {
             service: HistSnapshot::empty(),
             telem: TelemetrySnapshot::empty(),
             completed: 0,
-            coalesced: 0,
             batches: 0,
             batched: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            cache_invalidated: 0,
         }
     }
 }
 
-/// One engine shard: everything its workers share. A shard is a
-/// complete single-threaded-safe engine in itself — index replica,
-/// cache slice, in-flight table, job queue, pools, telemetry — so the
-/// sharded engine above it only routes, fans out and aggregates.
+/// One engine shard: everything its workers share — index replica, job
+/// queue, pools, telemetry — so the sharded engine above it only
+/// routes, fans out and aggregates.
 struct Inner {
     search: RwLock<(Arc<CommunitySearch>, u64)>,
-    cache: ShardedCache<QueryKey, QueryResponse>,
-    inflight: Mutex<HashMap<QueryKey, Arc<Flight>>>,
     queue: JobQueue,
     hist: LatencyHistogram,
     completed: AtomicU64,
-    coalesced: AtomicU64,
     batches: AtomicU64,
     batched: AtomicU64,
     scratch: Vec<ScratchSlot>,
     reply_pool: ArcPool<ReplyCell<Vec<QueryResponse>>>,
-    flight_pool: ArcPool<Flight>,
     req_pool: VecPool<QueryRequest>,
     resp_pool: VecPool<QueryResponse>,
     /// Worker threads owned by this shard.
@@ -609,87 +464,6 @@ impl Inner {
         reply
     }
 
-    /// Joins (or opens) the flight for `key` at `epoch`. A resident
-    /// flight from an *older* epoch is replaced — its leader still
-    /// answers its own followers, but nobody new coalesces onto a
-    /// retired index. A resident flight from a *newer* epoch means the
-    /// caller's snapshot is stale (an install won the race); it must
-    /// re-read and retry rather than evict current-epoch work.
-    fn join_flight(&self, key: QueryKey, epoch: u64) -> Role {
-        let mut map = self.inflight.lock().unwrap();
-        if let Some(flight) = map.get(&key) {
-            // ordering: Relaxed — `epoch` is only read/written under the
-            // `inflight` mutex held here; the lock orders the accesses.
-            let fe = flight.epoch.load(Ordering::Relaxed);
-            if fe == epoch {
-                return Role::Follower(flight.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            }
-            if fe > epoch {
-                return Role::StaleSnapshot;
-            }
-        }
-        // Reuse a pooled flight if one is free (refcount 1 ⇒ every
-        // previous follower is gone, so the reset is unobservable).
-        let flight = match self.take_free_flight() {
-            Some(f) => {
-                // ordering: Relaxed — written under the `inflight` mutex,
-                // which orders it against every reader (see `join_flight`).
-                f.epoch.store(epoch, Ordering::Relaxed);
-                f
-            }
-            // contract-ok: cold pool-fill arm
-            None => Arc::new(Flight {
-                epoch: AtomicU64::new(epoch),
-                slot: Mutex::new(FlightState::Pending),
-                cv: Condvar::new(),
-            }),
-        };
-        map.insert(key, flight.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-        Role::Leader(flight)
-    }
-
-    /// Takes a free pooled flight, sweeping stale state as it scans: a
-    /// flight pooled while its followers were still live keeps its
-    /// `Done` response — which pins an arena slab — until they drop,
-    /// and nothing else ever revisits it. The sweep resets every
-    /// flight that has since become free (the slot already Pending in
-    /// the common case), so a pooled flight pins a slab only until the
-    /// next leader creation or the next install ([`Self::sweep_flights`]
-    /// also runs there, covering all-cache-hit steady states between
-    /// epoch swaps); only traffic that is 100% hits with no installs
-    /// retains the (bounded, transient-follower-sized) residue.
-    fn take_free_flight(&self) -> Option<Arc<Flight>> {
-        let mut pool = self.flight_pool.items.lock().unwrap();
-        let first_free = Self::sweep_flight_slots(&mut pool);
-        first_free.map(|i| pool.swap_remove(i))
-    }
-
-    /// Resets the slot of every free pooled flight (dropping any stale
-    /// published response) and returns the index of one free entry.
-    fn sweep_flight_slots(pool: &mut [Arc<Flight>]) -> Option<usize> {
-        let mut first_free = None;
-        for (i, flight) in pool.iter().enumerate() {
-            if Arc::strong_count(flight) == 1 {
-                let mut slot = flight.slot.lock().unwrap();
-                if !matches!(*slot, FlightState::Pending) {
-                    *slot = FlightState::Pending;
-                }
-                if first_free.is_none() {
-                    first_free = Some(i);
-                }
-            }
-        }
-        first_free
-    }
-
-    /// Sweeps the flight pool without taking anything — called on
-    /// install so stale `Done` responses can't outlive the epoch that
-    /// produced them.
-    fn sweep_flights(&self) {
-        let mut pool = self.flight_pool.items.lock().unwrap();
-        Self::sweep_flight_slots(&mut pool);
-    }
-
     // scs-contract: no-alloc, no-block — every served request ends here;
     // the release counting-allocator gates assert the warm path stays
     // heap-silent, and nothing on the exit path may wait.
@@ -699,85 +473,25 @@ impl Inner {
         self.completed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Whether the engine can compute an answer for `req` on `search`.
-    /// An unservable request (vertex outside the installed graph, zero
-    /// constraint) gets the empty community rather than panicking a
-    /// worker: the graph can shrink across installs, so clients cannot
-    /// validate upfront.
+    /// Whether the engine can answer `req` on `search`. An unservable
+    /// request (vertex outside the installed graph, zero constraint)
+    /// gets the empty community rather than panicking a worker: the
+    /// graph can shrink across installs, so clients cannot validate
+    /// upfront.
     fn servable(req: &QueryRequest, search: &CommunitySearch) -> bool {
         req.q.index() < search.graph().n_vertices() && req.alpha >= 1 && req.beta >= 1
     }
-
-    /// Caches `resp` only if no install retired the index it was
-    /// computed on, and reports whether it did. Holding the read lock
-    /// makes the epoch-check + insert atomic w.r.t. `install`, which
-    /// clears the cache under the write lock — so a stale entry can
-    /// never land after the clear.
-    fn cache_if_current(&self, key: QueryKey, resp: &QueryResponse, epoch: u64) -> bool {
-        let lock = self.search.read().unwrap();
-        if lock.1 == epoch {
-            self.cache.insert(key, resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            true
-        } else {
-            self.telemetry.note_stale_publish();
-            false
-        }
-    }
 }
 
-/// The per-worker compute state: the reusable workspace and the result
-/// arena, reused across every job and epoch swap the worker serves.
-struct KernelState {
-    ws: QueryWorkspace,
-    arena: ResultArena,
-}
-
-/// Per-worker job bookkeeping, all capacity-retaining. The unique-key
-/// table is a counting-sort grouping: key `k` (in first-occurrence
-/// order) answers submission slots
-/// `key_slots[key_start[k]..key_start[k+1]]`, ascending.
+/// Everything a worker thread owns, reused across every job and epoch
+/// swap it serves.
 #[derive(Default)]
-struct BatchScratch {
-    out: Vec<Option<QueryResponse>>,
-    /// The first request of each unique key; its `algo` picks the
-    /// kernel a miss runs.
-    keys: Vec<QueryRequest>,
-    key_of_slot: Vec<u32>,
-    key_start: Vec<u32>,
-    key_cursor: Vec<u32>,
-    key_slots: Vec<u32>,
-    first: HashMap<QueryKey, u32>,
-    /// Keys of the current snapshot-and-join round, and the stale ones
-    /// carried into the next.
-    pending: Vec<u32>,
-    stale: Vec<u32>,
-    followers: Vec<(Arc<Flight>, u32)>,
-    /// Per-slot stage attribution, charged window by window.
-    stages: Vec<StageSet>,
+struct WorkerState {
+    /// Scratch of the profile builds this worker runs.
+    ws: QueryWorkspace,
     /// Per-slot traces awaiting their reply stage; the worker closes
     /// and records them once the job has been answered.
     traces: Vec<RequestTrace>,
-}
-
-impl BatchScratch {
-    /// Positions in `key_slots` of the submission slots key `kx` answers.
-    fn slots(&self, kx: usize) -> std::ops::Range<usize> {
-        self.key_start[kx] as usize..self.key_start[kx + 1] as usize
-    }
-
-    /// Charges one stage window of `ns` nanoseconds to every slot of
-    /// key `kx`.
-    fn charge(&mut self, kx: usize, stage: Stage, ns: u64) {
-        for i in self.slots(kx) {
-            self.stages[self.key_slots[i] as usize].add_ns(stage, ns);
-        }
-    }
-}
-
-/// Everything a worker thread owns.
-struct WorkerState {
-    kernel: KernelState,
-    batch: BatchScratch,
 }
 
 /// Ends the job's current stage window and starts the next one where it
@@ -789,73 +503,18 @@ fn lap(last: &mut Instant) -> u64 {
     ns
 }
 
-/// Publishes one leader's response `resp` (cache + flight), then
-/// answers every submission slot of its key into `out`, each under its
-/// own request from `reqs`; `slots[0]` is the leader's own. Duplicate
-/// slots are answered the way a serial
-/// per-request resubmission would be: as cache hits when the leader's
-/// result went into the cache, otherwise (an install retired the epoch
-/// before the insert) as misses coalesced onto this computation — so
-/// the cache and coalescing counters cannot drift between submission
-/// modes, provided the cache is large enough to retain the batch's
-/// unique keys (with a cache smaller than one batch's key set, a
-/// duplicate counts as the hit its entry was at insert time even if
-/// eviction would have forced a per-request resubmission to recompute;
-/// deliberately so — re-probing would cost a second lookup per
-/// duplicate).
-fn publish_unit(
-    inner: &Inner,
-    mut guard: FlightGuard<'_>,
-    resp: QueryResponse,
-    t0: Instant,
-    reqs: &[QueryRequest],
-    slots: &[u32],
-    out: &mut [Option<QueryResponse>],
-) {
-    let service_us = || t0.elapsed().as_micros() as u64;
-    let resident = inner.cache_if_current(guard.key, &resp, resp.epoch);
-    // Publish, then let the guard's Drop clear the table entry: a
-    // thread that found this flight always gets an answer; threads
-    // arriving after the removal start a fresh flight (and typically
-    // hit the cache first).
-    guard.publish(resp.clone()); // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-    drop(guard);
-    inner.finish(&resp);
-    for &slot in &slots[1..] {
-        let request = reqs[slot as usize];
-        let r = if resident {
-            inner.cache.record_extra_hit();
-            QueryResponse {
-                request,
-                cached: true,
-                service_us: service_us(),
-                ..resp.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            }
-        } else {
-            inner.cache.record_extra_miss();
-            // ordering: Relaxed — independent statistic; pairs with nothing.
-            inner.coalesced.fetch_add(1, Ordering::Relaxed);
-            QueryResponse {
-                request,
-                coalesced: true,
-                service_us: service_us(),
-                ..resp.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            }
-        };
-        inner.finish(&r);
-        out[slot as usize] = Some(r);
-    }
-    out[slots[0] as usize] = Some(resp);
-}
-
 /// Serves one job — a batch, or a per-request submission as a batch of
 /// one — and returns its responses in submission order (a pooled
 /// vector) together with the end of its last stage window, where the
-/// reply window starts. One cache lookup per *unique* key; then
-/// snapshot-and-join rounds in which each leader runs its own kernel
-/// call and publishes at once; then the waits on follower flights.
-/// Each slot's trace is left in `state.batch.traces` for the worker to
-/// close and record after the reply.
+/// reply window starts. One snapshot read, then one
+/// [`CommunitySearch::answer`] per request. Each slot's trace is left
+/// in `state.traces` for the worker to close and record after the
+/// reply.
+///
+/// Stage windows: every member is charged the job's queue wait and its
+/// snapshot read, and its own answer and publish windows, so a batch of
+/// one tiles its total and a larger batch's member sums to at most its
+/// total.
 // scs-contract: no-alloc — the warm serving path reuses pooled buffers
 // end to end; proven transitively by `scs analyze`.
 fn serve_batch(
@@ -865,13 +524,8 @@ fn serve_batch(
     state: &mut WorkerState,
     enqueued: Instant,
 ) -> (Vec<QueryResponse>, Instant) {
-    let WorkerState {
-        kernel: k,
-        batch: b,
-    } = state;
     let t0 = Instant::now();
     let mut last = t0;
-    let service_us = || t0.elapsed().as_micros() as u64;
     if prov == Provenance::Batch {
         // ordering: Relaxed — independent statistics; pair with nothing.
         inner.batches.fetch_add(1, Ordering::Relaxed);
@@ -879,222 +533,52 @@ fn serve_batch(
             .batched
             .fetch_add(reqs.len() as u64, Ordering::Relaxed);
     }
+    // A job that panicked mid-serve (the worker survives panics) may
+    // have left traces behind; they must not be recorded against this
+    // one. Free in the steady state.
+    state.traces.clear();
 
-    // Reset the buffers a previous job could have left populated by
-    // panicking mid-serve (the worker survives panics): leftover
-    // follower entries would pin pooled flights, and leftover traces
-    // would be recorded against this job. Clears are O(leftovers) and
-    // free in the steady state.
-    b.followers.clear();
-    b.traces.clear();
-
-    // Unique keys in first-occurrence order, each with every submission
-    // slot it answers (counting-sort grouping, all reusable buffers).
-    // Duplicates inside the batch are computed (or looked up) once; the
-    // extra slots are answered as a serial resubmission would be.
-    b.keys.clear();
-    b.key_of_slot.clear();
-    b.first.clear();
-    for req in reqs {
-        // contract-ok: warm pooled buffer; growth is cold
-        let idx = match b.first.entry(key_of(req)) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let i = b.keys.len() as u32;
-                e.insert(i); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-                b.keys.push(*req); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-                i
-            }
-        };
-        b.key_of_slot.push(idx); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-    }
-    let nk = b.keys.len();
-    b.key_start.clear();
-    b.key_start.resize(nk + 1, 0); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-    for &kx in &b.key_of_slot {
-        b.key_start[kx as usize + 1] += 1;
-    }
-    for i in 0..nk {
-        b.key_start[i + 1] += b.key_start[i];
-    }
-    b.key_cursor.clear();
-    b.key_cursor.extend_from_slice(&b.key_start[..nk]);
-    b.key_slots.clear();
-    b.key_slots.resize(reqs.len(), 0); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-    for (slot, &kx) in b.key_of_slot.iter().enumerate() {
-        let cursor = &mut b.key_cursor[kx as usize];
-        b.key_slots[*cursor as usize] = slot as u32;
-        *cursor += 1;
-    }
-
-    b.out.clear();
-    b.out.resize(reqs.len(), None); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-
-    // The whole job waited in the queue together; every member is
-    // charged that window.
-    let mut queued = StageSet::new();
-    queued.add_ns(
+    let mut shared = StageSet::new();
+    shared.add_ns(
         Stage::QueueWait,
         t0.saturating_duration_since(enqueued).as_nanos() as u64,
     );
-    b.stages.clear();
-    b.stages.resize(reqs.len(), queued); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-
-    // Pass 1: one physical cache lookup per unique key, with duplicate
-    // slots of a hit counted as the hits they are — per-request
-    // submission performs one lookup per request, and the stats must
-    // not depend on how requests were submitted.
-    b.pending.clear();
-    for kx in 0..nk {
-        if let Some(hit) = inner.cache.get(&key_of(&b.keys[kx])) {
-            for (j, i) in b.slots(kx).enumerate() {
-                if j > 0 {
-                    inner.cache.record_extra_hit();
-                }
-                let resp = QueryResponse {
-                    request: reqs[b.key_slots[i] as usize],
-                    cached: true,
-                    coalesced: false,
-                    service_us: service_us(),
-                    ..hit.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-                };
-                inner.finish(&resp);
-                b.out[b.key_slots[i] as usize] = Some(resp);
-            }
-        } else {
-            b.pending.push(kx as u32); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-        }
-        let ns = lap(&mut last);
-        b.charge(kx, Stage::CacheLookup, ns);
-    }
-
-    // Snapshot-and-join rounds. A leader computes and publishes the
-    // moment it joins; followers are only collected. A key that meets a
-    // newer-epoch flight (an install raced this round's snapshot) rides
-    // into the next round — with no second counted cache lookup, since
-    // pass 1 already counted its miss.
-    while !b.pending.is_empty() {
-        let (search, epoch) = inner.snapshot();
-        let ns = lap(&mut last);
-        for i in 0..b.pending.len() {
-            let kx = b.pending[i] as usize;
-            b.charge(kx, Stage::Snapshot, ns);
-        }
-        b.stale.clear();
-        for i in 0..b.pending.len() {
-            let kx = b.pending[i] as usize;
-            let req = b.keys[kx];
-            let key = key_of(&req);
-            let role = inner.join_flight(key, epoch);
-            let ns = lap(&mut last);
-            b.charge(kx, Stage::Snapshot, ns);
-            match role {
-                Role::Leader(flight) => {
-                    // The guard poisons and removes the flight if the
-                    // kernel panics, so no follower waits forever.
-                    let guard = FlightGuard {
-                        inner,
-                        key,
-                        flight,
-                        published: false,
-                    };
-                    let summary = if Inner::servable(&req, &search) {
-                        // The worker's workspace provides every scratch
-                        // buffer and its arena the result storage;
-                        // nothing is allocated once both are warm.
-                        let edges = search.significant_community_arena(
-                            req.q,
-                            req.alpha as usize,
-                            req.beta as usize,
-                            req.algo,
-                            &mut k.ws,
-                            &mut k.arena,
-                        );
-                        CommunitySummary::from_arena_edges(search.graph(), edges, &mut k.ws)
-                    } else {
-                        CommunitySummary::empty()
-                    };
-                    let ns = lap(&mut last);
-                    b.charge(kx, Stage::Kernel, ns);
-                    let resp = QueryResponse {
-                        request: req,
-                        summary,
-                        cached: false,
-                        coalesced: false,
-                        epoch,
-                        service_us: service_us(),
-                    };
-                    let slots = b.slots(kx);
-                    publish_unit(
-                        inner,
-                        guard,
-                        resp,
-                        t0,
-                        reqs,
-                        &b.key_slots[slots],
-                        &mut b.out,
-                    );
-                    let ns = lap(&mut last);
-                    b.charge(kx, Stage::Publish, ns);
-                }
-                Role::Follower(flight) => b.followers.push((flight, kx as u32)), // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-                Role::StaleSnapshot => b.stale.push(kx as u32), // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-            }
-        }
-        std::mem::swap(&mut b.pending, &mut b.stale);
-    }
-
-    // Every leader of every round is published above before we wait on
-    // anyone else's flight, so two workers serving each other's keys
-    // can never deadlock on one another.
-    for f in 0..b.followers.len() {
-        let kx = b.followers[f].1 as usize;
-        let req = b.keys[kx];
-        let shared = b.followers[f]
-            .0
-            .wait()
-            .unwrap_or_else(|| panic!("in-flight leader for {req:?} panicked before publishing"));
-        // A coalesced request's kernel stage is the wait on the
-        // leader's computation — that is where its time went.
-        let ns = lap(&mut last);
-        b.charge(kx, Stage::Kernel, ns);
-        for (j, i) in b.slots(kx).enumerate() {
-            if j > 0 {
-                // Pass 1 counted one miss for this key; its duplicates
-                // waited on the same flight and are accounted like the
-                // extra followers they are.
-                inner.cache.record_extra_miss();
-            }
-            let resp = QueryResponse {
-                request: reqs[b.key_slots[i] as usize],
-                cached: false,
-                coalesced: true,
-                service_us: service_us(),
-                ..shared.clone() // contract-ok: refcount bump; warm responses are arena-backed, no owned heap buffers
-            };
-            // ordering: Relaxed — independent statistic; pairs with nothing.
-            inner.coalesced.fetch_add(1, Ordering::Relaxed);
-            inner.finish(&resp);
-            b.out[b.key_slots[i] as usize] = Some(resp);
-        }
-        let ns = lap(&mut last);
-        b.charge(kx, Stage::Publish, ns);
-    }
-    b.followers.clear();
+    let (search, epoch) = inner.snapshot();
+    shared.add_ns(Stage::Snapshot, lap(&mut last));
 
     let mut responses = inner.resp_pool.take();
-    for (resp, stages) in b.out.drain(..).zip(&b.stages) {
-        let resp = resp.expect("every batch slot answered");
-        // contract-ok: warm pooled buffer; growth is cold
-        b.traces.push(stages.trace(&resp, prov, 0));
+    for &request in reqs {
+        let mut stages = shared;
+        let summary = if Inner::servable(&request, &search) {
+            CommunitySummary::from_answer(search.answer(
+                request.q,
+                request.alpha as usize,
+                request.beta as usize,
+                &mut state.ws,
+            ))
+        } else {
+            CommunitySummary::empty()
+        };
+        stages.add_ns(Stage::Kernel, lap(&mut last));
+        let resp = QueryResponse {
+            request,
+            summary,
+            cached: false,
+            coalesced: false,
+            epoch,
+            service_us: t0.elapsed().as_micros() as u64,
+        };
+        inner.finish(&resp);
+        stages.add_ns(Stage::Publish, lap(&mut last));
+        state.traces.push(stages.trace(&resp, prov, 0)); // contract-ok: warm per-worker buffer; growth is cold
         responses.push(resp); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
     }
     (responses, last)
 }
 
-/// N requests served by one worker with amortized snapshot, cache and
-/// workspace handling, answered as one vector in request order. A
-/// per-request submission is a job of one.
+/// N requests served by one worker with one snapshot read and one
+/// workspace, answered as one vector in request order. A per-request
+/// submission is a job of one.
 struct Job {
     /// Pooled; returned to the shard after serving.
     reqs: Vec<QueryRequest>,
@@ -1162,8 +646,8 @@ enum BatchParts {
     /// The batch was partitioned across shards: one sub-batch job per
     /// participating shard, answers merged back into submission order
     /// by walking `route` with per-shard cursors. Responses are cloned
-    /// out of the per-shard vectors — a refcount bump for arena-backed
-    /// summaries — and every buffer returns to its owning shard's pool.
+    /// out of the per-shard vectors — a refcount bump for a profile
+    /// view — and every buffer returns to its owning shard's pool.
     Fanout {
         /// `(shard index, pending reply)` per participating shard, in
         /// shard order.
@@ -1231,11 +715,7 @@ impl BatchHandle {
 
 /// Engine-shard router: a splitmix64 finalizer over the query vertex,
 /// range-reduced by widening multiply (exact for any shard count, not
-/// just powers of two). Deliberately a *different* mixer family than
-/// the `DefaultHasher` (SipHash) inside [`ShardedCache`], so
-/// engine-shard routing cannot correlate with cache-sub-shard
-/// placement and concentrate one shard's keys onto one cache slice —
-/// regression-tested by `router_and_cache_hashes_decorrelate`.
+/// just powers of two).
 // scs-contract: no-alloc, no-panic, no-block — routing runs on the
 // submitter for every request; it is pure integer mixing by
 // construction and must stay so.
@@ -1258,8 +738,8 @@ fn route_of(vertex: Vertex, n_shards: usize) -> usize {
 /// other's cores. Linux-only (`sched_setaffinity` via a std-only FFI
 /// shim — no crate dependency); failure is ignored (a restricted
 /// cpuset or exotic kernel just leaves the scheduler in charge), and
-/// on other platforms it is a no-op — sharding still isolates queues,
-/// caches and arenas.
+/// on other platforms it is a no-op — sharding still isolates the
+/// queues.
 #[cfg(target_os = "linux")]
 fn pin_worker(shard: usize, n_shards: usize) {
     extern "C" {
@@ -1308,8 +788,7 @@ struct EngineCore {
     window: Mutex<WindowBase>,
     /// Serializes [`QueryEngine::install`]: installs fan out shard by
     /// shard, and serializing them keeps every shard's epoch sequence
-    /// identical — which is what lets `install` return *the* new epoch
-    /// and flights/caches reason about "the" current epoch per key.
+    /// identical — which is what lets `install` return *the* new epoch.
     install_lock: Mutex<()>,
     /// Configured slow-ring capacity: the cross-shard slow-query merge
     /// keeps the worst this-many entries.
@@ -1322,17 +801,13 @@ struct EngineCore {
 struct Agg {
     workers: usize,
     completed: u64,
-    coalesced: u64,
     batches: u64,
     batched: u64,
-    cache: CacheStats,
     epoch: u64,
     service: HistSnapshot,
     telem: TelemetrySnapshot,
     scratch_bytes: usize,
-    arena_bytes: usize,
     allocs_avoided: u64,
-    arena_recycled: u64,
     per_shard: Vec<ShardStats>,
     slow: Vec<SlowQuery>,
 }
@@ -1342,25 +817,13 @@ impl EngineCore {
         let mut agg = Agg {
             workers: 0,
             completed: 0,
-            coalesced: 0,
             batches: 0,
             batched: 0,
-            cache: CacheStats {
-                hits: 0,
-                misses: 0,
-                entries: 0,
-                capacity: 0,
-                shards: 0,
-                evictions: 0,
-                invalidated: 0,
-            },
             epoch: 0,
             service: HistSnapshot::empty(),
             telem: TelemetrySnapshot::empty(),
             scratch_bytes: 0,
-            arena_bytes: 0,
             allocs_avoided: 0,
-            arena_recycled: 0,
             per_shard: Vec::with_capacity(self.shards.len()),
             slow: Vec::new(),
         };
@@ -1368,22 +831,12 @@ impl EngineCore {
             // ordering: Relaxed — statistics reads; the counters are
             // independent and stats() promises no cross-counter snapshot.
             let completed = inner.completed.load(Ordering::Relaxed);
-            let coalesced = inner.coalesced.load(Ordering::Relaxed);
-            let cache = inner.cache.stats();
             let hist = inner.hist.snapshot();
             agg.workers += inner.workers;
             agg.completed += completed;
-            agg.coalesced += coalesced;
             // ordering: Relaxed — statistics reads, as above.
             agg.batches += inner.batches.load(Ordering::Relaxed);
             agg.batched += inner.batched.load(Ordering::Relaxed);
-            agg.cache.hits += cache.hits;
-            agg.cache.misses += cache.misses;
-            agg.cache.entries += cache.entries;
-            agg.cache.capacity += cache.capacity;
-            agg.cache.shards += cache.shards;
-            agg.cache.evictions += cache.evictions;
-            agg.cache.invalidated += cache.invalidated;
             // Serialized installs keep every shard at the same epoch;
             // max (not first) stays meaningful even mid-install.
             agg.epoch = agg.epoch.max(inner.snapshot().1);
@@ -1394,17 +847,12 @@ impl EngineCore {
                 // must see its own query's effect is ordered by the
                 // reply-cell mutex handoff, not by these loads.
                 agg.scratch_bytes += s.bytes.load(Ordering::Relaxed);
-                agg.arena_bytes += s.arena_bytes.load(Ordering::Relaxed);
                 agg.allocs_avoided += s.allocs_avoided.load(Ordering::Relaxed);
-                agg.arena_recycled += s.arena_recycled.load(Ordering::Relaxed);
             }
             agg.per_shard.push(ShardStats {
                 shard: i,
                 workers: inner.workers,
                 completed,
-                coalesced,
-                cache_hits: cache.hits,
-                cache_misses: cache.misses,
                 p50_us: hist.quantile_us(0.50),
                 p99_us: hist.quantile_us(0.99),
             });
@@ -1431,11 +879,6 @@ impl QueryEngine {
     pub fn start(search: Arc<CommunitySearch>, config: ServiceConfig) -> Self {
         let n_shards = config.shards.max(1);
         let total_workers = config.workers.max(1);
-        let arena_slab_edges = config.arena_slab_edges.max(1);
-        // Each shard gets a slice of the configured cache budget, so
-        // the engine-wide capacity keeps its meaning across shard
-        // counts (± the per-slice ≥-1-entry floor).
-        let slice_capacity = (config.cache_capacity / n_shards).max(1);
         let now = Instant::now();
         let mut shards = Vec::with_capacity(n_shards);
         let mut handles = Vec::new();
@@ -1447,17 +890,13 @@ impl QueryEngine {
                 (total_workers / n_shards + usize::from(s < total_workers % n_shards)).max(1);
             let inner = Arc::new(Inner {
                 search: RwLock::new((search.clone(), 0)),
-                cache: ShardedCache::new(slice_capacity, config.cache_shards),
-                inflight: Mutex::new(HashMap::new()),
                 queue: JobQueue::new(),
                 hist: LatencyHistogram::default(),
                 completed: AtomicU64::new(0),
-                coalesced: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
                 batched: AtomicU64::new(0),
                 scratch: (0..workers).map(|_| ScratchSlot::default()).collect(),
                 reply_pool: ArcPool::new(),
-                flight_pool: ArcPool::new(),
                 req_pool: VecPool::new(),
                 resp_pool: VecPool::new(),
                 workers,
@@ -1472,29 +911,21 @@ impl QueryEngine {
                             if n_shards > 1 {
                                 pin_worker(s, n_shards);
                             }
-                            // The worker's compute state and job scratch,
+                            // The worker's workspace and job scratch,
                             // reused across every job it serves and across
-                            // index epoch swaps (buffers simply grow on the
-                            // first query against a larger installed graph).
-                            // After warm-up the steady-state serving path
-                            // stops allocating.
-                            let mut state = WorkerState {
-                                kernel: KernelState {
-                                    ws: QueryWorkspace::new(),
-                                    arena: ResultArena::with_slab_capacity(arena_slab_edges),
-                                },
-                                batch: BatchScratch::default(),
-                            };
+                            // index epoch swaps (a profile build against a
+                            // larger installed graph grows them). After
+                            // warm-up the steady-state serving path stops
+                            // allocating.
+                            let mut state = WorkerState::default();
                             while let Some(job) = inner.queue.pop() {
                                 // Backstop: a panic in query code must not
-                                // shrink the pool. The flight guard has
-                                // already poisoned its key's followers;
-                                // abandoning the reply cell makes the
-                                // submitter's wait() fail loudly, and the
-                                // job records no trace (the completed
-                                // counter skips it too). A submitter that
-                                // dropped its handle just doesn't collect
-                                // the result.
+                                // shrink the pool. Abandoning the reply cell
+                                // makes the submitter's wait() fail loudly,
+                                // and the job records no trace (the
+                                // completed counter skips it too). A
+                                // submitter that dropped its handle just
+                                // doesn't collect the result.
                                 let served =
                                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                         serve_batch(
@@ -1508,21 +939,15 @@ impl QueryEngine {
                                 // Scratch accounting is published *before*
                                 // the reply: a submitter that reads stats()
                                 // the moment its blocking query returns must
-                                // see this worker's workspace and arena.
-                                let k = &state.kernel;
+                                // see this worker's workspace.
                                 let slot = &inner.scratch[i];
                                 // ordering: Relaxed — gauge stores; the
                                 // reply-cell mutex handoff that follows
                                 // publishes them to the submitter.
-                                slot.bytes.store(k.ws.heap_bytes(), Ordering::Relaxed);
-                                slot.arena_bytes
-                                    .store(k.arena.resident_bytes(), Ordering::Relaxed);
+                                slot.bytes.store(state.ws.heap_bytes(), Ordering::Relaxed);
                                 slot.allocs_avoided
                                     // ordering: Relaxed — as above.
-                                    .store(k.ws.allocations_avoided(), Ordering::Relaxed);
-                                slot.arena_recycled
-                                    // ordering: Relaxed — as above.
-                                    .store(k.arena.stats().recycled, Ordering::Relaxed);
+                                    .store(state.ws.allocations_avoided(), Ordering::Relaxed);
                                 inner.req_pool.put(job.reqs);
                                 let Ok((responses, reply_start)) = served else {
                                     respond_and_pool(&inner.reply_pool, job.reply, None, || {});
@@ -1532,7 +957,7 @@ impl QueryEngine {
                                 // submitter's handle keeps it unissuable
                                 // until wait() is done), then close every
                                 // member's trace with the reply window.
-                                let traces = &mut state.batch.traces;
+                                let traces = &mut state.traces;
                                 respond_and_pool(
                                     &inner.reply_pool,
                                     job.reply,
@@ -1590,11 +1015,10 @@ impl QueryEngine {
         }
     }
 
-    /// Enqueues a whole batch as **one** job: one queue round-trip, one
-    /// index-snapshot read, one cache lookup per unique key, and one
-    /// kernel call per leader. The handle yields every response in
-    /// submission order; results are identical to submitting each
-    /// request on its own.
+    /// Enqueues a whole batch as **one** job: one queue round-trip and
+    /// one index-snapshot read for all of it. The handle yields every
+    /// response in submission order; results are identical to
+    /// submitting each request on its own.
     ///
     /// With more than one shard the batch is partitioned by the shard
     /// router into per-shard sub-batches — each rides the machinery
@@ -1602,9 +1026,7 @@ impl QueryEngine {
     /// shard*), and the handle merges the answers back into submission
     /// order. Each per-shard sub-batch counts one `batches` job in the
     /// stats, so a cross-shard batch over k shards bumps `batches` by
-    /// k; the per-request counters (hits, misses, coalesced, completed)
-    /// stay submission-mode-invariant because routing is a pure
-    /// function of the key.
+    /// k; `completed` stays submission-mode-invariant.
     pub fn submit_batch(&self, reqs: &[QueryRequest]) -> BatchHandle {
         let shards = &self.core.shards;
         if shards.len() == 1 {
@@ -1619,8 +1041,8 @@ impl QueryEngine {
             };
         }
         // Cross-shard fan-out: partition the batch, preserving relative
-        // order inside each shard (so each shard's dedup/counting sees
-        // exactly the subsequence a per-shard submitter would send).
+        // order inside each shard (so each shard sees exactly the
+        // subsequence a per-shard submitter would send).
         let mut route = self.core.route_pool.take();
         route.extend(reqs.iter().map(|r| route_of(r.q, shards.len()) as u32));
         let mut owned: Vec<Vec<QueryRequest>> =
@@ -1663,20 +1085,19 @@ impl QueryEngine {
         self.submit_batch(reqs).wait_into(out);
     }
 
-    /// Installs a new index snapshot without stopping the workers: bumps
-    /// the epoch and invalidates the result cache. Queries already
-    /// computing finish on the snapshot they started with (tagged with
-    /// the prior epoch). Dropping the cached responses releases their
-    /// arena handles, freeing the backing slabs for recycling once no
-    /// client holds a response either.
+    /// Installs a new index snapshot without stopping the workers and
+    /// bumps the epoch. Jobs already serving finish on the snapshot they
+    /// read (tagged with the prior epoch), and every response keeps the
+    /// profile its answer came from, so it still reads per its own
+    /// snapshot afterwards.
     ///
     /// With multiple shards the install fans out: every shard gets the
-    /// new `Arc` replica, bumps its epoch and clears its cache slice,
-    /// shard by shard, and the call returns only once the last shard
-    /// has published. Installs are serialized against each other, so
-    /// all shards step through the same epoch sequence — a mixed-epoch
-    /// window exists only *across* shards mid-install, never within
-    /// one, and per-key consistency (one key, one shard) is untouched.
+    /// new `Arc` replica and bumps its epoch, shard by shard, and the
+    /// call returns only once the last shard has published. Installs
+    /// are serialized against each other, so all shards step through the
+    /// same epoch sequence — a mixed-epoch window exists only *across*
+    /// shards mid-install, never within one, and per-key consistency
+    /// (one key, one shard) is untouched.
     pub fn install(&self, search: Arc<CommunitySearch>) -> u64 {
         let _serial = self.core.install_lock.lock().unwrap();
         let mut epoch = 0;
@@ -1685,14 +1106,7 @@ impl QueryEngine {
             guard.0 = search.clone();
             guard.1 += 1;
             epoch = guard.1;
-            // Clear under the write lock: leaders re-check the epoch
-            // before caching, so no stale entry can land after this.
-            inner.cache.clear();
             drop(guard);
-            // Free pooled flights may still hold responses published
-            // to now-departed followers; drop them with the cache so
-            // their arena slabs recycle too.
-            inner.sweep_flights();
             inner.telemetry.note_install();
         }
         epoch
@@ -1704,22 +1118,9 @@ impl QueryEngine {
         self.core.shards[0].snapshot()
     }
 
-    /// Number of leader computations currently registered in the
-    /// in-flight tables, summed over shards — a diagnostic for tests
-    /// and monitoring: at quiescence (no request outstanding anywhere)
-    /// this must be 0, or a flight leaked.
-    pub fn inflight_len(&self) -> usize {
-        self.core
-            .shards
-            .iter()
-            .map(|inner| inner.inflight.lock().unwrap().len())
-            .sum()
-    }
-
     /// Metrics snapshot since engine start, aggregated across shards:
     /// every total keeps its unsharded meaning (counters sum,
-    /// histograms merge, the cache section is the union of the
-    /// slices), and `per_shard` carries one row per shard for
+    /// histograms merge), and `per_shard` carries one row per shard for
     /// imbalance diagnostics.
     pub fn stats(&self) -> ServiceStats {
         let agg = self.core.aggregate();
@@ -1727,13 +1128,12 @@ impl QueryEngine {
         ServiceStats {
             workers: agg.workers,
             completed: agg.completed,
-            coalesced: agg.coalesced,
+            coalesced: 0,
             batches: agg.batches,
             batched: agg.batched,
-            cache: agg.cache,
+            cache: CacheStats::default(),
             epoch: agg.epoch,
             installs: agg.telem.installs,
-            stale_publishes: agg.telem.stale_publishes,
             qps: agg.completed as f64 / elapsed,
             mean_us: agg.service.mean_us(),
             p50_us: agg.service.quantile_us(0.50),
@@ -1741,9 +1141,7 @@ impl QueryEngine {
             p99_us: agg.service.quantile_us(0.99),
             max_us: agg.service.max_us(),
             scratch_bytes: agg.scratch_bytes,
-            arena_bytes: agg.arena_bytes,
             allocs_avoided: agg.allocs_avoided,
-            arena_recycled: agg.arena_recycled,
             stages: agg.telem.stage_summaries(),
             algos: agg.telem.algo_stats(),
             admission: AdmissionStats::default(),
@@ -1759,11 +1157,10 @@ impl QueryEngine {
     /// after warmup and once after the measured run — the second
     /// snapshot is the steady state.
     ///
-    /// Point-in-time fields (workers, epoch, cache residency/capacity,
-    /// scratch/arena residency, the cumulative `allocs_avoided` /
-    /// `arena_recycled` reuse counters) and the slow-query ring report
-    /// current values — residency and worst-ever requests have no
-    /// meaningful delta.
+    /// Point-in-time fields (workers, epoch, scratch residency, the
+    /// cumulative `allocs_avoided` reuse counter) and the slow-query
+    /// ring report current values — residency and worst-ever requests
+    /// have no meaningful delta.
     ///
     /// The `per_shard` rows stay cumulative even here — shard balance
     /// is a property of the whole run, and windowed per-shard deltas
@@ -1789,13 +1186,8 @@ impl QueryEngine {
         let regressed = agg.service.regressed_from(&base.service)
             || agg.telem.regressed_from(&base.telem)
             || agg.completed < base.completed
-            || agg.coalesced < base.coalesced
             || agg.batches < base.batches
-            || agg.batched < base.batched
-            || agg.cache.hits < base.cache_hits
-            || agg.cache.misses < base.cache_misses
-            || agg.cache.evictions < base.cache_evictions
-            || agg.cache.invalidated < base.cache_invalidated;
+            || agg.batched < base.batched;
         if regressed {
             // Resnapshot: the recorded baseline belongs to storage that
             // no longer backs the counters. Zeroing it makes every
@@ -1811,19 +1203,12 @@ impl QueryEngine {
         let stats = ServiceStats {
             workers: agg.workers,
             completed: d_completed,
-            coalesced: agg.coalesced.saturating_sub(base.coalesced),
+            coalesced: 0,
             batches: agg.batches.saturating_sub(base.batches),
             batched: agg.batched.saturating_sub(base.batched),
-            cache: CacheStats {
-                hits: agg.cache.hits.saturating_sub(base.cache_hits),
-                misses: agg.cache.misses.saturating_sub(base.cache_misses),
-                evictions: agg.cache.evictions.saturating_sub(base.cache_evictions),
-                invalidated: agg.cache.invalidated.saturating_sub(base.cache_invalidated),
-                ..agg.cache
-            },
+            cache: CacheStats::default(),
             epoch: agg.epoch,
             installs: d_telem.installs,
-            stale_publishes: d_telem.stale_publishes,
             qps: d_completed as f64 / secs.max(1e-9),
             mean_us: d_service.mean_us(),
             p50_us: d_service.quantile_us(0.50),
@@ -1831,9 +1216,7 @@ impl QueryEngine {
             p99_us: d_service.quantile_us(0.99),
             max_us: d_service.max_us(),
             scratch_bytes: agg.scratch_bytes,
-            arena_bytes: agg.arena_bytes,
             allocs_avoided: agg.allocs_avoided,
-            arena_recycled: agg.arena_recycled,
             stages: d_telem.stage_summaries(),
             algos: d_telem.algo_stats(),
             admission: AdmissionStats::default(),
@@ -1852,13 +1235,8 @@ impl QueryEngine {
             service: agg.service,
             telem: agg.telem,
             completed: agg.completed,
-            coalesced: agg.coalesced,
             batches: agg.batches,
             batched: agg.batched,
-            cache_hits: agg.cache.hits,
-            cache_misses: agg.cache.misses,
-            cache_evictions: agg.cache.evictions,
-            cache_invalidated: agg.cache.invalidated,
         };
         stats
     }
@@ -1922,85 +1300,83 @@ impl Drop for QueryEngine {
 mod tests {
     use super::*;
     use bigraph::builder::figure2_example;
-    use scs::Algorithm;
+    use scs::{Algorithm, DynamicIndex};
 
     fn engine(workers: usize) -> QueryEngine {
         QueryEngine::start(
             CommunitySearch::shared(figure2_example()),
             ServiceConfig {
                 workers,
-                cache_capacity: 64,
-                cache_shards: 4,
                 ..ServiceConfig::default()
             },
         )
     }
 
+    /// `r`'s answer straight from the façade, as an owned summary.
+    fn oracle(search: &CommunitySearch, r: QueryRequest) -> CommunitySummary {
+        CommunitySummary::from_subgraph(&search.significant_community(
+            r.q,
+            r.alpha as usize,
+            r.beta as usize,
+            Algorithm::Peel,
+        ))
+    }
+
     #[test]
-    fn serves_and_caches() {
+    fn serves_answer_views() {
         let e = engine(2);
-        let q = e.current_index().0.graph().upper(2);
+        let search = e.current_index().0;
+        let q = search.graph().upper(2);
         let req = QueryRequest::new(q, 2, 2, Algorithm::Peel);
         let first = e.query(req);
-        assert!(!first.cached);
+        assert!(!first.cached && !first.coalesced);
         assert_eq!(first.summary.size(), 4);
         assert_eq!(first.summary.min_weight, Some(13.0));
+        assert_eq!(first.summary, oracle(&search, req));
         let second = e.query(req);
-        assert!(second.cached);
         assert_eq!(second.summary, first.summary);
         let st = e.stats();
         assert_eq!(st.completed, 2);
-        assert_eq!(st.cache.hits, 1);
-        assert!(st.scratch_bytes > 0, "worker workspace must be resident");
+        assert_eq!((st.cache.hits, st.cache.misses, st.coalesced), (0, 0, 0));
         e.shutdown();
     }
 
     #[test]
-    fn arena_bytes_published_before_reply() {
-        // PR 4 regression class: scratch accounting must be visible to
-        // a submitter the moment its blocking query returns — now for
-        // the arena too, not just the workspace.
+    fn scratch_bytes_published_before_reply() {
+        // Scratch accounting must be visible to a submitter the moment
+        // its blocking query returns; the first query at (2,2) builds
+        // the profile in the worker's workspace.
         let e = engine(1);
         let q = e.current_index().0.graph().upper(2);
         e.query(QueryRequest::new(q, 2, 2, Algorithm::Peel));
-        let st = e.stats();
-        assert!(st.scratch_bytes > 0, "workspace bytes not published");
-        assert!(
-            st.arena_bytes > 0,
-            "arena bytes must be published before the reply"
-        );
-        // The leader's summary is arena-backed.
-        let resp = e.query(QueryRequest::new(q, 1, 1, Algorithm::Peel));
-        assert!(matches!(
-            resp.summary.store(),
-            crate::EdgeStore::Arena(a) if a.pinned()
-        ));
+        assert!(e.stats().scratch_bytes > 0, "workspace bytes not published");
         e.shutdown();
     }
 
     #[test]
-    fn algorithms_share_one_answer() {
-        // Every algorithm returns the same community, so requests that
-        // differ only in `algo` share one cache entry; each response
-        // still carries its own request.
+    fn algorithms_share_one_answer_and_keep_their_rows() {
+        // Every algorithm returns the same community; each response
+        // still echoes its own request, and each request is counted in
+        // the telemetry row of the algorithm it named.
         let e = engine(1);
         let q = e.current_index().0.graph().upper(2);
         let peel = QueryRequest::new(q, 2, 2, Algorithm::Peel);
         let auto = QueryRequest::new(q, 2, 2, Algorithm::Auto);
         let a = e.query(peel);
         let b = e.query(auto);
-        assert!(!a.cached);
-        assert!(b.cached, "Auto must hit the entry Peel computed");
         assert_eq!(a.request, peel);
         assert_eq!(b.request, auto);
         assert_eq!(a.summary, b.summary);
         let st = e.stats();
-        assert_eq!((st.cache.misses, st.cache.hits), (1, 1));
+        for algo in [Algorithm::Peel, Algorithm::Auto] {
+            let row = &st.algos[crate::telemetry::algo_rank(algo)];
+            assert_eq!(row.total.count, 1, "{algo}");
+        }
         e.shutdown();
     }
 
     #[test]
-    fn install_bumps_epoch_and_invalidates() {
+    fn install_bumps_epoch() {
         let e = engine(2);
         let q = e.current_index().0.graph().upper(2);
         let req = QueryRequest::new(q, 2, 2, Algorithm::Auto);
@@ -2009,9 +1385,51 @@ mod tests {
         let epoch = e.install(CommunitySearch::shared(figure2_example()));
         assert_eq!(epoch, 1);
         let after = e.query(req);
-        assert!(!after.cached, "install must invalidate the cache");
         assert_eq!(after.epoch, 1);
         assert_eq!(after.summary, before.summary);
+        e.shutdown();
+    }
+
+    #[test]
+    fn a_response_taken_before_an_install_materialises_its_own_snapshot() {
+        let mut dynamic = DynamicIndex::new(figure2_example());
+        let old = Arc::new(dynamic.snapshot());
+        let e = QueryEngine::start(old.clone(), ServiceConfig::default());
+        let req = QueryRequest::new(old.graph().upper(2), 2, 2, Algorithm::Auto);
+        let before = e.query(req);
+        let want_before = oracle(&old, req);
+        // Removing (u4, v2) breaks u3's 2×2 block.
+        dynamic.remove_edge(3, 1).unwrap();
+        let new = Arc::new(dynamic.snapshot());
+        let want_after = oracle(&new, req);
+        assert_ne!(want_before, want_after);
+        assert_eq!(e.install(new), 1);
+        // Only `before` still holds the old snapshot's profile.
+        drop(old);
+        let after = e.query(req);
+        assert_eq!(after.summary, want_after);
+        // Read only now, after the install: still the old snapshot's.
+        assert_eq!(before.epoch, 0);
+        assert_eq!(before.summary, want_before);
+        e.shutdown();
+    }
+
+    #[test]
+    fn clones_of_a_response_materialise_independently() {
+        let e = engine(1);
+        let search = e.current_index().0;
+        let req = QueryRequest::new(search.graph().upper(2), 2, 2, Algorithm::Auto);
+        let want = oracle(&search, req);
+        let resp = e.query(req);
+        let early = resp.clone();
+        assert_eq!(early.summary.edges(), want.edges());
+        let late = resp.clone();
+        assert_eq!(resp.summary.edges(), want.edges());
+        assert_eq!(late.summary.edges(), want.edges());
+        let after = resp.clone();
+        drop(resp);
+        assert_eq!(after.summary, want);
+        assert_eq!(early.summary, late.summary);
         e.shutdown();
     }
 
@@ -2026,11 +1444,11 @@ mod tests {
             2,
             Algorithm::Auto,
         ));
-        assert_eq!(bad.summary, crate::CommunitySummary::empty());
+        assert_eq!(bad.summary, CommunitySummary::empty());
         // Zero degree constraint (the index asserts ≥ 1): also empty.
         let q = e.current_index().0.graph().upper(2);
         let zero = e.query(QueryRequest::new(q, 0, 2, Algorithm::Peel));
-        assert_eq!(zero.summary, crate::CommunitySummary::empty());
+        assert_eq!(zero.summary, CommunitySummary::empty());
         // The pool is still alive and serving real queries.
         let good = e.query(QueryRequest::new(q, 2, 2, Algorithm::Peel));
         assert_eq!(good.summary.size(), 4);
@@ -2038,7 +1456,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_answers_in_submission_order_and_dedups() {
+    fn batch_answers_in_submission_order() {
         let e = engine(2);
         let g = e.current_index().0.graph().clone();
         let q = g.upper(2);
@@ -2047,7 +1465,7 @@ mod tests {
             QueryRequest::new(q, 2, 2, Algorithm::Peel),
             QueryRequest::new(other, 1, 1, Algorithm::Peel),
             QueryRequest::new(q, 2, 2, Algorithm::Peel), // in-batch duplicate
-            QueryRequest::new(q, 2, 2, Algorithm::Expand), // same key: algo is not part of it
+            QueryRequest::new(q, 2, 2, Algorithm::Expand), // same answer, other algo
         ];
         let resps = e.query_batch(&reqs);
         assert_eq!(resps.len(), 4);
@@ -2055,42 +1473,19 @@ mod tests {
             assert_eq!(resp.request, *req, "answers must keep submission order");
         }
         assert_eq!(resps[0].summary.size(), 4);
-        assert_eq!(resps[0].summary, resps[2].summary);
-        assert!(!resps[0].cached && !resps[0].coalesced);
         for dup in [2, 3] {
-            assert!(
-                resps[dup].cached && !resps[dup].coalesced,
-                "duplicate key inside a batch is answered like a serial \
-                 resubmission: a cache hit on the leader's fresh result"
-            );
             assert_eq!(resps[dup].summary, resps[0].summary);
         }
         let st = e.stats();
         assert_eq!(st.completed, 4);
         assert_eq!(st.batches, 1);
         assert_eq!(st.batched, 4);
-        assert_eq!(st.coalesced, 0);
-        // 2 unique keys miss; each duplicate slot counts as the hit a
-        // per-request resubmission would have been.
-        assert_eq!(st.cache.misses, 2);
-        assert_eq!(st.cache.hits, 2);
-        assert_eq!(
-            st.cache.hits + st.cache.misses,
-            st.completed,
-            "every request accounts for exactly one lookup"
-        );
-
-        // A second identical batch is all cache hits — one physical
-        // lookup per unique key, one *counted* per request.
+        // A second identical batch answers identically.
         let again = e.query_batch(&reqs);
         for (a, b) in resps.iter().zip(&again) {
-            assert!(b.cached);
             assert_eq!(a.summary, b.summary);
         }
-        let st = e.stats();
-        assert_eq!(st.cache.hits, 6);
-        assert_eq!(st.completed, 8);
-        assert_eq!(st.cache.hits + st.cache.misses, st.completed);
+        assert_eq!(e.stats().completed, 8);
         e.shutdown();
     }
 
@@ -2111,52 +1506,16 @@ mod tests {
         for (req, b) in reqs.iter().zip(&batched) {
             assert_eq!(e2.query(*req).summary, b.summary, "{req:?}");
         }
+        assert_eq!(e.stats().completed, e2.stats().completed);
         e.shutdown();
         e2.shutdown();
     }
 
     #[test]
-    fn batch_counters_match_per_request_submission() {
-        // The same request stream with duplicates and repeats, served
-        // one-by-one and as one batch on fresh engines, must produce
-        // identical ServiceStats — the submission-mode invariance the
-        // batch path promises.
-        // Few enough unique keys that the 64-entry cache retains them
-        // all — the stated precondition of counter invariance (under
-        // mid-batch eviction the batch path still answers correctly
-        // but may count a duplicate as the hit the entry was when the
-        // leader cached it, where per-request resubmission would have
-        // missed the evicted key and recomputed).
-        let per_request = engine(2);
-        let g = per_request.current_index().0.graph().clone();
-        let mut reqs: Vec<QueryRequest> = (0..g.n_upper().min(12))
-            .map(|i| QueryRequest::new(g.upper(i), 2, 2, Algorithm::Peel))
-            .collect();
-        reqs.push(reqs[0]); // duplicate of a computed key
-        reqs.push(reqs[1]);
-        for r in &reqs {
-            per_request.query(*r);
-        }
-        let a = per_request.stats();
-        per_request.shutdown();
-
-        let batched = engine(2);
-        batched.query_batch(&reqs);
-        let b = batched.stats();
-        batched.shutdown();
-
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.cache.hits, b.cache.hits, "hit counters drifted");
-        assert_eq!(a.cache.misses, b.cache.misses, "miss counters drifted");
-        assert_eq!(a.coalesced, b.coalesced, "coalesced counters drifted");
-        assert_eq!(b.cache.hits + b.cache.misses, b.completed);
-    }
-
-    #[test]
     fn mixed_algorithm_batch_answers_every_slot_in_order() {
-        // Every algorithm in one batch: requests that differ only in
-        // `algo` share a key, so the first one's leader answers the
-        // rest, and every slot must still be answered in order.
+        // Every algorithm in one batch: each slot is answered in order,
+        // and every response of one vertex matches regardless of the
+        // algorithm it named.
         let e = engine(2);
         let g = e.current_index().0.graph().clone();
         let g = &g;
@@ -2168,12 +1527,9 @@ mod tests {
         for (req, resp) in reqs.iter().zip(&resps) {
             assert_eq!(resp.request, *req, "submission order broken");
         }
-        // All algorithms agree on the answer, so every response of one
-        // vertex matches regardless of which algorithm computed it.
-        for chunk in resps.chunks(4) {
-            assert_eq!(chunk[0].summary, resps[0].summary);
+        for (i, resp) in resps.iter().enumerate() {
+            assert_eq!(resp.summary, resps[i % 4].summary);
         }
-        assert_eq!(e.inflight_len(), 0);
         e.shutdown();
     }
 
@@ -2194,8 +1550,8 @@ mod tests {
             QueryRequest::new(q, 2, 2, Algorithm::Peel),
         ];
         let resps = e.query_batch(&reqs);
-        assert_eq!(resps[0].summary, crate::CommunitySummary::empty());
-        assert_eq!(resps[1].summary, crate::CommunitySummary::empty());
+        assert_eq!(resps[0].summary, CommunitySummary::empty());
+        assert_eq!(resps[1].summary, CommunitySummary::empty());
         assert_eq!(resps[2].summary.size(), 4);
         e.shutdown();
     }
@@ -2209,7 +1565,6 @@ mod tests {
         assert_eq!(before[0].epoch, 0);
         e.install(CommunitySearch::shared(figure2_example()));
         let after = e.query_batch(&[req]);
-        assert!(!after[0].cached, "install must invalidate the cache");
         assert_eq!(after[0].epoch, 1);
         assert_eq!(after[0].summary, before[0].summary);
         e.shutdown();
@@ -2238,24 +1593,21 @@ mod tests {
 
     #[test]
     fn timed_wait_gives_up_and_its_cell_is_reissued_reset() {
-        // One worker, and the shard's in-flight lock held: the worker
-        // blocks in `join_flight`, so the answer cannot arrive in time.
+        // One worker, and the shard's index slot write-locked: the
+        // worker blocks reading its snapshot, so the answer cannot
+        // arrive in time.
         let e = engine(1);
         let search = e.current_index().0;
         let g = search.graph();
         let a = QueryRequest::new(g.upper(2), 2, 2, Algorithm::Peel);
         let b = QueryRequest::new(g.upper(0), 1, 1, Algorithm::Peel);
-        let oracle = |r: QueryRequest| {
-            CommunitySummary::from_subgraph(&search.significant_community(
-                r.q,
-                r.alpha as usize,
-                r.beta as usize,
-                r.algo,
-            ))
-        };
-        assert_ne!(oracle(a), oracle(b), "a stale answer must be visible");
+        assert_ne!(
+            oracle(&search, a),
+            oracle(&search, b),
+            "a stale answer must be visible"
+        );
         let shard = &e.core.shards[0];
-        let blocked = shard.inflight.lock().unwrap();
+        let blocked = shard.search.write().unwrap();
         let handle = e.submit(a);
         let given_up = Arc::as_ptr(&handle.cell);
         assert!(handle.wait_timeout(Duration::from_millis(20)).is_none());
@@ -2280,7 +1632,7 @@ mod tests {
             .wait_timeout(Duration::from_secs(10))
             .expect("the engine answers an unblocked request");
         assert_eq!(resp.request, b);
-        assert_eq!(resp.summary, oracle(b));
+        assert_eq!(resp.summary, oracle(&search, b));
         e.shutdown();
     }
 
@@ -2290,44 +1642,6 @@ mod tests {
         let q = e.current_index().0.graph().upper(0);
         e.query(QueryRequest::new(q, 1, 1, Algorithm::Auto));
         drop(e); // must not hang or leak panicking threads
-    }
-
-    #[test]
-    fn router_and_cache_hashes_decorrelate() {
-        // Keys uniform over vertices must land near-uniform over the
-        // joint (engine shard × cache sub-shard) grid: if the two hash
-        // families correlated, one engine shard's keys would pile onto
-        // few cache sub-shards and its slice would degrade to a couple
-        // of lock-contended LRU lists. Tested for a power-of-two and a
-        // prime engine-shard count.
-        const N: usize = 80_000;
-        const CACHE_SHARDS: usize = 16;
-        let cache: ShardedCache<QueryKey, ()> = ShardedCache::new(1024, CACHE_SHARDS);
-        for &n_shards in &[4usize, 7] {
-            let mut grid = vec![vec![0u32; CACHE_SHARDS]; n_shards];
-            for v in 0..N as u32 {
-                let req = QueryRequest::new(Vertex(v), 2, 2, Algorithm::Peel);
-                grid[route_of(req.q, n_shards)][cache.shard_index(&key_of(&req))] += 1;
-            }
-            let expect = (N / (n_shards * CACHE_SHARDS)) as u32;
-            for (s, row) in grid.iter().enumerate() {
-                // Engine-shard marginal: each shard gets ~1/n of keys.
-                let row_total: u32 = row.iter().sum();
-                let row_expect = (N / n_shards) as u32;
-                assert!(
-                    row_total > row_expect / 2 && row_total < row_expect * 2,
-                    "engine shard {s}/{n_shards} got {row_total} of {N} keys"
-                );
-                // Joint cells: no cache sub-shard starves or floods
-                // within any engine shard.
-                for (c, &count) in row.iter().enumerate() {
-                    assert!(
-                        count > expect / 2 && count < expect * 2,
-                        "cell (engine {s}, cache {c}) got {count}, expected ~{expect}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -2346,21 +1660,38 @@ mod tests {
     }
 
     #[test]
+    fn router_spreads_keys_evenly() {
+        // Keys uniform over vertices must land near-uniform over the
+        // engine shards: a skewed router would pile one shard's queue
+        // while the others idle. Tested for a power-of-two and a prime
+        // shard count.
+        const N: usize = 80_000;
+        for &n_shards in &[4usize, 7] {
+            let mut counts = vec![0u32; n_shards];
+            for v in 0..N as u32 {
+                counts[route_of(Vertex(v), n_shards)] += 1;
+            }
+            let expect = (N / n_shards) as u32;
+            for (s, &count) in counts.iter().enumerate() {
+                assert!(
+                    count > expect / 2 && count < expect * 2,
+                    "engine shard {s}/{n_shards} got {count} of {N} keys"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn sharded_engine_serves_and_aggregates() {
         let e = QueryEngine::start(
             CommunitySearch::shared(figure2_example()),
             ServiceConfig {
                 workers: 4,
                 shards: 3,
-                cache_capacity: 768,
-                cache_shards: 4,
                 ..ServiceConfig::default()
             },
         );
         let g = e.current_index().0.graph().clone();
-        // 120 unique keys ≪ capacity: every shard slice retains its
-        // whole key share — this test is about routing/aggregation,
-        // not eviction (cache.rs covers that).
         let reqs: Vec<QueryRequest> = (0..g.n_upper().min(60))
             .flat_map(|i| {
                 [
@@ -2375,13 +1706,10 @@ mod tests {
         assert_eq!(batched.len(), reqs.len());
         for (req, resp) in reqs.iter().zip(&batched) {
             assert_eq!(resp.request, *req, "fan-out broke submission order");
-            assert!(!resp.cached);
         }
-        // Per-request resubmission hits the same shard's cache slice.
+        // Per-request resubmission answers the same.
         for (req, first) in reqs.iter().zip(&batched) {
-            let again = e.query(*req);
-            assert!(again.cached, "{req:?} routed away from its cache entry");
-            assert_eq!(again.summary, first.summary);
+            assert_eq!(e.query(*req).summary, first.summary, "{req:?}");
         }
         let st = e.stats();
         assert_eq!(st.per_shard.len(), 3);
@@ -2395,7 +1723,6 @@ mod tests {
             st.per_shard.iter().map(|s| s.workers).sum::<usize>(),
             st.workers
         );
-        assert_eq!(st.cache.hits + st.cache.misses, st.completed);
         // 60 distinct query vertices spread over 3 shards: every
         // shard should have seen work (the router test above proves
         // coverage in the large; this is the end-to-end check).
@@ -2411,24 +1738,20 @@ mod tests {
         assert_eq!(st.epoch, 1);
         assert_eq!(st.installs, 1, "per-shard install fan-out multiply-counted");
         let after = e.query(reqs[0]);
-        assert!(!after.cached, "install must clear every cache slice");
         assert_eq!(after.epoch, 1);
         assert_eq!(after.summary, batched[0].summary);
-        assert_eq!(e.inflight_len(), 0);
         e.shutdown();
     }
 
     #[test]
     fn sharded_engine_matches_unsharded_bit_identically() {
         // The quick in-module version of tests/shard_oracle.rs: same
-        // requests, 1 vs 3 shards, identical summaries and flags.
+        // requests, 1 vs 3 shards, identical summaries and epochs.
         let sharded = QueryEngine::start(
             CommunitySearch::shared(figure2_example()),
             ServiceConfig {
                 workers: 3,
                 shards: 3,
-                cache_capacity: 64,
-                cache_shards: 4,
                 ..ServiceConfig::default()
             },
         );
@@ -2443,20 +1766,9 @@ mod tests {
         for ((req, x), y) in reqs.iter().zip(&a).zip(&b) {
             assert_eq!(x.request, *req);
             assert_eq!(x.summary, y.summary, "{req:?} diverged under sharding");
-            assert_eq!(
-                (x.cached, x.coalesced, x.epoch),
-                (y.cached, y.coalesced, y.epoch),
-                "{req:?} flags diverged under sharding"
-            );
+            assert_eq!(x.epoch, y.epoch, "{req:?} epoch diverged under sharding");
         }
-        let (sa, sb) = (sharded.stats(), unsharded.stats());
-        assert_eq!(sa.completed, sb.completed);
-        assert_eq!(sa.coalesced, sb.coalesced);
-        assert_eq!(
-            (sa.cache.hits, sa.cache.misses),
-            (sb.cache.hits, sb.cache.misses),
-            "counters drifted between sharded and unsharded"
-        );
+        assert_eq!(sharded.stats().completed, unsharded.stats().completed);
         sharded.shutdown();
         unsharded.shutdown();
     }
@@ -2510,13 +1822,12 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let g = bigraph::generators::random_bipartite(60, 60, 900, &mut rng);
         let e = QueryEngine::start(CommunitySearch::shared(g), ServiceConfig::default());
-        // Baseline leaders on a 900-edge graph take well over the 1 µs
-        // the ring needs to retain an entry.
+        // Each request's queue hop alone takes well over the 1 µs the
+        // ring needs to retain an entry.
         let mut sizes = std::collections::HashMap::new();
         for i in 0..8 {
             let q = e.current_index().0.graph().upper(i);
             let resp = e.query(QueryRequest::new(q, 2, 2, Algorithm::Baseline));
-            assert!(!resp.cached && !resp.coalesced, "every request leads");
             sizes.insert(q.0, resp.summary.size() as u64);
         }
         assert!(sizes.values().any(|&n| n > 0));
@@ -2546,8 +1857,6 @@ mod tests {
             algo: Algorithm::Peel,
             epoch: 0,
             provenance: Provenance::Single,
-            cached: false,
-            coalesced: false,
             result_edges: 0,
             total_us,
             stages_us: [0; crate::telemetry::N_STAGES],

@@ -13,60 +13,56 @@
 //!  submit ───────┐ (a batch of one)
 //!                ├──▶ per-shard job queue ──▶ worker 0..N
 //!  submit_batch ─┘    (mutex-guarded ring)      │
-//!                   ┌───────────────────────────┼───────────────────┐
-//!                   ▼                           ▼                   ▼
-//!            sharded LRU cache           in-flight table     Arc<CommunitySearch>
-//!            (hit → respond)             (dedup identical    (read-locked slot,
-//!                                         concurrent work)    epoch-swappable)
+//!                                               ▼
+//!                      Arc<CommunitySearch> (read-locked slot, epoch-swappable)
+//!                                               │ answer(q, α, β)
+//!                                               ▼
+//!                      threshold profile per (α,β): q's class → Answer
+//!                      (size, n_upper, n_lower, min_weight in O(1))
 //! ```
 //!
 //! * [`engine::QueryEngine`] — the worker pool. Every submission takes
 //!   one path: [`engine::QueryEngine::submit`] enqueues a batch of one
 //!   and returns a handle; [`engine::QueryEngine::query`] blocks.
+//! * answers as views — a worker answers each request with
+//!   [`scs::CommunitySearch::answer`]: a handle on `q`'s class in the
+//!   (α,β) threshold profile, which is built by the first request at
+//!   an (α,β) and shared by every later one while the snapshot's memo
+//!   keeps it (at most 8 pairs). The response's [`CommunitySummary`]
+//!   reads the class's counts and minimum weight in O(1) and emits the
+//!   edges only if [`CommunitySummary::edges`] is called. There is no
+//!   result cache, no in-flight table and no copy of any answer, so
+//!   traffic over more (α,β) pairs than the memo holds rebuilds
+//!   profiles (see [`engine`]).
 //! * batch submission — [`engine::QueryEngine::submit_batch`] carries N
-//!   requests through the queue as one job: one index-snapshot read, one
-//!   cache lookup per unique key, one worker workspace and one kernel
-//!   call per leader
-//!   ([`scs::CommunitySearch::significant_community_arena`]), answered
-//!   in submission order with results identical to per-request
-//!   submission.
-//! * [`cache::ShardedCache`] — a power-of-two-sharded, per-shard-locked
-//!   LRU keyed by `(q, α, β)` with hit/miss counters. Every algorithm
-//!   returns the same community, so requests that differ only in
-//!   `algo` share one entry.
-//! * in-flight deduplication — when queries with the same `(q, α, β)`
-//!   race, one worker computes and the rest wait on the same result
-//!   (`singleflight`).
+//!   requests through the queue as one job: one index-snapshot read and
+//!   one worker workspace for all of them, answered in submission order
+//!   with results identical to per-request submission.
 //! * [`stats::ServiceStats`] — QPS, p50/p90/p99 latency from a lock-free
-//!   log-bucketed histogram, cache hit rate, coalescing counters, plus
-//!   scratch/arena residency, allocations-avoided and slab-recycle
-//!   counts from the workers' workspaces and arenas.
+//!   log-bucketed histogram, plus scratch residency and
+//!   allocations-avoided counts from the workers' workspaces.
 //! * [`telemetry`] — per-stage latency attribution (queue wait, snapshot
-//!   acquire, cache lookup, kernel compute, arena publish, reply) into
-//!   per-algorithm × per-stage lock-free histograms, a fixed-capacity
-//!   slow-query ring retaining the worst requests with their full stage
-//!   breakdown, provenance and answer size, and machine-readable exporters:
-//!   Prometheus text ([`engine::QueryEngine::render_metrics`]) and the
-//!   schema-versioned `BENCH_service.json` bench artifact. Recording is
-//!   lock-free and allocation-free, on by default — the counting-
-//!   allocator gate runs with telemetry enabled. Windowed snapshots
+//!   acquire, answer, publish, reply) into per-algorithm × per-stage
+//!   lock-free histograms, a fixed-capacity slow-query ring retaining
+//!   the worst requests with their full stage breakdown, provenance and
+//!   answer size, and machine-readable exporters: Prometheus text
+//!   ([`engine::QueryEngine::render_metrics`]) and the schema-versioned
+//!   `BENCH_service.json` bench artifact. Recording is lock-free and
+//!   allocation-free, on by default — the counting-allocator gate runs
+//!   with telemetry enabled. Windowed snapshots
 //!   ([`engine::QueryEngine::stats_window`]) report steady-state rates.
-//! * per-worker scratch **and result** reuse — every worker owns a
-//!   [`scs::QueryWorkspace`] and a [`bigraph::arena::ResultArena`],
-//!   both reused across queries (and across epoch swaps, growing if a
-//!   larger graph is installed). Summaries are arena-backed
-//!   ([`EdgeStore::Arena`]), responses travel by value, and reply
-//!   slots, flights and request/response vectors are pooled, so the
-//!   steady-state **warm leader path performs zero heap allocations
-//!   end to end** — enforced by the counting-allocator binary
-//!   `tests/alloc_free_service.rs`. Slabs recycle when the cache
-//!   evicts (or an install clears) the last handle into them; live
-//!   handles pin their slab by refcount, with generation tags as the
-//!   auditable proof.
+//! * per-worker scratch reuse — every worker owns a
+//!   [`scs::QueryWorkspace`], reused across queries and across epoch
+//!   swaps (a cold profile build grows it). Responses travel by value,
+//!   and reply slots and request/response vectors are pooled, so the
+//!   steady-state **warm path performs zero heap allocations end to
+//!   end** — enforced by the counting-allocator binary
+//!   `tests/alloc_free_service.rs`.
 //! * epoch swap — [`engine::QueryEngine::install`] atomically replaces
 //!   the index (e.g. a [`scs::DynamicIndex::snapshot`] after edge
-//!   updates) without stopping the workers; the cache is invalidated and
-//!   every response is tagged with the epoch that produced it.
+//!   updates) without stopping the workers; every response is tagged
+//!   with the epoch that produced it, and its answer keeps that epoch's
+//!   profile alive.
 //! * [`replay`] — workload construction (reusing `datasets::workload`)
 //!   and a multi-client replay harness, the backing of the
 //!   `scs serve-bench` subcommand and the scaling benchmark.
@@ -96,8 +92,9 @@
 //! let engine = QueryEngine::start(search, ServiceConfig::default());
 //! let resp = engine.query(QueryRequest::new(q, 2, 2, Algorithm::Auto));
 //! assert_eq!(resp.summary.min_weight, Some(5.0));
-//! let again = engine.query(QueryRequest::new(q, 2, 2, Algorithm::Auto));
-//! assert!(again.cached);
+//! assert_eq!((resp.summary.n_upper, resp.summary.size()), (3, 8));
+//! // The edges are emitted only when asked for.
+//! assert_eq!(resp.summary.edges().len(), 8);
 //! engine.shutdown();
 //! ```
 
@@ -105,29 +102,29 @@
 // module-level `allow`); everything else in the crate is checked.
 #![deny(unsafe_code)]
 
-pub mod cache;
 pub mod engine;
 pub mod replay;
 pub mod server;
 pub mod stats;
 pub mod telemetry;
 
-pub use cache::{CacheStats, ShardedCache};
 pub use engine::{BatchHandle, QueryEngine, ResponseHandle, ServiceConfig};
 pub use replay::{
     build_workload, replay, replay_batched, try_build_workload, ReplayReport, WorkloadError,
     WorkloadSpec,
 };
 pub use server::{Server, ServerHandle};
-pub use stats::{AdmissionStats, HistSnapshot, LatencyHistogram, ServiceStats, ShardStats};
+pub use stats::{
+    AdmissionStats, CacheStats, HistSnapshot, LatencyHistogram, ServiceStats, ShardStats,
+};
 pub use telemetry::{
     render_bench_json, render_prometheus, validate_bench_json, validate_prometheus, AlgoStats,
     BenchMeta, LatencySummary, Provenance, SlowQuery, Stage, BENCH_SCHEMA, N_STAGES,
 };
 
-use bigraph::arena::ArenaEdges;
-use bigraph::{BipartiteGraph, EdgeId, Subgraph, Vertex};
-use scs::{Algorithm, QueryWorkspace};
+use bigraph::{EdgeId, Subgraph, Vertex};
+use scs::{Algorithm, Answer, QueryWorkspace};
+use std::sync::OnceLock;
 
 /// One community-search query, as accepted by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,11 +135,11 @@ pub struct QueryRequest {
     pub alpha: u32,
     /// Minimum degree for lower vertices.
     pub beta: u32,
-    /// The second-step algorithm that computes the answer on a miss.
-    /// Not part of the answer's identity: every algorithm returns the
-    /// same community, so the engine caches and coalesces on
-    /// `(q, α, β)` alone, and the first request of a key picks the
-    /// kernel.
+    /// The second-step algorithm the client named. Echoed in the
+    /// response and keys the per-algorithm telemetry rows; it no longer
+    /// picks a kernel. Every algorithm returns the same community, so
+    /// the engine answers every request from
+    /// [`scs::CommunitySearch::answer`].
     pub algo: Algorithm,
 }
 
@@ -163,41 +160,34 @@ impl QueryRequest {
     }
 }
 
-/// Backing storage of a [`CommunitySummary`]'s edge list: an owned
-/// `Vec` (oracle comparisons, tooling, anything without an arena) or a
-/// shared view into a [`bigraph::arena::ResultArena`] slab (the serving
-/// hot path — cloning is a refcount bump, and the live handle pins its
-/// slab against recycling).
+/// Where a [`CommunitySummary`]'s edge list comes from.
 #[derive(Debug, Clone)]
-pub enum EdgeStore {
-    /// Heap-owned edge list.
+enum Edges {
+    /// An owned, ascending edge list.
     Owned(Vec<EdgeId>),
-    /// Arena-slab view; see [`bigraph::arena`] for lifetime semantics.
-    Arena(ArenaEdges),
-}
-
-impl EdgeStore {
-    /// The edge ids, whatever the backing.
-    pub fn as_slice(&self) -> &[EdgeId] {
-        match self {
-            EdgeStore::Owned(v) => v,
-            EdgeStore::Arena(a) => a.as_slice(),
-        }
-    }
+    /// A threshold-profile view, emitted once, on the first
+    /// [`CommunitySummary::edges`] call.
+    View(Answer, OnceLock<Vec<EdgeId>>),
 }
 
 /// An owned, thread-independent description of a query result — the
 /// significant (α,β)-community detached from the graph's lifetime so it
-/// can be cached and shipped across threads.
+/// can be shipped across threads.
+///
+/// The engine's summaries wrap an [`Answer`]: building one reads the
+/// answer's class summary and copies no edge, and the edge list is
+/// emitted only if [`Self::edges`] is called. An answer keeps the
+/// profile of its own index snapshot alive, so its edges stay those of
+/// that snapshot whatever is installed meanwhile.
 ///
 /// Two summaries are equal iff the underlying communities are identical
 /// (same edge set of the same graph, regardless of how the edge list is
-/// stored), which is what the oracle tests assert against direct
+/// held), which is what the oracle tests assert against direct
 /// [`scs::CommunitySearch::significant_community`] calls.
 #[derive(Debug, Clone)]
 pub struct CommunitySummary {
-    /// The community's edge ids, sorted (empty result ⇒ empty store).
-    edges: EdgeStore,
+    /// The community's edges (empty result ⇒ empty list).
+    edges: Edges,
     /// Upper-side member count.
     pub n_upper: usize,
     /// Lower-side member count.
@@ -219,36 +209,26 @@ impl PartialEq for CommunitySummary {
 impl CommunitySummary {
     /// Captures a borrowed [`Subgraph`] into an owned summary
     /// (allocating — the path for oracles and one-off callers; the
-    /// engine's leader path uses [`Self::from_arena_edges`]).
+    /// engine uses [`Self::from_answer`]).
     pub fn from_subgraph(sub: &Subgraph<'_>) -> Self {
         let (us, ls) = sub.layer_vertices();
         CommunitySummary {
-            edges: EdgeStore::Owned(sub.edges().to_vec()),
+            edges: Edges::Owned(sub.edges().to_vec()),
             n_upper: us.len(),
             n_lower: ls.len(),
             min_weight: sub.min_weight(),
         }
     }
 
-    /// Builds a summary around an arena-stored edge list without
-    /// allocating: member counts come from `ws.layer_counts` (reusable
-    /// scratch) and the minimum weight from one pass over the edges.
-    pub fn from_arena_edges(
-        g: &BipartiteGraph,
-        edges: ArenaEdges,
-        ws: &mut QueryWorkspace,
-    ) -> Self {
-        let (n_upper, n_lower) = ws.layer_counts(g, edges.as_slice());
-        let min_weight = edges
-            .as_slice()
-            .iter()
-            .map(|&e| g.weight(e))
-            .min_by(|a, b| a.total_cmp(b));
+    /// Wraps an [`Answer`]: the counts and the minimum weight are read
+    /// from its class in O(1), and the edges wait for [`Self::edges`].
+    // scs-contract: no-alloc — the engine builds every response's summary here.
+    pub fn from_answer(answer: Answer) -> Self {
         CommunitySummary {
-            edges: EdgeStore::Arena(edges),
-            n_upper,
-            n_lower,
-            min_weight,
+            n_upper: answer.n_upper(),
+            n_lower: answer.n_lower(),
+            min_weight: answer.min_weight(),
+            edges: Edges::View(answer, OnceLock::new()),
         }
     }
 
@@ -257,52 +237,60 @@ impl CommunitySummary {
     /// or a zero degree constraint). Allocation-free.
     pub fn empty() -> Self {
         CommunitySummary {
-            edges: EdgeStore::Owned(Vec::new()), // contract-ok: capacity-0 construction; Vec::new never touches the heap
+            edges: Edges::Owned(Vec::new()), // contract-ok: capacity-0 construction; Vec::new never touches the heap
             n_upper: 0,
             n_lower: 0,
             min_weight: None,
         }
     }
 
-    /// The community's sorted edge ids.
+    /// The community's sorted edge ids. A summary wrapping an
+    /// [`Answer`] emits them on the first call, through a bitset sized
+    /// by the class's highest edge id, and keeps them; later calls and
+    /// other summaries (clones included) are unaffected.
     pub fn edges(&self) -> &[EdgeId] {
-        self.edges.as_slice()
+        match &self.edges {
+            Edges::Owned(edges) => edges,
+            Edges::View(answer, built) => built.get_or_init(|| {
+                let mut edges = Vec::with_capacity(answer.size());
+                answer.edges_into(&mut QueryWorkspace::new(), &mut edges);
+                edges
+            }),
+        }
     }
 
-    /// The backing storage (owned vs arena) — exposed so tests can
-    /// assert the slab-pinning invariants of arena-backed results.
-    pub fn store(&self) -> &EdgeStore {
-        &self.edges
-    }
-
-    /// Number of edges in the community.
+    /// Number of edges in the community; O(1), emits nothing.
+    // scs-contract: no-alloc — every response's trace records its size.
     pub fn size(&self) -> usize {
-        self.edges.as_slice().len()
+        match &self.edges {
+            Edges::Owned(edges) => edges.len(),
+            Edges::View(answer, _) => answer.size(),
+        }
     }
 }
 
 /// What the engine hands back for one request.
 ///
-/// Passed **by value**: the summary's edge list lives in shared arena
-/// storage (or an empty vec), so cloning a response is a refcount bump
-/// plus a few scalar copies — no `Arc<QueryResponse>` box and no deep
-/// copy anywhere on the cached or coalesced paths.
+/// Passed **by value**: the summary wraps a shared profile view (or an
+/// empty list), so cloning a response whose edges were never read is a
+/// refcount bump plus a few scalar copies — no deep copy anywhere on
+/// the serving path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     /// The request this answers.
     pub request: QueryRequest,
     /// The community.
     pub summary: CommunitySummary,
-    /// `true` if served from the result cache (no recomputation).
+    /// Always `false`: the engine keeps no result cache. Kept so code
+    /// that reads it still compiles.
     pub cached: bool,
-    /// `true` if this thread waited on another in-flight query with the
-    /// same `(q, α, β)` instead of computing (always `false` when
-    /// `cached`).
+    /// Always `false`: the engine does not coalesce requests. Kept so
+    /// code that reads it still compiles.
     pub coalesced: bool,
     /// Index epoch that produced the summary (bumped by
     /// [`engine::QueryEngine::install`]).
     pub epoch: u64,
     /// End-to-end service time for this request, microseconds, measured
-    /// from dequeue to response (compute or cache lookup, not queueing).
+    /// from dequeue to response (not queueing).
     pub service_us: u64,
 }

@@ -16,11 +16,12 @@
 //!   — answer one (α,β)-community query. `algo` is one of
 //!   `auto|peel|expand|binary|baseline` (default `auto`); `tenant`
 //!   attributes the request to a per-tenant quota bucket; unknown
-//!   parameters are ignored. The response carries the community's size
-//!   and minimum weight, epoch provenance (`epoch`, `cached`,
-//!   `coalesced`) and per-request timings: `accept_us` (admission →
-//!   engine enqueue), `service_us` (engine dequeue → response) and
-//!   `total_us` (admission → reply handoff).
+//!   parameters are ignored. `algo` is echoed; every algorithm returns
+//!   the same community. The response carries the community's member
+//!   counts, size and minimum weight, the `epoch` that answered it and
+//!   per-request timings: `accept_us` (admission → engine enqueue),
+//!   `service_us` (engine dequeue → response) and `total_us`
+//!   (admission → reply handoff).
 //! * `GET /metrics` — Prometheus text exposition, the engine families
 //!   plus the live `scs_admission_*` counters.
 //! * `GET /stats` — the human-readable stats table.
@@ -837,15 +838,13 @@ fn render_query_json(resp: &QueryResponse, accept_us: u64, total_us: u64) -> Str
     };
     format!(
         "{{\"q\":{},\"alpha\":{},\"beta\":{},\"algo\":\"{}\",\"epoch\":{},\
-         \"cached\":{},\"coalesced\":{},\"n_upper\":{},\"n_lower\":{},\
+         \"n_upper\":{},\"n_lower\":{},\
          \"edges\":{},\"min_weight\":{},\"accept_us\":{},\"service_us\":{},\"total_us\":{}}}\n",
         r.q.0,
         r.alpha,
         r.beta,
         r.algo.name(),
         resp.epoch,
-        resp.cached,
-        resp.coalesced,
         resp.summary.n_upper,
         resp.summary.n_lower,
         resp.summary.size(),
@@ -1047,15 +1046,19 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"edges\":4"), "{body}");
         assert!(body.contains("\"min_weight\":13"), "{body}");
-        assert!(body.contains("\"cached\":false"), "{body}");
+        assert!(body.contains("\"n_upper\":2,\"n_lower\":2"), "{body}");
         assert!(body.contains("\"epoch\":0"), "{body}");
         assert!(body.contains("\"accept_us\":"), "{body}");
         assert!(body.contains("\"service_us\":"), "{body}");
         assert!(body.contains("\"total_us\":"), "{body}");
-        // Same key again: the engine's cache answers.
-        let (status, _, body) = get(addr, &format!("/query?q={q}&alpha=2&beta=2&algo=peel"));
+        // Same key again, another algorithm: the same answer, echoed.
+        let (status, _, again) = get(addr, &format!("/query?q={q}&alpha=2&beta=2&algo=expand"));
         assert_eq!(status, 200);
-        assert!(body.contains("\"cached\":true"), "{body}");
+        assert!(again.contains("\"algo\":\"expand\""), "{again}");
+        let answer = |b: &str| {
+            b[b.find("\"n_upper\"").unwrap()..b.find(",\"accept_us\"").unwrap()].to_string()
+        };
+        assert_eq!(answer(&again), answer(&body));
         let fin = handle.stop();
         assert_eq!(fin.admitted, 2);
         assert_eq!(fin.served, 2);

@@ -2,7 +2,6 @@
 //! snapshots (the currency of windowed stats and the metrics exporters),
 //! and the [`ServiceStats`] snapshot the CLI prints.
 
-use crate::cache::CacheStats;
 use crate::telemetry::{AlgoStats, LatencySummary, SlowQuery, Stage, N_STAGES};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -262,11 +261,24 @@ impl HistSnapshot {
     }
 }
 
+/// Result-cache counters, all always 0: the engine keeps no result
+/// cache, since every answer is a view into a threshold profile. Kept
+/// so code that reads them still compiles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+    /// Always 0.
+    pub invalidated: u64,
+}
+
 /// One engine shard's slice of the totals, as reported in
 /// [`ServiceStats::per_shard`]. The aggregate fields of `ServiceStats`
 /// keep their unsharded meaning (sums, or merged histograms, over every
 /// shard); these rows are where imbalance — a hot key concentrating on
-/// one shard, a shard with a colder cache — becomes visible.
+/// one shard — becomes visible.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardStats {
     /// Shard index (the router's output for this shard's keys).
@@ -275,12 +287,6 @@ pub struct ShardStats {
     pub workers: usize,
     /// Requests this shard completed.
     pub completed: u64,
-    /// Requests that coalesced onto an in-flight computation here.
-    pub coalesced: u64,
-    /// This shard's cache-slice hits.
-    pub cache_hits: u64,
-    /// This shard's cache-slice misses.
-    pub cache_misses: u64,
     /// Median service latency on this shard, µs.
     pub p50_us: u64,
     /// 99th-percentile service latency on this shard, µs.
@@ -337,11 +343,8 @@ pub struct ServiceStats {
     pub workers: usize,
     /// Requests completed (since engine start, or within the window).
     pub completed: u64,
-    /// Responses that waited on an identical in-flight computation, or
-    /// shared a batch-internal computation whose result never reached
-    /// the cache. Duplicate keys of a batch whose leader's result *was*
-    /// cached count as the cache hits a per-request resubmission would
-    /// have been — see the README's stats-semantics section.
+    /// Always 0: the engine does not coalesce requests. Kept so code
+    /// that reads it still compiles.
     pub coalesced: u64,
     /// Batch jobs served through [`crate::QueryEngine::submit_batch`]
     /// (a per-request `submit` is a batch of one but is not counted
@@ -350,22 +353,17 @@ pub struct ServiceStats {
     /// Requests that arrived inside a batch job (each still counts in
     /// `completed`).
     pub batched: u64,
-    /// Result-cache counters. `cache.capacity` is the configured total
-    /// entry budget across all shards — residency never exceeds it (see
-    /// [`CacheStats::capacity`]).
+    /// Always all 0 (see [`CacheStats`]).
     pub cache: CacheStats,
     /// Current index epoch (number of `install` calls since process
     /// start — point-in-time even in a window).
     pub epoch: u64,
     /// Index installs (within the period). Each install retires the
-    /// previous epoch and clears the result cache.
+    /// previous epoch.
     pub installs: u64,
-    /// Leader results whose index epoch was retired by an install
-    /// before they could be cached — the computation still answered its
-    /// requester and any coalesced followers, but never reached the
-    /// cache.
-    pub stale_publishes: u64,
-    /// Completed requests per wall-clock second over the period.
+    /// Completed requests per wall-clock second over the period (for
+    /// cumulative stats, since engine start: warm-up and idle time
+    /// included). Not printed in the stats table.
     pub qps: f64,
     /// Mean service latency, µs.
     pub mean_us: f64,
@@ -380,31 +378,21 @@ pub struct ServiceStats {
     /// Worst observed service latency, µs (for a window: an upper
     /// bound — see [`HistSnapshot::delta`]).
     pub max_us: u64,
-    /// Resident bytes of the workers' reusable query workspaces —
-    /// the memory held to keep the query path's *scratch*
-    /// allocation-free.
+    /// Resident bytes of the workers' reusable query workspaces — the
+    /// memory held to keep the query path's scratch allocation-free.
+    /// Published before each reply, so a submitter reading stats right
+    /// after a blocking query sees the serving worker's workspace.
     pub scratch_bytes: usize,
-    /// Resident bytes of the workers' result-arena slabs — the memory
-    /// held to keep the *results* allocation-free too. Published before
-    /// each reply, like `scratch_bytes`, so a submitter reading stats
-    /// right after a blocking query sees the serving worker's arena.
-    pub arena_bytes: usize,
     /// Scratch-buffer acquisitions served from resident workspace
     /// memory, counted once per buffer per kernel entry. A query that
     /// passes through several kernels (e.g. retrieval + peel) counts
     /// each kernel's buffer set, so this tracks reuse traffic rather
     /// than a per-query allocation count.
     pub allocs_avoided: u64,
-    /// Arena slab recycles across the workers: stores served by
-    /// reclaiming a slab whose every result (cache entry, client
-    /// response, coalesced copy) had been dropped.
-    pub arena_recycled: u64,
     /// Per-stage latency summaries aggregated over every algorithm —
-    /// where a request's time goes: queue wait, snapshot acquire, cache
-    /// lookup, kernel compute, arena publish, reply. Indexed by
-    /// [`Stage`]; see [`crate::telemetry`] for attribution semantics
-    /// (for coalesced requests the kernel stage is the wait on the
-    /// leader's computation).
+    /// where a request's time goes: queue wait, snapshot acquire,
+    /// answer, publish, reply. Indexed by [`Stage`]; see
+    /// [`crate::telemetry`] for attribution semantics.
     pub stages: [LatencySummary; N_STAGES],
     /// Per-algorithm end-to-end latency (queue wait through reply) with
     /// the per-stage split, indexed in [`scs::Algorithm::ALL`] order.
@@ -431,36 +419,17 @@ impl fmt::Display for ServiceStats {
         writeln!(f, "┌─────────────────────┬──────────────┐")?;
         writeln!(f, "│ workers             │ {:>12} │", self.workers)?;
         writeln!(f, "│ completed           │ {:>12} │", self.completed)?;
-        writeln!(f, "│ throughput (QPS)    │ {:>12.1} │", self.qps)?;
         writeln!(f, "│ latency mean (µs)   │ {:>12.1} │", self.mean_us)?;
         writeln!(f, "│ latency p50 (µs)    │ {:>12} │", self.p50_us)?;
         writeln!(f, "│ latency p90 (µs)    │ {:>12} │", self.p90_us)?;
         writeln!(f, "│ latency p99 (µs)    │ {:>12} │", self.p99_us)?;
         writeln!(f, "│ latency max (µs)    │ {:>12} │", self.max_us)?;
-        writeln!(f, "│ cache hits          │ {:>12} │", self.cache.hits)?;
-        writeln!(f, "│ cache misses        │ {:>12} │", self.cache.misses)?;
-        writeln!(
-            f,
-            "│ cache hit rate      │ {:>11.1}% │",
-            self.cache.hit_rate() * 100.0
-        )?;
-        writeln!(f, "│ cache entries       │ {:>12} │", self.cache.entries)?;
-        writeln!(f, "│ cache evictions     │ {:>12} │", self.cache.evictions)?;
-        writeln!(
-            f,
-            "│ cache invalidated   │ {:>12} │",
-            self.cache.invalidated
-        )?;
-        writeln!(f, "│ coalesced queries   │ {:>12} │", self.coalesced)?;
         writeln!(f, "│ batch jobs          │ {:>12} │", self.batches)?;
         writeln!(f, "│ batched requests    │ {:>12} │", self.batched)?;
         writeln!(f, "│ scratch resident    │ {:>11}B │", self.scratch_bytes)?;
-        writeln!(f, "│ arena resident      │ {:>11}B │", self.arena_bytes)?;
         writeln!(f, "│ allocs avoided      │ {:>12} │", self.allocs_avoided)?;
-        writeln!(f, "│ arena recycles      │ {:>12} │", self.arena_recycled)?;
         writeln!(f, "│ index epoch         │ {:>12} │", self.epoch)?;
         writeln!(f, "│ installs            │ {:>12} │", self.installs)?;
-        writeln!(f, "│ stale publishes     │ {:>12} │", self.stale_publishes)?;
         if !self.admission.is_zero() {
             let a = &self.admission;
             writeln!(f, "│ admitted            │ {:>12} │", a.admitted)?;
@@ -511,20 +480,14 @@ impl fmt::Display for ServiceStats {
         if self.per_shard.len() > 1 {
             write!(
                 f,
-                "\nper-shard          {:>8} {:>10} {:>9} {:>9} {:>8} {:>8}",
-                "workers", "completed", "hits", "misses", "p50", "p99"
+                "\nper-shard          {:>8} {:>10} {:>8} {:>8}",
+                "workers", "completed", "p50", "p99"
             )?;
             for s in &self.per_shard {
                 write!(
                     f,
-                    "\n  shard {:<11} {:>8} {:>10} {:>9} {:>9} {:>8} {:>8}",
-                    s.shard,
-                    s.workers,
-                    s.completed,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.p50_us,
-                    s.p99_us
+                    "\n  shard {:<11} {:>8} {:>10} {:>8} {:>8}",
+                    s.shard, s.workers, s.completed, s.p50_us, s.p99_us
                 )?;
             }
         }
@@ -691,21 +654,12 @@ mod tests {
         let s = ServiceStats {
             workers: 4,
             completed: 1000,
-            coalesced: 3,
+            coalesced: 0,
             batches: 12,
             batched: 384,
-            cache: CacheStats {
-                hits: 600,
-                misses: 400,
-                entries: 128,
-                capacity: 1024,
-                shards: 8,
-                evictions: 23,
-                invalidated: 77,
-            },
+            cache: CacheStats::default(),
             epoch: 1,
             installs: 1,
-            stale_publishes: 0,
             qps: 12345.6,
             mean_us: 42.0,
             p50_us: 30,
@@ -713,9 +667,7 @@ mod tests {
             p99_us: 200,
             max_us: 900,
             scratch_bytes: 65536,
-            arena_bytes: 262144,
             allocs_avoided: 4321,
-            arena_recycled: 9,
             stages,
             algos,
             slow: vec![SlowQuery {
@@ -725,8 +677,6 @@ mod tests {
                 algo: Algorithm::Peel,
                 epoch: 1,
                 provenance: crate::telemetry::Provenance::Batch,
-                cached: false,
-                coalesced: false,
                 result_edges: 4,
                 total_us: 900,
                 stages_us: [1, 2, 3, 880, 10, 4, 0],
@@ -744,9 +694,6 @@ mod tests {
                     shard: 0,
                     workers: 2,
                     completed: 640,
-                    coalesced: 2,
-                    cache_hits: 400,
-                    cache_misses: 240,
                     p50_us: 29,
                     p99_us: 180,
                 },
@@ -754,30 +701,26 @@ mod tests {
                     shard: 1,
                     workers: 2,
                     completed: 360,
-                    coalesced: 1,
-                    cache_hits: 200,
-                    cache_misses: 160,
                     p50_us: 33,
                     p99_us: 230,
                 },
             ],
         };
         let txt = s.to_string();
-        assert!(txt.contains("QPS"));
-        assert!(txt.contains("12345.6"));
-        assert!(txt.contains("60.0%"));
+        // The table carries no throughput figure: callers print one
+        // rate of their own (see `scs serve-bench`).
+        assert!(!txt.contains("QPS"));
+        assert!(txt.contains("completed"));
         assert!(txt.contains("scratch resident"));
         assert!(txt.contains("65536B"));
-        assert!(txt.contains("arena resident"));
-        assert!(txt.contains("262144B"));
-        assert!(txt.contains("arena recycles"));
         assert!(txt.contains("4321"));
         assert!(txt.contains("batch jobs"));
         assert!(txt.contains("384"));
-        // New observability sections.
-        assert!(txt.contains("cache evictions"));
+        // No row of a mechanism the engine no longer has.
+        for gone in ["cache hit", "coalesced", "arena", "stale publishes"] {
+            assert!(!txt.contains(gone), "{gone}: {txt}");
+        }
         assert!(txt.contains("installs"));
-        assert!(txt.contains("stale publishes"));
         assert!(txt.contains("stage breakdown"));
         assert!(txt.contains("kernel"));
         assert!(txt.contains("per-algorithm"));
@@ -845,18 +788,9 @@ mod tests {
             coalesced: 0,
             batches: 0,
             batched: 0,
-            cache: CacheStats {
-                hits: 0,
-                misses: 0,
-                entries: 0,
-                capacity: 64,
-                shards: 4,
-                evictions: 0,
-                invalidated: 0,
-            },
+            cache: CacheStats::default(),
             epoch: 0,
             installs: 0,
-            stale_publishes: 0,
             qps: 0.0,
             mean_us: 0.0,
             p50_us: 0,
@@ -864,9 +798,7 @@ mod tests {
             p99_us: 0,
             max_us: 0,
             scratch_bytes: 0,
-            arena_bytes: 0,
             allocs_avoided: 0,
-            arena_recycled: 0,
             stages: [LatencySummary::empty(); N_STAGES],
             algos: std::array::from_fn(|i| AlgoStats::empty(Algorithm::ALL[i])),
             admission: AdmissionStats::default(),
@@ -875,9 +807,6 @@ mod tests {
                 shard: 0,
                 workers: 1,
                 completed: 0,
-                coalesced: 0,
-                cache_hits: 0,
-                cache_misses: 0,
                 p50_us: 0,
                 p99_us: 0,
             }],

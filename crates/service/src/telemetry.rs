@@ -16,20 +16,18 @@
 //! ## Stage attribution
 //!
 //! A request's end-to-end latency (enqueue → reply handed back) is
-//! split into six engine stages ([`Stage`]). Every submission is a
-//! batch job (a per-request `submit` is a batch of one), and a job's
-//! timeline is cut into **contiguous windows**: each starts where the
-//! previous one ended — queue wait, each key's cache lookup, each
-//! snapshot-and-join, each leader's own kernel call and publish, each
-//! follower's wait, and finally the reply. Every window is charged, in
-//! nanoseconds, to the [`StageSet`] of the members it served. A batch
-//! of one is therefore charged every window and its stages tile its
-//! total to within per-stage truncation (≤ 1µs per recorded stage —
-//! asserted by `tests/telemetry_stress.rs`); a larger batch's member
+//! split into engine stages ([`Stage`]). Every submission is a batch
+//! job (a per-request `submit` is a batch of one), and a job's timeline
+//! is cut into **contiguous windows**: each starts where the previous
+//! one ended — queue wait, the snapshot read, then each member's
+//! answer and publish, and finally the reply. Every window is charged,
+//! in nanoseconds, to the [`StageSet`] of the members it served. A
+//! batch of one is therefore charged every window and its stages tile
+//! its total to within per-stage truncation (≤ 1µs per recorded stage
+//! — asserted by `tests/telemetry_stress.rs`); a larger batch's member
 //! is charged a disjoint subset of the job's windows, so its stage sum
 //! is a **lower bound** on its total (`Σ stages ≤ total`), never an
-//! overcount of any single wall-clock interval. For coalesced requests
-//! the kernel stage is the wait on the leader's computation. The reply
+//! overcount of any single wall-clock interval. The reply
 //! window (handing the pooled responses back to the submitter) is
 //! shared by every member. Traces are recorded once the responses are
 //! in the reply slot and before the submitter wakes, so a submitter
@@ -67,16 +65,16 @@ pub fn algo_rank(algo: Algorithm) -> usize {
 pub enum Stage {
     /// Enqueue to dequeue: time spent waiting for a worker.
     QueueWait = 0,
-    /// Acquiring the epoch-consistent index snapshot and joining (or
-    /// founding) the in-flight table entry.
+    /// Reading the epoch-consistent index snapshot, once per job.
     Snapshot = 1,
-    /// Result-cache probe (and, for batches, the per-key dedup lookup).
+    /// Never recorded: the engine keeps no result cache. Kept so the
+    /// stage arrays and exporters keep their shape.
     CacheLookup = 2,
-    /// Kernel compute — a leader's own kernel call; for coalesced
-    /// requests, the wait on the leader's computation.
+    /// The request's [`scs::CommunitySearch::answer`] call: a class
+    /// lookup, or the (α,β) profile build for the first request at
+    /// that (α,β) per snapshot.
     Kernel = 3,
-    /// Publishing the result: cache insert, flight publish, response
-    /// construction, counters.
+    /// Building the response and counting it.
     Publish = 4,
     /// Handing the job's responses back to the submitter.
     Reply = 5,
@@ -176,8 +174,8 @@ impl LatencySummary {
 }
 
 /// Per-algorithm latency: end-to-end summary plus the per-stage split.
-/// A row counts the requests that *named* its algorithm; a cache hit
-/// or a coalesced request may have been computed by another one.
+/// A row counts the requests that *named* its algorithm; every request
+/// is answered from the same threshold profile, whatever it named.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlgoStats {
     /// Which algorithm.
@@ -187,7 +185,7 @@ pub struct AlgoStats {
     pub total: LatencySummary,
     /// Per-stage summaries, indexed by [`Stage`]. A stage's count can
     /// be below `total.count`: only stages a request actually passed
-    /// through are recorded (a cache hit has no kernel stage).
+    /// through are recorded (an accept window only on the network path).
     pub stages: [LatencySummary; N_STAGES],
 }
 
@@ -218,10 +216,6 @@ pub struct SlowQuery {
     pub epoch: u64,
     /// Submission shape.
     pub provenance: Provenance,
-    /// Served from the result cache.
-    pub cached: bool,
-    /// Waited on an identical in-flight computation.
-    pub coalesced: bool,
     /// Edges in the answer.
     pub result_edges: u64,
     /// End-to-end latency, µs.
@@ -244,12 +238,6 @@ impl fmt::Display for SlowQuery {
             self.epoch,
             self.provenance.name(),
         )?;
-        if self.cached {
-            write!(f, " cached")?;
-        }
-        if self.coalesced {
-            write!(f, " coalesced")?;
-        }
         write!(f, " result_edges={}", self.result_edges)?;
         for stage in Stage::ALL {
             write!(f, " {}={}", stage.name(), self.stages_us[stage as usize])?;
@@ -275,10 +263,6 @@ pub struct RequestTrace {
     pub epoch: u64,
     /// Submission shape.
     pub provenance: Provenance,
-    /// Served from the result cache.
-    pub cached: bool,
-    /// Waited on an identical in-flight computation.
-    pub coalesced: bool,
     /// Edges in the answer.
     pub result_edges: u64,
     /// End-to-end latency, µs.
@@ -286,8 +270,8 @@ pub struct RequestTrace {
     /// Per-stage attribution, µs.
     pub stages_us: [u64; N_STAGES],
     /// Bitmask of stages the request actually passed through — only
-    /// these are recorded into the per-stage histograms, so a 0µs cache
-    /// lookup still counts while an absent kernel stage does not.
+    /// these are recorded into the per-stage histograms, so a 0µs
+    /// snapshot read still counts while an absent accept stage does not.
     pub touched: u8,
 }
 
@@ -328,8 +312,7 @@ impl StageSet {
     }
 
     /// Adds one window of `ns` nanoseconds to `stage`, marking it
-    /// touched. A stage charged several windows (a stale key's repeated
-    /// snapshot-and-join) sums them.
+    /// touched. A stage charged several windows sums them.
     pub fn add_ns(&mut self, stage: Stage, ns: u64) -> &mut Self {
         self.stages_ns[stage as usize] += ns;
         self.touched |= stage.bit();
@@ -351,8 +334,6 @@ impl StageSet {
             algo: req.algo,
             epoch: resp.epoch,
             provenance,
-            cached: resp.cached,
-            coalesced: resp.coalesced,
             result_edges: resp.summary.size() as u64,
             total_us,
             stages_us: self.stages_ns.map(|ns| ns / 1_000),
@@ -371,7 +352,6 @@ pub struct Telemetry {
     total_hists: [LatencyHistogram; N_ALGOS],
     ring: SlowRing,
     installs: AtomicU64,
-    stale_publishes: AtomicU64,
 }
 
 impl Telemetry {
@@ -386,7 +366,6 @@ impl Telemetry {
             total_hists: std::array::from_fn(|_| LatencyHistogram::default()),
             ring: SlowRing::new(slow_ring_capacity),
             installs: AtomicU64::new(0),
-            stale_publishes: AtomicU64::new(0),
         }
     }
 
@@ -416,14 +395,6 @@ impl Telemetry {
         self.installs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one leader result whose epoch was retired before it could
-    /// be cached.
-    // scs-contract: no-alloc, no-block
-    pub fn note_stale_publish(&self) {
-        // ordering: Relaxed — independent statistic; see `note_install`.
-        self.stale_publishes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Point-in-time copy of every histogram and counter (not the ring
     /// — see [`Self::slow_queries`]).
     pub fn snapshot(&self) -> TelemetrySnapshot {
@@ -432,10 +403,9 @@ impl Telemetry {
                 std::array::from_fn(|s| self.stage_hists[a][s].snapshot())
             }),
             total: std::array::from_fn(|a| self.total_hists[a].snapshot()),
-            // ordering: Relaxed — statistics reads; each counter is
+            // ordering: Relaxed — statistics read; the counter is
             // independent, no cross-field consistency is promised.
             installs: self.installs.load(Ordering::Relaxed),
-            stale_publishes: self.stale_publishes.load(Ordering::Relaxed),
         }
     }
 
@@ -477,8 +447,6 @@ pub struct TelemetrySnapshot {
     pub total: [HistSnapshot; N_ALGOS],
     /// Index installs so far.
     pub installs: u64,
-    /// Stale publishes so far.
-    pub stale_publishes: u64,
 }
 
 impl TelemetrySnapshot {
@@ -488,7 +456,6 @@ impl TelemetrySnapshot {
             stage: [[HistSnapshot::empty(); N_STAGES]; N_ALGOS],
             total: [HistSnapshot::empty(); N_ALGOS],
             installs: 0,
-            stale_publishes: 0,
         }
     }
 
@@ -500,7 +467,6 @@ impl TelemetrySnapshot {
             }),
             total: std::array::from_fn(|a| self.total[a].delta(&prev.total[a])),
             installs: self.installs.saturating_sub(prev.installs),
-            stale_publishes: self.stale_publishes.saturating_sub(prev.stale_publishes),
         }
     }
 
@@ -521,14 +487,13 @@ impl TelemetrySnapshot {
                 }
             }
         }
-        self.installs < baseline.installs || self.stale_publishes < baseline.stale_publishes
+        self.installs < baseline.installs
     }
 
     /// Element-wise union of two snapshots: histograms merge
-    /// bucket-wise and `stale_publishes` adds, but `installs` takes the
-    /// max — an install fans out to every shard of a sharded engine, so
-    /// summing per-shard planes would multiply-count each install by
-    /// the shard count.
+    /// bucket-wise, but `installs` takes the max — an install fans out
+    /// to every shard of a sharded engine, so summing per-shard planes
+    /// would multiply-count each install by the shard count.
     pub fn merge(&self, other: &TelemetrySnapshot) -> TelemetrySnapshot {
         let mut out = *self;
         let pairs = out
@@ -540,7 +505,6 @@ impl TelemetrySnapshot {
             *h = h.merge(o);
         }
         out.installs = self.installs.max(other.installs);
-        out.stale_publishes += other.stale_publishes;
         out
     }
 
@@ -575,8 +539,7 @@ struct RingSlot {
     total_us: AtomicU64,
     /// `q << 32 | alpha`.
     lo: AtomicU64,
-    /// `beta << 32 | algo << 16 | provenance << 8 | flags`
-    /// (bit 0 cached, bit 1 coalesced).
+    /// `beta << 32 | algo << 16 | provenance << 8`.
     mid: AtomicU64,
     epoch: AtomicU64,
     result_edges: AtomicU64,
@@ -636,12 +599,10 @@ impl SlowRing {
         if t.total_us <= self.threshold.load(Ordering::Relaxed) {
             return;
         }
-        let flags = u64::from(t.cached) | (u64::from(t.coalesced) << 1);
         let lo = (u64::from(t.q) << 32) | u64::from(t.alpha);
         let mid = (u64::from(t.beta) << 32)
             | ((algo_rank(t.algo) as u64) << 16)
-            | ((t.provenance as u64) << 8)
-            | flags;
+            | ((t.provenance as u64) << 8);
         for _attempt in 0..4 {
             // Victim: the stable slot holding the smallest total.
             let mut min_i = usize::MAX;
@@ -839,8 +800,6 @@ impl SlowRing {
                 algo: Algorithm::ALL[((mid >> 16) & 0xff) as usize % N_ALGOS],
                 epoch,
                 provenance: Provenance::from_u8((mid >> 8) as u8),
-                cached: mid & 1 != 0,
-                coalesced: mid & 2 != 0,
                 result_edges,
                 total_us,
                 stages_us,
@@ -880,11 +839,6 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         "Requests completed since engine start.",
         stats.completed,
     );
-    counter(
-        "scs_coalesced_total",
-        "Requests that waited on an identical in-flight computation.",
-        stats.coalesced,
-    );
     counter("scs_batches_total", "Batch jobs served.", stats.batches);
     counter(
         "scs_batched_requests_total",
@@ -892,44 +846,14 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         stats.batched,
     );
     counter(
-        "scs_cache_hits_total",
-        "Result-cache hits.",
-        stats.cache.hits,
-    );
-    counter(
-        "scs_cache_misses_total",
-        "Result-cache misses.",
-        stats.cache.misses,
-    );
-    counter(
-        "scs_cache_evictions_total",
-        "Result-cache LRU evictions (capacity pressure).",
-        stats.cache.evictions,
-    );
-    counter(
-        "scs_cache_invalidated_total",
-        "Result-cache entries dropped by index installs.",
-        stats.cache.invalidated,
-    );
-    counter(
         "scs_installs_total",
         "Index installs (epoch retirements).",
         telem.installs,
     );
     counter(
-        "scs_stale_publishes_total",
-        "Leader results retired by an install before caching.",
-        telem.stale_publishes,
-    );
-    counter(
         "scs_allocs_avoided_total",
         "Scratch-buffer acquisitions served from resident workspace memory.",
         stats.allocs_avoided,
-    );
-    counter(
-        "scs_arena_recycles_total",
-        "Result-arena slab recycles.",
-        stats.arena_recycled,
     );
     counter(
         "scs_admission_admitted_total",
@@ -968,24 +892,9 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
     );
     gauge("scs_index_epoch", "Current index epoch.", stats.epoch);
     gauge(
-        "scs_cache_entries",
-        "Resident result-cache entries.",
-        stats.cache.entries as u64,
-    );
-    gauge(
-        "scs_cache_capacity",
-        "Configured result-cache entry budget.",
-        stats.cache.capacity as u64,
-    );
-    gauge(
         "scs_scratch_resident_bytes",
         "Resident bytes of reusable query workspaces.",
         stats.scratch_bytes as u64,
-    );
-    gauge(
-        "scs_arena_resident_bytes",
-        "Resident bytes of result-arena slabs.",
-        stats.arena_bytes as u64,
     );
 
     // Per-shard families: one series per shard, labeled `shard="N"`.
@@ -1005,16 +914,6 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         "scs_shard_requests_total",
         "Requests completed, by engine shard.",
         &|r| r.completed,
-    );
-    shard_counter(
-        "scs_shard_cache_hits_total",
-        "Result-cache hits, by engine shard.",
-        &|r| r.cache_hits,
-    );
-    shard_counter(
-        "scs_shard_cache_misses_total",
-        "Result-cache misses, by engine shard.",
-        &|r| r.cache_misses,
     );
     let mut shard_gauge = |name: &str, help: &str, pick: &dyn Fn(&ShardStats) -> u64| {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
@@ -1256,7 +1155,7 @@ fn parse_sample(line: &str) -> Result<(String, Vec<String>, f64), String> {
 // ─── Bench JSON (schema-versioned perf trajectory) ───────────────────
 
 /// Schema identifier stamped into every `BENCH_service.json`.
-pub const BENCH_SCHEMA: &str = "scs-bench-service/v2";
+pub const BENCH_SCHEMA: &str = "scs-bench-service/v3";
 
 /// Workload and run parameters recorded alongside the measured stats
 /// in `BENCH_service.json`, so a trajectory of artifacts is
@@ -1364,15 +1263,13 @@ fn j_stats(stats: &ServiceStats) -> String {
                 .collect();
             format!(
                 "{{\"q\":{},\"alpha\":{},\"beta\":{},\"algo\":{},\"epoch\":{},\"provenance\":{},\
-                 \"cached\":{},\"coalesced\":{},\"result_edges\":{},\"total_us\":{},\"stages_us\":{{{}}}}}",
+                 \"result_edges\":{},\"total_us\":{},\"stages_us\":{{{}}}}}",
                 s.q,
                 s.alpha,
                 s.beta,
                 j_escape(s.algo.name()),
                 s.epoch,
                 j_escape(s.provenance.name()),
-                s.cached,
-                s.coalesced,
                 s.result_edges,
                 s.total_us,
                 stages.join(",")
@@ -1383,10 +1280,9 @@ fn j_stats(stats: &ServiceStats) -> String {
         "{{\"workers\":{},\"completed\":{},\"qps\":{},\
          \"latency_us\":{{\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},\
          \"stages\":{},\"algorithms\":{{{}}},\
-         \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{},\"evictions\":{},\"invalidated\":{}}},\
-         \"events\":{{\"installs\":{},\"stale_publishes\":{},\"epoch\":{}}},\
-         \"batching\":{{\"batches\":{},\"batched\":{},\"coalesced\":{}}},\
-         \"memory\":{{\"scratch_bytes\":{},\"arena_bytes\":{},\"allocs_avoided\":{},\"arena_recycled\":{}}},\
+         \"events\":{{\"installs\":{},\"epoch\":{}}},\
+         \"batching\":{{\"batches\":{},\"batched\":{}}},\
+         \"memory\":{{\"scratch_bytes\":{},\"allocs_avoided\":{}}},\
          \"slow_queries\":[{}]}}",
         stats.workers,
         stats.completed,
@@ -1398,22 +1294,12 @@ fn j_stats(stats: &ServiceStats) -> String {
         stats.max_us,
         j_stages(&stats.stages),
         algos.join(","),
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache.entries,
-        stats.cache.capacity,
-        stats.cache.evictions,
-        stats.cache.invalidated,
         stats.installs,
-        stats.stale_publishes,
         stats.epoch,
         stats.batches,
         stats.batched,
-        stats.coalesced,
         stats.scratch_bytes,
-        stats.arena_bytes,
         stats.allocs_avoided,
-        stats.arena_recycled,
         slow.join(",")
     )
 }
@@ -1716,9 +1602,9 @@ fn utf8_width(first: u8) -> usize {
 
 /// Validates a `BENCH_service.json` document against
 /// [`BENCH_SCHEMA`]: schema tag, workload parameters, and — for both
-/// the cumulative and steady sections — latency quantiles, all six
-/// stage summaries, per-algorithm p50/p99 with stage breakdowns, and
-/// the cache/event/batching/memory counter blocks.
+/// the cumulative and steady sections — latency quantiles, every
+/// stage summary, per-algorithm p50/p99 with stage breakdowns, and the
+/// event/batching/memory counter blocks.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let doc = json_parse(text)?;
     let schema = doc
@@ -1811,28 +1697,9 @@ fn validate_stats_obj(v: &JsonValue) -> Result<(), String> {
         .map_err(|e| format!("algorithm {name}: {e}"))?;
     }
     for (block, keys) in [
-        (
-            "cache",
-            &[
-                "hits",
-                "misses",
-                "entries",
-                "capacity",
-                "evictions",
-                "invalidated",
-            ][..],
-        ),
-        ("events", &["installs", "stale_publishes", "epoch"][..]),
-        ("batching", &["batches", "batched", "coalesced"][..]),
-        (
-            "memory",
-            &[
-                "scratch_bytes",
-                "arena_bytes",
-                "allocs_avoided",
-                "arena_recycled",
-            ][..],
-        ),
+        ("events", &["installs", "epoch"][..]),
+        ("batching", &["batches", "batched"][..]),
+        ("memory", &["scratch_bytes", "allocs_avoided"][..]),
     ] {
         let o = v.get(block).ok_or_else(|| format!("{block} missing"))?;
         for key in keys {
@@ -1847,12 +1714,12 @@ fn validate_stats_obj(v: &JsonValue) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStats;
+    use crate::stats::CacheStats;
     use crate::{CommunitySummary, QueryRequest};
     use bigraph::Vertex;
 
     /// An empty answer to `q` at (2,3), served at `epoch`.
-    fn resp(q: u32, algo: Algorithm, epoch: u64, cached: bool) -> QueryResponse {
+    fn resp(q: u32, algo: Algorithm, epoch: u64) -> QueryResponse {
         QueryResponse {
             request: QueryRequest {
                 q: Vertex(q),
@@ -1861,7 +1728,7 @@ mod tests {
                 algo,
             },
             summary: CommunitySummary::empty(),
-            cached,
+            cached: false,
             coalesced: false,
             epoch,
             service_us: 0,
@@ -1871,9 +1738,9 @@ mod tests {
     fn trace(q: u32, algo: Algorithm, total_us: u64, kernel_us: u64) -> RequestTrace {
         let mut s = StageSet::new();
         s.set(Stage::QueueWait, 1)
-            .set(Stage::CacheLookup, 0)
+            .set(Stage::Snapshot, 0)
             .set(Stage::Kernel, kernel_us);
-        s.trace(&resp(q, algo, 7, false), Provenance::Single, total_us)
+        s.trace(&resp(q, algo, 7), Provenance::Single, total_us)
     }
 
     fn stats_for(telem: &Telemetry) -> ServiceStats {
@@ -1888,18 +1755,9 @@ mod tests {
             coalesced: 0,
             batches: 1,
             batched: 2,
-            cache: CacheStats {
-                hits: 1,
-                misses: 2,
-                entries: 1,
-                capacity: 64,
-                shards: 4,
-                evictions: 0,
-                invalidated: 1,
-            },
+            cache: CacheStats::default(),
             epoch: 7,
             installs: snap.installs,
-            stale_publishes: snap.stale_publishes,
             qps: 1000.0,
             mean_us: total.mean_us(),
             p50_us: total.quantile_us(0.5),
@@ -1907,9 +1765,7 @@ mod tests {
             p99_us: total.quantile_us(0.99),
             max_us: total.max_us(),
             scratch_bytes: 4096,
-            arena_bytes: 8192,
             allocs_avoided: 10,
-            arena_recycled: 1,
             admission: crate::stats::AdmissionStats::default(),
             stages: snap.stage_summaries(),
             algos: snap.algo_stats(),
@@ -1918,9 +1774,6 @@ mod tests {
                 shard: 0,
                 workers: 2,
                 completed: total.count(),
-                coalesced: 0,
-                cache_hits: 1,
-                cache_misses: 2,
                 p50_us: total.quantile_us(0.5),
                 p99_us: total.quantile_us(0.99),
             }],
@@ -1932,10 +1785,10 @@ mod tests {
         // One job's contiguous windows, charged to a batch of one.
         let windows = [
             (Stage::QueueWait, 5_400u64),
-            (Stage::CacheLookup, 700),
-            (Stage::Snapshot, 300),
-            (Stage::Snapshot, 900), // a stale key's second round sums
-            (Stage::Kernel, 2_000_500),
+            (Stage::Snapshot, 700),
+            (Stage::Kernel, 300),
+            (Stage::Kernel, 900), // a second window of one stage sums
+            (Stage::Publish, 2_000_500),
             (Stage::Publish, 999),
         ];
         let mut s = StageSet::new();
@@ -1944,21 +1797,22 @@ mod tests {
         }
         let total_ns: u64 = windows.iter().map(|w| w.1).sum();
         let mut t = s.trace(
-            &resp(3, Algorithm::Peel, 1, false),
+            &resp(3, Algorithm::Peel, 1),
             Provenance::Single,
             total_ns / 1_000,
         );
         assert_eq!((t.q, t.alpha, t.beta), (3, 2, 3));
         assert_eq!(t.stages_us[Stage::QueueWait as usize], 5);
-        assert_eq!(t.stages_us[Stage::Snapshot as usize], 1);
-        assert_eq!(t.stages_us[Stage::Kernel as usize], 2_000);
+        assert_eq!(t.stages_us[Stage::Kernel as usize], 1);
+        assert_eq!(t.stages_us[Stage::Publish as usize], 2_001);
         // A sub-µs window still marks its stage as passed through.
-        assert_eq!(t.stages_us[Stage::CacheLookup as usize], 0);
-        assert_ne!(t.touched & Stage::CacheLookup.bit(), 0);
+        assert_eq!(t.stages_us[Stage::Snapshot as usize], 0);
+        assert_ne!(t.touched & Stage::Snapshot.bit(), 0);
+        assert_eq!(t.touched & Stage::CacheLookup.bit(), 0);
         assert_eq!(t.touched & Stage::Reply.bit(), 0);
         // Truncation happens once per stage: the sum reconciles with
         // the total to ≤1µs per touched stage.
-        let touched = 5;
+        let touched = 4;
         let sum: u64 = t.stages_us.iter().sum();
         assert!(sum <= t.total_us, "sum {sum} > total {}", t.total_us);
         assert!(
@@ -1974,7 +1828,7 @@ mod tests {
         assert!(sum <= t.total_us && sum + touched + 1 >= t.total_us);
         // `set` replaces a stage; `add_ns` accumulates onto it.
         s.set(Stage::Kernel, 7).add_ns(Stage::Kernel, 1_000);
-        let t = s.trace(&resp(3, Algorithm::Peel, 1, true), Provenance::Batch, 0);
+        let t = s.trace(&resp(3, Algorithm::Peel, 1), Provenance::Batch, 0);
         assert_eq!(t.stages_us[Stage::Kernel as usize], 8);
     }
 
@@ -1985,17 +1839,15 @@ mod tests {
         telem.record(&trace(2, Algorithm::Peel, 200, 180));
         telem.record(&trace(3, Algorithm::Expand, 50, 40));
         telem.note_install();
-        telem.note_stale_publish();
         let snap = telem.snapshot();
         assert_eq!(snap.total[algo_rank(Algorithm::Peel)].count(), 2);
         assert_eq!(snap.total[algo_rank(Algorithm::Expand)].count(), 1);
         assert_eq!(snap.total[algo_rank(Algorithm::Auto)].count(), 0);
         assert_eq!(snap.installs, 1);
-        assert_eq!(snap.stale_publishes, 1);
         // Touched stages (even 0µs ones) are histogrammed; untouched
         // stages are not.
         let peel = &snap.stage[algo_rank(Algorithm::Peel)];
-        assert_eq!(peel[Stage::CacheLookup as usize].count(), 2);
+        assert_eq!(peel[Stage::Snapshot as usize].count(), 2);
         assert_eq!(peel[Stage::Kernel as usize].count(), 2);
         assert_eq!(peel[Stage::Reply as usize].count(), 0);
         // Aggregation across algorithms.
@@ -2172,8 +2024,15 @@ mod tests {
             "scs_stage_duration_us_bucket{algo=\"auto\",stage=\"kernel\",le=\"+Inf\"} 10"
         ));
         assert!(text.contains("scs_stage_duration_us_count{algo=\"auto\",stage=\"queue_wait\"} 10"));
-        assert!(text.contains("scs_cache_evictions_total"));
         assert!(text.contains("scs_scratch_resident_bytes 4096"));
+        for gone in [
+            "scs_cache_",
+            "scs_coalesced",
+            "scs_arena_",
+            "scs_stale_publishes",
+        ] {
+            assert!(!text.contains(gone), "{gone}");
+        }
     }
 
     #[test]

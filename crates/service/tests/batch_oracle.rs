@@ -5,7 +5,8 @@
 //! configured engines, once with per-request submit+wait and once in
 //! batches, and every pair of responses is compared one-to-one. A mixed
 //! concurrent run (batches racing single submissions against one engine)
-//! then checks that the two paths share caches and flights soundly.
+//! then checks that the two paths share the engine's threshold profiles
+//! soundly.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,8 +19,6 @@ use scs_service::{
 fn config() -> ServiceConfig {
     ServiceConfig {
         workers: 4,
-        cache_capacity: 512,
-        cache_shards: 8,
         ..ServiceConfig::default()
     }
 }
@@ -56,8 +55,7 @@ fn batched_replay_is_bit_identical_to_per_request() {
         assert_eq!(b.request, *req, "batched slot {i} out of order");
         assert_eq!(
             a.summary, b.summary,
-            "slot {i} diverged between submission modes (batched cached={} coalesced={})",
-            b.cached, b.coalesced
+            "slot {i} diverged between submission modes"
         );
         let sub =
             search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
@@ -68,26 +66,13 @@ fn batched_replay_is_bit_identical_to_per_request() {
         );
     }
 
-    // The batched run actually took the batch path, exercised the cache
-    // through it, and deduplicated in-batch repeats.
+    // The batched run actually took the batch path.
     assert_eq!(report.stats.batched, 1000);
+    assert_eq!(report.stats.completed, 1000);
     assert!(
         report.stats.batches >= 32,
         "batches={}",
         report.stats.batches
-    );
-    assert!(report.stats.cache.hits > 0, "repeats must hit the cache");
-    assert!(batched.iter().any(|r| r.cached), "cached path unexercised");
-    assert!(
-        batched.iter().any(|r| !r.cached && !r.coalesced),
-        "leader path unexercised"
-    );
-    // Per-request accounting holds even through the batch path: every
-    // completed request was counted as exactly one lookup.
-    assert_eq!(
-        report.stats.cache.hits + report.stats.cache.misses,
-        report.stats.completed,
-        "batch path drifted from one-counted-lookup-per-request"
     );
 }
 
@@ -95,8 +80,9 @@ fn batched_replay_is_bit_identical_to_per_request() {
 fn service_stats_are_submission_mode_invariant() {
     // The same workload replayed serially (one client) through two
     // fresh engines — per-request and batched — must leave identical
-    // traffic counters behind: the batch path may amortize lookups and
-    // computations, but it must *account* per request.
+    // per-request counters behind: the batch path may amortize the
+    // queue hop and the snapshot read, but it must *account* per
+    // request.
     let mut rng = StdRng::seed_from_u64(20260730);
     let graph = bigraph::generators::random_bipartite(90, 90, 1200, &mut rng);
     let search = CommunitySearch::shared(graph);
@@ -123,20 +109,17 @@ fn service_stats_are_submission_mode_invariant() {
     batched.shutdown();
 
     assert_eq!(a.completed, b.completed, "batched: completed drifted");
-    assert_eq!(a.cache.hits, b.cache.hits, "batched: hits drifted");
-    assert_eq!(a.cache.misses, b.cache.misses, "batched: misses drifted");
-    assert_eq!(a.coalesced, b.coalesced, "batched: coalesced drifted");
+    let counts = |s: &scs_service::ServiceStats| s.algos.map(|row| row.total.count);
     assert_eq!(
-        b.cache.hits + b.cache.misses,
-        b.completed,
-        "batched: lookup accounting broken"
+        counts(&a),
+        counts(&b),
+        "batched: per-algorithm rows drifted"
     );
-    // A serial client coalesces nothing, in any mode.
-    assert_eq!(a.coalesced, 0);
+    assert_eq!((a.batched, b.batched), (0, 400));
 }
 
 #[test]
-fn serial_batches_match_per_request_flag_for_flag() {
+fn serial_batches_match_per_request_slot_for_slot() {
     let mut rng = StdRng::seed_from_u64(20210415);
     let graph = bigraph::generators::random_bipartite(120, 120, 1800, &mut rng);
     let search = CommunitySearch::shared(graph);
@@ -152,11 +135,10 @@ fn serial_batches_match_per_request_flag_for_flag() {
     let workload = build_workload(&search, &spec);
     assert_eq!(workload.len(), 900, "core must be populated at (2,2)");
 
-    // One client everywhere: a serial submitter makes flags and
+    // One client everywhere: a serial submitter makes epochs and
     // counters deterministic, so "bit-identical" can include them.
     let engine = QueryEngine::start(search.clone(), config());
     let (batch_report, batched) = replay_batched(&engine, &workload, 1, 64);
-    assert_eq!(engine.inflight_len(), 0, "batches leaked flights");
     engine.shutdown();
 
     let engine = QueryEngine::start(search.clone(), config());
@@ -172,9 +154,8 @@ fn serial_batches_match_per_request_flag_for_flag() {
             "slot {i}: batched vs per-request diverged"
         );
         assert_eq!(
-            (b.cached, b.coalesced, b.epoch),
-            (p.cached, p.coalesced, p.epoch),
-            "slot {i}: flags diverged between batched and per-request"
+            b.epoch, p.epoch,
+            "slot {i}: epoch diverged between batched and per-request"
         );
         let sub =
             search.significant_community(req.q, req.alpha as usize, req.beta as usize, req.algo);
@@ -186,12 +167,6 @@ fn serial_batches_match_per_request_flag_for_flag() {
     }
 
     assert_eq!(batch_report.stats.completed, per_report.stats.completed);
-    assert_eq!(batch_report.stats.cache.hits, per_report.stats.cache.hits);
-    assert_eq!(
-        batch_report.stats.cache.misses,
-        per_report.stats.cache.misses
-    );
-    assert_eq!(batch_report.stats.coalesced, per_report.stats.coalesced);
 }
 
 #[test]
@@ -212,7 +187,6 @@ fn one_giant_batch_matches_oracle() {
         })
         .collect();
     let resps = engine.query_batch(&reqs);
-    assert_eq!(engine.inflight_len(), 0, "flights leaked");
     engine.shutdown();
 
     for (req, resp) in reqs.iter().zip(&resps) {
@@ -246,8 +220,8 @@ fn batches_race_single_requests_on_one_engine() {
     assert!(!workload.is_empty());
 
     // Half the clients submit per-request, half in batches, all racing
-    // on the same engine over the same keys so batch leaders, single
-    // leaders, followers and cache hits all interleave.
+    // on the same engine over the same keys, so batch and single
+    // requests race the one profile build and then share its classes.
     let engine = QueryEngine::start(search.clone(), config());
     let mut collected: Vec<(QueryRequest, CommunitySummary)> = Vec::new();
     std::thread::scope(|scope| {

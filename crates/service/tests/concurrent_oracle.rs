@@ -2,9 +2,10 @@
 //! direct single-threaded `CommunitySearch::significant_community` call.
 //!
 //! A ≥1000-query workload with repeats is replayed from several client
-//! threads against a ≥4-worker engine; every response — cached, computed
-//! or coalesced — must be byte-identical (same edge set, same min
-//! weight) to the oracle's answer for that request.
+//! threads against a ≥4-worker engine; every response — whichever
+//! worker answered it, and whether or not its request raced the
+//! profile build — must be byte-identical (same edge set, same member
+//! counts, same min weight) to the oracle's answer for that request.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,8 +53,6 @@ fn thousand_concurrent_queries_match_single_threaded_oracle() {
         search.clone(),
         ServiceConfig {
             workers: 4,
-            cache_capacity: 512,
-            cache_shards: 8,
             ..ServiceConfig::default()
         },
     );
@@ -66,30 +65,13 @@ fn thousand_concurrent_queries_match_single_threaded_oracle() {
         let expect = oracle(&search, req, &mut ws);
         assert_eq!(
             resp.summary, expect,
-            "response {i} diverged from the oracle (cached={}, coalesced={})",
-            resp.cached, resp.coalesced
+            "response {i} diverged from the oracle"
         );
     }
 
-    // The repeats must have produced real cache traffic.
-    assert!(
-        report.stats.cache.hits > 0,
-        "expected cache hits, got {:?}",
-        report.stats.cache
-    );
-    // The workers' reusable workspaces must be resident and doing work.
+    // The profile build ran in a worker's reusable workspace.
     assert!(report.stats.scratch_bytes > 0, "no scratch resident");
-    assert!(report.stats.allocs_avoided > 0, "workspaces never reused");
-    assert!(report.stats.cache.hit_rate() > 0.0);
     assert_eq!(report.stats.completed, 1200);
-    assert!(
-        responses.iter().any(|r| r.cached),
-        "cached path unexercised"
-    );
-    assert!(
-        responses.iter().any(|r| !r.cached),
-        "compute path unexercised"
-    );
 
     engine.shutdown();
 }
@@ -109,16 +91,14 @@ fn mixed_algorithms_and_parameters_match_oracle() {
             }
         }
     }
-    // Duplicate the whole batch so the second half races the first and
-    // exercises coalescing/caching on every key.
+    // Duplicate the whole batch so the second half races the first on
+    // every key.
     let doubled: Vec<_> = workload.iter().chain(&workload).copied().collect();
 
     let engine = QueryEngine::start(
         search.clone(),
         ServiceConfig {
             workers: 6,
-            cache_capacity: 4096,
-            cache_shards: 8,
             ..ServiceConfig::default()
         },
     );
@@ -139,8 +119,6 @@ fn epoch_swap_serves_updated_index_without_restart() {
         CommunitySearch::shared(graph),
         ServiceConfig {
             workers: 4,
-            cache_capacity: 256,
-            cache_shards: 4,
             ..ServiceConfig::default()
         },
     );

@@ -1,12 +1,12 @@
 //! Concurrent-install oracles for the batch path: while `install`
 //! swaps the index under the pool, every batch response must carry a
 //! self-consistent epoch (its summary equals the single-threaded oracle
-//! on the graph that epoch served) and no flight may leak.
+//! on the graph that epoch served).
 //!
-//! Results are arena-backed throughout (summaries are views into
-//! per-worker slab storage), so every bit-identity assertion here also
-//! proves the arena layer; the second test runs with deliberately tiny
-//! slabs and cache so recycling churns *under* the epoch swaps.
+//! Every summary is a view into the threshold profile of the snapshot
+//! that answered it, so the second test holds responses across the
+//! whole run and reads their edges only after the last install: each
+//! must still materialise its own epoch's answer.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,8 +18,6 @@ use std::sync::Arc;
 fn config() -> ServiceConfig {
     ServiceConfig {
         workers: 4,
-        cache_capacity: 4096,
-        cache_shards: 8,
         ..ServiceConfig::default()
     }
 }
@@ -30,9 +28,8 @@ fn batches_stay_sound_under_concurrent_installs() {
     // alternately while clients hammer the engine with batches.
     // Every response's epoch tag must be self-consistent: the summary
     // must equal the single-threaded oracle on the graph that epoch
-    // served (even epochs = graph A, odd = graph B). At quiescence the
-    // in-flight table must be empty — no flight may leak, however the
-    // batches interleaved with the swaps.
+    // served (even epochs = graph A, odd = graph B), however the batches
+    // interleaved with the swaps.
     let mut rng = StdRng::seed_from_u64(1);
     let graph_a = bigraph::generators::random_bipartite(80, 80, 1000, &mut rng);
     let mut rng = StdRng::seed_from_u64(2);
@@ -87,9 +84,8 @@ fn batches_stay_sound_under_concurrent_installs() {
                         let want = &expected[&resp.request][(resp.epoch % 2) as usize];
                         assert_eq!(
                             resp.summary, *want,
-                            "epoch {} answer for {:?} does not match that epoch's graph \
-                             (cached={} coalesced={})",
-                            resp.epoch, resp.request, resp.cached, resp.coalesced
+                            "epoch {} answer for {:?} does not match that epoch's graph",
+                            resp.epoch, resp.request
                         );
                     }
                 }
@@ -110,30 +106,18 @@ fn batches_stay_sound_under_concurrent_installs() {
 
     let st = engine.stats();
     assert_eq!(st.epoch, INSTALLS, "installer must have finished");
-    assert_eq!(
-        st.cache.hits + st.cache.misses,
-        st.completed,
-        "per-request lookup accounting broke under installs"
-    );
-    assert_eq!(
-        engine.inflight_len(),
-        0,
-        "a flight leaked across the epoch swaps"
-    );
+    assert_eq!(st.completed, 3 * 25 * 48);
     engine.shutdown();
 }
 
 #[test]
-fn arena_recycling_stays_bit_identical_under_concurrent_installs() {
-    // The concurrent arena oracle: batches, per-request racers
-    // and ≥ 12 epoch-swap installs over an engine configured so arena
-    // slabs recycle constantly (64-edge slabs, 16-entry cache). Every
-    // response — whichever worker's arena produced it, however many
-    // slab generations turned over beneath the cache — must stay
-    // bit-identical to the single-threaded oracle for the epoch that
-    // served it, and responses held across the whole run must keep
-    // reading their original bytes (generation tags prove their slabs
-    // were never recycled while live).
+fn held_views_stay_bit_identical_under_concurrent_installs() {
+    // Batches, per-request racers and 12 epoch-swap installs. Every
+    // response — whichever worker answered it — must be bit-identical
+    // to the single-threaded oracle for the epoch that served it, and
+    // responses held across the whole run, their edges unread until
+    // the last install is done, must still materialise that epoch's
+    // answer.
     let mut rng = StdRng::seed_from_u64(41);
     let graph_a = bigraph::generators::random_bipartite(70, 70, 900, &mut rng);
     let mut rng = StdRng::seed_from_u64(42);
@@ -170,16 +154,7 @@ fn arena_recycling_stays_bit_identical_under_concurrent_installs() {
         "graphs must disagree somewhere or epoch mixing is undetectable"
     );
 
-    let engine = QueryEngine::start(
-        search_a.clone(),
-        ServiceConfig {
-            workers: 4,
-            cache_capacity: 16,
-            cache_shards: 4,
-            arena_slab_edges: 64,
-            ..ServiceConfig::default()
-        },
-    );
+    let engine = QueryEngine::start(search_a.clone(), config());
     const INSTALLS: u64 = 12;
     let mut held: Vec<scs_service::QueryResponse> = Vec::new();
     std::thread::scope(|scope| {
@@ -202,16 +177,18 @@ fn arena_recycling_stays_bit_identical_under_concurrent_installs() {
                         engine.query_batch(&batch)
                     };
                     for (i, resp) in resps.into_iter().enumerate() {
+                        if i % 9 == 0 {
+                            // Held unread: its edges are emitted only
+                            // after the run.
+                            kept.push(resp);
+                            continue;
+                        }
                         let want = &expected[&resp.request][(resp.epoch % 2) as usize];
                         assert_eq!(
                             resp.summary, *want,
-                            "epoch {} answer for {:?} does not match that epoch's graph \
-                             (cached={} coalesced={})",
-                            resp.epoch, resp.request, resp.cached, resp.coalesced
+                            "epoch {} answer for {:?} does not match that epoch's graph",
+                            resp.epoch, resp.request
                         );
-                        if i % 9 == 0 {
-                            kept.push(resp);
-                        }
                     }
                 }
                 kept
@@ -235,32 +212,21 @@ fn arena_recycling_stays_bit_identical_under_concurrent_installs() {
 
     let st = engine.stats();
     assert_eq!(st.epoch, INSTALLS, "installer must have finished");
-    assert!(
-        st.arena_recycled > 0,
-        "slabs never recycled — the arena was not stressed"
-    );
-    assert_eq!(engine.inflight_len(), 0, "a flight leaked");
+    engine.shutdown();
 
-    // Responses held across the whole run — installs, evictions and
-    // slab recycles included — still read their original bytes, and
-    // their generation tags prove the storage was never reused.
+    // Responses held across the whole run, with every install behind
+    // them and the engine gone, read their own epoch's answer.
     assert!(!held.is_empty());
+    assert!(
+        held.iter().any(|r| r.epoch % 2 == 0) && held.iter().any(|r| r.epoch % 2 == 1),
+        "held responses must span both graphs"
+    );
     for resp in &held {
         let want = &expected[&resp.request][(resp.epoch % 2) as usize];
         assert_eq!(
             resp.summary, *want,
-            "held response for {:?} (epoch {}) corrupted by recycling",
+            "held response for {:?} (epoch {}) does not read its own epoch",
             resp.request, resp.epoch
         );
-        if let scs_service::EdgeStore::Arena(handle) = resp.summary.store() {
-            assert!(
-                handle.pinned(),
-                "{:?}: live handle generation {} != slab generation {}",
-                resp.request,
-                handle.generation(),
-                handle.slab_generation()
-            );
-        }
     }
-    engine.shutdown();
 }

@@ -28,7 +28,6 @@ fn incremental_maintenance_matches_fresh_rebuild_at_every_epoch() {
         ServiceConfig {
             workers: 4,
             shards: 2,
-            cache_capacity: 256,
             ..ServiceConfig::default()
         },
     );

@@ -63,8 +63,7 @@ fn main() {
     // The serving layer: the same graph behind a concurrent engine,
     // queried per-request and in a batch. Telemetry is on by default
     // (and allocation-free), so afterwards the stats can say where each
-    // microsecond went — queue wait, snapshot, cache, kernel, publish,
-    // reply.
+    // microsecond went — queue wait, snapshot, answer, publish, reply.
     let engine = QueryEngine::start(
         CommunitySearch::shared(figure1_example()),
         ServiceConfig::default(),
@@ -74,9 +73,9 @@ fn main() {
         .map(|i| QueryRequest::new(g.upper(i), 2, 2, Algorithm::Auto))
         .collect();
     for req in &reqs {
-        engine.query(*req); // cold: leaders compute
+        engine.query(*req); // the first builds the (2,2) profile
     }
-    engine.query_batch(&reqs); // warm: one batch job, served from cache
+    engine.query_batch(&reqs); // one batch job, every answer a class lookup
 
     let stats = engine.stats();
     println!(

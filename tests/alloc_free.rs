@@ -1,12 +1,13 @@
 //! The tentpole guarantee, enforced: with a warm [`QueryWorkspace`] and
 //! a warm output buffer, a repeated query performs **zero** heap
-//! allocations — for every second-step algorithm.
+//! allocations — for every second-step algorithm — and a warm
+//! [`CommunitySearch::answer`] with its four summary accessors, the
+//! serving path of the service workers, allocates nothing either.
 //!
 //! A counting global allocator wraps the system allocator; the test
 //! warms the workspace with two runs of each query (first run grows the
 //! buffers, second confirms capacities converged), then asserts the
-//! third run's allocation delta is exactly zero. This is the
-//! steady-state compute path of the service workers.
+//! third run's allocation delta is exactly zero.
 //!
 //! Runs as its own integration-test binary **without the libtest
 //! harness** (`harness = false` in Cargo.toml): the harness's
@@ -14,7 +15,6 @@
 //! allocates sporadically and would race the measured windows. Here the
 //! process has exactly one thread, so the counter is exact.
 
-use bigraph::arena::ResultArena;
 use bigraph::builder::figure2_example;
 use scs::{Algorithm, CommunitySearch, QueryWorkspace};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,40 +92,29 @@ fn main() {
         }
     }
 
-    // The arena entry points extend the guarantee to the *result*: a
-    // warm arena stores repeated answers with zero allocations too.
-    let mut arena = ResultArena::new();
-    for algo in Algorithm::ALL {
-        search.significant_community_arena(q, 2, 2, algo, &mut ws, &mut arena); // warm slab
+    // The serving path: a warm `answer()` and its O(1) summary read no
+    // edge and allocate nothing, at every (α,β) whose profile is built.
+    for (a, b) in [(2, 2), (1, 1), (3, 3), (2, 3)] {
+        let warm = search.answer(q, a, b, &mut ws);
+        assert!(warm.size() > 0, "α={a} β={b} must answer");
         let before = allocations();
-        let stored = search.significant_community_arena(q, 2, 2, algo, &mut ws, &mut arena);
-        let delta = allocations() - before;
-        assert_eq!(
-            delta, 0,
-            "algorithm {algo} allocated {delta} storing to a warm arena"
+        let answer = search.answer(q, a, b, &mut ws);
+        let summary = (
+            answer.size(),
+            answer.n_upper(),
+            answer.n_lower(),
+            answer.min_weight(),
         );
-        assert!(!stored.as_slice().is_empty());
-        assert!(stored.pinned());
+        let delta = allocations() - before;
+        assert_eq!(delta, 0, "answer() α={a} β={b} allocated {delta} times");
+        let peel = search.significant_community(q, a, b, Algorithm::Peel);
+        let (us, ls) = peel.layer_vertices();
+        assert_eq!(
+            summary,
+            (peel.size(), us.len(), ls.len(), peel.min_weight()),
+            "α={a} β={b}"
+        );
     }
 
-    // Slab recycling is allocation-free as well: with a deliberately
-    // tiny slab and handles dropped per query, the arena turns one slab
-    // over again and again without ever going back to the allocator.
-    let mut small = ResultArena::with_slab_capacity(8);
-    search.significant_community_arena(q, 2, 2, Algorithm::Peel, &mut ws, &mut small); // allocates the slab
-    let before = allocations();
-    for _ in 0..32 {
-        let stored =
-            search.significant_community_arena(q, 2, 2, Algorithm::Peel, &mut ws, &mut small);
-        assert!(stored.pinned());
-    }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "slab recycling must not allocate (recycles: {})",
-        small.stats().recycled
-    );
-    assert!(small.stats().recycled > 0, "tiny slab must have recycled");
-
-    println!("alloc_free: warm kernels, arena stores and slab recycling allocated 0 times — ok");
+    println!("alloc_free: warm kernels and warm answer views allocated 0 times — ok");
 }
