@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! // scs-contract: no-alloc
-//! fn serve_batch(...) { ... }
+//! fn serve(...) { ... }
 //! ```
 //!
 //! promises that *it and every function it transitively calls* stays

@@ -69,7 +69,7 @@ pub fn env_parse<T: std::str::FromStr>(key: &str) -> Result<Option<T>, String> {
 
 /// [`env_parse`] with a default, terminating the process (status 2) on
 /// a malformed value instead of silently falling back — a typo'd
-/// `SCS_BATCH=6 4` must not quietly benchmark the default. Shared by
+/// `SCS_QUERIES=10 0` must not quietly benchmark the default. Shared by
 /// every bench binary; an earlier per-binary helper swallowed the
 /// parse error.
 pub fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
@@ -181,25 +181,6 @@ pub fn print_header(cells: &[&str], widths: &[usize]) {
     );
     let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
     println!("{}", "-".repeat(total));
-}
-
-/// Prints a whole table, sizing each column to its widest cell.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    let widths: Vec<usize> = header
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            rows.iter()
-                .map(|r| r.get(i).map_or(0, String::len))
-                .chain([h.len()])
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-    print_header(header, &widths);
-    for row in rows {
-        print_row(row, &widths);
-    }
 }
 
 /// The `α = β = 0.7·δ` rule the paper uses for the all-datasets

@@ -84,9 +84,6 @@ pub struct ServeBenchArgs {
     pub one_based: bool,
     /// Worker threads in the engine.
     pub threads: usize,
-    /// Engine shards the workers (and index replicas) are partitioned
-    /// into.
-    pub shards: usize,
     /// Queries in the replayed workload.
     pub queries: usize,
     /// Client threads submitting the workload.
@@ -103,8 +100,6 @@ pub struct ServeBenchArgs {
     pub zipf: f64,
     /// Workload seed.
     pub seed: u64,
-    /// Requests per submitted batch job (1 = per-request submission).
-    pub batch_size: usize,
     /// Warmup queries replayed (and then excluded from the steady-state
     /// window) before the measured run; defaults to `queries / 10`.
     pub warmup: Option<usize>,
@@ -128,8 +123,6 @@ pub struct ServeArgs {
     pub addr: String,
     /// Worker threads in the engine.
     pub threads: usize,
-    /// Engine shards.
-    pub shards: usize,
     /// Admission budget: admitted-but-unanswered requests past this
     /// are shed with `429 + Retry-After`.
     pub pending_budget: usize,
@@ -216,12 +209,12 @@ USAGE:
   scs search <edgelist> <u:IDX|l:IDX> <alpha> <beta>
              [--algo auto|peel|expand|binary|baseline] [--one-based]
   scs generate <dir> [--scale S] [--seed N]
-  scs serve <edgelist> [--addr HOST:PORT] [--threads N] [--shards S]
+  scs serve <edgelist> [--addr HOST:PORT] [--threads N]
              [--pending-budget N] [--tenant-rate R] [--tenant-burst B]
              [--socket-timeout-ms MS] [--one-based]
-  scs serve-bench <edgelist> [--threads N] [--shards S] [--queries K]
+  scs serve-bench <edgelist> [--threads N] [--queries K]
              [--clients C] [--alpha A] [--beta B] [--repeat F]
-             [--zipf Z] [--seed N] [--batch-size B]
+             [--zipf Z] [--seed N]
              [--warmup W] [--metrics-out FILE] [--bench-json FILE]
              [--remote HOST:PORT]
              [--algo auto|peel|expand|binary|baseline] [--one-based]
@@ -272,14 +265,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut scale = 1.0f64;
     let mut seed = 42u64;
     let mut threads = 4usize;
-    let mut shards = 1usize;
     let mut queries = 1000usize;
     let mut clients: Option<usize> = None;
     let mut alpha_flag = 2usize;
     let mut beta_flag = 2usize;
     let mut repeat = 0.5f64;
     let mut zipf = 0.0f64;
-    let mut batch_size = 1usize;
     let mut warmup: Option<usize> = None;
     let mut metrics_out: Option<String> = None;
     let mut bench_json: Option<String> = None;
@@ -343,13 +334,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .next()
                     .ok_or_else(|| CliError::new("--threads needs a value"))?;
                 threads = parse_usize(val, "thread count")?;
-            }
-            "--shards" => {
-                engine_flags.push("--shards");
-                let val = it
-                    .next()
-                    .ok_or_else(|| CliError::new("--shards needs a value"))?;
-                shards = parse_usize(val, "shard count")?;
             }
             "--addr" => {
                 serve_only_flags.push("--addr");
@@ -454,13 +438,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         "zipf exponent must be a finite value ≥ 0 (0 = uniform)",
                     ));
                 }
-            }
-            "--batch-size" => {
-                serve_flags.push("--batch-size");
-                let val = it
-                    .next()
-                    .ok_or_else(|| CliError::new("--batch-size needs a value"))?;
-                batch_size = parse_usize(val, "batch size")?;
             }
             "--warmup" => {
                 serve_flags.push("--warmup");
@@ -633,7 +610,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 one_based,
                 addr: addr.unwrap_or_else(|| "127.0.0.1:7474".to_string()),
                 threads,
-                shards,
                 pending_budget,
                 tenant_rate,
                 tenant_burst,
@@ -646,7 +622,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 path: rest[0].into(),
                 one_based,
                 threads,
-                shards,
                 queries,
                 clients: clients.unwrap_or(threads * 2),
                 alpha: alpha_flag,
@@ -655,7 +630,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 repeat,
                 zipf,
                 seed,
-                batch_size,
                 warmup,
                 metrics_out,
                 bench_json,
@@ -820,7 +794,6 @@ fn run_serve(args: ServeArgs) -> Result<String, CliError> {
     let search = CommunitySearch::shared(g);
     let config = ServiceConfig {
         workers: args.threads,
-        shards: args.shards,
         pending_budget: args.pending_budget,
         tenant_rate: args.tenant_rate,
         tenant_burst: args.tenant_burst,
@@ -832,11 +805,10 @@ fn run_serve(args: ServeArgs) -> Result<String, CliError> {
         .map_err(|e| CliError::new(format!("{}: {e}", args.addr)))?;
     println!("scs serve: {summary}");
     println!(
-        "listening on {} — {} worker(s) in {} shard(s), pending budget {}, \
+        "listening on {} — {} worker(s), pending budget {}, \
          tenant quota {}/s (burst {}), socket timeout {} ms",
         handle.local_addr(),
         args.threads,
-        args.shards,
         args.pending_budget,
         args.tenant_rate,
         args.tenant_burst,
@@ -851,20 +823,6 @@ fn run_serve(args: ServeArgs) -> Result<String, CliError> {
     }
 }
 
-/// The derived `--warmup` default: `queries / 10`, rounded **up** to a
-/// whole number of `--batch-size` submission batches. An unaligned
-/// default (e.g. 10 warmup with batches of 16) would end the warmup
-/// replay on a partial batch, so the warmed profiles and the
-/// batch-size steady state would disagree with what the measured
-/// window claims to measure. An explicit `--warmup` is taken verbatim.
-fn aligned_default_warmup(queries: usize, batch_size: usize) -> usize {
-    let base = queries / 10;
-    if batch_size <= 1 || base == 0 {
-        return base;
-    }
-    base.div_ceil(batch_size) * batch_size
-}
-
 /// `scs serve-bench`: build the index, replay a core-sampled workload
 /// with repeats through the concurrent engine, print the replay QPS —
 /// measured requests over the measured replay's wall time, the run's
@@ -875,13 +833,11 @@ fn aligned_default_warmup(queries: usize, batch_size: usize) -> usize {
 /// `scs serve` instead ([`run_remote_bench`]).
 fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
     use scs_service::{
-        render_bench_json, replay_batched, try_build_workload, validate_bench_json,
-        validate_prometheus, BenchMeta, QueryEngine, ServiceConfig, WorkloadSpec,
+        render_bench_json, replay, try_build_workload, validate_bench_json, validate_prometheus,
+        BenchMeta, QueryEngine, ServiceConfig, WorkloadSpec,
     };
 
-    let warmup = args
-        .warmup
-        .unwrap_or_else(|| aligned_default_warmup(args.queries, args.batch_size));
+    let warmup = args.warmup.unwrap_or(args.queries / 10);
     if let Some(remote) = args.remote.clone() {
         return run_remote_bench(&args, &remote, warmup);
     }
@@ -909,30 +865,22 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
         search,
         ServiceConfig {
             workers: args.threads,
-            shards: args.shards,
             ..ServiceConfig::default()
         },
     );
     if warmup > 0 {
-        let _ = replay_batched(&engine, &workload[..warmup], args.clients, args.batch_size);
+        let _ = replay(&engine, &workload[..warmup], args.clients);
     }
     // Reset the window baseline so `steady` covers exactly the measured
     // replay — warmup requests stay in the cumulative table only.
     let _ = engine.stats_window();
-    let (report, _responses) =
-        replay_batched(&engine, &workload[warmup..], args.clients, args.batch_size);
+    let (report, _responses) = replay(&engine, &workload[warmup..], args.clients);
     let steady = engine.stats_window();
-    let submission = if report.batch_size > 1 {
-        format!("batches of {}", report.batch_size)
-    } else {
-        "per-request".into()
-    };
     let mut out = format!(
         "serve-bench {summary}\n\
          workload: {} queries (+{warmup} warmup) (α={}, β={}, algo={}, repeat={:.2}, \
          zipf={:.2}, seed={})\n\
-         replayed by {} clients ({submission}) over {} workers in {} shard(s) \
-         in {:.3} s — {:.1} QPS\n",
+         replayed by {} clients over {} workers in {:.3} s — {:.1} QPS\n",
         report.n_queries,
         args.alpha,
         args.beta,
@@ -942,7 +890,6 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
         args.seed,
         report.clients,
         report.stats.workers,
-        args.shards,
         report.wall_secs,
         report.replay_qps,
     );
@@ -966,11 +913,9 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
         let meta = BenchMeta {
             dataset: &args.path,
             threads: args.threads,
-            shards: args.shards,
             queries: args.queries,
             warmup,
             clients: report.clients,
-            batch_size: args.batch_size,
             alpha: args.alpha,
             beta: args.beta,
             algo: args.algo,
@@ -992,8 +937,8 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
 /// `scs serve-bench --remote`: drive the generated workload over
 /// keep-alive HTTP connections against a running `scs serve`, counting
 /// `200`s, `429` sheds and errors and measuring client-side latency.
-/// The engine knobs (`--threads`, `--shards`, `--batch-size`) belong
-/// to the server process and are ignored here;
+/// The engine knob `--threads` belongs to the server process and is
+/// ignored here;
 /// `--bench-json` needs in-process engine stats and is rejected.
 fn run_remote_bench(
     args: &ServeBenchArgs,
@@ -1287,12 +1232,8 @@ mod tests {
             "0.25",
             "--zipf",
             "1.1",
-            "--shards",
-            "2",
             "--algo",
             "peel",
-            "--batch-size",
-            "32",
         ]))
         .unwrap();
         assert_eq!(
@@ -1301,7 +1242,6 @@ mod tests {
                 path: "g.tsv".into(),
                 one_based: false,
                 threads: 8,
-                shards: 2,
                 queries: 500,
                 clients: 16, // defaults to 2 × threads
                 alpha: 3,
@@ -1310,37 +1250,27 @@ mod tests {
                 repeat: 0.25,
                 zipf: 1.1,
                 seed: 42,
-                batch_size: 32,
                 warmup: None,
                 metrics_out: None,
                 bench_json: None,
                 remote: None,
             })
         );
-        // batch size defaults to per-request submission.
+        // A uniform workload unless asked.
         match parse_args(&args(&["serve-bench", "g.tsv"])).unwrap() {
-            Command::ServeBench(a) => {
-                assert_eq!(a.batch_size, 1);
-                // One shard and a uniform workload unless asked.
-                assert_eq!(a.shards, 1);
-                assert_eq!(a.zipf, 0.0);
-            }
+            Command::ServeBench(a) => assert_eq!(a.zipf, 0.0),
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse_args(&args(&["serve-bench"])).is_err());
         assert!(parse_args(&args(&["serve-bench", "g", "--threads", "0"])).is_err());
         assert!(parse_args(&args(&["serve-bench", "g", "--repeat", "1.5"])).is_err());
-        assert!(parse_args(&args(&["serve-bench", "g", "--batch-size"])).is_err());
-        // Shard and zipf validation: zero shards and NaN/negative/
-        // non-finite exponents die in the parser with the flag named.
-        assert!(parse_args(&args(&["serve-bench", "g", "--shards", "0"])).is_err());
-        assert!(parse_args(&args(&["serve-bench", "g", "--shards"])).is_err());
+        // Zipf validation: NaN/negative/non-finite exponents die in the
+        // parser with the flag named.
         for bad in ["nan", "-0.5", "inf", "abc"] {
             let err = parse_args(&args(&["serve-bench", "g", "--zipf", bad])).unwrap_err();
             assert!(err.to_string().contains("zipf"), "{bad:?}: {err}");
         }
-        // --shards / --zipf are serve-bench-only like the other knobs.
-        assert!(parse_args(&args(&["stats", "g", "--shards", "2"])).is_err());
+        // --zipf is serve-bench-only like the other knobs.
         assert!(parse_args(&args(&["stats", "g", "--zipf", "1.0"])).is_err());
     }
 
@@ -1384,18 +1314,7 @@ mod tests {
         let err = parse_args(&args(&["serve-bench", "g", "--queries", "0"])).unwrap_err();
         assert!(err.to_string().contains("at least 1"), "{err}");
         assert!(!err.to_string().contains("core"), "{err}");
-        // --batch-size 0 is rejected up front too (it used to be
-        // silently clamped to 1 deep inside replay_batched), and
-        // negative / non-numeric values name the flag.
-        let err = parse_args(&args(&["serve-bench", "g", "--batch-size", "0"])).unwrap_err();
-        assert!(err.to_string().contains("at least 1"), "{err}");
-        for bad in ["-3", "abc", "1.5", ""] {
-            let err = parse_args(&args(&["serve-bench", "g", "--batch-size", bad])).unwrap_err();
-            assert!(
-                err.to_string().contains("invalid batch size"),
-                "{bad:?}: {err}"
-            );
-        }
+        // Negative / non-numeric values name the flag.
         for bad in ["-1", "many"] {
             let err = parse_args(&args(&["serve-bench", "g", "--queries", bad])).unwrap_err();
             assert!(
@@ -1411,7 +1330,6 @@ mod tests {
             parse_args(&args(&["search", "g", "u:1", "2", "2", "--threads", "4"])).unwrap_err();
         assert!(err.to_string().contains("serve-bench"), "{err}");
         assert!(parse_args(&args(&["stats", "g", "--queries", "10"])).is_err());
-        assert!(parse_args(&args(&["stats", "g", "--batch-size", "8"])).is_err());
         let err = parse_args(&args(&["serve-bench", "g", "--scale", "0.5"])).unwrap_err();
         assert!(err.to_string().contains("generate"), "{err}");
         assert!(parse_args(&args(&[
@@ -1458,7 +1376,6 @@ mod tests {
             path: path.to_str().unwrap().into(),
             one_based: false,
             threads: 4,
-            shards: 1,
             queries: 200,
             clients: 4,
             alpha: 2,
@@ -1467,7 +1384,6 @@ mod tests {
             repeat: 0.5,
             zipf: 0.0,
             seed: 1,
-            batch_size: 1,
             warmup: None,
             metrics_out: None,
             bench_json: None,
@@ -1475,41 +1391,15 @@ mod tests {
         }))
         .unwrap();
         assert!(out.contains("200 queries"), "{out}");
-        assert!(out.contains("per-request"), "{out}");
         // One throughput figure per run: the replay rate.
         assert_eq!(out.matches("QPS").count(), 1, "{out}");
         // The table counts the 200 measured and 20 warm-up requests.
         assert!(out.contains("completed           │          220"), "{out}");
 
-        // The same workload submitted in batches reports its batch jobs.
-        let out = run(Command::ServeBench(ServeBenchArgs {
-            path: path.to_str().unwrap().into(),
-            one_based: false,
-            threads: 4,
-            shards: 2,
-            queries: 200,
-            clients: 2,
-            alpha: 2,
-            beta: 2,
-            algo: Algorithm::Auto,
-            repeat: 0.5,
-            zipf: 0.0,
-            seed: 1,
-            batch_size: 25,
-            warmup: None,
-            metrics_out: None,
-            bench_json: None,
-            remote: None,
-        }))
-        .unwrap();
-        assert!(out.contains("batches of 25"), "{out}");
-        assert!(!out.contains("batch jobs          │            0"), "{out}");
-
         let err = run(Command::ServeBench(ServeBenchArgs {
             path: path.to_str().unwrap().into(),
             one_based: false,
             threads: 2,
-            shards: 1,
             queries: 10,
             clients: 2,
             alpha: 50,
@@ -1518,7 +1408,6 @@ mod tests {
             repeat: 0.0,
             zipf: 0.0,
             seed: 1,
-            batch_size: 1,
             warmup: None,
             metrics_out: None,
             bench_json: None,
@@ -1551,7 +1440,6 @@ mod tests {
             path: path.to_str().unwrap().into(),
             one_based: false,
             threads: 4,
-            shards: 2,
             queries: 200,
             clients: 4,
             alpha: 2,
@@ -1560,7 +1448,6 @@ mod tests {
             repeat: 0.5,
             zipf: 0.0,
             seed: 1,
-            batch_size: 8,
             warmup: Some(40),
             metrics_out: Some(metrics.to_str().unwrap().into()),
             bench_json: Some(bench.to_str().unwrap().into()),
@@ -1610,8 +1497,6 @@ mod tests {
             "0.0.0.0:0",
             "--threads",
             "8",
-            "--shards",
-            "2",
             "--pending-budget",
             "64",
             "--tenant-rate",
@@ -1629,7 +1514,6 @@ mod tests {
                 one_based: false,
                 addr: "0.0.0.0:0".into(),
                 threads: 8,
-                shards: 2,
                 pending_budget: 64,
                 tenant_rate: 100,
                 tenant_burst: 10,
@@ -1668,79 +1552,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_warmup_aligns_to_the_batch_size() {
-        // Per-request submission keeps the plain tenth.
-        assert_eq!(aligned_default_warmup(1000, 1), 100);
-        // Unaligned tenths round UP to whole batches: 100/10 = 10 → 16.
-        assert_eq!(aligned_default_warmup(100, 16), 16);
-        assert_eq!(aligned_default_warmup(1000, 16), 112);
-        // Already aligned stays put.
-        assert_eq!(aligned_default_warmup(1000, 25), 100);
-        // No warmup stays no warmup (nothing to align).
-        assert_eq!(aligned_default_warmup(5, 16), 0);
-    }
-
-    #[test]
-    fn serve_bench_default_warmup_lands_on_a_batch_boundary() {
-        let dir = std::env::temp_dir().join("scs_cli_warmup_align_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("toy.tsv");
-        let mut body = String::new();
-        for u in 0..3 {
-            for l in 0..3 {
-                body.push_str(&format!("{u} {l} 5\n"));
-            }
-        }
-        std::fs::write(&path, body).unwrap();
-        // queries=100, batch-size=16: the old derived default (10)
-        // ended warmup on a partial batch; the aligned default is 16.
-        let out = run(Command::ServeBench(ServeBenchArgs {
-            path: path.to_str().unwrap().into(),
-            one_based: false,
-            threads: 2,
-            shards: 1,
-            queries: 100,
-            clients: 2,
-            alpha: 2,
-            beta: 2,
-            algo: Algorithm::Auto,
-            repeat: 0.5,
-            zipf: 0.0,
-            seed: 1,
-            batch_size: 16,
-            warmup: None,
-            metrics_out: None,
-            bench_json: None,
-            remote: None,
-        }))
-        .unwrap();
-        assert!(out.contains("(+16 warmup)"), "{out}");
-        // An explicit --warmup is never realigned.
-        let out = run(Command::ServeBench(ServeBenchArgs {
-            path: path.to_str().unwrap().into(),
-            one_based: false,
-            threads: 2,
-            shards: 1,
-            queries: 100,
-            clients: 2,
-            alpha: 2,
-            beta: 2,
-            algo: Algorithm::Auto,
-            repeat: 0.5,
-            zipf: 0.0,
-            seed: 1,
-            batch_size: 16,
-            warmup: Some(10),
-            metrics_out: None,
-            bench_json: None,
-            remote: None,
-        }))
-        .unwrap();
-        assert!(out.contains("(+10 warmup)"), "{out}");
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
     fn remote_bench_drives_a_live_server() {
         use scs_service::{QueryEngine, Server, ServiceConfig};
 
@@ -1771,7 +1582,6 @@ mod tests {
             path: path.to_str().unwrap().into(),
             one_based: false,
             threads: 2,
-            shards: 1,
             queries: 60,
             clients: 3,
             alpha: 2,
@@ -1780,7 +1590,6 @@ mod tests {
             repeat: 0.5,
             zipf: 0.0,
             seed: 1,
-            batch_size: 1,
             warmup: Some(5),
             metrics_out: Some(metrics.to_str().unwrap().into()),
             bench_json: None,
@@ -1799,7 +1608,6 @@ mod tests {
             path: path.to_str().unwrap().into(),
             one_based: false,
             threads: 2,
-            shards: 1,
             queries: 10,
             clients: 1,
             alpha: 2,
@@ -1808,7 +1616,6 @@ mod tests {
             repeat: 0.0,
             zipf: 0.0,
             seed: 1,
-            batch_size: 1,
             warmup: Some(0),
             metrics_out: None,
             bench_json: Some(dir.join("b.json").to_str().unwrap().into()),

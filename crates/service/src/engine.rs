@@ -1,17 +1,16 @@
 //! The concurrent query engine: a fixed worker pool over an immutable,
 //! epoch-swappable [`CommunitySearch`].
 //!
-//! Life of a request — every submission takes the same path:
+//! Life of a request — every request takes the same path:
 //!
-//! 1. [`QueryEngine::submit`] enqueues a **batch of one** on the shard
-//!    its query vertex routes to and returns a [`ResponseHandle`];
-//!    [`QueryEngine::submit_batch`] enqueues N requests as one job per
-//!    shard. [`QueryEngine::query`] and [`QueryEngine::query_batch`]
-//!    are the blocking conveniences.
-//! 2. A worker dequeues the job and reads one index snapshot — the
-//!    shard's `Arc<CommunitySearch>` and its epoch — for all of the
-//!    job's requests.
-//! 3. It answers each request with [`CommunitySearch::answer`]: `q`'s
+//! 1. [`QueryEngine::submit`] enqueues one job — the request, a pooled
+//!    reply cell and the enqueue time — on the engine's one job queue
+//!    and returns a [`ResponseHandle`]; [`QueryEngine::query`] submits
+//!    and waits.
+//! 2. One of the `ServiceConfig::workers` threads dequeues the job and
+//!    reads the index snapshot: the engine's `Arc<CommunitySearch>` and
+//!    its epoch.
+//! 3. It answers the request with [`CommunitySearch::answer`]: `q`'s
 //!    class in the (α,β) threshold profile, a table lookup once that
 //!    profile is built. The first request at an (α,β) builds it;
 //!    requests racing that build on other workers wait in the profile
@@ -20,11 +19,8 @@
 //!    minimum weight in O(1); no edge is emitted or copied. The
 //!    request's `algo` is echoed and keys the telemetry rows, but it
 //!    picks no kernel: every algorithm returns the same community.
-//! 4. The worker hands the responses back in submission order and
-//!    records every member's stage trace (see [`crate::telemetry`]).
-//!
-//! Only [`QueryEngine::submit_batch`] jobs count in the
-//! `batches`/`batched` counters.
+//! 4. The worker puts the response in the reply cell and records the
+//!    request's stage trace (see [`crate::telemetry`]).
 //!
 //! # The warm path allocates nothing
 //!
@@ -35,14 +31,12 @@
 //!
 //! * the job queue is a mutex-protected ring (`VecDeque`) instead of a
 //!   node-allocating channel;
-//! * request and response vectors and reply slots ([`ReplyCell`]) are
-//!   pooled, reused whenever their refcount proves nothing else holds
-//!   them;
+//! * reply cells (`ReplyCell`) are pooled, reused whenever their
+//!   refcount proves nothing else holds them;
 //! * an answer is a refcount bump on its profile slot plus a class id,
 //!   and [`crate::QueryResponse`] travels **by value**, so there is no
 //!   `Arc::new` per response;
-//! * the job's stage traces live in per-worker scratch that keeps its
-//!   capacity.
+//! * a request's stage trace lives on its worker's stack.
 //!
 //! What does allocate is cold: a profile build, once per (α,β) per
 //! snapshot for as long as the memo keeps it, and
@@ -60,45 +54,23 @@
 //! closed-loop probe on a 2-vCPU VM (EN, 2 workers, 4 clients), 256 hot
 //! keys were answered at 145,396 QPS over 8 (α,β) pairs and at 319 QPS
 //! over 12. Every request also locks the one memo mutex and bumps one
-//! profile slot's refcount, shared by all shards' workers; nothing has
+//! profile slot's refcount, shared by all workers; nothing has
 //! measured that beyond 2 workers.
 //!
-//! # Sharding
+//! # Installs
 //!
-//! The engine is built from `ServiceConfig::shards` **independent
-//! shards**: each owns its worker pool, job queue, workspaces, telemetry
-//! plane and `Arc<CommunitySearch>` index replica. Requests route to a
-//! shard by a stable hash of the query vertex ([`route_of`], a
-//! splitmix64 mixer), so a given key always lands on the same shard.
-//! Cross-shard batches are partitioned into per-shard sub-batches and
-//! reassembled in submission order by the [`BatchHandle`]; installs fan
-//! out to every shard (serialized, so all shards agree on the epoch
-//! sequence); stats aggregate. On Linux, each shard's workers are
-//! pinned to a distinct CPU set (best-effort); elsewhere pinning is a
-//! no-op and sharding still isolates the queues.
-//!
-//! [`QueryEngine::install`] atomically replaces the index (one
-//! write-lock per shard) and bumps the epoch, so a rebuilt index — e.g.
+//! [`QueryEngine::install`] atomically replaces the index (one write
+//! lock) and bumps the epoch, so a rebuilt index — e.g.
 //! [`scs::DynamicIndex::snapshot`] after edge updates — goes live
-//! without stopping the workers. A job that read the old snapshot
-//! finishes on it (its `Arc` keeps it alive) and its responses carry the
-//! old epoch. Each answer holds the profile it was read from, so a
+//! without stopping the workers. A request that read the old snapshot
+//! finishes on it (its `Arc` keeps it alive) and its response carries
+//! the old epoch. Each answer holds the profile it was read from, so a
 //! response materialises its own snapshot's edges even after the
 //! install; the new snapshot starts with an empty profile memo.
 
-// The crate denies `unsafe_code`; this module is the one exception,
-// for the `sched_setaffinity` FFI shim in `pin_worker`. Every site
-// is budgeted in `unsafe-allowlist.txt` and checked by `scs analyze`.
-#![allow(unsafe_code)]
-
-use crate::stats::{
-    AdmissionStats, CacheStats, HistSnapshot, LatencyHistogram, ServiceStats, ShardStats,
-};
-use crate::telemetry::{
-    Provenance, RequestTrace, SlowQuery, Stage, StageSet, Telemetry, TelemetrySnapshot,
-};
+use crate::stats::{AdmissionStats, CacheStats, HistSnapshot, LatencyHistogram, ServiceStats};
+use crate::telemetry::{RequestTrace, Stage, StageSet, Telemetry, TelemetrySnapshot};
 use crate::{CommunitySummary, QueryRequest, QueryResponse};
-use bigraph::Vertex;
 use scs::{CommunitySearch, QueryWorkspace};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -109,18 +81,12 @@ use std::time::{Duration, Instant};
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (≥ 1), distributed across the shards. When
-    /// `shards` does not divide this evenly the first shards get the
-    /// remainder; every shard gets at least one worker, so `shards >
-    /// workers` raises the effective total (reported by
-    /// [`crate::stats::ServiceStats::workers`]).
+    /// Worker threads serving the job queue (clamped to ≥ 1; reported
+    /// by [`crate::stats::ServiceStats::workers`]).
     pub workers: usize,
-    /// Independent engine shards (≥ 1). Each shard owns its worker
-    /// pool, job queue, telemetry plane and index replica; requests are
-    /// routed by a stable hash of the query vertex, so one key always
-    /// lands on one shard. On Linux each shard's workers are
-    /// additionally pinned to a distinct CPU set (best-effort;
-    /// elsewhere pinning is a no-op).
+    /// Ignored: the engine has one job queue and one index snapshot,
+    /// served by `workers` threads. Kept only because the benchmark
+    /// harness (`perfbench/`) still sets it.
     pub shards: usize,
     /// Ignored: the engine keeps no result cache, since every answer is
     /// a view into a threshold profile. Kept so configurations that set
@@ -223,9 +189,9 @@ impl<T> ReplyCell<T> {
     }
 }
 
-/// Answers a reply cell (`Some` = responses, `None` = the job panicked)
-/// and moves the worker's reference into the pool, **holding the pool
-/// lock across both**. The ordering is what makes warm submits
+/// Answers a reply cell (`Some` = the response, `None` = the request
+/// panicked) and moves the worker's reference into the pool, **holding
+/// the pool lock across both**. The ordering is what makes warm submits
 /// deterministic: the submitter cannot finish its `take` until the
 /// state lock is released, and cannot reach `take_free` until the pool
 /// lock is released — by which point the cell is pooled and the
@@ -234,9 +200,9 @@ impl<T> ReplyCell<T> {
 /// behind a fast submitter and force a fresh allocation.
 ///
 /// `then` runs once the answer is in, before the submitter is woken
-/// and the state lock released: the worker records the job's traces
-/// there, so a submitter whose `wait` returned finds its requests in
-/// the telemetry plane.
+/// and the state lock released: the worker records the request's trace
+/// there, so a submitter whose `wait` returned finds its request in the
+/// telemetry plane.
 fn respond_and_pool<T>(
     pool: &ArcPool<ReplyCell<T>>,
     cell: Arc<ReplyCell<T>>,
@@ -272,44 +238,13 @@ impl<T> ArcPool<T> {
         }
     }
 
-    // Poisoning is recovered, as in `VecPool`: `submit` runs on the
-    // server's no-panic request path.
+    // A poisoned pool is still a valid list of entries, so the lock is
+    // recovered rather than unwrapped: `submit` runs on the server's
+    // no-panic request path.
     fn take_free(&self) -> Option<Arc<T>> {
         let mut items = self.items.lock().unwrap_or_else(PoisonError::into_inner);
         let i = items.iter().position(|a| Arc::strong_count(a) == 1)?;
         Some(items.swap_remove(i))
-    }
-}
-
-/// A pool of reusable plain `Vec`s (cleared on return, capacity kept).
-struct VecPool<T> {
-    items: Mutex<Vec<Vec<T>>>,
-}
-
-impl<T> VecPool<T> {
-    fn new() -> Self {
-        VecPool {
-            items: Mutex::new(Vec::new()),
-        }
-    }
-
-    // A poisoned pool is still a valid list of cleared vectors, so the
-    // lock is recovered rather than unwrapped: `take` and `put` run on
-    // the server's no-panic request path.
-    fn take(&self) -> Vec<T> {
-        self.items
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn put(&self, mut v: Vec<T>) {
-        v.clear();
-        self.items
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(v);
     }
 }
 
@@ -371,9 +306,17 @@ impl JobQueue {
     }
 }
 
-/// Per-worker scratch accounting, published after every served job so
-/// [`QueryEngine::stats`] can aggregate without touching the workspaces
-/// themselves (they are owned by the worker threads).
+/// One request on its way to a worker.
+struct Job {
+    req: QueryRequest,
+    reply: Arc<ReplyCell<QueryResponse>>,
+    /// The enqueue time; the queue-wait stage is measured from it.
+    enqueued: Instant,
+}
+
+/// Per-worker scratch accounting, published after every served request
+/// so [`QueryEngine::stats`] can sum it without touching the
+/// workspaces themselves (they are owned by the worker threads).
 #[derive(Default)]
 struct ScratchSlot {
     /// Resident bytes of the worker's [`QueryWorkspace`].
@@ -390,8 +333,6 @@ struct WindowBase {
     service: HistSnapshot,
     telem: TelemetrySnapshot,
     completed: u64,
-    batches: u64,
-    batched: u64,
 }
 
 impl WindowBase {
@@ -401,50 +342,50 @@ impl WindowBase {
             service: HistSnapshot::empty(),
             telem: TelemetrySnapshot::empty(),
             completed: 0,
-            batches: 0,
-            batched: 0,
         }
     }
 }
 
-/// One engine shard: everything its workers share — index replica, job
-/// queue, pools, telemetry — so the sharded engine above it only
-/// routes, fans out and aggregates.
+/// Everything the workers and the engine handle share: the index
+/// snapshot, the job queue, the reply-cell pool and the statistics.
 struct Inner {
     search: RwLock<(Arc<CommunitySearch>, u64)>,
     queue: JobQueue,
+    reply_pool: ArcPool<ReplyCell<QueryResponse>>,
     hist: LatencyHistogram,
     completed: AtomicU64,
-    batches: AtomicU64,
-    batched: AtomicU64,
+    /// One slot per worker thread.
     scratch: Vec<ScratchSlot>,
-    reply_pool: ArcPool<ReplyCell<Vec<QueryResponse>>>,
-    req_pool: VecPool<QueryRequest>,
-    resp_pool: VecPool<QueryResponse>,
-    /// Worker threads owned by this shard.
-    workers: usize,
     /// The preallocated telemetry plane: per-algorithm × per-stage
     /// histograms, the slow-query ring and event counters. Recording
     /// is lock-free and allocation-free (see [`crate::telemetry`]).
     telemetry: Telemetry,
+    started: Instant,
+    /// Baseline of the last [`QueryEngine::stats_window`] call. Off the
+    /// serving path entirely — only stats readers lock it.
+    window: Mutex<WindowBase>,
+    /// Serializes [`QueryEngine::install`] end to end: one install's
+    /// epoch bump and its `note_install` count both land before the
+    /// next install starts. The `search` write lock alone already
+    /// orders the bumps; `crates/analyze/tests/selfcheck.rs` counts the
+    /// lock-order edge this lock forms with `search`.
+    install_lock: Mutex<()>,
 }
 
 impl Inner {
     /// The current `(index snapshot, epoch)` pair, read consistently.
+    /// Poisoning is recovered: `install` leaves the pair whole at every
+    /// unlock, and the server's no-panic stats path reads it.
     fn snapshot(&self) -> (Arc<CommunitySearch>, u64) {
-        let guard = self.search.read().unwrap();
+        let guard = self.search.read().unwrap_or_else(PoisonError::into_inner);
         (guard.0.clone(), guard.1) // contract-ok: Arc refcount bump under the snapshot read lock
     }
 
-    /// Enqueues `reqs` as one job and returns its reply cell. The cell
-    /// comes from (and returns to) the shard's pool; a reissued cell may
-    /// hold the stale value of a submitter that never waited, so it is
-    /// reset first (refcount 1 makes that unobservable).
-    fn enqueue(
-        &self,
-        reqs: Vec<QueryRequest>,
-        prov: Provenance,
-    ) -> Arc<ReplyCell<Vec<QueryResponse>>> {
+    /// Enqueues `req` and returns its reply cell. The cell comes from
+    /// (and returns to) the pool; a reissued cell may hold the stale
+    /// value of a submitter that never waited, so it is reset first
+    /// (refcount 1 makes that unobservable).
+    fn enqueue(&self, req: QueryRequest) -> Arc<ReplyCell<QueryResponse>> {
         let reply = match self.reply_pool.take_free() {
             Some(cell) => {
                 // The state is whole at every unlock; recover poisoning.
@@ -454,10 +395,9 @@ impl Inner {
             None => Arc::new(ReplyCell::new()),
         };
         let job = Job {
-            reqs,
+            req,
             reply: reply.clone(),
             enqueued: Instant::now(),
-            prov,
         };
         // contract-ok: the queue closes only in `shutdown`, and the server joins every connection thread before its engine shuts down
         assert!(self.queue.push(job), "engine already shut down");
@@ -481,21 +421,64 @@ impl Inner {
     fn servable(req: &QueryRequest, search: &CommunitySearch) -> bool {
         req.q.index() < search.graph().n_vertices() && req.alpha >= 1 && req.beta >= 1
     }
+
+    /// Stats over one period: `completed` requests whose latencies are
+    /// `service` and `telem`, over `secs` seconds. Point-in-time fields
+    /// (workers, epoch, scratch residency, the cumulative
+    /// `allocs_avoided`) and the slow-query ring read their current
+    /// values.
+    fn stats_over(
+        &self,
+        completed: u64,
+        service: &HistSnapshot,
+        telem: &TelemetrySnapshot,
+        secs: f64,
+    ) -> ServiceStats {
+        let (mut scratch_bytes, mut allocs_avoided) = (0, 0);
+        for s in &self.scratch {
+            // ordering: Relaxed — residency gauges; a submitter that
+            // must see its own query's effect is ordered by the
+            // reply-cell mutex handoff, not by these loads.
+            scratch_bytes += s.bytes.load(Ordering::Relaxed);
+            allocs_avoided += s.allocs_avoided.load(Ordering::Relaxed);
+        }
+        ServiceStats {
+            workers: self.scratch.len(),
+            completed,
+            coalesced: 0,
+            batches: 0,
+            batched: 0,
+            cache: CacheStats::default(),
+            epoch: self.snapshot().1,
+            installs: telem.installs,
+            qps: completed as f64 / secs.max(1e-9),
+            mean_us: service.mean_us(),
+            p50_us: service.quantile_us(0.50),
+            p90_us: service.quantile_us(0.90),
+            p99_us: service.quantile_us(0.99),
+            max_us: service.max_us(),
+            scratch_bytes,
+            allocs_avoided,
+            stages: telem.stage_summaries(),
+            algos: telem.algo_stats(),
+            admission: AdmissionStats::default(),
+            slow: self.telemetry.slow_queries(),
+        }
+    }
+
+    /// Stats since engine start, with `telem` as the telemetry plane's
+    /// snapshot.
+    fn cumulative(&self, telem: &TelemetrySnapshot) -> ServiceStats {
+        // ordering: Relaxed — statistics read; stats() promises no
+        // cross-counter snapshot.
+        let completed = self.completed.load(Ordering::Relaxed);
+        let secs = self.started.elapsed().as_secs_f64();
+        self.stats_over(completed, &self.hist.snapshot(), telem, secs)
+    }
 }
 
-/// Everything a worker thread owns, reused across every job and epoch
-/// swap it serves.
-#[derive(Default)]
-struct WorkerState {
-    /// Scratch of the profile builds this worker runs.
-    ws: QueryWorkspace,
-    /// Per-slot traces awaiting their reply stage; the worker closes
-    /// and records them once the job has been answered.
-    traces: Vec<RequestTrace>,
-}
-
-/// Ends the job's current stage window and starts the next one where it
-/// ended; returns the ended window's length, ns.
+/// Ends the request's current stage window and starts the next one
+/// where it ended; returns the ended window's length, ns.
 fn lap(last: &mut Instant) -> u64 {
     let now = Instant::now();
     let ns = now.saturating_duration_since(*last).as_nanos() as u64;
@@ -503,98 +486,59 @@ fn lap(last: &mut Instant) -> u64 {
     ns
 }
 
-/// Serves one job — a batch, or a per-request submission as a batch of
-/// one — and returns its responses in submission order (a pooled
-/// vector) together with the end of its last stage window, where the
-/// reply window starts. One snapshot read, then one
-/// [`CommunitySearch::answer`] per request. Each slot's trace is left
-/// in `state.traces` for the worker to close and record after the
-/// reply.
+/// Serves one request: one snapshot read, one
+/// [`CommunitySearch::answer`], then the response is counted. Returns
+/// the response, its stage trace — left open for the worker to close
+/// with the reply window once the answer is in the reply cell — and
+/// the end of its last stage window, where the reply window starts.
 ///
-/// Stage windows: every member is charged the job's queue wait and its
-/// snapshot read, and its own answer and publish windows, so a batch of
-/// one tiles its total and a larger batch's member sums to at most its
-/// total.
+/// The stage windows (queue wait, snapshot read, answer, publish and
+/// then reply) are contiguous, so they tile the request's total.
 // scs-contract: no-alloc — the warm serving path reuses pooled buffers
 // end to end; proven transitively by `scs analyze`.
-fn serve_batch(
+fn serve(
     inner: &Inner,
-    reqs: &[QueryRequest],
-    prov: Provenance,
-    state: &mut WorkerState,
+    request: QueryRequest,
+    ws: &mut QueryWorkspace,
     enqueued: Instant,
-) -> (Vec<QueryResponse>, Instant) {
+) -> (QueryResponse, RequestTrace, Instant) {
     let t0 = Instant::now();
     let mut last = t0;
-    if prov == Provenance::Batch {
-        // ordering: Relaxed — independent statistics; pair with nothing.
-        inner.batches.fetch_add(1, Ordering::Relaxed);
-        inner
-            .batched
-            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-    }
-    // A job that panicked mid-serve (the worker survives panics) may
-    // have left traces behind; they must not be recorded against this
-    // one. Free in the steady state.
-    state.traces.clear();
-
-    let mut shared = StageSet::new();
-    shared.add_ns(
+    let mut stages = StageSet::new();
+    stages.add_ns(
         Stage::QueueWait,
         t0.saturating_duration_since(enqueued).as_nanos() as u64,
     );
     let (search, epoch) = inner.snapshot();
-    shared.add_ns(Stage::Snapshot, lap(&mut last));
-
-    let mut responses = inner.resp_pool.take();
-    for &request in reqs {
-        let mut stages = shared;
-        let summary = if Inner::servable(&request, &search) {
-            CommunitySummary::from_answer(search.answer(
-                request.q,
-                request.alpha as usize,
-                request.beta as usize,
-                &mut state.ws,
-            ))
-        } else {
-            CommunitySummary::empty()
-        };
-        stages.add_ns(Stage::Kernel, lap(&mut last));
-        let resp = QueryResponse {
-            request,
-            summary,
-            cached: false,
-            coalesced: false,
-            epoch,
-            service_us: t0.elapsed().as_micros() as u64,
-        };
-        inner.finish(&resp);
-        stages.add_ns(Stage::Publish, lap(&mut last));
-        state.traces.push(stages.trace(&resp, prov, 0)); // contract-ok: warm per-worker buffer; growth is cold
-        responses.push(resp); // contract-ok: pooled buffer retains warm capacity across batches; growth is cold (alloc-gated)
-    }
-    (responses, last)
-}
-
-/// N requests served by one worker with one snapshot read and one
-/// workspace, answered as one vector in request order. A per-request
-/// submission is a job of one.
-struct Job {
-    /// Pooled; returned to the shard after serving.
-    reqs: Vec<QueryRequest>,
-    reply: Arc<ReplyCell<Vec<QueryResponse>>>,
-    /// The enqueue time; the queue-wait stage is measured from it.
-    enqueued: Instant,
-    /// `Single` for [`QueryEngine::submit`], `Batch` for
-    /// [`QueryEngine::submit_batch`]; only batch jobs count in the
-    /// `batches`/`batched` counters.
-    prov: Provenance,
+    stages.add_ns(Stage::Snapshot, lap(&mut last));
+    let summary = if Inner::servable(&request, &search) {
+        CommunitySummary::from_answer(search.answer(
+            request.q,
+            request.alpha as usize,
+            request.beta as usize,
+            ws,
+        ))
+    } else {
+        CommunitySummary::empty()
+    };
+    stages.add_ns(Stage::Kernel, lap(&mut last));
+    let resp = QueryResponse {
+        request,
+        summary,
+        cached: false,
+        coalesced: false,
+        epoch,
+        service_us: t0.elapsed().as_micros() as u64,
+    };
+    inner.finish(&resp);
+    stages.add_ns(Stage::Publish, lap(&mut last));
+    let trace = stages.trace(&resp, 0);
+    (resp, trace, last)
 }
 
 /// A pending response; produced by [`QueryEngine::submit`].
 pub struct ResponseHandle {
-    cell: Arc<ReplyCell<Vec<QueryResponse>>>,
-    inner: Arc<Inner>,
+    cell: Arc<ReplyCell<QueryResponse>>,
 }
 
 impl ResponseHandle {
@@ -604,13 +548,9 @@ impl ResponseHandle {
     /// Panics if the query panicked inside the engine or the engine
     /// shut down before answering.
     pub fn wait(self) -> QueryResponse {
-        let mut answers = self
-            .cell
+        self.cell
             .take()
-            .expect("query panicked in the engine or engine shut down before responding");
-        let resp = answers.pop().expect("a job of one has one answer");
-        self.inner.resp_pool.put(answers);
-        resp
+            .expect("query panicked in the engine or engine shut down before responding")
     }
 
     /// [`Self::wait`] that gives up after `timeout`: `None` if the
@@ -619,452 +559,101 @@ impl ResponseHandle {
     /// it before reissuing it, so its late answer never reaches
     /// another submitter.
     pub(crate) fn wait_timeout(self, timeout: Duration) -> Option<QueryResponse> {
-        let mut answers = self.cell.take_timeout(timeout)?;
-        let resp = answers.pop();
-        self.inner.resp_pool.put(answers);
-        resp
+        self.cell.take_timeout(timeout)
     }
 }
 
-/// A pending batch of responses; produced by
-/// [`QueryEngine::submit_batch`]. Responses arrive together, in the
-/// order the requests were submitted — also when the batch was fanned
-/// out across engine shards, in which case the handle reassembles the
-/// per-shard answers on `wait`.
-pub struct BatchHandle {
-    parts: BatchParts,
-}
-
-enum BatchParts {
-    /// The whole batch went to one shard (always the case with one
-    /// shard configured): the answer vector passes through unchanged,
-    /// so this path stays allocation-free for warm callers.
-    Single {
-        cell: Arc<ReplyCell<Vec<QueryResponse>>>,
-        inner: Arc<Inner>,
-    },
-    /// The batch was partitioned across shards: one sub-batch job per
-    /// participating shard, answers merged back into submission order
-    /// by walking `route` with per-shard cursors. Responses are cloned
-    /// out of the per-shard vectors — a refcount bump for a profile
-    /// view — and every buffer returns to its owning shard's pool.
-    Fanout {
-        /// `(shard index, pending reply)` per participating shard, in
-        /// shard order.
-        parts: Vec<(u32, Arc<ReplyCell<Vec<QueryResponse>>>)>,
-        /// Slot → shard route of the original submission order.
-        route: Vec<u32>,
-        core: Arc<EngineCore>,
-    },
-}
-
-const BATCH_WAIT_MSG: &str = "batch panicked in the engine or engine shut down before responding";
-
-impl BatchHandle {
-    /// Blocks until the engine answers the whole batch.
-    ///
-    /// # Panics
-    /// Panics if a query panicked inside the engine or the engine shut
-    /// down before answering.
-    pub fn wait(self) -> Vec<QueryResponse> {
-        match self.parts {
-            BatchParts::Single { cell, .. } => cell.take().expect(BATCH_WAIT_MSG),
-            fanout @ BatchParts::Fanout { .. } => {
-                let mut out = Vec::new();
-                BatchHandle { parts: fanout }.wait_into(&mut out);
-                out
-            }
-        }
-    }
-
-    /// [`Self::wait`] into a caller-owned buffer: appends every
-    /// response to `out` and returns the engine's internal vectors to
-    /// their pools, so a caller reusing `out` completes a warm
-    /// single-shard batch without a single allocation on either side.
-    /// (A cross-shard batch allocates modest merge bookkeeping; the
-    /// responses themselves are still refcount bumps.)
-    pub fn wait_into(self, out: &mut Vec<QueryResponse>) {
-        match self.parts {
-            BatchParts::Single { cell, inner } => {
-                let mut got = cell.take().expect(BATCH_WAIT_MSG);
-                out.append(&mut got);
-                inner.resp_pool.put(got);
-            }
-            BatchParts::Fanout { parts, route, core } => {
-                let mut got: Vec<(u32, Vec<QueryResponse>, usize)> = parts
-                    .into_iter()
-                    .map(|(s, cell)| (s, cell.take().expect(BATCH_WAIT_MSG), 0usize))
-                    .collect();
-                out.reserve(route.len());
-                for &s in &route {
-                    let (_, answers, cursor) = got
-                        .iter_mut()
-                        .find(|(sid, _, _)| *sid == s)
-                        .expect("every routed shard answered");
-                    out.push(answers[*cursor].clone());
-                    *cursor += 1;
-                }
-                for (s, answers, _) in got {
-                    core.shards[s as usize].resp_pool.put(answers);
-                }
-                core.route_pool.put(route);
-            }
-        }
-    }
-}
-
-/// Engine-shard router: a splitmix64 finalizer over the query vertex,
-/// range-reduced by widening multiply (exact for any shard count, not
-/// just powers of two).
-// scs-contract: no-alloc, no-panic, no-block — routing runs on the
-// submitter for every request; it is pure integer mixing by
-// construction and must stay so.
-fn route_of(vertex: Vertex, n_shards: usize) -> usize {
-    if n_shards <= 1 {
-        return 0;
-    }
-    let mut x = (vertex.index() as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    ((x as u128 * n_shards as u128) >> 64) as usize
-}
-
-/// Best-effort CPU pinning: confines the calling worker thread to the
-/// CPU set `{c : c ≡ shard (mod n_shards)}`, so each shard's workers
-/// share cache/NUMA locality and shards don't migrate onto each
-/// other's cores. Linux-only (`sched_setaffinity` via a std-only FFI
-/// shim — no crate dependency); failure is ignored (a restricted
-/// cpuset or exotic kernel just leaves the scheduler in charge), and
-/// on other platforms it is a no-op — sharding still isolates the
-/// queues.
-#[cfg(target_os = "linux")]
-fn pin_worker(shard: usize, n_shards: usize) {
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; 16]; // cpu_set_t-sized: 1024 CPUs
-    let cpus = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(mask.len() * 64);
-    let mut any = false;
-    let mut c = shard;
-    while c < cpus {
-        mask[c / 64] |= 1 << (c % 64);
-        any = true;
-        c += n_shards;
-    }
-    if !any {
-        // Fewer CPUs than shards: leave this shard unpinned rather
-        // than pinning it to an empty set (which would fail anyway).
-        return;
-    }
-    // SAFETY: `mask` is a live, properly sized local; the kernel only
-    // reads `size_of_val(&mask)` bytes from it. pid 0 means "the calling
-    // thread", so no other thread's state is touched, and a failing call
-    // (bad mask, restricted cpuset) just leaves the affinity unchanged.
-    unsafe {
-        sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_worker(_shard: usize, _n_shards: usize) {}
-
-/// What the engine handle holds above its shards: the routing table,
-/// cross-shard pools and the aggregate-stats state. Shards never see
-/// it — all cross-shard coordination (installs, stats, batch fan-out)
-/// goes through the handle.
-struct EngineCore {
-    shards: Vec<Arc<Inner>>,
-    /// Pool for [`BatchParts::Fanout`] route vectors, so warm
-    /// cross-shard batches reuse their slot→shard maps.
-    route_pool: VecPool<u32>,
-    started: Instant,
-    /// Baseline of the last [`QueryEngine::stats_window`] call. Off the
-    /// serving path entirely — only stats readers lock it.
-    window: Mutex<WindowBase>,
-    /// Serializes [`QueryEngine::install`]: installs fan out shard by
-    /// shard, and serializing them keeps every shard's epoch sequence
-    /// identical — which is what lets `install` return *the* new epoch.
-    install_lock: Mutex<()>,
-    /// Configured slow-ring capacity: the cross-shard slow-query merge
-    /// keeps the worst this-many entries.
-    slow_ring: usize,
-}
-
-/// Cross-shard cumulative totals plus the per-shard rows, computed by
-/// one fold over the shards and shared by [`QueryEngine::stats`],
-/// [`QueryEngine::stats_window`] and [`QueryEngine::render_metrics`].
-struct Agg {
-    workers: usize,
-    completed: u64,
-    batches: u64,
-    batched: u64,
-    epoch: u64,
-    service: HistSnapshot,
-    telem: TelemetrySnapshot,
-    scratch_bytes: usize,
-    allocs_avoided: u64,
-    per_shard: Vec<ShardStats>,
-    slow: Vec<SlowQuery>,
-}
-
-impl EngineCore {
-    fn aggregate(&self) -> Agg {
-        let mut agg = Agg {
-            workers: 0,
-            completed: 0,
-            batches: 0,
-            batched: 0,
-            epoch: 0,
-            service: HistSnapshot::empty(),
-            telem: TelemetrySnapshot::empty(),
-            scratch_bytes: 0,
-            allocs_avoided: 0,
-            per_shard: Vec::with_capacity(self.shards.len()),
-            slow: Vec::new(),
-        };
-        for (i, inner) in self.shards.iter().enumerate() {
-            // ordering: Relaxed — statistics reads; the counters are
-            // independent and stats() promises no cross-counter snapshot.
-            let completed = inner.completed.load(Ordering::Relaxed);
-            let hist = inner.hist.snapshot();
-            agg.workers += inner.workers;
-            agg.completed += completed;
-            // ordering: Relaxed — statistics reads, as above.
-            agg.batches += inner.batches.load(Ordering::Relaxed);
-            agg.batched += inner.batched.load(Ordering::Relaxed);
-            // Serialized installs keep every shard at the same epoch;
-            // max (not first) stays meaningful even mid-install.
-            agg.epoch = agg.epoch.max(inner.snapshot().1);
-            agg.service = agg.service.merge(&hist);
-            agg.telem = agg.telem.merge(&inner.telemetry.snapshot());
-            for s in &inner.scratch {
-                // ordering: Relaxed — residency gauges; a submitter that
-                // must see its own query's effect is ordered by the
-                // reply-cell mutex handoff, not by these loads.
-                agg.scratch_bytes += s.bytes.load(Ordering::Relaxed);
-                agg.allocs_avoided += s.allocs_avoided.load(Ordering::Relaxed);
-            }
-            agg.per_shard.push(ShardStats {
-                shard: i,
-                workers: inner.workers,
-                completed,
-                p50_us: hist.quantile_us(0.50),
-                p99_us: hist.quantile_us(0.99),
-            });
-            agg.slow.extend(inner.telemetry.slow_queries());
-        }
-        // Per-shard rings each hold their shard's worst; the engine's
-        // slow list is the global worst `slow_ring` of the union.
-        agg.slow.sort_by_key(|s| std::cmp::Reverse(s.total_us));
-        agg.slow.truncate(self.slow_ring);
-        agg
-    }
-}
-
-/// The concurrent query-serving engine: a thin router over
-/// `ServiceConfig::shards` independent shards. See the
-/// [module docs](self).
+/// The concurrent query-serving engine: `ServiceConfig::workers`
+/// threads serving one job queue. See the [module docs](self).
 pub struct QueryEngine {
-    core: Arc<EngineCore>,
+    inner: Arc<Inner>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl QueryEngine {
-    /// Spawns every shard's worker pool and returns the serving handle.
+    /// Spawns the worker pool and returns the serving handle.
     pub fn start(search: Arc<CommunitySearch>, config: ServiceConfig) -> Self {
-        let n_shards = config.shards.max(1);
-        let total_workers = config.workers.max(1);
+        let workers = config.workers.max(1);
         let now = Instant::now();
-        let mut shards = Vec::with_capacity(n_shards);
-        let mut handles = Vec::new();
-        for s in 0..n_shards {
-            // Distribute workers round-robin-ish: the first
-            // `total % n` shards absorb the remainder, and every shard
-            // runs at least one worker.
-            let workers =
-                (total_workers / n_shards + usize::from(s < total_workers % n_shards)).max(1);
-            let inner = Arc::new(Inner {
-                search: RwLock::new((search.clone(), 0)),
-                queue: JobQueue::new(),
-                hist: LatencyHistogram::default(),
-                completed: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
-                batched: AtomicU64::new(0),
-                scratch: (0..workers).map(|_| ScratchSlot::default()).collect(),
-                reply_pool: ArcPool::new(),
-                req_pool: VecPool::new(),
-                resp_pool: VecPool::new(),
-                workers,
-                telemetry: Telemetry::new(config.slow_ring_capacity),
-            });
-            for i in 0..workers {
-                let inner = inner.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("scs-worker-{s}-{i}"))
-                        .spawn(move || {
-                            if n_shards > 1 {
-                                pin_worker(s, n_shards);
-                            }
-                            // The worker's workspace and job scratch,
-                            // reused across every job it serves and across
-                            // index epoch swaps (a profile build against a
-                            // larger installed graph grows them). After
-                            // warm-up the steady-state serving path stops
-                            // allocating.
-                            let mut state = WorkerState::default();
-                            while let Some(job) = inner.queue.pop() {
-                                // Backstop: a panic in query code must not
-                                // shrink the pool. Abandoning the reply cell
-                                // makes the submitter's wait() fail loudly,
-                                // and the job records no trace (the
-                                // completed counter skips it too). A
-                                // submitter that dropped its handle just
-                                // doesn't collect the result.
-                                let served =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        serve_batch(
-                                            &inner,
-                                            &job.reqs,
-                                            job.prov,
-                                            &mut state,
-                                            job.enqueued,
-                                        )
-                                    }));
-                                // Scratch accounting is published *before*
-                                // the reply: a submitter that reads stats()
-                                // the moment its blocking query returns must
-                                // see this worker's workspace.
-                                let slot = &inner.scratch[i];
-                                // ordering: Relaxed — gauge stores; the
-                                // reply-cell mutex handoff that follows
-                                // publishes them to the submitter.
-                                slot.bytes.store(state.ws.heap_bytes(), Ordering::Relaxed);
-                                slot.allocs_avoided
-                                    // ordering: Relaxed — as above.
-                                    .store(state.ws.allocations_avoided(), Ordering::Relaxed);
-                                inner.req_pool.put(job.reqs);
-                                let Ok((responses, reply_start)) = served else {
-                                    respond_and_pool(&inner.reply_pool, job.reply, None, || {});
-                                    continue;
-                                };
-                                // Answer and pool the cell in one step (the
-                                // submitter's handle keeps it unissuable
-                                // until wait() is done), then close every
-                                // member's trace with the reply window.
-                                let traces = &mut state.traces;
-                                respond_and_pool(
-                                    &inner.reply_pool,
-                                    job.reply,
-                                    Some(responses),
-                                    || {
-                                        let now = Instant::now();
-                                        let reply_us =
-                                            now.saturating_duration_since(reply_start).as_micros()
-                                                as u64;
-                                        let total_us =
-                                            now.saturating_duration_since(job.enqueued).as_micros()
-                                                as u64;
-                                        for mut trace in traces.drain(..) {
-                                            trace.close(reply_us, total_us);
-                                            inner.telemetry.record(&trace);
-                                        }
-                                    },
-                                );
-                            }
-                        })
-                        .expect("spawn worker thread"),
-                );
-            }
-            shards.push(inner);
-        }
-        let core = Arc::new(EngineCore {
-            shards,
-            route_pool: VecPool::new(),
+        let inner = Arc::new(Inner {
+            search: RwLock::new((search, 0)),
+            queue: JobQueue::new(),
+            reply_pool: ArcPool::new(),
+            hist: LatencyHistogram::default(),
+            completed: AtomicU64::new(0),
+            scratch: (0..workers).map(|_| ScratchSlot::default()).collect(),
+            telemetry: Telemetry::new(config.slow_ring_capacity),
             started: now,
             window: Mutex::new(WindowBase::zero(now)),
             install_lock: Mutex::new(()),
-            slow_ring: config.slow_ring_capacity,
         });
-        QueryEngine { core, handles }
+        let handles = (0..workers)
+            .map(|i| {
+                let inner = inner.clone();
+                std::thread::Builder::new()
+                    .name(format!("scs-worker-{i}"))
+                    .spawn(move || {
+                        // The worker's workspace, reused across every
+                        // request it serves and across index epoch swaps
+                        // (a profile build against a larger installed
+                        // graph grows it). After warm-up the
+                        // steady-state serving path stops allocating.
+                        let mut ws = QueryWorkspace::default();
+                        while let Some(job) = inner.queue.pop() {
+                            // Backstop: a panic in query code must not
+                            // shrink the pool. Abandoning the reply cell
+                            // makes the submitter's wait() fail loudly,
+                            // and the request records no trace (the
+                            // completed counter skips it too). A
+                            // submitter that dropped its handle just
+                            // doesn't collect the result.
+                            let served =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    serve(&inner, job.req, &mut ws, job.enqueued)
+                                }));
+                            // Scratch accounting is published *before*
+                            // the reply: a submitter that reads stats()
+                            // the moment its blocking query returns must
+                            // see this worker's workspace.
+                            let slot = &inner.scratch[i];
+                            // ordering: Relaxed — gauge stores; the
+                            // reply-cell mutex handoff that follows
+                            // publishes them to the submitter.
+                            slot.bytes.store(ws.heap_bytes(), Ordering::Relaxed);
+                            slot.allocs_avoided
+                                // ordering: Relaxed — as above.
+                                .store(ws.allocations_avoided(), Ordering::Relaxed);
+                            let Ok((resp, mut trace, reply_start)) = served else {
+                                respond_and_pool(&inner.reply_pool, job.reply, None, || {});
+                                continue;
+                            };
+                            // Answer and pool the cell in one step (the
+                            // submitter's handle keeps it unissuable
+                            // until wait() is done), then close the
+                            // trace with the reply window.
+                            respond_and_pool(&inner.reply_pool, job.reply, Some(resp), || {
+                                let now = Instant::now();
+                                let reply_us =
+                                    now.saturating_duration_since(reply_start).as_micros() as u64;
+                                let total_us =
+                                    now.saturating_duration_since(job.enqueued).as_micros() as u64;
+                                trace.close(reply_us, total_us);
+                                inner.telemetry.record(&trace);
+                            });
+                        }
+                    })
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        QueryEngine { inner, handles }
     }
 
-    /// The shard serving `vertex`'s requests.
-    fn shard_for(&self, vertex: Vertex) -> &Arc<Inner> {
-        // contract-ok: `route_of` returns an index below `shards.len()`, and `start` builds at least one shard
-        &self.core.shards[route_of(vertex, self.core.shards.len())]
-    }
-
-    /// Enqueues a request, as a batch of one, on the shard its query
-    /// vertex routes to; the returned handle yields the response. The
-    /// request vector, reply slot and response vector come from (and
-    /// return to) the shard's pools, so a warm submit+wait round-trip
-    /// allocates nothing.
+    /// Enqueues a request; the returned handle yields the response. The
+    /// reply cell comes from (and returns to) the engine's pool, so a
+    /// warm submit+wait round-trip allocates nothing.
     pub fn submit(&self, req: QueryRequest) -> ResponseHandle {
-        let inner: &Arc<Inner> = self.shard_for(req.q);
-        let mut reqs = inner.req_pool.take();
-        reqs.push(req);
         ResponseHandle {
-            cell: inner.enqueue(reqs, Provenance::Single),
-            inner: inner.clone(),
-        }
-    }
-
-    /// Enqueues a whole batch as **one** job: one queue round-trip and
-    /// one index-snapshot read for all of it. The handle yields every
-    /// response in submission order; results are identical to
-    /// submitting each request on its own.
-    ///
-    /// With more than one shard the batch is partitioned by the shard
-    /// router into per-shard sub-batches — each rides the machinery
-    /// above on its own shard (one job and one snapshot read *per
-    /// shard*), and the handle merges the answers back into submission
-    /// order. Each per-shard sub-batch counts one `batches` job in the
-    /// stats, so a cross-shard batch over k shards bumps `batches` by
-    /// k; `completed` stays submission-mode-invariant.
-    pub fn submit_batch(&self, reqs: &[QueryRequest]) -> BatchHandle {
-        let shards = &self.core.shards;
-        if shards.len() == 1 {
-            let inner = &shards[0];
-            let mut owned = inner.req_pool.take();
-            owned.extend_from_slice(reqs);
-            return BatchHandle {
-                parts: BatchParts::Single {
-                    cell: inner.enqueue(owned, Provenance::Batch),
-                    inner: inner.clone(),
-                },
-            };
-        }
-        // Cross-shard fan-out: partition the batch, preserving relative
-        // order inside each shard (so each shard sees exactly the
-        // subsequence a per-shard submitter would send).
-        let mut route = self.core.route_pool.take();
-        route.extend(reqs.iter().map(|r| route_of(r.q, shards.len()) as u32));
-        let mut owned: Vec<Vec<QueryRequest>> =
-            shards.iter().map(|inner| inner.req_pool.take()).collect();
-        for (&s, req) in route.iter().zip(reqs) {
-            owned[s as usize].push(*req);
-        }
-        let mut parts = Vec::new();
-        for (s, sub) in owned.into_iter().enumerate() {
-            let inner = &shards[s];
-            if sub.is_empty() {
-                inner.req_pool.put(sub);
-                continue;
-            }
-            parts.push((s as u32, inner.enqueue(sub, Provenance::Batch)));
-        }
-        BatchHandle {
-            parts: BatchParts::Fanout {
-                parts,
-                route,
-                core: self.core.clone(),
-            },
+            cell: self.inner.enqueue(req),
         }
     }
 
@@ -1073,81 +662,30 @@ impl QueryEngine {
         self.submit(req).wait()
     }
 
-    /// [`Self::submit_batch`] and wait: one blocking round-trip for the
-    /// whole batch.
-    pub fn query_batch(&self, reqs: &[QueryRequest]) -> Vec<QueryResponse> {
-        self.submit_batch(reqs).wait()
-    }
-
-    /// [`Self::query_batch`] appending into a caller-reused buffer (see
-    /// [`BatchHandle::wait_into`]) — the allocation-free form.
-    pub fn query_batch_into(&self, reqs: &[QueryRequest], out: &mut Vec<QueryResponse>) {
-        self.submit_batch(reqs).wait_into(out);
-    }
-
     /// Installs a new index snapshot without stopping the workers and
-    /// bumps the epoch. Jobs already serving finish on the snapshot they
-    /// read (tagged with the prior epoch), and every response keeps the
-    /// profile its answer came from, so it still reads per its own
+    /// bumps the epoch. Requests already serving finish on the snapshot
+    /// they read (tagged with the prior epoch), and every response keeps
+    /// the profile its answer came from, so it still reads per its own
     /// snapshot afterwards.
-    ///
-    /// With multiple shards the install fans out: every shard gets the
-    /// new `Arc` replica and bumps its epoch, shard by shard, and the
-    /// call returns only once the last shard has published. Installs
-    /// are serialized against each other, so all shards step through the
-    /// same epoch sequence — a mixed-epoch window exists only *across*
-    /// shards mid-install, never within one, and per-key consistency
-    /// (one key, one shard) is untouched.
     pub fn install(&self, search: Arc<CommunitySearch>) -> u64 {
-        let _serial = self.core.install_lock.lock().unwrap();
-        let mut epoch = 0;
-        for inner in &self.core.shards {
-            let mut guard = inner.search.write().unwrap();
-            guard.0 = search.clone();
-            guard.1 += 1;
-            epoch = guard.1;
-            drop(guard);
-            inner.telemetry.note_install();
-        }
+        let _serial = self.inner.install_lock.lock().unwrap();
+        let mut guard = self.inner.search.write().unwrap();
+        guard.0 = search;
+        guard.1 += 1;
+        let epoch = guard.1;
+        drop(guard);
+        self.inner.telemetry.note_install();
         epoch
     }
 
-    /// The current `(index snapshot, epoch)` pair (shard 0's replica —
-    /// identical across shards outside an in-progress install).
+    /// The current `(index snapshot, epoch)` pair.
     pub fn current_index(&self) -> (Arc<CommunitySearch>, u64) {
-        self.core.shards[0].snapshot()
+        self.inner.snapshot()
     }
 
-    /// Metrics snapshot since engine start, aggregated across shards:
-    /// every total keeps its unsharded meaning (counters sum,
-    /// histograms merge), and `per_shard` carries one row per shard for
-    /// imbalance diagnostics.
+    /// Metrics snapshot since engine start.
     pub fn stats(&self) -> ServiceStats {
-        let agg = self.core.aggregate();
-        let elapsed = self.core.started.elapsed().as_secs_f64().max(1e-9);
-        ServiceStats {
-            workers: agg.workers,
-            completed: agg.completed,
-            coalesced: 0,
-            batches: agg.batches,
-            batched: agg.batched,
-            cache: CacheStats::default(),
-            epoch: agg.epoch,
-            installs: agg.telem.installs,
-            qps: agg.completed as f64 / elapsed,
-            mean_us: agg.service.mean_us(),
-            p50_us: agg.service.quantile_us(0.50),
-            p90_us: agg.service.quantile_us(0.90),
-            p99_us: agg.service.quantile_us(0.99),
-            max_us: agg.service.max_us(),
-            scratch_bytes: agg.scratch_bytes,
-            allocs_avoided: agg.allocs_avoided,
-            stages: agg.telem.stage_summaries(),
-            algos: agg.telem.algo_stats(),
-            admission: AdmissionStats::default(),
-            slow: agg.slow,
-            per_shard: agg.per_shard,
-        }
+        self.inner.cumulative(&self.inner.telemetry.snapshot())
     }
 
     /// Metrics for the window since the previous `stats_window` call
@@ -1158,19 +696,14 @@ impl QueryEngine {
     /// snapshot is the steady state.
     ///
     /// Point-in-time fields (workers, epoch, scratch residency, the
-    /// cumulative `allocs_avoided` reuse counter) and the slow-query
-    /// ring report current values — residency and worst-ever requests
-    /// have no meaningful delta.
-    ///
-    /// The `per_shard` rows stay cumulative even here — shard balance
-    /// is a property of the whole run, and windowed per-shard deltas
-    /// would cost a per-shard baseline for marginal insight.
+    /// cumulative `allocs_avoided` reuse counter) report current values
+    /// — residency has no meaningful delta.
     ///
     /// The slow-query list reports the worst requests *of the window*:
-    /// each call re-arms every shard's slow ring (clearing the slots
-    /// and the reject threshold), so a fast window following a slow
-    /// warmup still surfaces its own spikes instead of losing them
-    /// under the warmup's stale threshold.
+    /// each call re-arms the slow ring (clearing the slots and the
+    /// reject threshold), so a fast window following a slow warmup
+    /// still surfaces its own spikes instead of losing them under the
+    /// warmup's stale threshold.
     ///
     /// If the baseline is found to be *ahead* of the current counters —
     /// any histogram bucket, count or plain counter going backwards,
@@ -1180,15 +713,17 @@ impl QueryEngine {
     /// saturated per-field deltas whose `count` disagrees with
     /// `Σ buckets` and whose quantiles read the wrong bucket.
     pub fn stats_window(&self) -> ServiceStats {
-        let mut base = self.core.window.lock().unwrap();
+        let inner = &self.inner;
+        let mut base = inner.window.lock().unwrap();
         let now = Instant::now();
-        let agg = self.core.aggregate();
-        let regressed = agg.service.regressed_from(&base.service)
-            || agg.telem.regressed_from(&base.telem)
-            || agg.completed < base.completed
-            || agg.batches < base.batches
-            || agg.batched < base.batched;
-        if regressed {
+        let service = inner.hist.snapshot();
+        let telem = inner.telemetry.snapshot();
+        // ordering: Relaxed — statistics read, as in `cumulative`.
+        let completed = inner.completed.load(Ordering::Relaxed);
+        if service.regressed_from(&base.service)
+            || telem.regressed_from(&base.telem)
+            || completed < base.completed
+        {
             // Resnapshot: the recorded baseline belongs to storage that
             // no longer backs the counters. Zeroing it makes every
             // subtraction below exact (delta vs. zero ≡ the cumulative
@@ -1196,47 +731,22 @@ impl QueryEngine {
             // window) and keeps count ≡ Σ buckets for the quantiles.
             *base = WindowBase::zero(base.at);
         }
-        let d_service = agg.service.delta(&base.service);
-        let d_telem = agg.telem.delta(&base.telem);
-        let d_completed = agg.completed.saturating_sub(base.completed);
-        let secs = now.saturating_duration_since(base.at).as_secs_f64();
-        let stats = ServiceStats {
-            workers: agg.workers,
-            completed: d_completed,
-            coalesced: 0,
-            batches: agg.batches.saturating_sub(base.batches),
-            batched: agg.batched.saturating_sub(base.batched),
-            cache: CacheStats::default(),
-            epoch: agg.epoch,
-            installs: d_telem.installs,
-            qps: d_completed as f64 / secs.max(1e-9),
-            mean_us: d_service.mean_us(),
-            p50_us: d_service.quantile_us(0.50),
-            p90_us: d_service.quantile_us(0.90),
-            p99_us: d_service.quantile_us(0.99),
-            max_us: d_service.max_us(),
-            scratch_bytes: agg.scratch_bytes,
-            allocs_avoided: agg.allocs_avoided,
-            stages: d_telem.stage_summaries(),
-            algos: d_telem.algo_stats(),
-            admission: AdmissionStats::default(),
-            slow: agg.slow,
-            per_shard: agg.per_shard,
-        };
-        // Re-arm the slow rings for the next window (the worst-of-window
-        // list above was already captured by `aggregate`). Without this
-        // the reject threshold ratchets up during a slow warmup and a
-        // fast measured window records no slow queries at all.
-        for inner in &self.core.shards {
-            inner.telemetry.reset_slow_window();
-        }
+        let stats = inner.stats_over(
+            completed.saturating_sub(base.completed),
+            &service.delta(&base.service),
+            &telem.delta(&base.telem),
+            now.saturating_duration_since(base.at).as_secs_f64(),
+        );
+        // Re-arm the slow ring for the next window (the worst-of-window
+        // list above was already read). Without this the reject
+        // threshold ratchets up during a slow warmup and a fast
+        // measured window records no slow queries at all.
+        inner.telemetry.reset_slow_window();
         *base = WindowBase {
             at: now,
-            service: agg.service,
-            telem: agg.telem,
-            completed: agg.completed,
-            batches: agg.batches,
-            batched: agg.batched,
+            service,
+            telem,
+            completed,
         };
         stats
     }
@@ -1256,34 +766,29 @@ impl QueryEngine {
     /// emitted (zero for in-process engines), so dashboards keep a
     /// stable shape whether or not `scs serve` fronts the engine.
     pub fn render_metrics_with(&self, admission: AdmissionStats) -> String {
-        let agg = self.core.aggregate();
-        let mut stats = self.stats();
+        let telem = self.inner.telemetry.snapshot();
+        let mut stats = self.inner.cumulative(&telem);
         stats.admission = admission;
-        crate::telemetry::render_prometheus(&stats, &agg.telem)
+        crate::telemetry::render_prometheus(&stats, &telem)
     }
 
     /// Records one network-front-end accept window (admission →
     /// engine enqueue, µs) into the [`crate::telemetry::Stage::Accept`]
-    /// histogram of the shard that will serve `req` — so the stage
-    /// breakdown attributes front-end time to the same per-algorithm
-    /// plane as the engine-side stages. Only [`crate::Server`] calls
-    /// this; the in-process submission paths never touch the stage.
+    /// histogram — so the stage breakdown attributes front-end time to
+    /// the same per-algorithm plane as the engine-side stages. Only
+    /// [`crate::Server`] calls this; the in-process submission path
+    /// never touches the stage.
     pub fn record_accept(&self, req: &QueryRequest, accept_us: u64) {
-        self.shard_for(req.q)
-            .telemetry
-            .record_accept(req.algo, accept_us);
+        self.inner.telemetry.record_accept(req.algo, accept_us);
     }
 
-    /// Stops accepting work, drains every shard's queue and joins
-    /// every worker.
+    /// Stops accepting work, drains the queue and joins every worker.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
-        for inner in &self.core.shards {
-            inner.queue.close();
-        }
+        self.inner.queue.close();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -1338,7 +843,45 @@ mod tests {
         let st = e.stats();
         assert_eq!(st.completed, 2);
         assert_eq!((st.cache.hits, st.cache.misses, st.coalesced), (0, 0, 0));
+        assert_eq!((st.batches, st.batched), (0, 0));
         e.shutdown();
+    }
+
+    #[test]
+    fn the_shards_field_changes_nothing() {
+        // `ServiceConfig::shards` is ignored: an engine started with 4
+        // shards runs the workers it was asked for and answers every
+        // request exactly like one started with 1.
+        let start = |shards| {
+            QueryEngine::start(
+                CommunitySearch::shared(figure2_example()),
+                ServiceConfig {
+                    workers: 2,
+                    shards,
+                    ..ServiceConfig::default()
+                },
+            )
+        };
+        let (four, one) = (start(4), start(1));
+        let g = one.current_index().0.graph().clone();
+        let mut served = 0;
+        for v in g.vertices() {
+            for (alpha, beta) in [(2, 2), (1, 2), (3, 1)] {
+                let req = QueryRequest::new(v, alpha, beta, Algorithm::Auto);
+                let (a, b) = (four.query(req), one.query(req));
+                assert_eq!(a.request, req);
+                assert_eq!(a.summary, b.summary, "{req:?}");
+                assert_eq!(a.epoch, b.epoch, "{req:?}");
+                served += 1;
+            }
+        }
+        for e in [&four, &one] {
+            let st = e.stats();
+            assert_eq!(st.workers, 2);
+            assert_eq!(st.completed, served);
+        }
+        four.shutdown();
+        one.shutdown();
     }
 
     #[test]
@@ -1360,17 +903,18 @@ mod tests {
         // the telemetry row of the algorithm it named.
         let e = engine(1);
         let q = e.current_index().0.graph().upper(2);
-        let peel = QueryRequest::new(q, 2, 2, Algorithm::Peel);
-        let auto = QueryRequest::new(q, 2, 2, Algorithm::Auto);
-        let a = e.query(peel);
-        let b = e.query(auto);
-        assert_eq!(a.request, peel);
-        assert_eq!(b.request, auto);
-        assert_eq!(a.summary, b.summary);
+        let auto = e.query(QueryRequest::new(q, 2, 2, Algorithm::Auto));
+        for algo in Algorithm::ALL {
+            let req = QueryRequest::new(q, 2, 2, algo);
+            let resp = e.query(req);
+            assert_eq!(resp.request, req);
+            assert_eq!(resp.summary, auto.summary, "{algo}");
+        }
         let st = e.stats();
-        for algo in [Algorithm::Peel, Algorithm::Auto] {
+        for algo in Algorithm::ALL {
             let row = &st.algos[crate::telemetry::algo_rank(algo)];
-            assert_eq!(row.total.count, 1, "{algo}");
+            let want = if algo == Algorithm::Auto { 2 } else { 1 };
+            assert_eq!(row.total.count, want, "{algo}");
         }
         e.shutdown();
     }
@@ -1387,6 +931,8 @@ mod tests {
         let after = e.query(req);
         assert_eq!(after.epoch, 1);
         assert_eq!(after.summary, before.summary);
+        let st = e.stats();
+        assert_eq!((st.epoch, st.installs), (1, 1));
         e.shutdown();
     }
 
@@ -1456,146 +1002,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_answers_in_submission_order() {
-        let e = engine(2);
-        let g = e.current_index().0.graph().clone();
-        let q = g.upper(2);
-        let other = g.upper(0);
-        let reqs = vec![
-            QueryRequest::new(q, 2, 2, Algorithm::Peel),
-            QueryRequest::new(other, 1, 1, Algorithm::Peel),
-            QueryRequest::new(q, 2, 2, Algorithm::Peel), // in-batch duplicate
-            QueryRequest::new(q, 2, 2, Algorithm::Expand), // same answer, other algo
-        ];
-        let resps = e.query_batch(&reqs);
-        assert_eq!(resps.len(), 4);
-        for (req, resp) in reqs.iter().zip(&resps) {
-            assert_eq!(resp.request, *req, "answers must keep submission order");
-        }
-        assert_eq!(resps[0].summary.size(), 4);
-        for dup in [2, 3] {
-            assert_eq!(resps[dup].summary, resps[0].summary);
-        }
-        let st = e.stats();
-        assert_eq!(st.completed, 4);
-        assert_eq!(st.batches, 1);
-        assert_eq!(st.batched, 4);
-        // A second identical batch answers identically.
-        let again = e.query_batch(&reqs);
-        for (a, b) in resps.iter().zip(&again) {
-            assert_eq!(a.summary, b.summary);
-        }
-        assert_eq!(e.stats().completed, 8);
-        e.shutdown();
-    }
-
-    #[test]
-    fn batch_matches_per_request_submission() {
-        let e = engine(2);
-        let g = e.current_index().0.graph().clone();
-        let reqs: Vec<QueryRequest> = (0..g.n_upper())
-            .flat_map(|i| {
-                [
-                    QueryRequest::new(g.upper(i), 2, 2, Algorithm::Peel),
-                    QueryRequest::new(g.upper(i), 1, 2, Algorithm::Expand),
-                ]
-            })
-            .collect();
-        let batched = e.query_batch(&reqs);
-        let e2 = engine(2);
-        for (req, b) in reqs.iter().zip(&batched) {
-            assert_eq!(e2.query(*req).summary, b.summary, "{req:?}");
-        }
-        assert_eq!(e.stats().completed, e2.stats().completed);
-        e.shutdown();
-        e2.shutdown();
-    }
-
-    #[test]
-    fn mixed_algorithm_batch_answers_every_slot_in_order() {
-        // Every algorithm in one batch: each slot is answered in order,
-        // and every response of one vertex matches regardless of the
-        // algorithm it named.
-        let e = engine(2);
-        let g = e.current_index().0.graph().clone();
-        let g = &g;
-        let reqs: Vec<QueryRequest> = Algorithm::ALL
-            .into_iter()
-            .flat_map(|algo| (0..4).map(move |i| QueryRequest::new(g.upper(i), 2, 2, algo)))
-            .collect();
-        let resps = e.query_batch(&reqs);
-        for (req, resp) in reqs.iter().zip(&resps) {
-            assert_eq!(resp.request, *req, "submission order broken");
-        }
-        for (i, resp) in resps.iter().enumerate() {
-            assert_eq!(resp.summary, resps[i % 4].summary);
-        }
-        e.shutdown();
-    }
-
-    #[test]
-    fn batch_handles_empty_and_unservable_requests() {
-        let e = engine(2);
-        assert!(e.query_batch(&[]).is_empty());
-        let g_vertices = e.current_index().0.graph().n_vertices();
-        let q = e.current_index().0.graph().upper(2);
-        let reqs = vec![
-            QueryRequest::new(
-                bigraph::Vertex(g_vertices as u32 + 3),
-                2,
-                2,
-                Algorithm::Auto,
-            ),
-            QueryRequest::new(q, 0, 2, Algorithm::Peel),
-            QueryRequest::new(q, 2, 2, Algorithm::Peel),
-        ];
-        let resps = e.query_batch(&reqs);
-        assert_eq!(resps[0].summary, CommunitySummary::empty());
-        assert_eq!(resps[1].summary, CommunitySummary::empty());
-        assert_eq!(resps[2].summary.size(), 4);
-        e.shutdown();
-    }
-
-    #[test]
-    fn batch_sees_installs_like_single_requests() {
-        let e = engine(2);
-        let q = e.current_index().0.graph().upper(2);
-        let req = QueryRequest::new(q, 2, 2, Algorithm::Auto);
-        let before = e.query_batch(&[req]);
-        assert_eq!(before[0].epoch, 0);
-        e.install(CommunitySearch::shared(figure2_example()));
-        let after = e.query_batch(&[req]);
-        assert_eq!(after[0].epoch, 1);
-        assert_eq!(after[0].summary, before[0].summary);
-        e.shutdown();
-    }
-
-    #[test]
-    fn batch_into_reuses_the_response_buffer() {
-        let e = engine(2);
-        let g = e.current_index().0.graph().clone();
-        let reqs: Vec<QueryRequest> = (0..g.n_upper())
-            .map(|i| QueryRequest::new(g.upper(i), 2, 2, Algorithm::Peel))
-            .collect();
-        let mut out = Vec::new();
-        e.query_batch_into(&reqs, &mut out);
-        assert_eq!(out.len(), reqs.len());
-        let direct = e.query_batch(&reqs);
-        for ((req, a), b) in reqs.iter().zip(&out).zip(&direct) {
-            assert_eq!(a.request, *req);
-            assert_eq!(a.summary, b.summary);
-        }
-        // Appending: a second wait_into extends rather than clobbers.
-        e.query_batch_into(&reqs, &mut out);
-        assert_eq!(out.len(), 2 * reqs.len());
-        e.shutdown();
-    }
-
-    #[test]
     fn timed_wait_gives_up_and_its_cell_is_reissued_reset() {
-        // One worker, and the shard's index slot write-locked: the
-        // worker blocks reading its snapshot, so the answer cannot
-        // arrive in time.
+        // One worker, and the index slot write-locked: the worker
+        // blocks reading its snapshot, so the answer cannot arrive in
+        // time.
         let e = engine(1);
         let search = e.current_index().0;
         let g = search.graph();
@@ -1606,15 +1016,14 @@ mod tests {
             oracle(&search, b),
             "a stale answer must be visible"
         );
-        let shard = &e.core.shards[0];
-        let blocked = shard.search.write().unwrap();
+        let blocked = e.inner.search.write().unwrap();
         let handle = e.submit(a);
         let given_up = Arc::as_ptr(&handle.cell);
         assert!(handle.wait_timeout(Duration::from_millis(20)).is_none());
         drop(blocked);
         // The worker answers `a` into the given-up cell and pools it.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while shard.reply_pool.items.lock().unwrap().is_empty() {
+        while e.inner.reply_pool.items.lock().unwrap().is_empty() {
             assert!(
                 Instant::now() < deadline,
                 "the given-up cell never returned to the pool"
@@ -1645,142 +1054,13 @@ mod tests {
     }
 
     #[test]
-    fn router_covers_every_shard() {
-        // The widening-multiply range reduction must reach all shards,
-        // including non-power-of-two counts, and stay in bounds.
-        for &n in &[1usize, 2, 3, 7, 12] {
-            let mut seen = vec![false; n];
-            for v in 0..10_000u32 {
-                let s = route_of(Vertex(v), n);
-                assert!(s < n);
-                seen[s] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "shard starved at n={n}");
-        }
-    }
-
-    #[test]
-    fn router_spreads_keys_evenly() {
-        // Keys uniform over vertices must land near-uniform over the
-        // engine shards: a skewed router would pile one shard's queue
-        // while the others idle. Tested for a power-of-two and a prime
-        // shard count.
-        const N: usize = 80_000;
-        for &n_shards in &[4usize, 7] {
-            let mut counts = vec![0u32; n_shards];
-            for v in 0..N as u32 {
-                counts[route_of(Vertex(v), n_shards)] += 1;
-            }
-            let expect = (N / n_shards) as u32;
-            for (s, &count) in counts.iter().enumerate() {
-                assert!(
-                    count > expect / 2 && count < expect * 2,
-                    "engine shard {s}/{n_shards} got {count} of {N} keys"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_serves_and_aggregates() {
-        let e = QueryEngine::start(
-            CommunitySearch::shared(figure2_example()),
-            ServiceConfig {
-                workers: 4,
-                shards: 3,
-                ..ServiceConfig::default()
-            },
-        );
-        let g = e.current_index().0.graph().clone();
-        let reqs: Vec<QueryRequest> = (0..g.n_upper().min(60))
-            .flat_map(|i| {
-                [
-                    QueryRequest::new(g.upper(i), 2, 2, Algorithm::Peel),
-                    QueryRequest::new(g.upper(i), 1, 1, Algorithm::Expand),
-                ]
-            })
-            .collect();
-        // Cross-shard batch: submission order and results survive the
-        // fan-out/merge round-trip.
-        let batched = e.query_batch(&reqs);
-        assert_eq!(batched.len(), reqs.len());
-        for (req, resp) in reqs.iter().zip(&batched) {
-            assert_eq!(resp.request, *req, "fan-out broke submission order");
-        }
-        // Per-request resubmission answers the same.
-        for (req, first) in reqs.iter().zip(&batched) {
-            assert_eq!(e.query(*req).summary, first.summary, "{req:?}");
-        }
-        let st = e.stats();
-        assert_eq!(st.per_shard.len(), 3);
-        assert_eq!(st.completed, 2 * reqs.len() as u64);
-        assert_eq!(
-            st.per_shard.iter().map(|s| s.completed).sum::<u64>(),
-            st.completed,
-            "per-shard rows must sum to the aggregate"
-        );
-        assert_eq!(
-            st.per_shard.iter().map(|s| s.workers).sum::<usize>(),
-            st.workers
-        );
-        // 60 distinct query vertices spread over 3 shards: every
-        // shard should have seen work (the router test above proves
-        // coverage in the large; this is the end-to-end check).
-        assert!(
-            st.per_shard.iter().filter(|s| s.completed > 0).count() >= 2,
-            "traffic did not spread: {:?}",
-            st.per_shard
-        );
-        // Install fans out: every shard at the new epoch, counted once.
-        let epoch = e.install(CommunitySearch::shared(figure2_example()));
-        assert_eq!(epoch, 1);
-        let st = e.stats();
-        assert_eq!(st.epoch, 1);
-        assert_eq!(st.installs, 1, "per-shard install fan-out multiply-counted");
-        let after = e.query(reqs[0]);
-        assert_eq!(after.epoch, 1);
-        assert_eq!(after.summary, batched[0].summary);
-        e.shutdown();
-    }
-
-    #[test]
-    fn sharded_engine_matches_unsharded_bit_identically() {
-        // The quick in-module version of tests/shard_oracle.rs: same
-        // requests, 1 vs 3 shards, identical summaries and epochs.
-        let sharded = QueryEngine::start(
-            CommunitySearch::shared(figure2_example()),
-            ServiceConfig {
-                workers: 3,
-                shards: 3,
-                ..ServiceConfig::default()
-            },
-        );
-        let unsharded = engine(2);
-        let g = sharded.current_index().0.graph().clone();
-        let mut reqs: Vec<QueryRequest> = (0..g.n_upper())
-            .map(|i| QueryRequest::new(g.upper(i), 2, 2, Algorithm::Peel))
-            .collect();
-        reqs.push(reqs[0]); // duplicate rides along
-        let a = sharded.query_batch(&reqs);
-        let b = unsharded.query_batch(&reqs);
-        for ((req, x), y) in reqs.iter().zip(&a).zip(&b) {
-            assert_eq!(x.request, *req);
-            assert_eq!(x.summary, y.summary, "{req:?} diverged under sharding");
-            assert_eq!(x.epoch, y.epoch, "{req:?} epoch diverged under sharding");
-        }
-        assert_eq!(sharded.stats().completed, unsharded.stats().completed);
-        sharded.shutdown();
-        unsharded.shutdown();
-    }
-
-    #[test]
     fn stats_window_resnapshots_on_baseline_regression() {
-        // Regression (ISSUE 10, satellite 1): a window baseline that is
-        // *ahead* of the live counters (the counters were replaced or
-        // reset after the baseline was taken) used to produce saturated
-        // per-field deltas — `completed` clamped to 0 while histogram
-        // buckets kept nonzero counts, so quantiles read garbage. The
-        // fix detects the regression and resnapshots from zero.
+        // Regression: a window baseline that is *ahead* of the live
+        // counters (the counters were replaced or reset after the
+        // baseline was taken) used to produce saturated per-field
+        // deltas — `completed` clamped to 0 while histogram buckets
+        // kept nonzero counts, so quantiles read garbage. The fix
+        // detects the regression and resnapshots from zero.
         let e = engine(1);
         let q = e.current_index().0.graph().upper(2);
         e.query(QueryRequest::new(q, 2, 2, Algorithm::Peel));
@@ -1796,7 +1076,7 @@ mod tests {
             for _ in 0..1000 {
                 ahead.record(50);
             }
-            let mut base = e.core.window.lock().unwrap();
+            let mut base = e.inner.window.lock().unwrap();
             base.completed = 1_000_000;
             base.service = ahead.snapshot();
         }
@@ -1841,13 +1121,12 @@ mod tests {
 
     #[test]
     fn stats_window_rearms_the_slow_ring() {
-        // Regression (ISSUE 10, satellite 2), engine-level: each window
-        // rollover clears the per-shard slow rings, so a window's slow
-        // list holds that window's worst — not warmup's — and the
-        // ratcheted reject threshold cannot suppress a later window's
-        // spikes.
+        // Regression, engine-level: each window rollover clears the
+        // slow ring, so a window's slow list holds that window's
+        // worst — not warmup's — and the ratcheted reject threshold
+        // cannot suppress a later window's spikes.
         // Real queries on figure2 can finish in 0µs (which the ring
-        // ignores by design), so drive the shard's telemetry plane with
+        // ignores by design), so drive the telemetry plane with
         // synthetic traces of known latency for determinism.
         let e = engine(1);
         let trace = |q: u32, total_us: u64| crate::telemetry::RequestTrace {
@@ -1856,7 +1135,6 @@ mod tests {
             beta: 2,
             algo: Algorithm::Peel,
             epoch: 0,
-            provenance: Provenance::Single,
             result_edges: 0,
             total_us,
             stages_us: [0; crate::telemetry::N_STAGES],
@@ -1864,7 +1142,7 @@ mod tests {
         };
         // Slow warmup fills the ring and ratchets the reject threshold.
         for (q, us) in [(1u32, 10_000u64), (2, 12_000), (3, 14_000)] {
-            e.core.shards[0].telemetry.record(&trace(q, us));
+            e.inner.telemetry.record(&trace(q, us));
         }
         let w1 = e.stats_window();
         assert_eq!(w1.slow.len(), 3, "warmup queries must be retained");
@@ -1873,7 +1151,7 @@ mod tests {
         assert!(e.stats().slow.is_empty(), "rollover must re-arm the ring");
         // ...and the next window captures its own spike, even though it
         // is far below the warmup latencies the old threshold retained.
-        e.core.shards[0].telemetry.record(&trace(9, 500));
+        e.inner.telemetry.record(&trace(9, 500));
         let w2 = e.stats_window();
         assert_eq!(
             w2.slow

@@ -10,19 +10,19 @@
 //! ## Architecture
 //!
 //! ```text
-//!  submit ───────┐ (a batch of one)
-//!                ├──▶ per-shard job queue ──▶ worker 0..N
-//!  submit_batch ─┘    (mutex-guarded ring)      │
-//!                                               ▼
-//!                      Arc<CommunitySearch> (read-locked slot, epoch-swappable)
-//!                                               │ answer(q, α, β)
-//!                                               ▼
-//!                      threshold profile per (α,β): q's class → Answer
-//!                      (size, n_upper, n_lower, min_weight in O(1))
+//!  submit ──▶ job queue ──▶ worker 0..N
+//!             (mutex-guarded ring; one request per job)
+//!                              │
+//!                              ▼
+//!             Arc<CommunitySearch> (read-locked slot, epoch-swappable)
+//!                              │ answer(q, α, β)
+//!                              ▼
+//!             threshold profile per (α,β): q's class → Answer
+//!             (size, n_upper, n_lower, min_weight in O(1))
 //! ```
 //!
-//! * [`engine::QueryEngine`] — the worker pool. Every submission takes
-//!   one path: [`engine::QueryEngine::submit`] enqueues a batch of one
+//! * [`engine::QueryEngine`] — the worker pool. Every request takes
+//!   one path: [`engine::QueryEngine::submit`] enqueues it as one job
 //!   and returns a handle; [`engine::QueryEngine::query`] blocks.
 //! * answers as views — a worker answers each request with
 //!   [`scs::CommunitySearch::answer`]: a handle on `q`'s class in the
@@ -34,18 +34,14 @@
 //!   result cache, no in-flight table and no copy of any answer, so
 //!   traffic over more (α,β) pairs than the memo holds rebuilds
 //!   profiles (see [`engine`]).
-//! * batch submission — [`engine::QueryEngine::submit_batch`] carries N
-//!   requests through the queue as one job: one index-snapshot read and
-//!   one worker workspace for all of them, answered in submission order
-//!   with results identical to per-request submission.
 //! * [`stats::ServiceStats`] — QPS, p50/p90/p99 latency from a lock-free
 //!   log-bucketed histogram, plus scratch residency and
 //!   allocations-avoided counts from the workers' workspaces.
 //! * [`telemetry`] — per-stage latency attribution (queue wait, snapshot
 //!   acquire, answer, publish, reply) into per-algorithm × per-stage
 //!   lock-free histograms, a fixed-capacity slow-query ring retaining
-//!   the worst requests with their full stage breakdown, provenance and
-//!   answer size, and machine-readable exporters: Prometheus text
+//!   the worst requests with their full stage breakdown and answer
+//!   size, and machine-readable exporters: Prometheus text
 //!   ([`engine::QueryEngine::render_metrics`]) and the schema-versioned
 //!   `BENCH_service.json` bench artifact. Recording is lock-free and
 //!   allocation-free, on by default — the counting-allocator gate runs
@@ -53,11 +49,10 @@
 //!   ([`engine::QueryEngine::stats_window`]) report steady-state rates.
 //! * per-worker scratch reuse — every worker owns a
 //!   [`scs::QueryWorkspace`], reused across queries and across epoch
-//!   swaps (a cold profile build grows it). Responses travel by value,
-//!   and reply slots and request/response vectors are pooled, so the
-//!   steady-state **warm path performs zero heap allocations end to
-//!   end** — enforced by the counting-allocator binary
-//!   `tests/alloc_free_service.rs`.
+//!   swaps (a cold profile build grows it). Responses travel by value
+//!   and reply slots are pooled, so the steady-state **warm path
+//!   performs zero heap allocations end to end** — enforced by the
+//!   counting-allocator binary `tests/alloc_free_service.rs`.
 //! * epoch swap — [`engine::QueryEngine::install`] atomically replaces
 //!   the index (e.g. a [`scs::DynamicIndex::snapshot`] after edge
 //!   updates) without stopping the workers; every response is tagged
@@ -65,7 +60,7 @@
 //!   profile alive.
 //! * [`replay`] — workload construction (reusing `datasets::workload`)
 //!   and a multi-client replay harness, the backing of the
-//!   `scs serve-bench` subcommand and the scaling benchmark.
+//!   `scs serve-bench` subcommand.
 //! * [`server`] — the `scs serve` HTTP/1.1 front end. Each connection
 //!   thread admits its own requests (tenant quotas, a pending budget,
 //!   429 + `Retry-After` when over) and serves them with
@@ -98,9 +93,7 @@
 //! engine.shutdown();
 //! ```
 
-// Unsafe is confined to the one module that needs it (see the
-// module-level `allow`); everything else in the crate is checked.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod replay;
@@ -108,18 +101,15 @@ pub mod server;
 pub mod stats;
 pub mod telemetry;
 
-pub use engine::{BatchHandle, QueryEngine, ResponseHandle, ServiceConfig};
+pub use engine::{QueryEngine, ResponseHandle, ServiceConfig};
 pub use replay::{
-    build_workload, replay, replay_batched, try_build_workload, ReplayReport, WorkloadError,
-    WorkloadSpec,
+    build_workload, replay, try_build_workload, ReplayReport, WorkloadError, WorkloadSpec,
 };
 pub use server::{Server, ServerHandle};
-pub use stats::{
-    AdmissionStats, CacheStats, HistSnapshot, LatencyHistogram, ServiceStats, ShardStats,
-};
+pub use stats::{AdmissionStats, CacheStats, HistSnapshot, LatencyHistogram, ServiceStats};
 pub use telemetry::{
     render_bench_json, render_prometheus, validate_bench_json, validate_prometheus, AlgoStats,
-    BenchMeta, LatencySummary, Provenance, SlowQuery, Stage, BENCH_SCHEMA, N_STAGES,
+    BenchMeta, LatencySummary, SlowQuery, Stage, BENCH_SCHEMA, N_STAGES,
 };
 
 use bigraph::{EdgeId, Subgraph, Vertex};

@@ -39,8 +39,7 @@ pub struct WorkloadSpec {
     /// default) keeps the historical uniform draw bit-for-bit; `s > 0`
     /// weights the (α,β)-core members by `1/(rank+1)^s` in their
     /// deterministic population order, so a few vertices dominate the
-    /// stream — the skew that concentrates traffic on a handful of
-    /// engine shards. NaN or negative values are
+    /// stream. NaN or negative values are
     /// rejected ([`WorkloadError::InvalidZipf`]), not clamped: a bad
     /// skew silently becoming uniform would invalidate a benchmark.
     pub zipf: f64,
@@ -235,9 +234,6 @@ pub struct ReplayReport {
     pub n_queries: usize,
     /// Client threads used.
     pub clients: usize,
-    /// Requests per [`QueryEngine::submit_batch`] job (1 = per-request
-    /// submission via [`QueryEngine::query`]).
-    pub batch_size: usize,
     /// Wall-clock duration of the replay itself, seconds.
     pub wall_secs: f64,
     /// `n_queries / wall_secs` — throughput of this replay (the engine's
@@ -246,57 +242,28 @@ pub struct ReplayReport {
 }
 
 /// Replays `workload` against `engine` from `clients` threads, round-robin
-/// partitioned, collecting every response. Responses are returned in
-/// workload order so callers can compare them one-to-one against an
-/// oracle. Per-request submission; see [`replay_batched`] for the
-/// amortized mode.
+/// partitioned, collecting every response. Each client submits its next
+/// request ([`QueryEngine::query`]) only after the previous answer
+/// arrives. Responses are returned in workload order so callers can
+/// compare them one-to-one against an oracle.
 pub fn replay(
     engine: &QueryEngine,
     workload: &[QueryRequest],
     clients: usize,
 ) -> (ReplayReport, Vec<QueryResponse>) {
-    replay_batched(engine, workload, clients, 1)
-}
-
-/// [`replay`] with batched submission: each client slices its round-robin
-/// share into chunks of `batch_size` and submits every chunk as one
-/// [`QueryEngine::submit_batch`] job, paying the queue round-trip and
-/// the index-snapshot read once per chunk instead of once per request. `batch_size ≤ 1` degrades to per-request
-/// submit+wait ([`QueryEngine::query`]), which is how [`replay`] is
-/// implemented. Responses are identical to per-request submission and
-/// returned in workload order.
-pub fn replay_batched(
-    engine: &QueryEngine,
-    workload: &[QueryRequest],
-    clients: usize,
-    batch_size: usize,
-) -> (ReplayReport, Vec<QueryResponse>) {
     let clients = clients.max(1);
-    let batch_size = batch_size.max(1);
     let t0 = Instant::now();
     let mut responses: Vec<Option<QueryResponse>> = vec![None; workload.len()];
     std::thread::scope(|scope| {
         let mut joins = Vec::with_capacity(clients);
         for c in 0..clients {
             joins.push(scope.spawn(move || {
-                // Each client models one synchronous caller submitting
-                // its next request (or next batch) only after the
-                // previous answer arrives, so concurrency = clients.
-                let mut got = Vec::new();
-                let mine: Vec<usize> = (0..workload.len()).skip(c).step_by(clients).collect();
-                if batch_size == 1 {
-                    for &i in &mine {
-                        got.push((i, engine.query(workload[i])));
-                    }
-                } else {
-                    for chunk in mine.chunks(batch_size) {
-                        let reqs: Vec<QueryRequest> = chunk.iter().map(|&i| workload[i]).collect();
-                        for (&i, resp) in chunk.iter().zip(engine.query_batch(&reqs)) {
-                            got.push((i, resp));
-                        }
-                    }
-                }
-                got
+                // Each client models one synchronous caller, so
+                // concurrency = clients.
+                (c..workload.len())
+                    .step_by(clients)
+                    .map(|i| (i, engine.query(workload[i])))
+                    .collect::<Vec<_>>()
             }));
         }
         for j in joins {
@@ -310,7 +277,6 @@ pub fn replay_batched(
         stats: engine.stats(),
         n_queries: workload.len(),
         clients,
-        batch_size,
         wall_secs,
         replay_qps: workload.len() as f64 / wall_secs,
     };
@@ -578,36 +544,5 @@ mod tests {
         }
         assert_eq!(report.stats.completed, 120);
         engine.shutdown();
-    }
-
-    #[test]
-    fn batched_replay_matches_per_request() {
-        let search = small_search();
-        let spec = WorkloadSpec {
-            n_queries: 150,
-            repeat_fraction: 0.4,
-            ..WorkloadSpec::default()
-        };
-        let w = build_workload(&search, &spec);
-        let config = ServiceConfig {
-            workers: 4,
-            ..ServiceConfig::default()
-        };
-        let per_request = QueryEngine::start(search.clone(), config.clone());
-        let (_, base) = replay(&per_request, &w, 3);
-        per_request.shutdown();
-
-        let batched = QueryEngine::start(search, config);
-        let (report, got) = replay_batched(&batched, &w, 3, 16);
-        batched.shutdown();
-
-        assert_eq!(report.batch_size, 16);
-        assert!(report.stats.batches > 0, "no batch jobs recorded");
-        assert_eq!(report.stats.batched, 150);
-        assert_eq!(got.len(), base.len());
-        for (i, (a, b)) in base.iter().zip(&got).enumerate() {
-            assert_eq!(a.request, b.request, "slot {i} out of order");
-            assert_eq!(a.summary, b.summary, "slot {i} diverged");
-        }
     }
 }

@@ -31,8 +31,8 @@
 //!
 //! Each connection has its own thread, and that thread serves its
 //! requests: it parses a request, admits it, submits it to the engine
-//! ([`QueryEngine::submit`], a batch of one on the shard its vertex
-//! routes to) and waits for the answer, then writes the reply. Nothing
+//! ([`QueryEngine::submit`], one job on the engine's one queue) and
+//! waits for the answer, then writes the reply. Nothing
 //! sits between the socket and the engine's job queue, so a request
 //! waits on no timer and crosses no other server thread.
 //!

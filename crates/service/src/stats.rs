@@ -274,25 +274,6 @@ pub struct CacheStats {
     pub invalidated: u64,
 }
 
-/// One engine shard's slice of the totals, as reported in
-/// [`ServiceStats::per_shard`]. The aggregate fields of `ServiceStats`
-/// keep their unsharded meaning (sums, or merged histograms, over every
-/// shard); these rows are where imbalance — a hot key concentrating on
-/// one shard — becomes visible.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardStats {
-    /// Shard index (the router's output for this shard's keys).
-    pub shard: usize,
-    /// Worker threads owned by this shard.
-    pub workers: usize,
-    /// Requests this shard completed.
-    pub completed: u64,
-    /// Median service latency on this shard, µs.
-    pub p50_us: u64,
-    /// 99th-percentile service latency on this shard, µs.
-    pub p99_us: u64,
-}
-
 /// Network-front-end admission counters (`scs serve`): how many
 /// requests the server admitted, served, shed or quota-rejected. All
 /// zero for an in-process engine — the engine itself never sheds;
@@ -333,7 +314,7 @@ impl AdmissionStats {
 }
 
 /// A point-in-time snapshot of a running engine, as printed by
-/// `scs serve-bench` and the scaling benchmark. Produced either
+/// `scs serve-bench`. Produced either
 /// cumulatively ([`crate::QueryEngine::stats`], counters since engine
 /// start) or as a window ([`crate::QueryEngine::stats_window`], deltas
 /// since the previous window call — the steady-state view).
@@ -346,12 +327,10 @@ pub struct ServiceStats {
     /// Always 0: the engine does not coalesce requests. Kept so code
     /// that reads it still compiles.
     pub coalesced: u64,
-    /// Batch jobs served through [`crate::QueryEngine::submit_batch`]
-    /// (a per-request `submit` is a batch of one but is not counted
-    /// here).
+    /// Always 0: the engine has no batch submission. Kept only because
+    /// the benchmark harness (`perfbench/`) still reads it.
     pub batches: u64,
-    /// Requests that arrived inside a batch job (each still counts in
-    /// `completed`).
+    /// Always 0, like [`Self::batches`].
     pub batched: u64,
     /// Always all 0 (see [`CacheStats`]).
     pub cache: CacheStats,
@@ -407,11 +386,6 @@ pub struct ServiceStats {
     /// and re-arms the ring, so a fast window after a slow warmup still
     /// surfaces its own spikes.
     pub slow: Vec<SlowQuery>,
-    /// Per-shard slices of the totals above, one row per engine shard
-    /// in shard order (a single row when the engine is unsharded).
-    /// Cumulative since engine start even in windowed snapshots — the
-    /// rows diagnose imbalance, which a short window would hide.
-    pub per_shard: Vec<ShardStats>,
 }
 
 impl fmt::Display for ServiceStats {
@@ -424,8 +398,6 @@ impl fmt::Display for ServiceStats {
         writeln!(f, "│ latency p90 (µs)    │ {:>12} │", self.p90_us)?;
         writeln!(f, "│ latency p99 (µs)    │ {:>12} │", self.p99_us)?;
         writeln!(f, "│ latency max (µs)    │ {:>12} │", self.max_us)?;
-        writeln!(f, "│ batch jobs          │ {:>12} │", self.batches)?;
-        writeln!(f, "│ batched requests    │ {:>12} │", self.batched)?;
         writeln!(f, "│ scratch resident    │ {:>11}B │", self.scratch_bytes)?;
         writeln!(f, "│ allocs avoided      │ {:>12} │", self.allocs_avoided)?;
         writeln!(f, "│ index epoch         │ {:>12} │", self.epoch)?;
@@ -476,20 +448,6 @@ impl fmt::Display for ServiceStats {
                 a.total.p99_us,
                 a.stages[Stage::Kernel as usize].p99_us
             )?;
-        }
-        if self.per_shard.len() > 1 {
-            write!(
-                f,
-                "\nper-shard          {:>8} {:>10} {:>8} {:>8}",
-                "workers", "completed", "p50", "p99"
-            )?;
-            for s in &self.per_shard {
-                write!(
-                    f,
-                    "\n  shard {:<11} {:>8} {:>10} {:>8} {:>8}",
-                    s.shard, s.workers, s.completed, s.p50_us, s.p99_us
-                )?;
-            }
         }
         if !self.slow.is_empty() {
             write!(f, "\nslow queries (worst {})", self.slow.len())?;
@@ -655,8 +613,8 @@ mod tests {
             workers: 4,
             completed: 1000,
             coalesced: 0,
-            batches: 12,
-            batched: 384,
+            batches: 0,
+            batched: 0,
             cache: CacheStats::default(),
             epoch: 1,
             installs: 1,
@@ -676,10 +634,9 @@ mod tests {
                 beta: 3,
                 algo: Algorithm::Peel,
                 epoch: 1,
-                provenance: crate::telemetry::Provenance::Batch,
                 result_edges: 4,
                 total_us: 900,
-                stages_us: [1, 2, 3, 880, 10, 4, 0],
+                stages_us: [1, 2, 880, 10, 4, 0],
             }],
             admission: AdmissionStats {
                 admitted: 5000,
@@ -689,22 +646,6 @@ mod tests {
                 shed_after_admit: 2,
                 ..AdmissionStats::default()
             },
-            per_shard: vec![
-                ShardStats {
-                    shard: 0,
-                    workers: 2,
-                    completed: 640,
-                    p50_us: 29,
-                    p99_us: 180,
-                },
-                ShardStats {
-                    shard: 1,
-                    workers: 2,
-                    completed: 360,
-                    p50_us: 33,
-                    p99_us: 230,
-                },
-            ],
         };
         let txt = s.to_string();
         // The table carries no throughput figure: callers print one
@@ -714,10 +655,16 @@ mod tests {
         assert!(txt.contains("scratch resident"));
         assert!(txt.contains("65536B"));
         assert!(txt.contains("4321"));
-        assert!(txt.contains("batch jobs"));
-        assert!(txt.contains("384"));
         // No row of a mechanism the engine no longer has.
-        for gone in ["cache hit", "coalesced", "arena", "stale publishes"] {
+        for gone in [
+            "cache hit",
+            "coalesced",
+            "arena",
+            "stale publishes",
+            "batch",
+            "shard",
+            "cache_lookup",
+        ] {
             assert!(!txt.contains(gone), "{gone}: {txt}");
         }
         assert!(txt.contains("installs"));
@@ -730,10 +677,6 @@ mod tests {
         assert!(txt.contains("result_edges=4"));
         // Algorithms that served nothing stay out of the table.
         assert!(!txt.contains("baseline"));
-        // The per-shard section renders one row per shard.
-        assert!(txt.contains("per-shard"));
-        assert!(txt.contains("shard 0"));
-        assert!(txt.contains("shard 1"));
         // The admission section renders when any counter is nonzero...
         assert!(txt.contains("shed (429)"));
         assert!(txt.contains("quota rejected"));
@@ -775,47 +718,5 @@ mod tests {
             .sum();
         assert_eq!(bad.count(), 0);
         assert_eq!(bucket_sum, 1);
-    }
-
-    #[test]
-    fn single_shard_stats_hide_the_per_shard_section() {
-        // An unsharded engine still carries its one row (visible
-        // programmatically) but the table skips the section — nothing
-        // to compare.
-        let mut s = ServiceStats {
-            workers: 1,
-            completed: 0,
-            coalesced: 0,
-            batches: 0,
-            batched: 0,
-            cache: CacheStats::default(),
-            epoch: 0,
-            installs: 0,
-            qps: 0.0,
-            mean_us: 0.0,
-            p50_us: 0,
-            p90_us: 0,
-            p99_us: 0,
-            max_us: 0,
-            scratch_bytes: 0,
-            allocs_avoided: 0,
-            stages: [LatencySummary::empty(); N_STAGES],
-            algos: std::array::from_fn(|i| AlgoStats::empty(Algorithm::ALL[i])),
-            admission: AdmissionStats::default(),
-            slow: Vec::new(),
-            per_shard: vec![ShardStats {
-                shard: 0,
-                workers: 1,
-                completed: 0,
-                p50_us: 0,
-                p99_us: 0,
-            }],
-        };
-        assert!(!s.to_string().contains("per-shard"));
-        s.per_shard.push(ShardStats {
-            shard: 1,
-            ..s.per_shard[0]
-        });
-        assert!(s.to_string().contains("per-shard"));
     }
 }

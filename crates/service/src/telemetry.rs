@@ -5,7 +5,7 @@
 //!
 //! ## Design constraints
 //!
-//! The serving hot path proves **zero heap allocations per warm leader
+//! The serving hot path proves **zero heap allocations per warm
 //! query** (`tests/alloc_free_service.rs`), and telemetry is on by
 //! default — so every recording structure is preallocated at engine
 //! construction and every record operation is a handful of relaxed
@@ -16,32 +16,25 @@
 //! ## Stage attribution
 //!
 //! A request's end-to-end latency (enqueue → reply handed back) is
-//! split into engine stages ([`Stage`]). Every submission is a batch
-//! job (a per-request `submit` is a batch of one), and a job's timeline
-//! is cut into **contiguous windows**: each starts where the previous
-//! one ended — queue wait, the snapshot read, then each member's
-//! answer and publish, and finally the reply. Every window is charged,
-//! in nanoseconds, to the [`StageSet`] of the members it served. A
-//! batch of one is therefore charged every window and its stages tile
-//! its total to within per-stage truncation (≤ 1µs per recorded stage
-//! — asserted by `tests/telemetry_stress.rs`); a larger batch's member
-//! is charged a disjoint subset of the job's windows, so its stage sum
-//! is a **lower bound** on its total (`Σ stages ≤ total`), never an
-//! overcount of any single wall-clock interval. The reply
-//! window (handing the pooled responses back to the submitter) is
-//! shared by every member. Traces are recorded once the responses are
-//! in the reply slot and before the submitter wakes, so a submitter
-//! whose wait returned finds its requests recorded, and a job that
+//! split into engine stages ([`Stage`]). The request's timeline is cut
+//! into **contiguous windows**: each starts where the previous one
+//! ended — queue wait, the snapshot read, the answer, the publish and
+//! finally the reply. Each window is charged, in nanoseconds, to the
+//! request's [`StageSet`], so its stages tile its total to within
+//! per-stage truncation (≤ 1µs per recorded stage — asserted by
+//! `tests/telemetry_stress.rs`). A trace is recorded once the response
+//! is in the reply slot and before the submitter wakes, so a submitter
+//! whose wait returned finds its request recorded, and a request that
 //! panicked records nothing.
 
-use crate::stats::{HistSnapshot, LatencyHistogram, ServiceStats, ShardStats};
+use crate::stats::{HistSnapshot, LatencyHistogram, ServiceStats};
 use crate::QueryResponse;
 use scs::Algorithm;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of fixed stages every request's latency is split into.
-pub const N_STAGES: usize = 7;
+pub const N_STAGES: usize = 6;
 
 /// Number of algorithms telemetry is keyed by (the
 /// [`Algorithm::ALL`] order).
@@ -65,25 +58,22 @@ pub fn algo_rank(algo: Algorithm) -> usize {
 pub enum Stage {
     /// Enqueue to dequeue: time spent waiting for a worker.
     QueueWait = 0,
-    /// Reading the epoch-consistent index snapshot, once per job.
+    /// Reading the epoch-consistent index snapshot.
     Snapshot = 1,
-    /// Never recorded: the engine keeps no result cache. Kept so the
-    /// stage arrays and exporters keep their shape.
-    CacheLookup = 2,
     /// The request's [`scs::CommunitySearch::answer`] call: a class
     /// lookup, or the (α,β) profile build for the first request at
     /// that (α,β) per snapshot.
-    Kernel = 3,
+    Kernel = 2,
     /// Building the response and counting it.
-    Publish = 4,
-    /// Handing the job's responses back to the submitter.
-    Reply = 5,
+    Publish = 3,
+    /// Handing the response back to the submitter.
+    Reply = 4,
     /// Admission → engine enqueue on the network front end: the tenant
     /// quota and pending-budget checks in [`crate::server`], then the
     /// hand-off to the engine on the connection thread. Only the
     /// network front end records it — the in-process path never touches
     /// this stage, so the zero-allocation warm-path proof is unchanged.
-    Accept = 6,
+    Accept = 5,
 }
 
 impl Stage {
@@ -91,7 +81,6 @@ impl Stage {
     pub const ALL: [Stage; N_STAGES] = [
         Stage::QueueWait,
         Stage::Snapshot,
-        Stage::CacheLookup,
         Stage::Kernel,
         Stage::Publish,
         Stage::Reply,
@@ -104,7 +93,6 @@ impl Stage {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::Snapshot => "snapshot",
-            Stage::CacheLookup => "cache_lookup",
             Stage::Kernel => "kernel",
             Stage::Publish => "publish",
             Stage::Reply => "reply",
@@ -114,33 +102,6 @@ impl Stage {
 
     fn bit(self) -> u8 {
         1 << (self as usize)
-    }
-}
-
-/// How a request reached the engine — retained in the slow-query ring
-/// so a pathological latency can be traced to its submission shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
-    /// Per-request submission (`submit` / `query`): a batch of one.
-    Single = 0,
-    /// Member of a batch submission (`submit_batch`).
-    Batch = 1,
-}
-
-impl Provenance {
-    /// Human/machine name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Provenance::Single => "single",
-            Provenance::Batch => "batch",
-        }
-    }
-
-    fn from_u8(v: u8) -> Provenance {
-        match v {
-            1 => Provenance::Batch,
-            _ => Provenance::Single,
-        }
     }
 }
 
@@ -201,7 +162,7 @@ impl AlgoStats {
 }
 
 /// One retained worst-case request, as read back from the slow-query
-/// ring: the full key, provenance and stage breakdown.
+/// ring: the full key, answer size and stage breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlowQuery {
     /// Query vertex (raw id).
@@ -214,8 +175,6 @@ pub struct SlowQuery {
     pub algo: Algorithm,
     /// Index epoch that served it.
     pub epoch: u64,
-    /// Submission shape.
-    pub provenance: Provenance,
     /// Edges in the answer.
     pub result_edges: u64,
     /// End-to-end latency, µs.
@@ -229,14 +188,13 @@ impl fmt::Display for SlowQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}µs q={} (α={},β={}) algo={} epoch={} {}",
+            "{}µs q={} (α={},β={}) algo={} epoch={}",
             self.total_us,
             self.q,
             self.alpha,
             self.beta,
             self.algo.name(),
             self.epoch,
-            self.provenance.name(),
         )?;
         write!(f, " result_edges={}", self.result_edges)?;
         for stage in Stage::ALL {
@@ -261,8 +219,6 @@ pub struct RequestTrace {
     pub algo: Algorithm,
     /// Index epoch that served it.
     pub epoch: u64,
-    /// Submission shape.
-    pub provenance: Provenance,
     /// Edges in the answer.
     pub result_edges: u64,
     /// End-to-end latency, µs.
@@ -286,7 +242,7 @@ impl RequestTrace {
 }
 
 /// One request's stage attribution. The engine charges each window of
-/// a job's timeline to the members it served ([`Self::add_ns`]);
+/// the request's timeline to it ([`Self::add_ns`]);
 /// synthetic traces set whole stages ([`Self::set`]). Stages are kept
 /// in nanoseconds and truncated to µs once, in [`Self::trace`], so a
 /// fully tiled request's stage sum reconciles with its total to within
@@ -320,12 +276,7 @@ impl StageSet {
     }
 
     /// Assembles the trace for the request `resp` answers.
-    pub fn trace(
-        &self,
-        resp: &QueryResponse,
-        provenance: Provenance,
-        total_us: u64,
-    ) -> RequestTrace {
+    pub fn trace(&self, resp: &QueryResponse, total_us: u64) -> RequestTrace {
         let req = &resp.request;
         RequestTrace {
             q: req.q.0,
@@ -333,7 +284,6 @@ impl StageSet {
             beta: req.beta,
             algo: req.algo,
             epoch: resp.epoch,
-            provenance,
             result_edges: resp.summary.size() as u64,
             total_us,
             stages_us: self.stages_ns.map(|ns| ns / 1_000),
@@ -399,10 +349,11 @@ impl Telemetry {
     /// — see [`Self::slow_queries`]).
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            stage: std::array::from_fn(|a| {
-                std::array::from_fn(|s| self.stage_hists[a][s].snapshot())
-            }),
-            total: std::array::from_fn(|a| self.total_hists[a].snapshot()),
+            stage: self
+                .stage_hists
+                .each_ref()
+                .map(|row| row.each_ref().map(LatencyHistogram::snapshot)),
+            total: self.total_hists.each_ref().map(LatencyHistogram::snapshot),
             // ordering: Relaxed — statistics read; the counter is
             // independent, no cross-field consistency is promised.
             installs: self.installs.load(Ordering::Relaxed),
@@ -425,6 +376,7 @@ impl Telemetry {
     /// this; the in-process path never records the stage, so the warm
     /// leader path's zero-allocation proof is unaffected.
     pub fn record_accept(&self, algo: Algorithm, accept_us: u64) {
+        // contract-ok: `algo_rank` is below N_ALGOS and every stage below N_STAGES
         self.stage_hists[algo_rank(algo)][Stage::Accept as usize].record(accept_us);
     }
 
@@ -490,24 +442,6 @@ impl TelemetrySnapshot {
         self.installs < baseline.installs
     }
 
-    /// Element-wise union of two snapshots: histograms merge
-    /// bucket-wise, but `installs` takes the max — an install fans out
-    /// to every shard of a sharded engine, so summing per-shard planes
-    /// would multiply-count each install by the shard count.
-    pub fn merge(&self, other: &TelemetrySnapshot) -> TelemetrySnapshot {
-        let mut out = *self;
-        let pairs = out
-            .stage
-            .iter_mut()
-            .flatten()
-            .zip(other.stage.iter().flatten());
-        for (h, o) in pairs.chain(out.total.iter_mut().zip(&other.total)) {
-            *h = h.merge(o);
-        }
-        out.installs = self.installs.max(other.installs);
-        out
-    }
-
     /// Per-stage summaries aggregated over every algorithm (the stats
     /// table's stage-breakdown section).
     pub fn stage_summaries(&self) -> [LatencySummary; N_STAGES] {
@@ -539,7 +473,7 @@ struct RingSlot {
     total_us: AtomicU64,
     /// `q << 32 | alpha`.
     lo: AtomicU64,
-    /// `beta << 32 | algo << 16 | provenance << 8`.
+    /// `beta << 32 | algo`.
     mid: AtomicU64,
     epoch: AtomicU64,
     result_edges: AtomicU64,
@@ -600,9 +534,7 @@ impl SlowRing {
             return;
         }
         let lo = (u64::from(t.q) << 32) | u64::from(t.alpha);
-        let mid = (u64::from(t.beta) << 32)
-            | ((algo_rank(t.algo) as u64) << 16)
-            | ((t.provenance as u64) << 8);
+        let mid = (u64::from(t.beta) << 32) | algo_rank(t.algo) as u64;
         for _attempt in 0..4 {
             // Victim: the stable slot holding the smallest total.
             let mut min_i = usize::MAX;
@@ -797,9 +729,8 @@ impl SlowRing {
                 q: (lo >> 32) as u32,
                 alpha: lo as u32,
                 beta: (mid >> 32) as u32,
-                algo: Algorithm::ALL[((mid >> 16) & 0xff) as usize % N_ALGOS],
+                algo: Algorithm::ALL[(mid & 0xff) as usize % N_ALGOS], // contract-ok: reduced modulo N_ALGOS
                 epoch,
-                provenance: Provenance::from_u8((mid >> 8) as u8),
                 result_edges,
                 total_us,
                 stages_us,
@@ -838,12 +769,6 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         "scs_requests_total",
         "Requests completed since engine start.",
         stats.completed,
-    );
-    counter("scs_batches_total", "Batch jobs served.", stats.batches);
-    counter(
-        "scs_batched_requests_total",
-        "Requests that arrived inside a batch job.",
-        stats.batched,
     );
     counter(
         "scs_installs_total",
@@ -895,40 +820,6 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         "scs_scratch_resident_bytes",
         "Resident bytes of reusable query workspaces.",
         stats.scratch_bytes as u64,
-    );
-
-    // Per-shard families: one series per shard, labeled `shard="N"`.
-    // Emitted even for a single shard so dashboards keep a stable
-    // query shape across `--shards` values.
-    let mut shard_counter = |name: &str, help: &str, pick: &dyn Fn(&ShardStats) -> u64| {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-        for row in &stats.per_shard {
-            out.push_str(&format!(
-                "{name}{{shard=\"{}\"}} {}\n",
-                row.shard,
-                pick(row)
-            ));
-        }
-    };
-    shard_counter(
-        "scs_shard_requests_total",
-        "Requests completed, by engine shard.",
-        &|r| r.completed,
-    );
-    let mut shard_gauge = |name: &str, help: &str, pick: &dyn Fn(&ShardStats) -> u64| {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-        for row in &stats.per_shard {
-            out.push_str(&format!(
-                "{name}{{shard=\"{}\"}} {}\n",
-                row.shard,
-                pick(row)
-            ));
-        }
-    };
-    shard_gauge(
-        "scs_shard_workers",
-        "Worker threads owned by each engine shard.",
-        &|r| r.workers as u64,
     );
 
     out.push_str(
@@ -1155,7 +1046,7 @@ fn parse_sample(line: &str) -> Result<(String, Vec<String>, f64), String> {
 // ─── Bench JSON (schema-versioned perf trajectory) ───────────────────
 
 /// Schema identifier stamped into every `BENCH_service.json`.
-pub const BENCH_SCHEMA: &str = "scs-bench-service/v3";
+pub const BENCH_SCHEMA: &str = "scs-bench-service/v4";
 
 /// Workload and run parameters recorded alongside the measured stats
 /// in `BENCH_service.json`, so a trajectory of artifacts is
@@ -1166,16 +1057,12 @@ pub struct BenchMeta<'a> {
     pub dataset: &'a str,
     /// Worker threads.
     pub threads: usize,
-    /// Engine shards the workers were partitioned across.
-    pub shards: usize,
     /// Measured queries (excluding warmup).
     pub queries: usize,
     /// Warmup queries replayed before the measured window.
     pub warmup: usize,
     /// Client threads replaying.
     pub clients: usize,
-    /// Batch size (0 = per-request submission).
-    pub batch_size: usize,
     /// α degree constraint.
     pub alpha: usize,
     /// β degree constraint.
@@ -1262,14 +1149,13 @@ fn j_stats(stats: &ServiceStats) -> String {
                 .map(|&st| format!("\"{}\":{}", st.name(), s.stages_us[st as usize]))
                 .collect();
             format!(
-                "{{\"q\":{},\"alpha\":{},\"beta\":{},\"algo\":{},\"epoch\":{},\"provenance\":{},\
+                "{{\"q\":{},\"alpha\":{},\"beta\":{},\"algo\":{},\"epoch\":{},\
                  \"result_edges\":{},\"total_us\":{},\"stages_us\":{{{}}}}}",
                 s.q,
                 s.alpha,
                 s.beta,
                 j_escape(s.algo.name()),
                 s.epoch,
-                j_escape(s.provenance.name()),
                 s.result_edges,
                 s.total_us,
                 stages.join(",")
@@ -1281,7 +1167,6 @@ fn j_stats(stats: &ServiceStats) -> String {
          \"latency_us\":{{\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},\
          \"stages\":{},\"algorithms\":{{{}}},\
          \"events\":{{\"installs\":{},\"epoch\":{}}},\
-         \"batching\":{{\"batches\":{},\"batched\":{}}},\
          \"memory\":{{\"scratch_bytes\":{},\"allocs_avoided\":{}}},\
          \"slow_queries\":[{}]}}",
         stats.workers,
@@ -1296,8 +1181,6 @@ fn j_stats(stats: &ServiceStats) -> String {
         algos.join(","),
         stats.installs,
         stats.epoch,
-        stats.batches,
-        stats.batched,
         stats.scratch_bytes,
         stats.allocs_avoided,
         slow.join(",")
@@ -1315,18 +1198,16 @@ pub fn render_bench_json(
 ) -> String {
     let compact = format!(
         "{{\"schema\":{},\"bench\":\"serve-bench\",\
-         \"workload\":{{\"dataset\":{},\"threads\":{},\"shards\":{},\"queries\":{},\
-         \"warmup\":{},\"clients\":{},\"batch_size\":{},\"alpha\":{},\"beta\":{},\
+         \"workload\":{{\"dataset\":{},\"threads\":{},\"queries\":{},\
+         \"warmup\":{},\"clients\":{},\"alpha\":{},\"beta\":{},\
          \"algo\":{},\"repeat_fraction\":{},\"seed\":{},\"zipf\":{}}},\
          \"wall_secs\":{},\"cumulative\":{},\"steady\":{}}}",
         j_escape(BENCH_SCHEMA),
         j_escape(meta.dataset),
         meta.threads,
-        meta.shards,
         meta.queries,
         meta.warmup,
         meta.clients,
-        meta.batch_size,
         meta.alpha,
         meta.beta,
         j_escape(meta.algo.name()),
@@ -1604,7 +1485,7 @@ fn utf8_width(first: u8) -> usize {
 /// [`BENCH_SCHEMA`]: schema tag, workload parameters, and — for both
 /// the cumulative and steady sections — latency quantiles, every
 /// stage summary, per-algorithm p50/p99 with stage breakdowns, and the
-/// event/batching/memory counter blocks.
+/// event and memory counter blocks.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let doc = json_parse(text)?;
     let schema = doc
@@ -1621,11 +1502,9 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
         .ok_or("workload.dataset missing")?;
     for key in [
         "threads",
-        "shards",
         "queries",
         "warmup",
         "clients",
-        "batch_size",
         "alpha",
         "beta",
         "repeat_fraction",
@@ -1698,7 +1577,6 @@ fn validate_stats_obj(v: &JsonValue) -> Result<(), String> {
     }
     for (block, keys) in [
         ("events", &["installs", "epoch"][..]),
-        ("batching", &["batches", "batched"][..]),
         ("memory", &["scratch_bytes", "allocs_avoided"][..]),
     ] {
         let o = v.get(block).ok_or_else(|| format!("{block} missing"))?;
@@ -1740,7 +1618,7 @@ mod tests {
         s.set(Stage::QueueWait, 1)
             .set(Stage::Snapshot, 0)
             .set(Stage::Kernel, kernel_us);
-        s.trace(&resp(q, algo, 7), Provenance::Single, total_us)
+        s.trace(&resp(q, algo, 7), total_us)
     }
 
     fn stats_for(telem: &Telemetry) -> ServiceStats {
@@ -1753,8 +1631,8 @@ mod tests {
             workers: 2,
             completed: total.count(),
             coalesced: 0,
-            batches: 1,
-            batched: 2,
+            batches: 0,
+            batched: 0,
             cache: CacheStats::default(),
             epoch: 7,
             installs: snap.installs,
@@ -1770,19 +1648,12 @@ mod tests {
             stages: snap.stage_summaries(),
             algos: snap.algo_stats(),
             slow: telem.slow_queries(),
-            per_shard: vec![ShardStats {
-                shard: 0,
-                workers: 2,
-                completed: total.count(),
-                p50_us: total.quantile_us(0.5),
-                p99_us: total.quantile_us(0.99),
-            }],
         }
     }
 
     #[test]
     fn stage_windows_accumulate_in_nanoseconds_and_tile_the_total() {
-        // One job's contiguous windows, charged to a batch of one.
+        // One request's contiguous windows.
         let windows = [
             (Stage::QueueWait, 5_400u64),
             (Stage::Snapshot, 700),
@@ -1796,11 +1667,7 @@ mod tests {
             s.add_ns(stage, ns);
         }
         let total_ns: u64 = windows.iter().map(|w| w.1).sum();
-        let mut t = s.trace(
-            &resp(3, Algorithm::Peel, 1),
-            Provenance::Single,
-            total_ns / 1_000,
-        );
+        let mut t = s.trace(&resp(3, Algorithm::Peel, 1), total_ns / 1_000);
         assert_eq!((t.q, t.alpha, t.beta), (3, 2, 3));
         assert_eq!(t.stages_us[Stage::QueueWait as usize], 5);
         assert_eq!(t.stages_us[Stage::Kernel as usize], 1);
@@ -1808,7 +1675,6 @@ mod tests {
         // A sub-µs window still marks its stage as passed through.
         assert_eq!(t.stages_us[Stage::Snapshot as usize], 0);
         assert_ne!(t.touched & Stage::Snapshot.bit(), 0);
-        assert_eq!(t.touched & Stage::CacheLookup.bit(), 0);
         assert_eq!(t.touched & Stage::Reply.bit(), 0);
         // Truncation happens once per stage: the sum reconciles with
         // the total to ≤1µs per touched stage.
@@ -1828,7 +1694,7 @@ mod tests {
         assert!(sum <= t.total_us && sum + touched + 1 >= t.total_us);
         // `set` replaces a stage; `add_ns` accumulates onto it.
         s.set(Stage::Kernel, 7).add_ns(Stage::Kernel, 1_000);
-        let t = s.trace(&resp(3, Algorithm::Peel, 1), Provenance::Batch, 0);
+        let t = s.trace(&resp(3, Algorithm::Peel, 1), 0);
         assert_eq!(t.stages_us[Stage::Kernel as usize], 8);
     }
 
@@ -1884,7 +1750,6 @@ mod tests {
         assert_eq!(slow[0].q, 6);
         assert_eq!(slow[0].algo, Algorithm::Auto);
         assert_eq!(slow[0].epoch, 7);
-        assert_eq!(slow[0].provenance, Provenance::Single);
         assert_eq!(slow[0].stages_us[Stage::Kernel as usize], 900);
         // A faster request than the retained minimum is rejected (and
         // exercises the cached-threshold fast path).
@@ -1908,7 +1773,7 @@ mod tests {
             telem.record(&trace(q, Algorithm::Auto, us, us));
         }
         assert_eq!(telem.slow_queries().len(), 3);
-        // Window rollover (stats_window does this per shard).
+        // Window rollover (stats_window does this).
         telem.reset_slow_window();
         assert!(
             telem.slow_queries().is_empty(),
@@ -1999,7 +1864,6 @@ mod tests {
         assert!(s.contains("q=17"), "{s}");
         assert!(s.contains("algo=peel"), "{s}");
         assert!(s.contains("kernel=880"), "{s}");
-        assert!(s.contains("single"), "{s}");
     }
 
     #[test]
@@ -2030,6 +1894,9 @@ mod tests {
             "scs_coalesced",
             "scs_arena_",
             "scs_stale_publishes",
+            "scs_shard_",
+            "scs_batch",
+            "cache_lookup",
         ] {
             assert!(!text.contains(gone), "{gone}");
         }
@@ -2076,11 +1943,9 @@ mod tests {
         let meta = BenchMeta {
             dataset: "/tmp/ds/ml.tsv",
             threads: 4,
-            shards: 2,
             queries: 200,
             warmup: 20,
             clients: 2,
-            batch_size: 25,
             alpha: 2,
             beta: 2,
             algo: Algorithm::Auto,
@@ -2123,6 +1988,16 @@ mod tests {
             let q = sq.get("q").and_then(JsonValue::as_f64).unwrap();
             let edges = sq.get("result_edges").and_then(JsonValue::as_f64);
             assert_eq!(edges, Some(q * 3.0), "{sq:?}");
+        }
+        // No block or key of a mechanism the engine no longer has.
+        for gone in [
+            "batching",
+            "shards",
+            "batch_size",
+            "provenance",
+            "cache_lookup",
+        ] {
+            assert!(!text.contains(gone), "{gone}");
         }
         // Tampering breaks validation.
         let broken = text.replace("\"kernel\"", "\"kernle\"");

@@ -9,10 +9,8 @@
 //! that a whole warm round — the install included — allocates
 //! **exactly zero** times:
 //!
-//! * per-request submission (`engine.query`), every algorithm;
-//! * batched submission (`query_batch_into` with a reused response
-//!   buffer) — deterministic with one worker;
-//! * per-request submission on a 2-shard engine.
+//! * one worker, every algorithm;
+//! * two workers sharing the one job queue, over 8 distinct keys.
 //!
 //! Every response is a view: its summary reads the answer's class and
 //! its edges are never emitted here, so no answer is copied.
@@ -27,9 +25,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scs::{Algorithm, CommunitySearch};
-use scs_service::{
-    build_workload, QueryEngine, QueryRequest, QueryResponse, ServiceConfig, WorkloadSpec,
-};
+use scs_service::{build_workload, QueryEngine, QueryRequest, ServiceConfig, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,7 +94,7 @@ fn workload(search: &CommunitySearch, n: usize) -> Vec<QueryRequest> {
 fn main() {
     let search = search();
 
-    // ── Phase 1: per-request path, every algorithm ───────────────────
+    // ── Phase 1: one worker, every algorithm ─────────────────────────
     // One worker: the serving thread is deterministic, so the measured
     // window contains exactly one install and one answer.
     {
@@ -148,64 +144,16 @@ fn main() {
         engine.shutdown();
     }
 
-    // ── Phase 2: batched path ────────────────────────────────────────
-    // A mixed-algorithm batch with in-batch duplicates through one
-    // worker: per-member answers, publishes, traces and the pooled
-    // response vector all must be warm-reusable.
-    {
-        let engine = QueryEngine::start(
-            search.clone(),
-            ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            },
-        );
-        let distinct = workload(&search, 12);
-        let mut reqs: Vec<QueryRequest> = Vec::new();
-        for (i, r) in distinct.iter().enumerate() {
-            let algo = Algorithm::ALL[i % Algorithm::ALL.len()];
-            reqs.push(QueryRequest::new(r.q, 2, 2, algo));
-        }
-        reqs.push(reqs[0]); // duplicate keys ride along
-        reqs.push(reqs[5]);
-        let mut out: Vec<QueryResponse> = Vec::new();
-        for _ in 0..8 {
-            engine.install(search.clone());
-            engine.query_batch_into(&reqs, &mut out);
-            assert_eq!(out.len(), reqs.len());
-            out.clear();
-        }
-        let before = allocations();
-        engine.install(search.clone());
-        engine.query_batch_into(&reqs, &mut out);
-        let delta = allocations() - before;
-        assert_eq!(out.len(), reqs.len());
-        assert!(out.iter().all(|r| !r.cached && !r.coalesced));
-        assert!(
-            out.iter().all(|r| r.summary.size() > 0),
-            "every member answered"
-        );
-        assert_eq!(
-            delta,
-            0,
-            "a warm batch of {} queries allocated {delta} times",
-            reqs.len()
-        );
-        out.clear();
-        engine.shutdown();
-    }
-
-    // ── Phase 3: sharded engine, per-request path ────────────────────
-    // Two shards, telemetry on (the default): hashing the request to
-    // its shard, serving it on that shard's worker, and the install
-    // fan-out that precedes each round must all be as allocation-free
-    // as the unsharded engine.
+    // ── Phase 2: two workers ─────────────────────────────────────────
+    // Two workers on the one queue, telemetry on (the default): either
+    // worker may serve any request, and each round of 8 distinct keys
+    // and the install that precedes it must be as allocation-free as
+    // the single-worker engine.
     {
         let engine = QueryEngine::start(
             search.clone(),
             ServiceConfig {
                 workers: 2,
-                shards: 2,
                 ..ServiceConfig::default()
             },
         );
@@ -220,14 +168,7 @@ fn main() {
                 assert!(!resp.summary.edges().is_empty(), "warm-up must answer");
             }
         }
-        // Both shards must actually be serving, or the sharded claim
-        // is vacuous.
-        let st = engine.stats();
-        assert!(
-            st.per_shard.len() == 2 && st.per_shard.iter().all(|s| s.completed > 0),
-            "a shard sat idle, proving nothing: {:?}",
-            st.per_shard
-        );
+        assert_eq!(engine.stats().workers, 2);
         let before = allocations();
         engine.install(search.clone());
         for r in &reqs {
@@ -238,7 +179,7 @@ fn main() {
         assert_eq!(
             delta,
             0,
-            "a warm sharded round of {} queries allocated {delta} times",
+            "a warm two-worker round of {} queries allocated {delta} times",
             reqs.len()
         );
         // A repeated round without the install is free too.
@@ -249,13 +190,13 @@ fn main() {
         let delta = allocations() - before;
         assert_eq!(
             delta, 0,
-            "a repeated warm sharded round allocated {delta} times"
+            "a repeated warm two-worker round allocated {delta} times"
         );
         engine.shutdown();
     }
 
     println!(
         "alloc_free_service: warm queries allocated 0 times end to end \
-         (per-request, repeat, batch, 2-shard engine) — ok"
+         (one worker, repeat, two workers) — ok"
     );
 }

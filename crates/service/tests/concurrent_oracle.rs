@@ -111,6 +111,45 @@ fn mixed_algorithms_and_parameters_match_oracle() {
 }
 
 #[test]
+fn every_vertex_matches_oracle() {
+    // Every vertex of the graph at two keys, replayed from four clients:
+    // every member's answer must be the oracle's.
+    let mut rng = StdRng::seed_from_u64(99);
+    let graph = bigraph::generators::random_bipartite(150, 150, 2200, &mut rng);
+    let search = CommunitySearch::shared(graph);
+    let reqs: Vec<QueryRequest> = search
+        .graph()
+        .vertices()
+        .flat_map(|v| {
+            [
+                QueryRequest::new(v, 2, 2, Algorithm::Peel),
+                QueryRequest::new(v, 1, 2, Algorithm::Expand),
+            ]
+        })
+        .collect();
+    let engine = QueryEngine::start(
+        search.clone(),
+        ServiceConfig {
+            workers: 4,
+            ..ServiceConfig::default()
+        },
+    );
+    let (report, responses) = replay(&engine, &reqs, 4);
+    engine.shutdown();
+
+    assert_eq!(report.stats.completed, reqs.len() as u64);
+    let mut ws = QueryWorkspace::new();
+    for (req, resp) in reqs.iter().zip(&responses) {
+        assert_eq!(resp.request, *req, "replay order broken");
+        assert_eq!(
+            resp.summary,
+            oracle(&search, req, &mut ws),
+            "{req:?} diverged from the oracle"
+        );
+    }
+}
+
+#[test]
 fn epoch_swap_serves_updated_index_without_restart() {
     let mut rng = StdRng::seed_from_u64(5);
     let graph = bigraph::generators::random_bipartite(25, 25, 160, &mut rng);

@@ -1,7 +1,7 @@
-//! Concurrent-install oracles for the batch path: while `install`
-//! swaps the index under the pool, every batch response must carry a
-//! self-consistent epoch (its summary equals the single-threaded oracle
-//! on the graph that epoch served).
+//! Concurrent-install oracles: while `install` swaps the index under
+//! the pool, every response from several per-request client threads
+//! must carry a self-consistent epoch (its summary equals the
+//! single-threaded oracle on the graph that epoch served).
 //!
 //! Every summary is a view into the threshold profile of the snapshot
 //! that answered it, so the second test holds responses across the
@@ -11,9 +11,15 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scs::{Algorithm, CommunitySearch};
-use scs_service::{CommunitySummary, QueryEngine, QueryRequest, ServiceConfig};
+use scs_service::{CommunitySummary, QueryEngine, QueryRequest, QueryResponse, ServiceConfig};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+const INSTALLS: u64 = 12;
+/// Requests each client sends at the least; clients keep going until
+/// the installer is done, so their traffic spans every epoch.
+const MIN_PER_CLIENT: usize = 600;
 
 fn config() -> ServiceConfig {
     ServiceConfig {
@@ -22,32 +28,37 @@ fn config() -> ServiceConfig {
     }
 }
 
-#[test]
-fn batches_stay_sound_under_concurrent_installs() {
-    // Two structurally different graphs of the same shape are installed
-    // alternately while clients hammer the engine with batches.
-    // Every response's epoch tag must be self-consistent: the summary
-    // must equal the single-threaded oracle on the graph that epoch
-    // served (even epochs = graph A, odd = graph B), however the batches
-    // interleaved with the swaps.
-    let mut rng = StdRng::seed_from_u64(1);
-    let graph_a = bigraph::generators::random_bipartite(80, 80, 1000, &mut rng);
-    let mut rng = StdRng::seed_from_u64(2);
-    let graph_b = bigraph::generators::random_bipartite(80, 80, 1400, &mut rng);
-    let search_a = CommunitySearch::shared(graph_a);
-    let search_b = CommunitySearch::shared(graph_b);
+/// Two structurally different graphs of the same shape, the keys the
+/// clients draw from, and both graphs' oracle answers for every key.
+struct Fixture {
+    search_a: Arc<CommunitySearch>,
+    search_b: Arc<CommunitySearch>,
+    keys: Vec<QueryRequest>,
+    /// `[answer on A, answer on B]` per key.
+    expected: HashMap<QueryRequest, [CommunitySummary; 2]>,
+}
 
-    // Pre-compute both oracles for every key the clients may submit.
+/// The keys are every second vertex of graph A at the two
+/// (α, β, algorithm) triples.
+fn fixture(
+    seeds: (u64, u64),
+    n: usize,
+    edges: (usize, usize),
+    triples: [(usize, usize, Algorithm); 2],
+) -> Fixture {
+    let mut rng = StdRng::seed_from_u64(seeds.0);
+    let search_a = CommunitySearch::shared(bigraph::generators::random_bipartite(
+        n, n, edges.0, &mut rng,
+    ));
+    let mut rng = StdRng::seed_from_u64(seeds.1);
+    let search_b = CommunitySearch::shared(bigraph::generators::random_bipartite(
+        n, n, edges.1, &mut rng,
+    ));
     let keys: Vec<QueryRequest> = search_a
         .graph()
         .vertices()
         .step_by(2)
-        .flat_map(|v| {
-            [
-                QueryRequest::new(v, 2, 2, Algorithm::Auto),
-                QueryRequest::new(v, 1, 2, Algorithm::Peel),
-            ]
-        })
+        .flat_map(|v| triples.map(|(a, b, algo)| QueryRequest::new(v, a, b, algo)))
         .collect();
     let mut expected: HashMap<QueryRequest, [CommunitySummary; 2]> = HashMap::new();
     for req in &keys {
@@ -66,118 +77,127 @@ fn batches_stay_sound_under_concurrent_installs() {
         expected.values().any(|[a, b]| a != b),
         "graphs must disagree somewhere or epoch mixing is undetectable"
     );
+    Fixture {
+        search_a,
+        search_b,
+        keys,
+        expected,
+    }
+}
 
+/// Alternately installs `b` and `a`, `INSTALLS` times, 7 ms apart, then
+/// raises `done`.
+fn install_alternately(
+    engine: &QueryEngine,
+    a: &Arc<CommunitySearch>,
+    b: &Arc<CommunitySearch>,
+    done: &AtomicBool,
+) {
+    for i in 0..INSTALLS {
+        std::thread::sleep(std::time::Duration::from_millis(7));
+        engine.install(if i % 2 == 0 { b.clone() } else { a.clone() });
+    }
+    // ordering: Relaxed — a plain stop flag; no data is published
+    // through it.
+    done.store(true, Ordering::Relaxed);
+}
+
+/// Whether a client has more to send: its minimum, and then until the
+/// installer is done.
+fn keep_going(sent: usize, done: &AtomicBool) -> bool {
+    // ordering: Relaxed — see `install_alternately`.
+    sent < MIN_PER_CLIENT || !done.load(Ordering::Relaxed)
+}
+
+#[test]
+fn responses_stay_sound_under_concurrent_installs() {
+    // Graphs A and B are installed alternately while three clients
+    // hammer the engine with per-request traffic. Every response's
+    // epoch tag must be self-consistent: the summary must equal the
+    // single-threaded oracle on the graph that epoch served (even
+    // epochs = graph A, odd = graph B), however the requests
+    // interleaved with the swaps.
+    let Fixture {
+        search_a,
+        search_b,
+        keys,
+        expected,
+    } = fixture(
+        (1, 2),
+        80,
+        (1000, 1400),
+        [(2, 2, Algorithm::Auto), (1, 2, Algorithm::Peel)],
+    );
     let engine = QueryEngine::start(search_a.clone(), config());
-    const INSTALLS: u64 = 12;
-    std::thread::scope(|scope| {
-        let engine = &engine;
-        let keys = &keys;
-        let expected = &expected;
-        for c in 0..3u64 {
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(100 + c);
-                for _ in 0..25 {
-                    let batch: Vec<QueryRequest> = (0..48)
-                        .map(|_| keys[rng.gen_range(0..keys.len())])
-                        .collect();
-                    for resp in engine.query_batch(&batch) {
+    let done = AtomicBool::new(false);
+    let sent: usize = std::thread::scope(|scope| {
+        let (engine, keys, expected, done) = (&engine, &keys, &expected, &done);
+        let clients: Vec<_> = (0..3u64)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(100 + c);
+                    let mut sent = 0;
+                    while keep_going(sent, done) {
+                        let resp = engine.query(keys[rng.gen_range(0..keys.len())]);
                         let want = &expected[&resp.request][(resp.epoch % 2) as usize];
                         assert_eq!(
                             resp.summary, *want,
                             "epoch {} answer for {:?} does not match that epoch's graph",
                             resp.epoch, resp.request
                         );
+                        sent += 1;
                     }
-                }
-            });
-        }
-        scope.spawn(move || {
-            for i in 0..INSTALLS {
-                std::thread::sleep(std::time::Duration::from_millis(7));
-                let next = if i % 2 == 0 {
-                    search_b.clone()
-                } else {
-                    search_a.clone()
-                };
-                engine.install(next);
-            }
-        });
+                    sent
+                })
+            })
+            .collect();
+        install_alternately(engine, &search_a, &search_b, done);
+        clients
+            .into_iter()
+            .map(|j| j.join().expect("client panicked"))
+            .sum()
     });
 
     let st = engine.stats();
     assert_eq!(st.epoch, INSTALLS, "installer must have finished");
-    assert_eq!(st.completed, 3 * 25 * 48);
+    assert_eq!(st.installs, INSTALLS);
+    assert_eq!(st.completed, sent as u64);
     engine.shutdown();
 }
 
 #[test]
 fn held_views_stay_bit_identical_under_concurrent_installs() {
-    // Batches, per-request racers and 12 epoch-swap installs. Every
-    // response — whichever worker answered it — must be bit-identical
-    // to the single-threaded oracle for the epoch that served it, and
-    // responses held across the whole run, their edges unread until
-    // the last install is done, must still materialise that epoch's
-    // answer.
-    let mut rng = StdRng::seed_from_u64(41);
-    let graph_a = bigraph::generators::random_bipartite(70, 70, 900, &mut rng);
-    let mut rng = StdRng::seed_from_u64(42);
-    let graph_b = bigraph::generators::random_bipartite(70, 70, 1200, &mut rng);
-    let search_a = CommunitySearch::shared(graph_a);
-    let search_b = CommunitySearch::shared(graph_b);
-
-    let keys: Vec<QueryRequest> = search_a
-        .graph()
-        .vertices()
-        .step_by(2)
-        .flat_map(|v| {
-            [
-                QueryRequest::new(v, 2, 2, Algorithm::Peel),
-                QueryRequest::new(v, 1, 2, Algorithm::Expand),
-            ]
-        })
-        .collect();
-    let mut expected: HashMap<QueryRequest, [CommunitySummary; 2]> = HashMap::new();
-    for req in &keys {
-        let on = |search: &Arc<CommunitySearch>| {
-            let sub = search.significant_community(
-                req.q,
-                req.alpha as usize,
-                req.beta as usize,
-                req.algo,
-            );
-            CommunitySummary::from_subgraph(&sub)
-        };
-        expected.insert(*req, [on(&search_a), on(&search_b)]);
-    }
-    assert!(
-        expected.values().any(|[a, b]| a != b),
-        "graphs must disagree somewhere or epoch mixing is undetectable"
+    // Per-request racers from three clients and 12 epoch-swap
+    // installs. Every response — whichever worker answered it — must
+    // be bit-identical to the single-threaded oracle for the epoch that
+    // served it, and responses held across the whole run, their edges
+    // unread until the last install is done, must still materialise
+    // that epoch's answer.
+    let Fixture {
+        search_a,
+        search_b,
+        keys,
+        expected,
+    } = fixture(
+        (41, 42),
+        70,
+        (900, 1200),
+        [(2, 2, Algorithm::Peel), (1, 2, Algorithm::Expand)],
     );
-
     let engine = QueryEngine::start(search_a.clone(), config());
-    const INSTALLS: u64 = 12;
-    let mut held: Vec<scs_service::QueryResponse> = Vec::new();
-    std::thread::scope(|scope| {
-        let engine = &engine;
-        let keys = &keys;
-        let expected = &expected;
-        let mut joins = Vec::new();
-        for c in 0..3u64 {
-            joins.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(500 + c);
-                let mut kept = Vec::new();
-                for round in 0..25 {
-                    let batch: Vec<QueryRequest> = (0..40)
-                        .map(|_| keys[rng.gen_range(0..keys.len())])
-                        .collect();
-                    let resps = if round % 5 == 4 {
-                        // Some per-request traffic races the batches.
-                        batch.iter().map(|&r| engine.query(r)).collect()
-                    } else {
-                        engine.query_batch(&batch)
-                    };
-                    for (i, resp) in resps.into_iter().enumerate() {
-                        if i % 9 == 0 {
+    let done = AtomicBool::new(false);
+    let held: Vec<QueryResponse> = std::thread::scope(|scope| {
+        let (engine, keys, expected, done) = (&engine, &keys, &expected, &done);
+        let clients: Vec<_> = (0..3u64)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(500 + c);
+                    let mut kept = Vec::new();
+                    let mut sent = 0;
+                    while keep_going(sent, done) {
+                        let resp = engine.query(keys[rng.gen_range(0..keys.len())]);
+                        sent += 1;
+                        if sent % 9 == 0 {
                             // Held unread: its edges are emitted only
                             // after the run.
                             kept.push(resp);
@@ -190,24 +210,15 @@ fn held_views_stay_bit_identical_under_concurrent_installs() {
                             resp.epoch, resp.request
                         );
                     }
-                }
-                kept
-            }));
-        }
-        scope.spawn(move || {
-            for i in 0..INSTALLS {
-                std::thread::sleep(std::time::Duration::from_millis(7));
-                let next = if i % 2 == 0 {
-                    search_b.clone()
-                } else {
-                    search_a.clone()
-                };
-                engine.install(next);
-            }
-        });
-        for j in joins {
-            held.extend(j.join().expect("client panicked"));
-        }
+                    kept
+                })
+            })
+            .collect();
+        install_alternately(engine, &search_a, &search_b, done);
+        clients
+            .into_iter()
+            .flat_map(|j| j.join().expect("client panicked"))
+            .collect()
     });
 
     let st = engine.stats();

@@ -1,6 +1,6 @@
 //! Maintenance-under-serving oracle (the paper's dynamic-graph story,
 //! §VI): a [`scs::DynamicIndex`] absorbs edge insertions and removals
-//! while a live 2-shard [`QueryEngine`] keeps serving; after every
+//! while a live 4-worker [`QueryEngine`] keeps serving; after every
 //! maintenance round the maintained snapshot is installed and the
 //! engine's answers are compared **bit-identically** against a
 //! [`CommunitySearch`] freshly built from scratch on the same graph —
@@ -27,12 +27,11 @@ fn incremental_maintenance_matches_fresh_rebuild_at_every_epoch() {
         Arc::new(maintained.snapshot()),
         ServiceConfig {
             workers: 4,
-            shards: 2,
             ..ServiceConfig::default()
         },
     );
 
-    // Background traffic keeps both shards genuinely live across every
+    // Background traffic keeps the workers genuinely live across every
     // install: responses must stay internally consistent (each reply's
     // summary is valid for *some* installed epoch) but are not
     // epoch-pinned, so the thread only checks that nothing wedges or

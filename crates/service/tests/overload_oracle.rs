@@ -65,7 +65,6 @@ fn overload_sheds_promptly_serves_boundedly_and_reconciles() {
     const PER_CLIENT: usize = 25;
     let config = ServiceConfig {
         workers: 2,
-        shards: 2,
         pending_budget: 3,
         socket_timeout_ms: 10_000,
         ..ServiceConfig::default()

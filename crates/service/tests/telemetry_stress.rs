@@ -5,28 +5,19 @@
 //! * [`Telemetry`] in isolation, hammered from many threads — after the
 //!   dust settles every histogram must be internally consistent
 //!   (`count == Σ buckets`, sum and max match what was recorded).
-//! * A live [`QueryEngine`] under mixed per-request / batch load from
-//!   several client threads — the per-algorithm totals and the reply
-//!   stage must reconcile with the engine's own `completed` counter,
-//!   and for every request retained in the slow-query ring the
-//!   per-stage sums must reconcile with its end-to-end latency: the
-//!   stages tile a per-request submission, a batch of one (`queue +
-//!   snapshot + answer + publish + reply ≈ total`), and are disjoint
-//!   sub-windows of it for a larger batch's members (`Σ stages ≤
-//!   total`).
-//! * A batch charges each member only its own answer call, so their
-//!   kernel stages sum to at most the batch's wall time.
+//! * A live [`QueryEngine`] under per-request load from several client
+//!   threads — the per-algorithm totals and the reply stage must
+//!   reconcile with the engine's own `completed` counter, and for every
+//!   request retained in the slow-query ring the per-stage sums must
+//!   reconcile with its end-to-end latency: the stages tile the request
+//!   (`queue + snapshot + answer + publish + reply ≈ total`).
 
 use bigraph::builder::figure2_example;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use scs::{Algorithm, CommunitySearch};
 use scs_service::telemetry::{StageSet, Telemetry};
 use scs_service::{
-    build_workload, CommunitySummary, Provenance, QueryEngine, QueryRequest, QueryResponse,
-    ServiceConfig, Stage, WorkloadSpec, N_STAGES,
+    CommunitySummary, QueryEngine, QueryRequest, QueryResponse, ServiceConfig, Stage, N_STAGES,
 };
-use std::time::Instant;
 
 /// Truncation slack: each stage is truncated to whole µs when recorded
 /// (and the total once more), so a fully tiled request may reconcile
@@ -64,7 +55,7 @@ fn concurrent_recording_keeps_histograms_consistent() {
                         .set(Stage::QueueWait, i % 7)
                         .set(Stage::Snapshot, 1)
                         .set(Stage::Kernel, kernel);
-                    telem.record(&stages.trace(&resp, Provenance::Single, i % 7 + 1 + kernel));
+                    telem.record(&stages.trace(&resp, i % 7 + 1 + kernel));
                 }
             });
         }
@@ -96,7 +87,6 @@ fn concurrent_recording_keeps_histograms_consistent() {
         let kernels = algo_stages[Stage::Kernel as usize].count();
         assert_eq!(algo_stages[Stage::QueueWait as usize].count(), kernels);
         assert_eq!(algo_stages[Stage::Snapshot as usize].count(), kernels);
-        assert_eq!(algo_stages[Stage::CacheLookup as usize].count(), 0);
     }
 }
 
@@ -106,7 +96,7 @@ fn engine_under_load_reconciles_stages_with_totals() {
         CommunitySearch::shared(figure2_example()),
         ServiceConfig {
             workers: 4,
-            // Retain plenty so the ring holds single and batch traces.
+            // Retain plenty so the ring holds many traces.
             slow_ring_capacity: 64,
             ..ServiceConfig::default()
         },
@@ -119,16 +109,10 @@ fn engine_under_load_reconciles_stages_with_totals() {
             scope.spawn(move || {
                 let algo = Algorithm::ALL[c % Algorithm::ALL.len()];
                 for round in 0..8 {
-                    // Per-request traffic…
                     for i in 0..g.n_upper() {
                         engine.query(QueryRequest::new(g.upper(i), 2, 2, algo));
+                        engine.query(QueryRequest::new(g.upper(i), 1 + (round % 2), 2, algo));
                     }
-                    // …and batches with in-batch duplicates.
-                    let mut reqs: Vec<QueryRequest> = (0..g.n_upper())
-                        .map(|i| QueryRequest::new(g.upper(i), 1 + (round % 2), 2, algo))
-                        .collect();
-                    reqs.push(reqs[0]);
-                    engine.query_batch(&reqs);
                 }
             });
         }
@@ -143,8 +127,8 @@ fn engine_under_load_reconciles_stages_with_totals() {
     // Every request waits in the queue; the queue-wait stage must have
     // seen them all.
     assert_eq!(stats.stages[Stage::QueueWait as usize].count, algo_total);
-    // Every job records its members' reply stage after answering, so
-    // the reply stage has seen them all too.
+    // Every request records its reply stage after answering, so the
+    // reply stage has seen them all too.
     assert_eq!(stats.stages[Stage::Reply as usize].count, stats.completed);
 
     // Per-request reconciliation on what the ring retained — the ring
@@ -158,61 +142,11 @@ fn engine_under_load_reconciles_stages_with_totals() {
             stage_sum <= sq.total_us + SLACK_US,
             "stages exceed the request: {sq}"
         );
-        if sq.provenance == Provenance::Single {
-            // A per-request submission, a batch of one, tiles the
-            // whole interval.
-            assert!(
-                stage_sum + SLACK_US >= sq.total_us,
-                "single-path stages must tile the request: {stage_sum}µs \
-                 attributed of {}µs total ({sq})",
-                sq.total_us
-            );
-        }
+        assert!(
+            stage_sum + SLACK_US >= sq.total_us,
+            "stages must tile the request: {stage_sum}µs attributed of {}µs total ({sq})",
+            sq.total_us
+        );
     }
-    engine.shutdown();
-}
-
-#[test]
-fn batch_members_are_charged_only_their_own_kernel_call() {
-    let mut rng = StdRng::seed_from_u64(20210417);
-    let search = CommunitySearch::shared(bigraph::generators::random_bipartite(
-        80, 80, 1100, &mut rng,
-    ));
-    // Eight distinct keys in one job: one profile build, then seven
-    // class lookups.
-    let reqs = build_workload(
-        &search,
-        &WorkloadSpec {
-            n_queries: 8,
-            alpha: 2,
-            beta: 2,
-            algo: Algorithm::Peel,
-            repeat_fraction: 0.0,
-            zipf: 0.0,
-            seed: 3,
-        },
-    );
-    assert_eq!(reqs.len(), 8, "(2,2)-core must be populated");
-    let engine = QueryEngine::start(
-        search,
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
-    );
-    let t0 = Instant::now();
-    let resps = engine.query_batch(&reqs);
-    let wall_us = t0.elapsed().as_micros() as f64;
-    assert_eq!(resps.len(), reqs.len());
-    let kernel = engine.stats().stages[Stage::Kernel as usize];
-    assert_eq!(kernel.count, reqs.len() as u64);
-    // Each member's kernel window is its own call, and the calls ran one
-    // after another inside the batch, so the windows cannot add up to
-    // more than the wall time around the whole batch.
-    let kernel_sum_us = kernel.mean_us * kernel.count as f64;
-    assert!(
-        kernel_sum_us <= wall_us,
-        "kernel stages sum to {kernel_sum_us:.0}µs, more than the batch's {wall_us:.0}µs wall time"
-    );
     engine.shutdown();
 }

@@ -61,8 +61,8 @@ fn main() {
     println!("\npeel / expand / binary all agree ✓");
 
     // The serving layer: the same graph behind a concurrent engine,
-    // queried per-request and in a batch. Telemetry is on by default
-    // (and allocation-free), so afterwards the stats can say where each
+    // queried twice over. Telemetry is on by default (and
+    // allocation-free), so afterwards the stats can say where each
     // microsecond went — queue wait, snapshot, answer, publish, reply.
     let engine = QueryEngine::start(
         CommunitySearch::shared(figure1_example()),
@@ -72,16 +72,14 @@ fn main() {
     let reqs: Vec<QueryRequest> = (0..g.n_upper())
         .map(|i| QueryRequest::new(g.upper(i), 2, 2, Algorithm::Auto))
         .collect();
-    for req in &reqs {
-        engine.query(*req); // the first builds the (2,2) profile
+    for req in reqs.iter().chain(&reqs) {
+        // The first request builds the (2,2) profile; every later
+        // answer is a class lookup.
+        engine.query(*req);
     }
-    engine.query_batch(&reqs); // one batch job, every answer a class lookup
 
     let stats = engine.stats();
-    println!(
-        "\nserved {} requests ({} batch job) — stage breakdown:",
-        stats.completed, stats.batches
-    );
+    println!("\nserved {} requests — stage breakdown:", stats.completed);
     println!(
         "  {:<11} {:>6} {:>9} {:>7} {:>7}",
         "stage", "count", "mean µs", "p99 µs", "max µs"
