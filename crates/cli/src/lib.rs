@@ -1051,6 +1051,11 @@ fn run_remote_bench(
     Ok(out)
 }
 
+/// The most `HttpClient` reads from a server for one response head line
+/// or one response body. A served `/metrics` text is at most about
+/// 100 KB; anything past this is refused, never allocated.
+const MAX_RESPONSE_BYTES: usize = 1 << 20;
+
 /// A minimal keep-alive HTTP/1.1 client for `scs serve` — request per
 /// call, content-length framed responses, no dependencies.
 struct HttpClient {
@@ -1087,16 +1092,31 @@ impl HttpClient {
         self.get(&target)
     }
 
+    /// Reads one response head line of at most [`MAX_RESPONSE_BYTES`].
+    fn read_head_line(&mut self) -> Result<String, CliError> {
+        use std::io::{BufRead, Read};
+
+        let mut line = String::new();
+        (&mut self.read)
+            .take(MAX_RESPONSE_BYTES as u64)
+            .read_line(&mut line)
+            .map_err(|e| CliError::new(format!("{}: read failed: {e}", self.addr)))?;
+        if line.len() == MAX_RESPONSE_BYTES && !line.ends_with('\n') {
+            return Err(CliError::new(format!(
+                "{}: response head line longer than {MAX_RESPONSE_BYTES} bytes",
+                self.addr
+            )));
+        }
+        Ok(line)
+    }
+
     fn get(&mut self, target: &str) -> Result<(u16, String), CliError> {
-        use std::io::{BufRead, Read, Write};
+        use std::io::{Read, Write};
 
         write!(self.write, "GET {target} HTTP/1.1\r\nHost: scs\r\n\r\n")
             .and_then(|()| self.write.flush())
             .map_err(|e| CliError::new(format!("{}: send failed: {e}", self.addr)))?;
-        let mut line = String::new();
-        self.read
-            .read_line(&mut line)
-            .map_err(|e| CliError::new(format!("{}: read failed: {e}", self.addr)))?;
+        let line = self.read_head_line()?;
         let status: u16 = line
             .split_whitespace()
             .nth(1)
@@ -1106,10 +1126,7 @@ impl HttpClient {
             })?;
         let mut content_length = 0usize;
         loop {
-            let mut header = String::new();
-            self.read
-                .read_line(&mut header)
-                .map_err(|e| CliError::new(format!("{}: read failed: {e}", self.addr)))?;
+            let header = self.read_head_line()?;
             let header = header.trim_end();
             if header.is_empty() {
                 break;
@@ -1122,6 +1139,13 @@ impl HttpClient {
                         .map_err(|_| CliError::new(format!("{}: bad content length", self.addr)))?;
                 }
             }
+        }
+        if content_length > MAX_RESPONSE_BYTES {
+            return Err(CliError::new(format!(
+                "{}: response body of {content_length} bytes exceeds the \
+                 {MAX_RESPONSE_BYTES}-byte limit",
+                self.addr
+            )));
         }
         let mut body = vec![0u8; content_length];
         self.read
@@ -1628,6 +1652,73 @@ mod tests {
         assert_eq!(fin.admitted, fin.served + fin.shed_after_admit);
         assert!(fin.admitted >= 65, "{fin:?}");
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Accepts one connection on an ephemeral loopback port, reads one
+    /// request head and answers `reply`; returns the address.
+    fn answer_once(reply: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
+        use std::io::{BufRead, Write};
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut read = std::io::BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while read.read_line(&mut line).unwrap() > 2 {
+                line.clear();
+            }
+            // The client may hang up mid-reply once it has refused it.
+            let _ = (&stream).write_all(&reply);
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn remote_bench_refuses_oversized_replies() {
+        // A server that announces a body of u64::MAX bytes: the command
+        // fails with an error naming the length instead of allocating it.
+        let dir = std::env::temp_dir().join("scs_cli_oversized_reply_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("toy.tsv");
+        let edges: String = (0..3)
+            .flat_map(|u| (0..3).map(move |l| format!("{u} {l} 5\n")))
+            .collect();
+        std::fs::write(&path, edges).unwrap();
+        let (addr, server) = answer_once(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n".to_vec(),
+        );
+        let err = run(Command::ServeBench(ServeBenchArgs {
+            path: path.to_str().unwrap().into(),
+            one_based: false,
+            threads: 1,
+            queries: 1,
+            clients: 1,
+            alpha: 2,
+            beta: 2,
+            algo: Algorithm::Auto,
+            repeat: 0.0,
+            zipf: 0.0,
+            seed: 1,
+            warmup: Some(0),
+            metrics_out: None,
+            bench_json: None,
+            remote: Some(addr),
+        }))
+        .unwrap_err();
+        assert!(err.to_string().contains("18446744073709551615"), "{err}");
+        server.join().unwrap();
+        std::fs::remove_dir_all(dir).ok();
+
+        // A head line that never ends is cut off at the cap too.
+        let mut endless = b"HTTP/1.1 200 OK\r\nX-Pad: ".to_vec();
+        endless.resize(2 * MAX_RESPONSE_BYTES, b'a');
+        let (addr, server) = answer_once(endless);
+        let err = HttpClient::connect(&addr)
+            .and_then(|mut c| c.get("/metrics"))
+            .unwrap_err();
+        assert!(err.to_string().contains("head line longer"), "{err}");
+        server.join().unwrap();
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //!    slot's `OnceLock` and share the one build. The response's
 //!    [`crate::CommunitySummary`] reads the class's member counts and
 //!    minimum weight in O(1); no edge is emitted or copied. The
-//!    request's `algo` is echoed and keys the telemetry rows, but it
-//!    picks no kernel: every algorithm returns the same community.
+//!    request's `algo` is echoed, but it picks no kernel and keys no
+//!    telemetry row: every algorithm returns the same community.
 //! 4. The worker puts the response in the reply cell and records the
-//!    request's stage trace (see [`crate::telemetry`]).
+//!    request's stage trace and end-to-end latency (see
+//!    [`crate::telemetry`]); that end-to-end histogram is also the
+//!    engine's `completed` count and latency quantiles.
 //!
 //! # The warm path allocates nothing
 //!
@@ -68,12 +70,12 @@
 //! response materialises its own snapshot's edges even after the
 //! install; the new snapshot starts with an empty profile memo.
 
-use crate::stats::{AdmissionStats, CacheStats, HistSnapshot, LatencyHistogram, ServiceStats};
+use crate::stats::{AdmissionStats, CacheStats, HistSnapshot, ServiceStats};
 use crate::telemetry::{RequestTrace, Stage, StageSet, Telemetry, TelemetrySnapshot};
 use crate::{CommunitySummary, QueryRequest, QueryResponse};
 use scs::{CommunitySearch, QueryWorkspace};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -314,34 +316,19 @@ struct Job {
     enqueued: Instant,
 }
 
-/// Per-worker scratch accounting, published after every served request
-/// so [`QueryEngine::stats`] can sum it without touching the
-/// workspaces themselves (they are owned by the worker threads).
-#[derive(Default)]
-struct ScratchSlot {
-    /// Resident bytes of the worker's [`QueryWorkspace`].
-    bytes: AtomicUsize,
-    /// Cumulative scratch acquisitions served without allocating.
-    allocs_avoided: AtomicU64,
-}
-
-/// The previous [`QueryEngine::stats_window`] baseline: plain-value
-/// copies of every cumulative counter and histogram, subtracted from
-/// the current values to yield the window's deltas.
+/// The previous [`QueryEngine::stats_window`] baseline: a plain-value
+/// copy of the telemetry plane, subtracted from the current one to
+/// yield the window's deltas.
 struct WindowBase {
     at: Instant,
-    service: HistSnapshot,
     telem: TelemetrySnapshot,
-    completed: u64,
 }
 
 impl WindowBase {
     fn zero(at: Instant) -> Self {
         WindowBase {
             at,
-            service: HistSnapshot::empty(),
             telem: TelemetrySnapshot::empty(),
-            completed: 0,
         }
     }
 }
@@ -352,13 +339,15 @@ struct Inner {
     search: RwLock<(Arc<CommunitySearch>, u64)>,
     queue: JobQueue,
     reply_pool: ArcPool<ReplyCell<QueryResponse>>,
-    hist: LatencyHistogram,
-    completed: AtomicU64,
-    /// One slot per worker thread.
-    scratch: Vec<ScratchSlot>,
-    /// The preallocated telemetry plane: per-algorithm × per-stage
-    /// histograms, the slow-query ring and event counters. Recording
-    /// is lock-free and allocation-free (see [`crate::telemetry`]).
+    /// Resident bytes of each worker's [`QueryWorkspace`], one slot per
+    /// worker thread, published after every served request so
+    /// [`QueryEngine::stats`] can sum them without touching the
+    /// workspaces (the worker threads own those).
+    scratch_bytes: Vec<AtomicUsize>,
+    /// The preallocated telemetry plane: one histogram per stage, the
+    /// end-to-end histogram, the slow-query ring and the install
+    /// counter. Recording is lock-free and allocation-free (see
+    /// [`crate::telemetry`]).
     telemetry: Telemetry,
     started: Instant,
     /// Baseline of the last [`QueryEngine::stats_window`] call. Off the
@@ -404,15 +393,6 @@ impl Inner {
         reply
     }
 
-    // scs-contract: no-alloc, no-block — every served request ends here;
-    // the release counting-allocator gates assert the warm path stays
-    // heap-silent, and nothing on the exit path may wait.
-    fn finish(&self, resp: &QueryResponse) {
-        self.hist.record(resp.service_us);
-        // ordering: Relaxed — independent statistic; pairs with nothing.
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Whether the engine can answer `req` on `search`. An unservable
     /// request (vertex outside the installed graph, zero constraint)
     /// gets the empty community rather than panicking a worker: the
@@ -422,28 +402,14 @@ impl Inner {
         req.q.index() < search.graph().n_vertices() && req.alpha >= 1 && req.beta >= 1
     }
 
-    /// Stats over one period: `completed` requests whose latencies are
-    /// `service` and `telem`, over `secs` seconds. Point-in-time fields
-    /// (workers, epoch, scratch residency, the cumulative
-    /// `allocs_avoided`) and the slow-query ring read their current
-    /// values.
-    fn stats_over(
-        &self,
-        completed: u64,
-        service: &HistSnapshot,
-        telem: &TelemetrySnapshot,
-        secs: f64,
-    ) -> ServiceStats {
-        let (mut scratch_bytes, mut allocs_avoided) = (0, 0);
-        for s in &self.scratch {
-            // ordering: Relaxed — residency gauges; a submitter that
-            // must see its own query's effect is ordered by the
-            // reply-cell mutex handoff, not by these loads.
-            scratch_bytes += s.bytes.load(Ordering::Relaxed);
-            allocs_avoided += s.allocs_avoided.load(Ordering::Relaxed);
-        }
+    /// Stats over one period: the requests `telem` recorded, over
+    /// `secs` seconds. Point-in-time fields (workers, epoch, scratch
+    /// residency) and the slow-query ring read their current values.
+    fn stats_over(&self, telem: &TelemetrySnapshot, secs: f64) -> ServiceStats {
+        let total = &telem.total;
+        let completed = total.count();
         ServiceStats {
-            workers: self.scratch.len(),
+            workers: self.scratch_bytes.len(),
             completed,
             coalesced: 0,
             batches: 0,
@@ -452,15 +418,20 @@ impl Inner {
             epoch: self.snapshot().1,
             installs: telem.installs,
             qps: completed as f64 / secs.max(1e-9),
-            mean_us: service.mean_us(),
-            p50_us: service.quantile_us(0.50),
-            p90_us: service.quantile_us(0.90),
-            p99_us: service.quantile_us(0.99),
-            max_us: service.max_us(),
-            scratch_bytes,
-            allocs_avoided,
-            stages: telem.stage_summaries(),
-            algos: telem.algo_stats(),
+            mean_us: total.mean_us(),
+            p50_us: total.quantile_us(0.50),
+            p90_us: total.quantile_us(0.90),
+            p99_us: total.quantile_us(0.99),
+            max_us: total.max_us(),
+            scratch_bytes: self
+                .scratch_bytes
+                .iter()
+                // ordering: Relaxed — residency gauges; a submitter that
+                // must see its own query's effect is ordered by the
+                // reply-cell mutex handoff, not by these loads.
+                .map(|b| b.load(Ordering::Relaxed))
+                .sum(),
+            stages: telem.stages.each_ref().map(HistSnapshot::summary),
             admission: AdmissionStats::default(),
             slow: self.telemetry.slow_queries(),
         }
@@ -469,11 +440,7 @@ impl Inner {
     /// Stats since engine start, with `telem` as the telemetry plane's
     /// snapshot.
     fn cumulative(&self, telem: &TelemetrySnapshot) -> ServiceStats {
-        // ordering: Relaxed — statistics read; stats() promises no
-        // cross-counter snapshot.
-        let completed = self.completed.load(Ordering::Relaxed);
-        let secs = self.started.elapsed().as_secs_f64();
-        self.stats_over(completed, &self.hist.snapshot(), telem, secs)
+        self.stats_over(telem, self.started.elapsed().as_secs_f64())
     }
 }
 
@@ -486,14 +453,15 @@ fn lap(last: &mut Instant) -> u64 {
     ns
 }
 
-/// Serves one request: one snapshot read, one
-/// [`CommunitySearch::answer`], then the response is counted. Returns
-/// the response, its stage trace — left open for the worker to close
-/// with the reply window once the answer is in the reply cell — and
-/// the end of its last stage window, where the reply window starts.
+/// Serves one request: one snapshot read and one
+/// [`CommunitySearch::answer`]. Returns the response, its stage trace —
+/// left open for the worker to close with the reply window once the
+/// answer is in the reply cell — and the end of its last stage window,
+/// where the reply window starts.
 ///
-/// The stage windows (queue wait, snapshot read, answer, publish and
-/// then reply) are contiguous, so they tile the request's total.
+/// The stage windows (queue wait, snapshot read, answer with the
+/// response built, then reply) are contiguous, so they tile the
+/// request's total.
 // scs-contract: no-alloc — the warm serving path reuses pooled buffers
 // end to end; proven transitively by `scs analyze`.
 fn serve(
@@ -521,7 +489,6 @@ fn serve(
     } else {
         CommunitySummary::empty()
     };
-    stages.add_ns(Stage::Kernel, lap(&mut last));
     let resp = QueryResponse {
         request,
         summary,
@@ -530,8 +497,7 @@ fn serve(
         epoch,
         service_us: t0.elapsed().as_micros() as u64,
     };
-    inner.finish(&resp);
-    stages.add_ns(Stage::Publish, lap(&mut last));
+    stages.add_ns(Stage::Kernel, lap(&mut last));
     let trace = stages.trace(&resp, 0);
     (resp, trace, last)
 }
@@ -579,9 +545,7 @@ impl QueryEngine {
             search: RwLock::new((search, 0)),
             queue: JobQueue::new(),
             reply_pool: ArcPool::new(),
-            hist: LatencyHistogram::default(),
-            completed: AtomicU64::new(0),
-            scratch: (0..workers).map(|_| ScratchSlot::default()).collect(),
+            scratch_bytes: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
             telemetry: Telemetry::new(config.slow_ring_capacity),
             started: now,
             window: Mutex::new(WindowBase::zero(now)),
@@ -603,10 +567,10 @@ impl QueryEngine {
                             // Backstop: a panic in query code must not
                             // shrink the pool. Abandoning the reply cell
                             // makes the submitter's wait() fail loudly,
-                            // and the request records no trace (the
-                            // completed counter skips it too). A
-                            // submitter that dropped its handle just
-                            // doesn't collect the result.
+                            // and the request records no trace, so
+                            // `completed` skips it. A submitter that
+                            // dropped its handle just doesn't collect
+                            // the result.
                             let served =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     serve(&inner, job.req, &mut ws, job.enqueued)
@@ -615,14 +579,10 @@ impl QueryEngine {
                             // the reply: a submitter that reads stats()
                             // the moment its blocking query returns must
                             // see this worker's workspace.
-                            let slot = &inner.scratch[i];
-                            // ordering: Relaxed — gauge stores; the
+                            // ordering: Relaxed — gauge store; the
                             // reply-cell mutex handoff that follows
-                            // publishes them to the submitter.
-                            slot.bytes.store(ws.heap_bytes(), Ordering::Relaxed);
-                            slot.allocs_avoided
-                                // ordering: Relaxed — as above.
-                                .store(ws.allocations_avoided(), Ordering::Relaxed);
+                            // publishes it to the submitter.
+                            inner.scratch_bytes[i].store(ws.heap_bytes(), Ordering::Relaxed);
                             let Ok((resp, mut trace, reply_start)) = served else {
                                 respond_and_pool(&inner.reply_pool, job.reply, None, || {});
                                 continue;
@@ -695,9 +655,8 @@ impl QueryEngine {
     /// after warmup and once after the measured run — the second
     /// snapshot is the steady state.
     ///
-    /// Point-in-time fields (workers, epoch, scratch residency, the
-    /// cumulative `allocs_avoided` reuse counter) report current values
-    /// — residency has no meaningful delta.
+    /// Point-in-time fields (workers, epoch, scratch residency) report
+    /// current values — residency has no meaningful delta.
     ///
     /// The slow-query list reports the worst requests *of the window*:
     /// each call re-arms the slow ring (clearing the slots and the
@@ -706,7 +665,7 @@ impl QueryEngine {
     /// warmup's stale threshold.
     ///
     /// If the baseline is found to be *ahead* of the current counters —
-    /// any histogram bucket, count or plain counter going backwards,
+    /// any histogram bucket, count or the install counter going backwards,
     /// which proves the counters were replaced or reset mid-window —
     /// the stale baseline is discarded and the window is recomputed
     /// from zero (everything since the reset), rather than returning
@@ -716,14 +675,8 @@ impl QueryEngine {
         let inner = &self.inner;
         let mut base = inner.window.lock().unwrap();
         let now = Instant::now();
-        let service = inner.hist.snapshot();
         let telem = inner.telemetry.snapshot();
-        // ordering: Relaxed — statistics read, as in `cumulative`.
-        let completed = inner.completed.load(Ordering::Relaxed);
-        if service.regressed_from(&base.service)
-            || telem.regressed_from(&base.telem)
-            || completed < base.completed
-        {
+        if telem.regressed_from(&base.telem) {
             // Resnapshot: the recorded baseline belongs to storage that
             // no longer backs the counters. Zeroing it makes every
             // subtraction below exact (delta vs. zero ≡ the cumulative
@@ -732,8 +685,6 @@ impl QueryEngine {
             *base = WindowBase::zero(base.at);
         }
         let stats = inner.stats_over(
-            completed.saturating_sub(base.completed),
-            &service.delta(&base.service),
             &telem.delta(&base.telem),
             now.saturating_duration_since(base.at).as_secs_f64(),
         );
@@ -742,19 +693,14 @@ impl QueryEngine {
         // threshold ratchets up during a slow warmup and a fast
         // measured window records no slow queries at all.
         inner.telemetry.reset_slow_window();
-        *base = WindowBase {
-            at: now,
-            service,
-            telem,
-            completed,
-        };
+        *base = WindowBase { at: now, telem };
         stats
     }
 
     /// The engine's metrics in Prometheus text exposition format
     /// (version 0.0.4): every counter and gauge of
-    /// [`ServiceStats`] plus the per-algorithm end-to-end and
-    /// per-algorithm × per-stage latency histograms. Cumulative since
+    /// [`ServiceStats`] plus the end-to-end latency histogram and one
+    /// latency histogram per stage. Cumulative since
     /// engine start; scrape-ready (`scs serve-bench --metrics-out`
     /// writes exactly this).
     pub fn render_metrics(&self) -> String {
@@ -774,12 +720,11 @@ impl QueryEngine {
 
     /// Records one network-front-end accept window (admission →
     /// engine enqueue, µs) into the [`crate::telemetry::Stage::Accept`]
-    /// histogram — so the stage breakdown attributes front-end time to
-    /// the same per-algorithm plane as the engine-side stages. Only
+    /// histogram, beside the engine-side stages. Only
     /// [`crate::Server`] calls this; the in-process submission path
     /// never touches the stage.
-    pub fn record_accept(&self, req: &QueryRequest, accept_us: u64) {
-        self.inner.telemetry.record_accept(req.algo, accept_us);
+    pub(crate) fn record_accept(&self, accept_us: u64) {
+        self.inner.telemetry.record_accept(accept_us);
     }
 
     /// Stops accepting work, drains the queue and joins every worker.
@@ -897,10 +842,11 @@ mod tests {
     }
 
     #[test]
-    fn algorithms_share_one_answer_and_keep_their_rows() {
+    fn algorithms_share_one_answer_and_one_row() {
         // Every algorithm returns the same community; each response
-        // still echoes its own request, and each request is counted in
-        // the telemetry row of the algorithm it named.
+        // still echoes its own request, and every request, whatever
+        // algorithm it named, lands in the one end-to-end row and in
+        // each engine stage's row.
         let e = engine(1);
         let q = e.current_index().0.graph().upper(2);
         let auto = e.query(QueryRequest::new(q, 2, 2, Algorithm::Auto));
@@ -911,11 +857,12 @@ mod tests {
             assert_eq!(resp.summary, auto.summary, "{algo}");
         }
         let st = e.stats();
-        for algo in Algorithm::ALL {
-            let row = &st.algos[crate::telemetry::algo_rank(algo)];
-            let want = if algo == Algorithm::Auto { 2 } else { 1 };
-            assert_eq!(row.total.count, want, "{algo}");
+        let sent = 1 + Algorithm::ALL.len() as u64;
+        assert_eq!(st.completed, sent);
+        for stage in Stage::ENGINE {
+            assert_eq!(st.stages[stage as usize].count, sent, "{}", stage.name());
         }
+        assert_eq!(st.stages[Stage::Accept as usize].count, 0);
         e.shutdown();
     }
 
@@ -1072,13 +1019,22 @@ mod tests {
         // recorded from different (busier) storage, exactly what a
         // telemetry-plane swap mid-window looks like to the reader.
         {
-            let ahead = LatencyHistogram::default();
+            let ahead = Telemetry::new(0);
+            let mut stages_us = [0; crate::telemetry::N_STAGES];
+            stages_us[Stage::Kernel as usize] = 50;
+            let trace = RequestTrace {
+                q: q.0,
+                alpha: 2,
+                beta: 2,
+                epoch: 0,
+                result_edges: 0,
+                total_us: 50,
+                stages_us,
+            };
             for _ in 0..1000 {
-                ahead.record(50);
+                ahead.record(&trace);
             }
-            let mut base = e.inner.window.lock().unwrap();
-            base.completed = 1_000_000;
-            base.service = ahead.snapshot();
+            e.inner.window.lock().unwrap().telem = ahead.snapshot();
         }
         let w = e.stats_window();
         // The stale baseline is discarded: the window reports everything
@@ -1133,12 +1089,10 @@ mod tests {
             q,
             alpha: 2,
             beta: 2,
-            algo: Algorithm::Peel,
             epoch: 0,
             result_edges: 0,
             total_us,
             stages_us: [0; crate::telemetry::N_STAGES],
-            touched: 0,
         };
         // Slow warmup fills the ring and ratchets the reject threshold.
         for (q, us) in [(1u32, 10_000u64), (2, 12_000), (3, 14_000)] {

@@ -34,12 +34,13 @@
 //!   result cache, no in-flight table and no copy of any answer, so
 //!   traffic over more (α,β) pairs than the memo holds rebuilds
 //!   profiles (see [`engine`]).
-//! * [`stats::ServiceStats`] — QPS, p50/p90/p99 latency from a lock-free
-//!   log-bucketed histogram, plus scratch residency and
-//!   allocations-avoided counts from the workers' workspaces.
+//! * [`stats::ServiceStats`] — QPS and p50/p90/p99 end-to-end latency
+//!   (enqueue → reply) from a lock-free log-bucketed histogram, plus
+//!   the workers' workspace residency.
 //! * [`telemetry`] — per-stage latency attribution (queue wait, snapshot
-//!   acquire, answer, publish, reply) into per-algorithm × per-stage
-//!   lock-free histograms, a fixed-capacity slow-query ring retaining
+//!   read, answer, reply, and the socket path's accept) into one
+//!   lock-free histogram per stage beside the end-to-end histogram, a
+//!   fixed-capacity slow-query ring retaining
 //!   the worst requests with their full stage breakdown and answer
 //!   size, and machine-readable exporters: Prometheus text
 //!   ([`engine::QueryEngine::render_metrics`]) and the schema-versioned
@@ -108,8 +109,8 @@ pub use replay::{
 pub use server::{Server, ServerHandle};
 pub use stats::{AdmissionStats, CacheStats, HistSnapshot, LatencyHistogram, ServiceStats};
 pub use telemetry::{
-    render_bench_json, render_prometheus, validate_bench_json, validate_prometheus, AlgoStats,
-    BenchMeta, LatencySummary, SlowQuery, Stage, BENCH_SCHEMA, N_STAGES,
+    render_bench_json, render_prometheus, validate_bench_json, validate_prometheus, BenchMeta,
+    LatencySummary, SlowQuery, Stage, BENCH_SCHEMA, N_STAGES,
 };
 
 use bigraph::{EdgeId, Subgraph, Vertex};
@@ -126,10 +127,9 @@ pub struct QueryRequest {
     /// Minimum degree for lower vertices.
     pub beta: u32,
     /// The second-step algorithm the client named. Echoed in the
-    /// response and keys the per-algorithm telemetry rows; it no longer
-    /// picks a kernel. Every algorithm returns the same community, so
-    /// the engine answers every request from
-    /// [`scs::CommunitySearch::answer`].
+    /// response; it picks no kernel and keys no telemetry row. Every
+    /// algorithm returns the same community, so the engine answers
+    /// every request from [`scs::CommunitySearch::answer`].
     pub algo: Algorithm,
 }
 

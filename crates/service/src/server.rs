@@ -785,7 +785,7 @@ fn handle_query(inner: &Arc<ServerInner>, query: &str) -> (HttpResponse, QueryOu
 
     // Straight to the engine, and wait here for the answer.
     let accept_us = micros_since(t_admit);
-    inner.engine.record_accept(&req, accept_us);
+    inner.engine.record_accept(accept_us);
     let handle: ResponseHandle = inner.engine.submit(req);
     let reply = handle.wait_timeout(inner.reply_timeout);
     // ordering: Relaxed — budget release; see the admission increment
@@ -1357,19 +1357,31 @@ mod tests {
         });
         let addr = handle.local_addr();
         let q = figure2_example().upper(2).0;
-        let (status, _, _) = get(addr, &format!("/query?q={q}&alpha=2&beta=2"));
-        assert_eq!(status, 200);
+        for algo in ["auto", "peel", "binary"] {
+            let (status, _, _) = get(addr, &format!("/query?q={q}&alpha=2&beta=2&algo={algo}"));
+            assert_eq!(status, 200);
+        }
+        // Every admitted request records one accept window, and the
+        // engine counts each request once, whatever algorithm it named.
+        let st = handle.stats();
+        assert_eq!(st.admission.admitted, 3);
+        assert_eq!(
+            st.stages[crate::Stage::Accept as usize].count,
+            st.admission.admitted
+        );
+        assert_eq!(st.completed, 3);
         let (status, _, metrics) = get(addr, "/metrics");
         assert_eq!(status, 200);
         crate::telemetry::validate_prometheus(&metrics).expect("served metrics must validate");
         assert!(
-            metrics.contains("scs_admission_admitted_total 1"),
+            metrics.contains("scs_admission_admitted_total 3"),
             "{metrics}"
         );
         assert!(metrics.contains("scs_admission_shed_total 0"));
         assert!(metrics.contains("scs_admission_quota_rejected_total 0"));
         // The accept stage is recorded on the socket path.
-        assert!(metrics.contains("stage=\"accept\""));
+        assert!(metrics.contains("scs_stage_duration_us_count{stage=\"accept\"} 3"));
+        assert!(!metrics.contains("algo=\""), "{metrics}");
         let (status, _, table) = get(addr, "/stats");
         assert_eq!(status, 200);
         assert!(table.contains("admitted"), "{table}");

@@ -2,7 +2,7 @@
 //! snapshots (the currency of windowed stats and the metrics exporters),
 //! and the [`ServiceStats`] snapshot the CLI prints.
 
-use crate::telemetry::{AlgoStats, LatencySummary, SlowQuery, Stage, N_STAGES};
+use crate::telemetry::{LatencySummary, SlowQuery, Stage, N_STAGES};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -101,8 +101,7 @@ impl LatencyHistogram {
 }
 
 /// A plain-value copy of a [`LatencyHistogram`]: subtractable (windowed
-/// stats), mergeable (aggregating algorithms into one stage row) and
-/// walkable bucket by bucket (the Prometheus exposition).
+/// stats) and walkable bucket by bucket (the Prometheus exposition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSnapshot {
     buckets: [u64; BUCKETS],
@@ -115,7 +114,7 @@ impl HistSnapshot {
     /// Number of buckets every snapshot carries.
     pub const N_BUCKETS: usize = BUCKETS;
 
-    /// The all-zero snapshot (identity of [`Self::merge`]).
+    /// The all-zero snapshot.
     pub fn empty() -> Self {
         HistSnapshot {
             buckets: [0; BUCKETS],
@@ -207,21 +206,6 @@ impl HistSnapshot {
             .iter()
             .zip(baseline.buckets.iter())
             .any(|(now, base)| now < base)
-    }
-
-    /// Bucket-wise sum of two snapshots (aggregating per-algorithm
-    /// histograms into one per-stage row).
-    pub fn merge(&self, other: &HistSnapshot) -> HistSnapshot {
-        let mut buckets = self.buckets;
-        for (b, o) in buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        HistSnapshot {
-            buckets,
-            count: self.count + other.count,
-            sum_us: self.sum_us + other.sum_us,
-            max_us: self.max_us.max(other.max_us),
-        }
     }
 
     /// Approximate `q`-quantile (`0 < q ≤ 1`) in microseconds: linear
@@ -322,7 +306,9 @@ impl AdmissionStats {
 pub struct ServiceStats {
     /// Worker threads serving the queue.
     pub workers: usize,
-    /// Requests completed (since engine start, or within the window).
+    /// Requests completed (since engine start, or within the window):
+    /// the sample count of the end-to-end latency histogram that the
+    /// latency fields below summarise.
     pub completed: u64,
     /// Always 0: the engine does not coalesce requests. Kept so code
     /// that reads it still compiles.
@@ -344,17 +330,18 @@ pub struct ServiceStats {
     /// cumulative stats, since engine start: warm-up and idle time
     /// included). Not printed in the stats table.
     pub qps: f64,
-    /// Mean service latency, µs.
+    /// Mean end-to-end latency, µs: enqueue → reply handed back, the
+    /// interval the stage rows tile.
     pub mean_us: f64,
-    /// Median service latency, µs — linearly interpolated inside the
+    /// Median end-to-end latency, µs — linearly interpolated inside the
     /// log-bucket containing the median sample and capped by the
     /// observed maximum (likewise for p90/p99).
     pub p50_us: u64,
-    /// 90th-percentile service latency, µs.
+    /// 90th-percentile end-to-end latency, µs.
     pub p90_us: u64,
-    /// 99th-percentile service latency, µs.
+    /// 99th-percentile end-to-end latency, µs.
     pub p99_us: u64,
-    /// Worst observed service latency, µs (for a window: an upper
+    /// Worst observed end-to-end latency, µs (for a window: an upper
     /// bound — see [`HistSnapshot::delta`]).
     pub max_us: u64,
     /// Resident bytes of the workers' reusable query workspaces — the
@@ -362,21 +349,13 @@ pub struct ServiceStats {
     /// Published before each reply, so a submitter reading stats right
     /// after a blocking query sees the serving worker's workspace.
     pub scratch_bytes: usize,
-    /// Scratch-buffer acquisitions served from resident workspace
-    /// memory, counted once per buffer per kernel entry. A query that
-    /// passes through several kernels (e.g. retrieval + peel) counts
-    /// each kernel's buffer set, so this tracks reuse traffic rather
-    /// than a per-query allocation count.
-    pub allocs_avoided: u64,
-    /// Per-stage latency summaries aggregated over every algorithm —
-    /// where a request's time goes: queue wait, snapshot acquire,
-    /// answer, publish, reply. Indexed by [`Stage`]; see
+    /// Per-stage latency summaries, one histogram each — where a
+    /// request's time goes: queue wait, snapshot read, answer, reply,
+    /// and the socket path's accept. Indexed by [`Stage`]; every
+    /// engine stage counts every completed request, and `accept` counts
+    /// the requests the network front end admitted. See
     /// [`crate::telemetry`] for attribution semantics.
     pub stages: [LatencySummary; N_STAGES],
-    /// Per-algorithm end-to-end latency (queue wait through reply) with
-    /// the per-stage split, indexed in [`scs::Algorithm::ALL`] order.
-    /// Each row counts the requests that named its algorithm.
-    pub algos: [AlgoStats; crate::telemetry::N_ALGOS],
     /// Admission-control counters of the network front end; all zero
     /// when the engine serves in-process calls only.
     pub admission: AdmissionStats,
@@ -399,7 +378,6 @@ impl fmt::Display for ServiceStats {
         writeln!(f, "│ latency p99 (µs)    │ {:>12} │", self.p99_us)?;
         writeln!(f, "│ latency max (µs)    │ {:>12} │", self.max_us)?;
         writeln!(f, "│ scratch resident    │ {:>11}B │", self.scratch_bytes)?;
-        writeln!(f, "│ allocs avoided      │ {:>12} │", self.allocs_avoided)?;
         writeln!(f, "│ index epoch         │ {:>12} │", self.epoch)?;
         writeln!(f, "│ installs            │ {:>12} │", self.installs)?;
         if !self.admission.is_zero() {
@@ -411,42 +389,22 @@ impl fmt::Display for ServiceStats {
             writeln!(f, "│ shed after admit    │ {:>12} │", a.shed_after_admit)?;
         }
         writeln!(f, "└─────────────────────┴──────────────┘")?;
-        writeln!(
+        write!(
             f,
             "stage breakdown (µs)   {:>10} {:>9} {:>8} {:>8} {:>8}",
             "count", "mean", "p50", "p99", "max"
         )?;
         for stage in Stage::ALL {
             let s = &self.stages[stage as usize];
-            writeln!(
+            write!(
                 f,
-                "  {:<20} {:>10} {:>9.1} {:>8} {:>8} {:>8}",
+                "\n  {:<20} {:>10} {:>9.1} {:>8} {:>8} {:>8}",
                 stage.name(),
                 s.count,
                 s.mean_us,
                 s.p50_us,
                 s.p99_us,
                 s.max_us
-            )?;
-        }
-        write!(
-            f,
-            "per-algorithm (µs)     {:>10} {:>9} {:>8} {:>8} {:>8}",
-            "count", "mean", "p50", "p99", "kern p99"
-        )?;
-        for a in &self.algos {
-            if a.total.count == 0 {
-                continue;
-            }
-            write!(
-                f,
-                "\n  {:<20} {:>10} {:>9.1} {:>8} {:>8} {:>8}",
-                a.algo.name(),
-                a.total.count,
-                a.total.mean_us,
-                a.total.p50_us,
-                a.total.p99_us,
-                a.stages[Stage::Kernel as usize].p99_us
             )?;
         }
         if !self.slow.is_empty() {
@@ -462,8 +420,6 @@ impl fmt::Display for ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::N_ALGOS;
-    use scs::Algorithm;
 
     #[test]
     fn histogram_quantiles_bracket_samples() {
@@ -559,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_and_merge() {
+    fn snapshot_delta_covers_only_the_window() {
         let h = LatencyHistogram::default();
         h.record(10);
         h.record(100);
@@ -578,11 +534,6 @@ mod tests {
         assert_eq!(window.quantile_us(1.0), 1200);
         // Quantiles of the window see only the window's samples.
         assert!(window.quantile_us(0.5) >= 1024, "window p50 must be ≥ 1024");
-        // Merge is bucket-wise addition.
-        let merged = first.merge(&window);
-        assert_eq!(merged.count(), 4);
-        assert_eq!(merged.sum_us(), 2410);
-        assert_eq!(merged.max_us(), 1200);
         // Empty delta behaves like an empty histogram.
         let none = second.delta(&second);
         assert_eq!(none.count(), 0);
@@ -592,22 +543,13 @@ mod tests {
 
     #[test]
     fn stats_table_renders() {
-        let mut stages = [LatencySummary::empty(); N_STAGES];
+        let mut stages = [HistSnapshot::empty().summary(); N_STAGES];
         stages[Stage::Kernel as usize] = LatencySummary {
             count: 1000,
             mean_us: 37.5,
             p50_us: 31,
             p99_us: 170,
             max_us: 800,
-        };
-        let mut algos: [AlgoStats; N_ALGOS] =
-            std::array::from_fn(|i| AlgoStats::empty(Algorithm::ALL[i]));
-        algos[1].total = LatencySummary {
-            count: 600,
-            mean_us: 40.0,
-            p50_us: 28,
-            p99_us: 190,
-            max_us: 900,
         };
         let s = ServiceStats {
             workers: 4,
@@ -625,18 +567,15 @@ mod tests {
             p99_us: 200,
             max_us: 900,
             scratch_bytes: 65536,
-            allocs_avoided: 4321,
             stages,
-            algos,
             slow: vec![SlowQuery {
                 q: 17,
                 alpha: 2,
                 beta: 3,
-                algo: Algorithm::Peel,
                 epoch: 1,
                 result_edges: 4,
                 total_us: 900,
-                stages_us: [1, 2, 880, 10, 4, 0],
+                stages_us: [1, 2, 890, 4, 0],
             }],
             admission: AdmissionStats {
                 admitted: 5000,
@@ -654,7 +593,6 @@ mod tests {
         assert!(txt.contains("completed"));
         assert!(txt.contains("scratch resident"));
         assert!(txt.contains("65536B"));
-        assert!(txt.contains("4321"));
         // No row of a mechanism the engine no longer has.
         for gone in [
             "cache hit",
@@ -664,19 +602,18 @@ mod tests {
             "batch",
             "shard",
             "cache_lookup",
+            "allocs avoided",
+            "per-algorithm",
+            "publish",
         ] {
             assert!(!txt.contains(gone), "{gone}: {txt}");
         }
         assert!(txt.contains("installs"));
         assert!(txt.contains("stage breakdown"));
         assert!(txt.contains("kernel"));
-        assert!(txt.contains("per-algorithm"));
-        assert!(txt.contains("peel"));
         assert!(txt.contains("slow queries (worst 1)"));
         assert!(txt.contains("q=17"));
         assert!(txt.contains("result_edges=4"));
-        // Algorithms that served nothing stay out of the table.
-        assert!(!txt.contains("baseline"));
         // The admission section renders when any counter is nonzero...
         assert!(txt.contains("shed (429)"));
         assert!(txt.contains("quota rejected"));

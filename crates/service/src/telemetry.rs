@@ -1,7 +1,7 @@
 //! Zero-allocation service telemetry: per-stage latency attribution,
-//! per-algorithm × per-stage lock-free histograms, a fixed-capacity
-//! slow-query ring, and machine-readable exporters (Prometheus text,
-//! schema-versioned bench JSON).
+//! one lock-free histogram per stage plus one end-to-end histogram, a
+//! fixed-capacity slow-query ring, and machine-readable exporters
+//! (Prometheus text, schema-versioned bench JSON).
 //!
 //! ## Design constraints
 //!
@@ -18,14 +18,17 @@
 //! A request's end-to-end latency (enqueue → reply handed back) is
 //! split into engine stages ([`Stage`]). The request's timeline is cut
 //! into **contiguous windows**: each starts where the previous one
-//! ended — queue wait, the snapshot read, the answer, the publish and
-//! finally the reply. Each window is charged, in nanoseconds, to the
-//! request's [`StageSet`], so its stages tile its total to within
-//! per-stage truncation (≤ 1µs per recorded stage — asserted by
-//! `tests/telemetry_stress.rs`). A trace is recorded once the response
-//! is in the reply slot and before the submitter wakes, so a submitter
-//! whose wait returned finds its request recorded, and a request that
-//! panicked records nothing.
+//! ended — queue wait, the snapshot read, the answer (response built
+//! included) and finally the reply. Each window is charged, in
+//! nanoseconds, to the request's [`StageSet`], so its stages tile its
+//! total to within per-stage truncation (≤ 1µs per stage — asserted by
+//! `tests/telemetry_stress.rs`). Every engine request passes through
+//! all four engine stages, so each stage histogram counts every
+//! completed request; only the network front end records
+//! [`Stage::Accept`]. A trace is recorded once the response is in the
+//! reply slot and before the submitter wakes, so a submitter whose wait
+//! returned finds its request recorded, and a request that panicked
+//! records nothing.
 
 use crate::stats::{HistSnapshot, LatencyHistogram, ServiceStats};
 use crate::QueryResponse;
@@ -34,23 +37,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of fixed stages every request's latency is split into.
-pub const N_STAGES: usize = 6;
-
-/// Number of algorithms telemetry is keyed by (the
-/// [`Algorithm::ALL`] order).
-pub const N_ALGOS: usize = Algorithm::ALL.len();
-
-/// Dense rank of an algorithm in [`Algorithm::ALL`] — the index into
-/// every per-algorithm telemetry array.
-pub fn algo_rank(algo: Algorithm) -> usize {
-    match algo {
-        Algorithm::Auto => 0,
-        Algorithm::Peel => 1,
-        Algorithm::Expand => 2,
-        Algorithm::Binary => 3,
-        Algorithm::Baseline => 4,
-    }
-}
+pub const N_STAGES: usize = 5;
 
 /// One fixed stage of a request's lifetime. Also the index into
 /// per-stage arrays (`stage as usize`).
@@ -60,20 +47,18 @@ pub enum Stage {
     QueueWait = 0,
     /// Reading the epoch-consistent index snapshot.
     Snapshot = 1,
-    /// The request's [`scs::CommunitySearch::answer`] call: a class
+    /// The request's [`scs::CommunitySearch::answer`] call — a class
     /// lookup, or the (α,β) profile build for the first request at
-    /// that (α,β) per snapshot.
+    /// that (α,β) per snapshot — and building the response.
     Kernel = 2,
-    /// Building the response and counting it.
-    Publish = 3,
     /// Handing the response back to the submitter.
-    Reply = 4,
+    Reply = 3,
     /// Admission → engine enqueue on the network front end: the tenant
     /// quota and pending-budget checks in [`crate::server`], then the
     /// hand-off to the engine on the connection thread. Only the
     /// network front end records it — the in-process path never touches
     /// this stage, so the zero-allocation warm-path proof is unchanged.
-    Accept = 5,
+    Accept = 4,
 }
 
 impl Stage {
@@ -82,9 +67,17 @@ impl Stage {
         Stage::QueueWait,
         Stage::Snapshot,
         Stage::Kernel,
-        Stage::Publish,
         Stage::Reply,
         Stage::Accept,
+    ];
+
+    /// The stages every engine request passes through — all but
+    /// [`Stage::Accept`].
+    pub const ENGINE: [Stage; 4] = [
+        Stage::QueueWait,
+        Stage::Snapshot,
+        Stage::Kernel,
+        Stage::Reply,
     ];
 
     /// Canonical machine name — used as the Prometheus `stage` label,
@@ -94,19 +87,14 @@ impl Stage {
             Stage::QueueWait => "queue_wait",
             Stage::Snapshot => "snapshot",
             Stage::Kernel => "kernel",
-            Stage::Publish => "publish",
             Stage::Reply => "reply",
             Stage::Accept => "accept",
         }
     }
-
-    fn bit(self) -> u8 {
-        1 << (self as usize)
-    }
 }
 
 /// Five-number latency summary derived from one histogram snapshot —
-/// the building block of [`ServiceStats`]' stage and algorithm tables.
+/// the building block of [`ServiceStats`]' stage table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Samples summarised.
@@ -121,46 +109,6 @@ pub struct LatencySummary {
     pub max_us: u64,
 }
 
-impl LatencySummary {
-    /// The all-zero summary.
-    pub fn empty() -> Self {
-        LatencySummary {
-            count: 0,
-            mean_us: 0.0,
-            p50_us: 0,
-            p99_us: 0,
-            max_us: 0,
-        }
-    }
-}
-
-/// Per-algorithm latency: end-to-end summary plus the per-stage split.
-/// A row counts the requests that *named* its algorithm; every request
-/// is answered from the same threshold profile, whatever it named.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlgoStats {
-    /// Which algorithm.
-    pub algo: Algorithm,
-    /// End-to-end latency (enqueue → recorded) of requests that named
-    /// this algorithm.
-    pub total: LatencySummary,
-    /// Per-stage summaries, indexed by [`Stage`]. A stage's count can
-    /// be below `total.count`: only stages a request actually passed
-    /// through are recorded (an accept window only on the network path).
-    pub stages: [LatencySummary; N_STAGES],
-}
-
-impl AlgoStats {
-    /// The empty stats row for `algo`.
-    pub fn empty(algo: Algorithm) -> Self {
-        AlgoStats {
-            algo,
-            total: LatencySummary::empty(),
-            stages: [LatencySummary::empty(); N_STAGES],
-        }
-    }
-}
-
 /// One retained worst-case request, as read back from the slow-query
 /// ring: the full key, answer size and stage breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,8 +119,6 @@ pub struct SlowQuery {
     pub alpha: u32,
     /// β degree constraint.
     pub beta: u32,
-    /// Second-step algorithm.
-    pub algo: Algorithm,
     /// Index epoch that served it.
     pub epoch: u64,
     /// Edges in the answer.
@@ -188,13 +134,8 @@ impl fmt::Display for SlowQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}µs q={} (α={},β={}) algo={} epoch={}",
-            self.total_us,
-            self.q,
-            self.alpha,
-            self.beta,
-            self.algo.name(),
-            self.epoch,
+            "{}µs q={} (α={},β={}) epoch={}",
+            self.total_us, self.q, self.alpha, self.beta, self.epoch,
         )?;
         write!(f, " result_edges={}", self.result_edges)?;
         for stage in Stage::ALL {
@@ -215,8 +156,6 @@ pub struct RequestTrace {
     pub alpha: u32,
     /// β degree constraint.
     pub beta: u32,
-    /// Second-step algorithm.
-    pub algo: Algorithm,
     /// Index epoch that served it.
     pub epoch: u64,
     /// Edges in the answer.
@@ -225,10 +164,6 @@ pub struct RequestTrace {
     pub total_us: u64,
     /// Per-stage attribution, µs.
     pub stages_us: [u64; N_STAGES],
-    /// Bitmask of stages the request actually passed through — only
-    /// these are recorded into the per-stage histograms, so a 0µs
-    /// snapshot read still counts while an absent accept stage does not.
-    pub touched: u8,
 }
 
 impl RequestTrace {
@@ -236,7 +171,6 @@ impl RequestTrace {
     /// reply window and sets the end-to-end total, both µs.
     pub fn close(&mut self, reply_us: u64, total_us: u64) {
         self.stages_us[Stage::Reply as usize] = reply_us;
-        self.touched |= Stage::Reply.bit();
         self.total_us = total_us;
     }
 }
@@ -246,11 +180,10 @@ impl RequestTrace {
 /// synthetic traces set whole stages ([`Self::set`]). Stages are kept
 /// in nanoseconds and truncated to µs once, in [`Self::trace`], so a
 /// fully tiled request's stage sum reconciles with its total to within
-/// 1µs per touched stage.
+/// 1µs per stage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageSet {
     stages_ns: [u64; N_STAGES],
-    touched: u8,
 }
 
 impl StageSet {
@@ -259,19 +192,16 @@ impl StageSet {
         StageSet::default()
     }
 
-    /// Attributes `us` microseconds to `stage` (marking it touched —
-    /// call with 0 for a stage that ran but took under a microsecond).
+    /// Attributes `us` microseconds to `stage`.
     pub fn set(&mut self, stage: Stage, us: u64) -> &mut Self {
         self.stages_ns[stage as usize] = us.saturating_mul(1_000);
-        self.touched |= stage.bit();
         self
     }
 
-    /// Adds one window of `ns` nanoseconds to `stage`, marking it
-    /// touched. A stage charged several windows sums them.
+    /// Adds one window of `ns` nanoseconds to `stage`. A stage charged
+    /// several windows sums them.
     pub fn add_ns(&mut self, stage: Stage, ns: u64) -> &mut Self {
         self.stages_ns[stage as usize] += ns;
-        self.touched |= stage.bit();
         self
     }
 
@@ -282,24 +212,23 @@ impl StageSet {
             q: req.q.0,
             alpha: req.alpha,
             beta: req.beta,
-            algo: req.algo,
             epoch: resp.epoch,
             result_edges: resp.summary.size() as u64,
             total_us,
             stages_us: self.stages_ns.map(|ns| ns / 1_000),
-            touched: self.touched,
         }
     }
 }
 
-/// The engine's preallocated telemetry plane: per-algorithm end-to-end
-/// and per-stage histograms, the slow-query ring, and event counters.
-/// Recording ([`Self::record`]) is lock-free and allocation-free;
-/// reading allocates and belongs in stats/exporter paths.
+/// The engine's preallocated telemetry plane: one histogram per stage,
+/// one end-to-end histogram, the slow-query ring and the install
+/// counter. Recording ([`Self::record`]) is lock-free and
+/// allocation-free; reading allocates and belongs in stats/exporter
+/// paths.
 #[derive(Debug)]
 pub struct Telemetry {
-    stage_hists: [[LatencyHistogram; N_STAGES]; N_ALGOS],
-    total_hists: [LatencyHistogram; N_ALGOS],
+    stages: [LatencyHistogram; N_STAGES],
+    total: LatencyHistogram,
     ring: SlowRing,
     installs: AtomicU64,
 }
@@ -310,29 +239,23 @@ impl Telemetry {
     /// ring; recording then skips it entirely).
     pub fn new(slow_ring_capacity: usize) -> Self {
         Telemetry {
-            stage_hists: std::array::from_fn(|_| {
-                std::array::from_fn(|_| LatencyHistogram::default())
-            }),
-            total_hists: std::array::from_fn(|_| LatencyHistogram::default()),
+            stages: std::array::from_fn(|_| LatencyHistogram::default()),
+            total: LatencyHistogram::default(),
             ring: SlowRing::new(slow_ring_capacity),
             installs: AtomicU64::new(0),
         }
     }
 
-    /// Records one completed request: its end-to-end latency into the
-    /// per-algorithm histogram, each touched stage into the
-    /// per-algorithm × per-stage histogram, and an offer to the
-    /// slow-query ring. Atomic adds and a bounded seqlock write — no
-    /// locks, no allocation.
+    /// Records one completed engine request: its end-to-end latency,
+    /// each of the four engine stages, and an offer to the slow-query
+    /// ring. Atomic adds and a bounded seqlock write — no locks, no
+    /// allocation.
     // scs-contract: no-alloc, no-block — recording sits on every
     // request's exit path: atomic adds and a bounded seqlock write only.
     pub fn record(&self, t: &RequestTrace) {
-        let a = algo_rank(t.algo);
-        self.total_hists[a].record(t.total_us);
-        for stage in Stage::ALL {
-            if t.touched & stage.bit() != 0 {
-                self.stage_hists[a][stage as usize].record(t.stages_us[stage as usize]);
-            }
+        self.total.record(t.total_us);
+        for stage in Stage::ENGINE {
+            self.stages[stage as usize].record(t.stages_us[stage as usize]);
         }
         self.ring.offer(t);
     }
@@ -349,11 +272,8 @@ impl Telemetry {
     /// — see [`Self::slow_queries`]).
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            stage: self
-                .stage_hists
-                .each_ref()
-                .map(|row| row.each_ref().map(LatencyHistogram::snapshot)),
-            total: self.total_hists.each_ref().map(LatencyHistogram::snapshot),
+            stages: self.stages.each_ref().map(LatencyHistogram::snapshot),
+            total: self.total.snapshot(),
             // ordering: Relaxed — statistics read; the counter is
             // independent, no cross-field consistency is promised.
             installs: self.installs.load(Ordering::Relaxed),
@@ -369,15 +289,15 @@ impl Telemetry {
     }
 
     /// Records one network-front-end accept window (admission →
-    /// engine enqueue) into the per-algorithm [`Stage::Accept`]
-    /// histogram. The end-to-end total histogram is untouched — the
-    /// engine records that when the request completes, and double
-    /// counting would skew every quantile. Only [`crate::server`] calls
-    /// this; the in-process path never records the stage, so the warm
-    /// leader path's zero-allocation proof is unaffected.
-    pub fn record_accept(&self, algo: Algorithm, accept_us: u64) {
-        // contract-ok: `algo_rank` is below N_ALGOS and every stage below N_STAGES
-        self.stage_hists[algo_rank(algo)][Stage::Accept as usize].record(accept_us);
+    /// engine enqueue) into the [`Stage::Accept`] histogram. The
+    /// end-to-end histogram is untouched — the engine records that when
+    /// the request completes, and double counting would skew every
+    /// quantile. Only [`crate::server`] calls this; the in-process path
+    /// never records the stage, so the warm path's zero-allocation
+    /// proof is unaffected.
+    pub fn record_accept(&self, accept_us: u64) {
+        // contract-ok: every stage is below N_STAGES
+        self.stages[Stage::Accept as usize].record(accept_us);
     }
 
     /// Starts a fresh slow-query window: clears every ring slot and
@@ -393,10 +313,11 @@ impl Telemetry {
 /// subtractable for windowed stats, and the input of the exporters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// `stage[algo_rank][stage]` histograms.
-    pub stage: [[HistSnapshot; N_STAGES]; N_ALGOS],
-    /// Per-algorithm end-to-end latency histograms.
-    pub total: [HistSnapshot; N_ALGOS],
+    /// Per-stage histograms, indexed by [`Stage`].
+    pub stages: [HistSnapshot; N_STAGES],
+    /// End-to-end latency histogram (enqueue → reply); its count is the
+    /// number of completed requests.
+    pub total: HistSnapshot,
     /// Index installs so far.
     pub installs: u64,
 }
@@ -405,8 +326,8 @@ impl TelemetrySnapshot {
     /// The all-zero snapshot (the baseline of the first window).
     pub fn empty() -> Self {
         TelemetrySnapshot {
-            stage: [[HistSnapshot::empty(); N_STAGES]; N_ALGOS],
-            total: [HistSnapshot::empty(); N_ALGOS],
+            stages: [HistSnapshot::empty(); N_STAGES],
+            total: HistSnapshot::empty(),
             installs: 0,
         }
     }
@@ -414,53 +335,26 @@ impl TelemetrySnapshot {
     /// `self − prev`: the telemetry recorded between two snapshots.
     pub fn delta(&self, prev: &TelemetrySnapshot) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            stage: std::array::from_fn(|a| {
-                std::array::from_fn(|s| self.stage[a][s].delta(&prev.stage[a][s]))
-            }),
-            total: std::array::from_fn(|a| self.total[a].delta(&prev.total[a])),
+            stages: std::array::from_fn(|s| self.stages[s].delta(&prev.stages[s])),
+            total: self.total.delta(&prev.total),
             installs: self.installs.saturating_sub(prev.installs),
         }
     }
 
     /// True when `self` cannot be a later observation of the same
     /// monotone counters as `baseline`: some histogram bucket, count or
-    /// sum, or a plain counter, went backwards. See
+    /// sum, or the install counter, went backwards. See
     /// [`HistSnapshot::regressed_from`] — the windowed-stats rollover
     /// uses this to resnapshot instead of computing a nonsense
     /// saturated delta.
     pub fn regressed_from(&self, baseline: &TelemetrySnapshot) -> bool {
-        for a in 0..N_ALGOS {
-            if self.total[a].regressed_from(&baseline.total[a]) {
-                return true;
-            }
-            for s in 0..N_STAGES {
-                if self.stage[a][s].regressed_from(&baseline.stage[a][s]) {
-                    return true;
-                }
-            }
-        }
-        self.installs < baseline.installs
-    }
-
-    /// Per-stage summaries aggregated over every algorithm (the stats
-    /// table's stage-breakdown section).
-    pub fn stage_summaries(&self) -> [LatencySummary; N_STAGES] {
-        std::array::from_fn(|s| {
-            let mut merged = HistSnapshot::empty();
-            for a in 0..N_ALGOS {
-                merged = merged.merge(&self.stage[a][s]);
-            }
-            merged.summary()
-        })
-    }
-
-    /// Per-algorithm stats rows, in [`Algorithm::ALL`] order.
-    pub fn algo_stats(&self) -> [AlgoStats; N_ALGOS] {
-        std::array::from_fn(|a| AlgoStats {
-            algo: Algorithm::ALL[a],
-            total: self.total[a].summary(),
-            stages: std::array::from_fn(|s| self.stage[a][s].summary()),
-        })
+        self.total.regressed_from(&baseline.total)
+            || self
+                .stages
+                .iter()
+                .zip(&baseline.stages)
+                .any(|(now, base)| now.regressed_from(base))
+            || self.installs < baseline.installs
     }
 }
 
@@ -473,7 +367,7 @@ struct RingSlot {
     total_us: AtomicU64,
     /// `q << 32 | alpha`.
     lo: AtomicU64,
-    /// `beta << 32 | algo`.
+    /// `beta`.
     mid: AtomicU64,
     epoch: AtomicU64,
     result_edges: AtomicU64,
@@ -534,7 +428,6 @@ impl SlowRing {
             return;
         }
         let lo = (u64::from(t.q) << 32) | u64::from(t.alpha);
-        let mid = (u64::from(t.beta) << 32) | algo_rank(t.algo) as u64;
         for _attempt in 0..4 {
             // Victim: the stable slot holding the smallest total.
             let mut min_i = usize::MAX;
@@ -599,7 +492,7 @@ impl SlowRing {
             // `seq` above and published by the Release store below.
             s.total_us.store(t.total_us, Ordering::Relaxed);
             s.lo.store(lo, Ordering::Relaxed);
-            s.mid.store(mid, Ordering::Relaxed);
+            s.mid.store(u64::from(t.beta), Ordering::Relaxed);
             s.epoch.store(t.epoch, Ordering::Relaxed);
             s.result_edges.store(t.result_edges, Ordering::Relaxed);
             for (slot, &us) in s.stages.iter().zip(t.stages_us.iter()) {
@@ -728,8 +621,7 @@ impl SlowRing {
             return Some(SlowQuery {
                 q: (lo >> 32) as u32,
                 alpha: lo as u32,
-                beta: (mid >> 32) as u32,
-                algo: Algorithm::ALL[(mid & 0xff) as usize % N_ALGOS], // contract-ok: reduced modulo N_ALGOS
+                beta: mid as u32,
                 epoch,
                 result_edges,
                 total_us,
@@ -753,8 +645,8 @@ impl SlowRing {
 
 /// Renders the engine's metrics in Prometheus text exposition format
 /// (version 0.0.4): every counter in the stats table, the residency
-/// gauges, and the per-algorithm / per-algorithm×stage latency
-/// histograms with cumulative `le` buckets ending in `+Inf`. Bucket
+/// gauges, the end-to-end latency histogram and one latency histogram
+/// per stage, with cumulative `le` buckets ending in `+Inf`. Bucket
 /// lists are trimmed to the highest occupied bucket (plus `+Inf`), so
 /// quiet series stay small; differing `le` sets across series of one
 /// family are valid exposition.
@@ -774,11 +666,6 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         "scs_installs_total",
         "Index installs (epoch retirements).",
         telem.installs,
-    );
-    counter(
-        "scs_allocs_avoided_total",
-        "Scratch-buffer acquisitions served from resident workspace memory.",
-        stats.allocs_avoided,
     );
     counter(
         "scs_admission_admitted_total",
@@ -826,24 +713,26 @@ pub fn render_prometheus(stats: &ServiceStats, telem: &TelemetrySnapshot) -> Str
         "# HELP scs_request_duration_us End-to-end request latency (enqueue to reply), microseconds.\n\
          # TYPE scs_request_duration_us histogram\n",
     );
-    for (algo, total) in Algorithm::ALL.iter().zip(&telem.total) {
-        let labels = format!("algo=\"{}\"", algo.name());
-        render_histogram(&mut out, "scs_request_duration_us", &labels, total);
-    }
+    render_histogram(&mut out, "scs_request_duration_us", "", &telem.total);
     out.push_str(
         "# HELP scs_stage_duration_us Per-stage request latency attribution, microseconds.\n\
          # TYPE scs_stage_duration_us histogram\n",
     );
-    for (algo, stages) in Algorithm::ALL.iter().zip(&telem.stage) {
-        for (stage, h) in Stage::ALL.iter().zip(stages) {
-            let labels = format!("algo=\"{}\",stage=\"{}\"", algo.name(), stage.name());
-            render_histogram(&mut out, "scs_stage_duration_us", &labels, h);
-        }
+    for (stage, h) in Stage::ALL.iter().zip(&telem.stages) {
+        let labels = format!("stage=\"{}\"", stage.name());
+        render_histogram(&mut out, "scs_stage_duration_us", &labels, h);
     }
     out
 }
 
+/// Renders one histogram series; `labels` is its label set without
+/// braces, empty for an unlabelled series.
 fn render_histogram(out: &mut String, name: &str, labels: &str, h: &HistSnapshot) {
+    let (bucket_labels, set) = if labels.is_empty() {
+        (String::new(), String::new())
+    } else {
+        (format!("{labels},"), format!("{{{labels}}}"))
+    };
     let top = (0..HistSnapshot::N_BUCKETS)
         .rev()
         .find(|&i| h.bucket_count(i) > 0);
@@ -852,13 +741,15 @@ fn render_histogram(out: &mut String, name: &str, labels: &str, h: &HistSnapshot
         for i in 0..=top {
             cum += h.bucket_count(i);
             match HistSnapshot::bucket_upper_edge(i) {
-                Some(le) => out.push_str(&format!("{name}_bucket{{{labels},le=\"{le}\"}} {cum}\n")),
+                Some(le) => out.push_str(&format!(
+                    "{name}_bucket{{{bucket_labels}le=\"{le}\"}} {cum}\n"
+                )),
                 None => break, // top bucket folds into +Inf below
             }
         }
     }
     out.push_str(&format!(
-        "{name}_bucket{{{labels},le=\"+Inf\"}} {}\n{name}_sum{{{labels}}} {}\n{name}_count{{{labels}}} {}\n",
+        "{name}_bucket{{{bucket_labels}le=\"+Inf\"}} {}\n{name}_sum{set} {}\n{name}_count{set} {}\n",
         h.count(),
         h.sum_us(),
         h.count()
@@ -1046,7 +937,7 @@ fn parse_sample(line: &str) -> Result<(String, Vec<String>, f64), String> {
 // ─── Bench JSON (schema-versioned perf trajectory) ───────────────────
 
 /// Schema identifier stamped into every `BENCH_service.json`.
-pub const BENCH_SCHEMA: &str = "scs-bench-service/v4";
+pub const BENCH_SCHEMA: &str = "scs-bench-service/v5";
 
 /// Workload and run parameters recorded alongside the measured stats
 /// in `BENCH_service.json`, so a trajectory of artifacts is
@@ -1124,22 +1015,6 @@ fn j_stages(stages: &[LatencySummary; N_STAGES]) -> String {
 }
 
 fn j_stats(stats: &ServiceStats) -> String {
-    let algos: Vec<String> = stats
-        .algos
-        .iter()
-        .map(|a| {
-            format!(
-                "\"{}\":{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p99_us\":{},\"max_us\":{},\"stages\":{}}}",
-                a.algo.name(),
-                a.total.count,
-                j_f64(a.total.mean_us),
-                a.total.p50_us,
-                a.total.p99_us,
-                a.total.max_us,
-                j_stages(&a.stages)
-            )
-        })
-        .collect();
     let slow: Vec<String> = stats
         .slow
         .iter()
@@ -1149,12 +1024,11 @@ fn j_stats(stats: &ServiceStats) -> String {
                 .map(|&st| format!("\"{}\":{}", st.name(), s.stages_us[st as usize]))
                 .collect();
             format!(
-                "{{\"q\":{},\"alpha\":{},\"beta\":{},\"algo\":{},\"epoch\":{},\
+                "{{\"q\":{},\"alpha\":{},\"beta\":{},\"epoch\":{},\
                  \"result_edges\":{},\"total_us\":{},\"stages_us\":{{{}}}}}",
                 s.q,
                 s.alpha,
                 s.beta,
-                j_escape(s.algo.name()),
                 s.epoch,
                 s.result_edges,
                 s.total_us,
@@ -1165,9 +1039,9 @@ fn j_stats(stats: &ServiceStats) -> String {
     format!(
         "{{\"workers\":{},\"completed\":{},\"qps\":{},\
          \"latency_us\":{{\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},\
-         \"stages\":{},\"algorithms\":{{{}}},\
+         \"stages\":{},\
          \"events\":{{\"installs\":{},\"epoch\":{}}},\
-         \"memory\":{{\"scratch_bytes\":{},\"allocs_avoided\":{}}},\
+         \"memory\":{{\"scratch_bytes\":{}}},\
          \"slow_queries\":[{}]}}",
         stats.workers,
         stats.completed,
@@ -1178,11 +1052,9 @@ fn j_stats(stats: &ServiceStats) -> String {
         stats.p99_us,
         stats.max_us,
         j_stages(&stats.stages),
-        algos.join(","),
         stats.installs,
         stats.epoch,
         stats.scratch_bytes,
-        stats.allocs_avoided,
         slow.join(",")
     )
 }
@@ -1310,14 +1182,6 @@ impl JsonValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The object's fields, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(pairs) => Some(pairs),
             _ => None,
         }
     }
@@ -1484,8 +1348,7 @@ fn utf8_width(first: u8) -> usize {
 /// Validates a `BENCH_service.json` document against
 /// [`BENCH_SCHEMA`]: schema tag, workload parameters, and — for both
 /// the cumulative and steady sections — latency quantiles, every
-/// stage summary, per-algorithm p50/p99 with stage breakdowns, and the
-/// event and memory counter blocks.
+/// stage summary, and the event and memory counter blocks.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let doc = json_parse(text)?;
     let schema = doc
@@ -1537,16 +1400,6 @@ fn validate_summary_obj(v: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_stages_obj(v: &JsonValue) -> Result<(), String> {
-    for stage in Stage::ALL {
-        let s = v
-            .get(stage.name())
-            .ok_or_else(|| format!("stage {} missing", stage.name()))?;
-        validate_summary_obj(s).map_err(|e| format!("stage {}: {e}", stage.name()))?;
-    }
-    Ok(())
-}
-
 fn validate_stats_obj(v: &JsonValue) -> Result<(), String> {
     for key in ["workers", "completed", "qps"] {
         v.get(key)
@@ -1559,25 +1412,16 @@ fn validate_stats_obj(v: &JsonValue) -> Result<(), String> {
             .and_then(JsonValue::as_f64)
             .ok_or_else(|| format!("latency_us.{key} missing"))?;
     }
-    validate_stages_obj(v.get("stages").ok_or("stages missing")?)?;
-    let algos = v
-        .get("algorithms")
-        .and_then(JsonValue::as_obj)
-        .ok_or("algorithms missing or not an object")?;
-    if algos.is_empty() {
-        return Err("algorithms object is empty".into());
-    }
-    for (name, a) in algos {
-        validate_summary_obj(a).map_err(|e| format!("algorithm {name}: {e}"))?;
-        validate_stages_obj(
-            a.get("stages")
-                .ok_or_else(|| format!("algorithm {name}: stages missing"))?,
-        )
-        .map_err(|e| format!("algorithm {name}: {e}"))?;
+    let stages = v.get("stages").ok_or("stages missing")?;
+    for stage in Stage::ALL {
+        let s = stages
+            .get(stage.name())
+            .ok_or_else(|| format!("stage {} missing", stage.name()))?;
+        validate_summary_obj(s).map_err(|e| format!("stage {}: {e}", stage.name()))?;
     }
     for (block, keys) in [
         ("events", &["installs", "epoch"][..]),
-        ("memory", &["scratch_bytes", "allocs_avoided"][..]),
+        ("memory", &["scratch_bytes"][..]),
     ] {
         let o = v.get(block).ok_or_else(|| format!("{block} missing"))?;
         for key in keys {
@@ -1597,13 +1441,13 @@ mod tests {
     use bigraph::Vertex;
 
     /// An empty answer to `q` at (2,3), served at `epoch`.
-    fn resp(q: u32, algo: Algorithm, epoch: u64) -> QueryResponse {
+    fn resp(q: u32, epoch: u64) -> QueryResponse {
         QueryResponse {
             request: QueryRequest {
                 q: Vertex(q),
                 alpha: 2,
                 beta: 3,
-                algo,
+                algo: Algorithm::Auto,
             },
             summary: CommunitySummary::empty(),
             cached: false,
@@ -1613,20 +1457,17 @@ mod tests {
         }
     }
 
-    fn trace(q: u32, algo: Algorithm, total_us: u64, kernel_us: u64) -> RequestTrace {
+    fn trace(q: u32, total_us: u64, kernel_us: u64) -> RequestTrace {
         let mut s = StageSet::new();
         s.set(Stage::QueueWait, 1)
             .set(Stage::Snapshot, 0)
             .set(Stage::Kernel, kernel_us);
-        s.trace(&resp(q, algo, 7), total_us)
+        s.trace(&resp(q, 7), total_us)
     }
 
     fn stats_for(telem: &Telemetry) -> ServiceStats {
         let snap = telem.snapshot();
-        let total = snap
-            .total
-            .iter()
-            .fold(HistSnapshot::empty(), |acc, h| acc.merge(h));
+        let total = snap.total;
         ServiceStats {
             workers: 2,
             completed: total.count(),
@@ -1643,10 +1484,8 @@ mod tests {
             p99_us: total.quantile_us(0.99),
             max_us: total.max_us(),
             scratch_bytes: 4096,
-            allocs_avoided: 10,
             admission: crate::stats::AdmissionStats::default(),
-            stages: snap.stage_summaries(),
-            algos: snap.algo_stats(),
+            stages: snap.stages.map(|h| h.summary()),
             slow: telem.slow_queries(),
         }
     }
@@ -1658,75 +1497,68 @@ mod tests {
             (Stage::QueueWait, 5_400u64),
             (Stage::Snapshot, 700),
             (Stage::Kernel, 300),
-            (Stage::Kernel, 900), // a second window of one stage sums
-            (Stage::Publish, 2_000_500),
-            (Stage::Publish, 999),
+            (Stage::Kernel, 2_000_500), // a second window of one stage sums
         ];
         let mut s = StageSet::new();
         for (stage, ns) in windows {
             s.add_ns(stage, ns);
         }
         let total_ns: u64 = windows.iter().map(|w| w.1).sum();
-        let mut t = s.trace(&resp(3, Algorithm::Peel, 1), total_ns / 1_000);
+        let mut t = s.trace(&resp(3, 1), total_ns / 1_000);
         assert_eq!((t.q, t.alpha, t.beta), (3, 2, 3));
         assert_eq!(t.stages_us[Stage::QueueWait as usize], 5);
-        assert_eq!(t.stages_us[Stage::Kernel as usize], 1);
-        assert_eq!(t.stages_us[Stage::Publish as usize], 2_001);
-        // A sub-µs window still marks its stage as passed through.
         assert_eq!(t.stages_us[Stage::Snapshot as usize], 0);
-        assert_ne!(t.touched & Stage::Snapshot.bit(), 0);
-        assert_eq!(t.touched & Stage::Reply.bit(), 0);
+        assert_eq!(t.stages_us[Stage::Kernel as usize], 2_000);
+        assert_eq!(t.stages_us[Stage::Reply as usize], 0);
         // Truncation happens once per stage: the sum reconciles with
-        // the total to ≤1µs per touched stage.
-        let touched = 4;
+        // the total to ≤1µs per stage.
+        let stages = 3;
         let sum: u64 = t.stages_us.iter().sum();
         assert!(sum <= t.total_us, "sum {sum} > total {}", t.total_us);
         assert!(
-            sum + touched >= t.total_us,
-            "sum {sum} + {touched} < total {}",
+            sum + stages >= t.total_us,
+            "sum {sum} + {stages} < total {}",
             t.total_us
         );
         // Closing the trace adds the reply window and the final total.
         t.close(3, t.total_us + 3);
         assert_eq!(t.stages_us[Stage::Reply as usize], 3);
-        assert_ne!(t.touched & Stage::Reply.bit(), 0);
         let sum: u64 = t.stages_us.iter().sum();
-        assert!(sum <= t.total_us && sum + touched + 1 >= t.total_us);
+        assert!(sum <= t.total_us && sum + stages + 1 >= t.total_us);
         // `set` replaces a stage; `add_ns` accumulates onto it.
         s.set(Stage::Kernel, 7).add_ns(Stage::Kernel, 1_000);
-        let t = s.trace(&resp(3, Algorithm::Peel, 1), 0);
+        let t = s.trace(&resp(3, 1), 0);
         assert_eq!(t.stages_us[Stage::Kernel as usize], 8);
     }
 
     #[test]
-    fn record_fills_per_algo_and_per_stage_histograms() {
+    fn record_fills_the_total_and_every_engine_stage() {
         let telem = Telemetry::new(4);
-        telem.record(&trace(1, Algorithm::Peel, 100, 90));
-        telem.record(&trace(2, Algorithm::Peel, 200, 180));
-        telem.record(&trace(3, Algorithm::Expand, 50, 40));
+        telem.record(&trace(1, 100, 90));
+        telem.record(&trace(2, 200, 180));
+        telem.record(&trace(3, 50, 40));
         telem.note_install();
         let snap = telem.snapshot();
-        assert_eq!(snap.total[algo_rank(Algorithm::Peel)].count(), 2);
-        assert_eq!(snap.total[algo_rank(Algorithm::Expand)].count(), 1);
-        assert_eq!(snap.total[algo_rank(Algorithm::Auto)].count(), 0);
+        assert_eq!(snap.total.count(), 3);
+        assert_eq!(snap.total.max_us(), 200);
         assert_eq!(snap.installs, 1);
-        // Touched stages (even 0µs ones) are histogrammed; untouched
-        // stages are not.
-        let peel = &snap.stage[algo_rank(Algorithm::Peel)];
-        assert_eq!(peel[Stage::Snapshot as usize].count(), 2);
-        assert_eq!(peel[Stage::Kernel as usize].count(), 2);
-        assert_eq!(peel[Stage::Reply as usize].count(), 0);
-        // Aggregation across algorithms.
-        let stages = snap.stage_summaries();
-        assert_eq!(stages[Stage::Kernel as usize].count, 3);
-        let algos = snap.algo_stats();
-        assert_eq!(algos[algo_rank(Algorithm::Peel)].total.count, 2);
-        assert_eq!(algos[algo_rank(Algorithm::Peel)].total.max_us, 200);
+        // Every engine stage is recorded, 0µs ones included; the
+        // socket-only accept stage is not.
+        for stage in Stage::ENGINE {
+            assert_eq!(snap.stages[stage as usize].count(), 3, "{}", stage.name());
+        }
+        assert_eq!(snap.stages[Stage::Kernel as usize].sum_us(), 310);
+        assert_eq!(snap.stages[Stage::Accept as usize].count(), 0);
+        telem.record_accept(12);
+        let accept = telem.snapshot().stages[Stage::Accept as usize];
+        assert_eq!((accept.count(), accept.sum_us()), (1, 12));
+        assert_eq!(telem.snapshot().total.count(), 3);
         // Windowed delta.
-        telem.record(&trace(4, Algorithm::Peel, 400, 390));
+        telem.record(&trace(4, 400, 390));
         let d = telem.snapshot().delta(&snap);
-        assert_eq!(d.total[algo_rank(Algorithm::Peel)].count(), 1);
-        assert_eq!(d.total[algo_rank(Algorithm::Expand)].count(), 0);
+        assert_eq!(d.total.count(), 1);
+        assert_eq!(d.stages[Stage::Kernel as usize].count(), 1);
+        assert_eq!(d.stages[Stage::Accept as usize].count(), 1);
         assert_eq!(d.installs, 0);
     }
 
@@ -1741,24 +1573,24 @@ mod tests {
             (5, 40),
             (6, 900),
         ] {
-            telem.record(&trace(q, Algorithm::Auto, us, us));
+            telem.record(&trace(q, us, us));
         }
         let slow = telem.slow_queries();
         assert_eq!(slow.len(), 3);
         let totals: Vec<u64> = slow.iter().map(|s| s.total_us).collect();
         assert_eq!(totals, vec![900, 500, 300]);
         assert_eq!(slow[0].q, 6);
-        assert_eq!(slow[0].algo, Algorithm::Auto);
+        assert_eq!(slow[0].beta, 3);
         assert_eq!(slow[0].epoch, 7);
         assert_eq!(slow[0].stages_us[Stage::Kernel as usize], 900);
         // A faster request than the retained minimum is rejected (and
         // exercises the cached-threshold fast path).
-        telem.record(&trace(7, Algorithm::Auto, 100, 100));
+        telem.record(&trace(7, 100, 100));
         assert_eq!(telem.slow_queries().len(), 3);
         assert_eq!(telem.slow_queries()[2].total_us, 300);
         // Capacity 0 disables retention but never panics.
         let off = Telemetry::new(0);
-        off.record(&trace(1, Algorithm::Auto, 1000, 900));
+        off.record(&trace(1, 1000, 900));
         assert!(off.slow_queries().is_empty());
     }
 
@@ -1770,7 +1602,7 @@ mod tests {
         // bound and were never recorded again.
         let telem = Telemetry::new(3);
         for (q, us) in [(1u32, 10_000u64), (2, 12_000), (3, 14_000)] {
-            telem.record(&trace(q, Algorithm::Auto, us, us));
+            telem.record(&trace(q, us, us));
         }
         assert_eq!(telem.slow_queries().len(), 3);
         // Window rollover (stats_window does this).
@@ -1781,14 +1613,14 @@ mod tests {
         );
         // A post-warmup spike far below the warmup latencies must be
         // captured — before the fix the stale threshold rejected it.
-        telem.record(&trace(9, Algorithm::Peel, 500, 480));
+        telem.record(&trace(9, 500, 480));
         let slow = telem.slow_queries();
         assert_eq!(slow.len(), 1, "post-warmup spike lost: {slow:?}");
         assert_eq!(slow[0].q, 9);
         assert_eq!(slow[0].total_us, 500);
         // The ring keeps ranking within the new window.
-        telem.record(&trace(10, Algorithm::Peel, 200, 180));
-        telem.record(&trace(11, Algorithm::Peel, 900, 880));
+        telem.record(&trace(10, 200, 180));
+        telem.record(&trace(11, 900, 880));
         let totals: Vec<u64> = telem.slow_queries().iter().map(|s| s.total_us).collect();
         assert_eq!(totals, vec![900, 500, 200]);
         // Resetting an empty or capacity-0 ring is a no-op.
@@ -1813,7 +1645,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 1..=12u64 {
                         let total = i * 100 + w;
-                        ring.offer(&trace(total as u32, Algorithm::Peel, total, total));
+                        ring.offer(&trace(total as u32, total, total));
                     }
                 })
             })
@@ -1845,7 +1677,7 @@ mod tests {
         // must land deterministically (writes are only best-effort
         // while a race is in flight), and everything retained is
         // self-consistent.
-        ring.offer(&trace(9999, Algorithm::Peel, 9999, 9999));
+        ring.offer(&trace(9999, 9999, 9999));
         let mut fin = Vec::new();
         ring.snapshot_into(&mut fin);
         assert_eq!(fin.len(), 2);
@@ -1859,23 +1691,19 @@ mod tests {
     #[test]
     fn slow_query_display_is_greppable() {
         let telem = Telemetry::new(1);
-        telem.record(&trace(17, Algorithm::Peel, 900, 880));
+        telem.record(&trace(17, 900, 880));
         let s = telem.slow_queries()[0].to_string();
         assert!(s.contains("q=17"), "{s}");
-        assert!(s.contains("algo=peel"), "{s}");
+        assert!(s.contains("(α=2,β=3)"), "{s}");
         assert!(s.contains("kernel=880"), "{s}");
+        assert!(!s.contains("algo="), "{s}");
     }
 
     #[test]
     fn prometheus_render_passes_its_own_validator() {
         let telem = Telemetry::new(4);
         for i in 0..50u32 {
-            telem.record(&trace(
-                i,
-                Algorithm::ALL[i as usize % 5],
-                10 + 7 * i as u64,
-                5,
-            ));
+            telem.record(&trace(i, 10 + 7 * i as u64, 5));
         }
         let stats = stats_for(&telem);
         let text = render_prometheus(&stats, &telem.snapshot());
@@ -1883,13 +1711,39 @@ mod tests {
         assert!(text.contains("# TYPE scs_requests_total counter"));
         assert!(text.contains("scs_requests_total 50"));
         assert!(text.contains("# TYPE scs_request_duration_us histogram"));
-        assert!(text.contains("scs_request_duration_us_bucket{algo=\"peel\",le=\"+Inf\"} 10"));
-        assert!(text.contains(
-            "scs_stage_duration_us_bucket{algo=\"auto\",stage=\"kernel\",le=\"+Inf\"} 10"
-        ));
-        assert!(text.contains("scs_stage_duration_us_count{algo=\"auto\",stage=\"queue_wait\"} 10"));
+        assert!(text.contains("scs_request_duration_us_bucket{le=\"+Inf\"} 50"));
+        assert!(text.contains("scs_request_duration_us_count 50"));
+        assert!(text.contains("scs_stage_duration_us_bucket{stage=\"kernel\",le=\"+Inf\"} 50"));
+        assert!(text.contains("scs_stage_duration_us_count{stage=\"queue_wait\"} 50"));
+        assert!(text.contains("scs_stage_duration_us_count{stage=\"accept\"} 0"));
         assert!(text.contains("scs_scratch_resident_bytes 4096"));
+        // One end-to-end series and one series per stage, also when
+        // nothing has been recorded yet.
+        let series = |text: &str| text.lines().filter(|l| l.contains("_count")).count();
+        assert_eq!(series(&text), 1 + N_STAGES);
+        let fresh = Telemetry::new(0);
+        let empty = render_prometheus(&stats_for(&fresh), &fresh.snapshot());
+        assert_eq!(series(&empty), 1 + N_STAGES);
+        assert!(!empty.contains("algo="), "{empty}");
+        let counters: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" counter"))
+            .collect();
+        assert_eq!(
+            counters,
+            [
+                "scs_requests_total",
+                "scs_installs_total",
+                "scs_admission_admitted_total",
+                "scs_admission_served_total",
+                "scs_admission_shed_total",
+                "scs_admission_quota_rejected_total",
+                "scs_admission_shed_after_admit_total",
+            ]
+        );
         for gone in [
+            "algo=",
+            "publish",
             "scs_cache_",
             "scs_coalesced",
             "scs_arena_",
@@ -1935,7 +1789,7 @@ mod tests {
     fn bench_json_round_trips_and_validates() {
         let telem = Telemetry::new(4);
         for i in 0..20u32 {
-            let mut t = trace(i, Algorithm::ALL[i as usize % 5], 10 + i as u64, 5);
+            let mut t = trace(i, 10 + i as u64, 5);
             t.result_edges = u64::from(i) * 3;
             telem.record(&t);
         }
@@ -1967,17 +1821,13 @@ mod tests {
                 .and_then(JsonValue::as_str),
             Some("/tmp/ds/ml.tsv")
         );
-        let peel = doc
+        let kernel = doc
             .get("steady")
-            .and_then(|s| s.get("algorithms"))
-            .and_then(|a| a.get("peel"))
-            .expect("per-algorithm block");
-        assert!(peel.get("p99_us").and_then(JsonValue::as_f64).is_some());
-        assert!(peel
-            .get("stages")
+            .and_then(|s| s.get("stages"))
             .and_then(|s| s.get("kernel"))
-            .and_then(|k| k.get("p50_us"))
-            .is_some());
+            .expect("kernel stage row");
+        assert_eq!(kernel.get("count").and_then(JsonValue::as_f64), Some(20.0));
+        assert!(kernel.get("p50_us").and_then(JsonValue::as_f64).is_some());
         // Each slow-query object reports its answer's size.
         let Some(JsonValue::Arr(slow)) = doc.get("steady").and_then(|s| s.get("slow_queries"))
         else {
@@ -1996,9 +1846,16 @@ mod tests {
             "batch_size",
             "provenance",
             "cache_lookup",
+            "algorithms",
+            "publish",
         ] {
             assert!(!text.contains(gone), "{gone}");
         }
+        let memory = doc.get("steady").and_then(|s| s.get("memory"));
+        assert!(
+            matches!(memory, Some(JsonValue::Obj(m)) if m.len() == 1 && m[0].0 == "scratch_bytes"),
+            "{memory:?}"
+        );
         // Tampering breaks validation.
         let broken = text.replace("\"kernel\"", "\"kernle\"");
         assert!(validate_bench_json(&broken).is_err());

@@ -1,7 +1,7 @@
 //! The serving layer's guarantee, enforced end to end: a **warm
 //! [`QueryEngine`] serves requests with zero heap allocations** —
 //! submit, queue hop, snapshot read, `CommunitySearch::answer`, summary
-//! build, publish and reply included.
+//! build and reply included.
 //!
 //! A counting global allocator wraps the system allocator. Every phase
 //! first warms the engine (pools fill, the (2,2) profile is built),

@@ -14,11 +14,13 @@
 //! * at quiescence the admission ledger reconciles exactly:
 //!   `admitted == served + shed_after_admit`.
 
-use bigraph::builder::figure2_example;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use scs::CommunitySearch;
 use scs_service::{QueryEngine, Server, ServiceConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// One keep-alive GET; returns (status, headers, body).
@@ -59,8 +61,12 @@ fn overload_sheds_promptly_serves_boundedly_and_reconciles() {
     // A tiny pending budget: with 12 clients in lockstep (each waits
     // for its reply before sending the next), up to 12 requests race
     // for 3 admission slots — a sustained ~4× of what the budget
-    // admits — so shedding is guaranteed, while admitted requests wait
-    // at most for the two others ahead of them plus service time.
+    // admits — while admitted requests wait at most for the two others
+    // ahead of them plus service time. Shedding is made certain, not
+    // just likely: a barrier releases every client's first request at
+    // once, at an (α,β) whose profile is not built yet, so the first
+    // three admitted stay pending through a whole-core profile build
+    // while the other nine arrive.
     const CLIENTS: usize = 12;
     const PER_CLIENT: usize = 25;
     let config = ServiceConfig {
@@ -69,10 +75,13 @@ fn overload_sheds_promptly_serves_boundedly_and_reconciles() {
         socket_timeout_ms: 10_000,
         ..ServiceConfig::default()
     };
-    let engine = QueryEngine::start(CommunitySearch::shared(figure2_example()), config.clone());
+    let g =
+        bigraph::generators::random_bipartite(2_000, 2_000, 40_000, &mut StdRng::seed_from_u64(23));
+    let upper: Vec<u32> = (0..g.n_upper()).map(|i| g.upper(i).0).collect();
+    let engine = QueryEngine::start(CommunitySearch::shared(g), config.clone());
     let server = Server::start(engine, "127.0.0.1:0", &config).expect("bind loopback");
     let addr = server.local_addr();
-    let n_upper = figure2_example().n_upper();
+    let (upper, start) = (&upper, &Barrier::new(CLIENTS));
 
     struct ClientReport {
         ok: u64,
@@ -94,13 +103,17 @@ fn overload_sheds_promptly_serves_boundedly_and_reconciles() {
                         replies: 0,
                         max_ok_us: 0,
                     };
+                    start.wait();
                     for i in 0..PER_CLIENT {
                         // A few distinct (α, β) shapes; all answerable.
-                        let q = figure2_example().upper((c + i) % n_upper).0;
-                        let beta = 1 + (i % 2);
+                        // Every client's first request is at (2,2).
+                        let q = upper[(c + i) % upper.len()];
+                        let (alpha, beta) = if i == 0 { (2, 2) } else { (1, 1 + (i % 2)) };
                         let t = Instant::now();
-                        let (status, headers, body) =
-                            get(&mut stream, &format!("/query?q={q}&alpha=1&beta={beta}"));
+                        let (status, headers, body) = get(
+                            &mut stream,
+                            &format!("/query?q={q}&alpha={alpha}&beta={beta}"),
+                        );
                         let us = u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX);
                         r.replies += 1;
                         match status {

@@ -6,11 +6,11 @@
 //!   dust settles every histogram must be internally consistent
 //!   (`count == Σ buckets`, sum and max match what was recorded).
 //! * A live [`QueryEngine`] under per-request load from several client
-//!   threads — the per-algorithm totals and the reply stage must
-//!   reconcile with the engine's own `completed` counter, and for every
+//!   threads — `completed` must equal the requests the clients sent,
+//!   every engine stage must count each of them once, and for every
 //!   request retained in the slow-query ring the per-stage sums must
 //!   reconcile with its end-to-end latency: the stages tile the request
-//!   (`queue + snapshot + answer + publish + reply ≈ total`).
+//!   (`queue + snapshot + answer + reply ≈ total`).
 
 use bigraph::builder::figure2_example;
 use scs::{Algorithm, CommunitySearch};
@@ -61,33 +61,29 @@ fn concurrent_recording_keeps_histograms_consistent() {
         }
     });
     let snap = telem.snapshot();
-    let mut total_count = 0u64;
-    for algo_hist in &snap.total {
+    for hist in std::iter::once(&snap.total).chain(&snap.stages) {
         let bucket_sum: u64 = (0..scs_service::HistSnapshot::N_BUCKETS)
-            .map(|i| algo_hist.bucket_count(i))
+            .map(|i| hist.bucket_count(i))
             .sum();
         assert_eq!(
-            algo_hist.count(),
+            hist.count(),
             bucket_sum,
             "count must equal the sum of bucket counts"
         );
-        total_count += algo_hist.count();
     }
-    assert_eq!(total_count, THREADS * PER_THREAD, "no record may be lost");
-    for algo_stages in &snap.stage {
-        for hist in algo_stages {
-            let bucket_sum: u64 = (0..scs_service::HistSnapshot::N_BUCKETS)
-                .map(|i| hist.bucket_count(i))
-                .sum();
-            assert_eq!(hist.count(), bucket_sum);
-        }
+    let sent = THREADS * PER_THREAD;
+    assert_eq!(snap.total.count(), sent, "no record may be lost");
+    // Every record passes through the four engine stages, and none
+    // through the socket-only accept stage.
+    for stage in Stage::ENGINE {
+        assert_eq!(
+            snap.stages[stage as usize].count(),
+            sent,
+            "{}",
+            stage.name()
+        );
     }
-    // Every record touched the same three stages.
-    for algo_stages in &snap.stage {
-        let kernels = algo_stages[Stage::Kernel as usize].count();
-        assert_eq!(algo_stages[Stage::QueueWait as usize].count(), kernels);
-        assert_eq!(algo_stages[Stage::Snapshot as usize].count(), kernels);
-    }
+    assert_eq!(snap.stages[Stage::Accept as usize].count(), 0);
 }
 
 #[test]
@@ -102,13 +98,15 @@ fn engine_under_load_reconciles_stages_with_totals() {
         },
     );
     let g = engine.current_index().0.graph().clone();
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 8;
     std::thread::scope(|scope| {
         let engine = &engine;
         let g = &g;
-        for c in 0..4usize {
+        for c in 0..CLIENTS {
             scope.spawn(move || {
                 let algo = Algorithm::ALL[c % Algorithm::ALL.len()];
-                for round in 0..8 {
+                for round in 0..ROUNDS {
                     for i in 0..g.n_upper() {
                         engine.query(QueryRequest::new(g.upper(i), 2, 2, algo));
                         engine.query(QueryRequest::new(g.upper(i), 1 + (round % 2), 2, algo));
@@ -119,17 +117,23 @@ fn engine_under_load_reconciles_stages_with_totals() {
     });
 
     let stats = engine.stats();
-    let algo_total: u64 = stats.algos.iter().map(|a| a.total.count).sum();
+    let sent = (CLIENTS * ROUNDS * 2 * g.n_upper()) as u64;
     assert_eq!(
-        algo_total, stats.completed,
-        "every completed request must be recorded exactly once"
+        stats.completed, sent,
+        "every request the clients sent must be recorded exactly once"
     );
-    // Every request waits in the queue; the queue-wait stage must have
-    // seen them all.
-    assert_eq!(stats.stages[Stage::QueueWait as usize].count, algo_total);
-    // Every request records its reply stage after answering, so the
-    // reply stage has seen them all too.
-    assert_eq!(stats.stages[Stage::Reply as usize].count, stats.completed);
+    // Every request passes through each engine stage once, so each
+    // engine stage has seen them all; only the socket path records
+    // the accept stage.
+    for stage in Stage::ENGINE {
+        assert_eq!(
+            stats.stages[stage as usize].count,
+            stats.completed,
+            "{}",
+            stage.name()
+        );
+    }
+    assert_eq!(stats.stages[Stage::Accept as usize].count, 0);
 
     // Per-request reconciliation on what the ring retained — the ring
     // keeps the worst requests with their full breakdown, so these are

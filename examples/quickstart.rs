@@ -63,7 +63,7 @@ fn main() {
     // The serving layer: the same graph behind a concurrent engine,
     // queried twice over. Telemetry is on by default (and
     // allocation-free), so afterwards the stats can say where each
-    // microsecond went — queue wait, snapshot, answer, publish, reply.
+    // microsecond went — queue wait, snapshot, answer, reply.
     let engine = QueryEngine::start(
         CommunitySearch::shared(figure1_example()),
         ServiceConfig::default(),
