@@ -1306,7 +1306,7 @@ mod tests {
         assert_eq!(status, 404);
         let (status, _, _) = get(addr, "/healthz");
         assert_eq!(status, 200);
-        // Admission ledger untouched by rejected requests.
+        // Rejected requests leave the admission ledger at zero.
         let fin = handle.stop();
         assert_eq!(fin.admitted, 0);
         assert_eq!(fin.served, 0);

@@ -170,7 +170,7 @@ impl HistSnapshot {
     /// Bucket counts and sums subtract exactly; the maximum is not
     /// recoverable from counters alone, so the delta reports the
     /// tightest available upper bound: the cumulative max clamped to
-    /// the highest bucket the window actually touched.
+    /// the highest bucket the window actually filled.
     pub fn delta(&self, prev: &HistSnapshot) -> HistSnapshot {
         let buckets: [u64; BUCKETS] =
             std::array::from_fn(|i| self.buckets[i].saturating_sub(prev.buckets[i]));
@@ -528,7 +528,7 @@ mod tests {
         let window = second.delta(&first);
         assert_eq!(window.count(), 2);
         assert_eq!(window.sum_us(), 2300);
-        // The delta's max is an upper bound from the touched buckets:
+        // The delta's max is an upper bound from the filled buckets:
         // both samples are in [1024,2048), cumulative max 1200.
         assert_eq!(window.max_us(), 1200);
         assert_eq!(window.quantile_us(1.0), 1200);

@@ -290,7 +290,7 @@ impl Telemetry {
 
     /// Records one network-front-end accept window (admission →
     /// engine enqueue) into the [`Stage::Accept`] histogram. The
-    /// end-to-end histogram is untouched — the engine records that when
+    /// end-to-end histogram is left alone — the engine records that when
     /// the request completes, and double counting would skew every
     /// quantile. Only [`crate::server`] calls this; the in-process path
     /// never records the stage, so the warm path's zero-allocation
@@ -1495,9 +1495,11 @@ mod tests {
         // One request's contiguous windows.
         let windows = [
             (Stage::QueueWait, 5_400u64),
+            (Stage::QueueWait, 2_000_500), // a second window of one stage sums
+            (Stage::QueueWait, 999),
             (Stage::Snapshot, 700),
             (Stage::Kernel, 300),
-            (Stage::Kernel, 2_000_500), // a second window of one stage sums
+            (Stage::Kernel, 900),
         ];
         let mut s = StageSet::new();
         for (stage, ns) in windows {
@@ -1506,9 +1508,10 @@ mod tests {
         let total_ns: u64 = windows.iter().map(|w| w.1).sum();
         let mut t = s.trace(&resp(3, 1), total_ns / 1_000);
         assert_eq!((t.q, t.alpha, t.beta), (3, 2, 3));
-        assert_eq!(t.stages_us[Stage::QueueWait as usize], 5);
+        // Truncating each window instead would give 2_005 and 0.
+        assert_eq!(t.stages_us[Stage::QueueWait as usize], 2_006);
         assert_eq!(t.stages_us[Stage::Snapshot as usize], 0);
-        assert_eq!(t.stages_us[Stage::Kernel as usize], 2_000);
+        assert_eq!(t.stages_us[Stage::Kernel as usize], 1);
         assert_eq!(t.stages_us[Stage::Reply as usize], 0);
         // Truncation happens once per stage: the sum reconciles with
         // the total to ≤1µs per stage.
