@@ -1,8 +1,8 @@
 //! # scs-analyze — workspace-wide concurrency & allocation contract analyzer
 //!
-//! The serving engine is built on hand-rolled lock-free protocols (the
-//! seqlock slow-query ring, epoch-swap installs, pooled one-shot reply
-//! cells) and a zero-allocation query path. Their invariants live in comments; this crate makes the
+//! The serving engine is built on hand-rolled concurrent protocols
+//! (epoch-swap installs, pooled one-shot reply cells, relaxed atomic
+//! statistics) and a zero-allocation query path. Their invariants live in comments; this crate makes the
 //! comments *mandatory* and machine-checks the repo conventions clippy
 //! cannot express. Since PR 9 it is call-graph-aware: a std-only lexer
 //! ([`lexer`]) and item/block parser ([`parser`]) build a cross-crate

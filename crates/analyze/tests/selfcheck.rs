@@ -29,7 +29,7 @@ fn the_real_workspace_is_clean_and_the_rules_saw_real_work() {
     );
     assert!(a.unsafe_sites >= 10, "only {} unsafe sites", a.unsafe_sites);
     assert!(
-        a.ordering_sites >= 50,
+        a.ordering_sites >= 30,
         "only {} audited ordering sites",
         a.ordering_sites
     );

@@ -98,7 +98,10 @@ type Widest = Option<(usize, usize, usize)>;
 /// Parses an edge list from any reader.
 ///
 /// Lines starting with `%` or `#` (after trimming) and blank lines are
-/// skipped. Each data line is `upper lower [weight]`.
+/// skipped. Each data line is `upper lower [weight]`. A weight must be
+/// a finite number: `inf`, `-inf`, `infinity`, an overflowing literal
+/// such as `1e999`, and `NaN` are [`EdgeListError::Parse`] errors
+/// (`invalid weight`) naming their line.
 ///
 /// A graph allocates every vertex of a layer up to its highest id, so an
 /// input of `m` data lines may declare at most `64·m + 65,536` vertices
@@ -154,10 +157,14 @@ pub fn read_edgelist<R: BufRead>(
             }
         }
         let w = match it.next() {
-            Some(tok) => tok.parse::<Weight>().map_err(|_| EdgeListError::Parse {
-                line: lineno + 1,
-                message: format!("invalid weight {tok:?}"),
-            })?,
+            Some(tok) => tok
+                .parse::<Weight>()
+                .ok()
+                .filter(|w| w.is_finite())
+                .ok_or_else(|| EdgeListError::Parse {
+                    line: lineno + 1,
+                    message: format!("invalid weight {tok:?}"),
+                })?,
             None => opts.default_weight,
         };
         b.add_edge(u, l, w);
@@ -263,6 +270,31 @@ mod tests {
         assert!(matches!(err, EdgeListError::Parse { line: 1, .. }));
         let err = read_edgelist("0\n".as_bytes(), &ReadOptions::default()).unwrap_err();
         assert!(matches!(err, EdgeListError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn rejects_non_finite_weights() {
+        // Each parses as ±∞ or NaN; an infinite weight would reach JSON
+        // replies as `"min_weight":inf`, which is not JSON.
+        for tok in ["inf", "-inf", "infinity", "1e999", "NaN"] {
+            let data = format!("0 0 1\n0 1 {tok}\n1 0 1\n");
+            let err = read_edgelist(data.as_bytes(), &ReadOptions::default()).unwrap_err();
+            let EdgeListError::Parse { line, message } = &err else {
+                panic!("{tok}: expected a parse error, got {err}");
+            };
+            assert_eq!(*line, 2, "{tok}");
+            assert!(message.contains("invalid weight"), "{tok}: {message}");
+        }
+        // A finite weight in the same position loads.
+        let g = read_edgelist(
+            "0 0 1\n0 1 1e300\n1 0 1\n".as_bytes(),
+            &ReadOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            g.weight(g.find_edge(g.upper(0), g.lower(1)).unwrap()),
+            1e300
+        );
     }
 
     #[test]

@@ -250,6 +250,22 @@ fn parse_usize(tok: &str, what: &str) -> Result<usize, CliError> {
     Ok(v)
 }
 
+/// Most engine workers (`--threads`) or replay clients (`--clients`) a
+/// run may ask for; also the cap of the `2 × threads` client default.
+const MAX_THREADS: usize = 1024;
+
+/// Most queries (`--queries`) or warmup queries (`--warmup`) one
+/// `serve-bench` run may replay: the workload is sized by their sum.
+const MAX_QUERIES: usize = 10_000_000;
+
+/// `v`, unless it exceeds `cap`: then an error naming `flag` and the cap.
+fn capped(v: usize, flag: &str, cap: usize) -> Result<usize, CliError> {
+    if v > cap {
+        return Err(CliError::new(format!("{flag} must be at most {cap}")));
+    }
+    Ok(v)
+}
+
 fn parse_algo(tok: &str) -> Result<Algorithm, CliError> {
     Algorithm::ALL
         .into_iter()
@@ -333,7 +349,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 let val = it
                     .next()
                     .ok_or_else(|| CliError::new("--threads needs a value"))?;
-                threads = parse_usize(val, "thread count")?;
+                threads = capped(parse_usize(val, "thread count")?, "--threads", MAX_THREADS)?;
             }
             "--addr" => {
                 serve_only_flags.push("--addr");
@@ -388,14 +404,18 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 let val = it
                     .next()
                     .ok_or_else(|| CliError::new("--queries needs a value"))?;
-                queries = parse_usize(val, "query count")?;
+                queries = capped(parse_usize(val, "query count")?, "--queries", MAX_QUERIES)?;
             }
             "--clients" => {
                 serve_flags.push("--clients");
                 let val = it
                     .next()
                     .ok_or_else(|| CliError::new("--clients needs a value"))?;
-                clients = Some(parse_usize(val, "client count")?);
+                clients = Some(capped(
+                    parse_usize(val, "client count")?,
+                    "--clients",
+                    MAX_THREADS,
+                )?);
             }
             "--alpha" => {
                 serve_flags.push("--alpha");
@@ -446,10 +466,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     .ok_or_else(|| CliError::new("--warmup needs a value"))?;
                 // Zero is meaningful here (no warmup), so parse directly
                 // instead of through `parse_usize`.
-                warmup = Some(
-                    val.parse()
-                        .map_err(|_| CliError::new(format!("invalid warmup count {val:?}")))?,
-                );
+                let n = val
+                    .parse()
+                    .map_err(|_| CliError::new(format!("invalid warmup count {val:?}")))?;
+                warmup = Some(capped(n, "--warmup", MAX_QUERIES)?);
             }
             "--metrics-out" => {
                 serve_flags.push("--metrics-out");
@@ -623,7 +643,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 one_based,
                 threads,
                 queries,
-                clients: clients.unwrap_or(threads * 2),
+                clients: clients.unwrap_or((threads * 2).min(MAX_THREADS)),
                 alpha: alpha_flag,
                 beta: beta_flag,
                 algo,
@@ -1296,6 +1316,37 @@ mod tests {
         }
         // --zipf is serve-bench-only like the other knobs.
         assert!(parse_args(&args(&["stats", "g", "--zipf", "1.0"])).is_err());
+    }
+
+    #[test]
+    fn counts_past_their_caps_are_refused_by_name() {
+        let bench = |flag: &str, v: &str| parse_args(&args(&["serve-bench", "g", flag, v]));
+        for (flag, cap) in [
+            ("--threads", MAX_THREADS),
+            ("--clients", MAX_THREADS),
+            ("--queries", MAX_QUERIES),
+            ("--warmup", MAX_QUERIES),
+        ] {
+            for over in [(cap + 1).to_string(), usize::MAX.to_string()] {
+                let err = bench(flag, &over).unwrap_err().to_string();
+                assert!(
+                    err.contains(flag) && err.contains(&cap.to_string()),
+                    "{flag} {over}: {err}"
+                );
+            }
+            assert!(bench(flag, &cap.to_string()).is_ok(), "{flag} at its cap");
+        }
+        // The `2 × threads` client default is clamped to the cap.
+        match bench("--threads", &MAX_THREADS.to_string()).unwrap() {
+            Command::ServeBench(a) => assert_eq!(a.clients, MAX_THREADS),
+            other => panic!("unexpected {other:?}"),
+        }
+        match bench("--threads", "3").unwrap() {
+            Command::ServeBench(a) => assert_eq!(a.clients, 6),
+            other => panic!("unexpected {other:?}"),
+        }
+        let err = parse_args(&args(&["serve", "g", "--threads", "1025"])).unwrap_err();
+        assert!(err.to_string().contains("--threads"), "{err}");
     }
 
     #[test]

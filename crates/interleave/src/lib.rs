@@ -1,8 +1,9 @@
 //! # scs-interleave — a bounded interleaving checker for the engine's protocols
 //!
-//! The serving stack rests on hand-rolled concurrent protocols: the
-//! seqlock slow-query ring and pooled one-shot reply cells. Their stress
-//! tests sample a few schedules per run; this crate checks *every*
+//! The serving stack hand-rolls one concurrent protocol: the engine's
+//! pooled one-shot reply cells, a mutex-and-condvar handshake whose
+//! cells are recycled through a pool. Stress tests sample a few
+//! schedules per run; this crate checks *every*
 //! schedule of a bounded model, in the spirit of
 //! [loom](https://docs.rs/loom) — but vendored and std-only, like the
 //! workspace's `rand`/`criterion` stand-ins, because the build is
@@ -18,7 +19,7 @@
 //! are checked two ways:
 //!
 //! * [`Model::step`] returns `Err` the moment a thread observes an
-//!   impossible state (a torn seqlock read, a recycled reply cell);
+//!   impossible state (a waiter reading a recycled reply cell);
 //! * the explorer itself reports **deadlock** (no thread enabled but not
 //!   all finished — the shape of a lost wakeup) and **depth exhaustion**
 //!   (a schedule longer than the bound — the shape of a livelock).
@@ -29,9 +30,9 @@
 //! deterministic, so a reported [`Violation`] carries the exact thread
 //! schedule that reproduces it.
 //!
-//! The protocol models mirroring the engine's structures live in
-//! [`models`], each alongside a deliberately broken variant proving the
-//! checker actually distinguishes correct protocols from subtly wrong
+//! The protocol model mirroring the engine's reply cells lives in
+//! [`models`], alongside deliberately broken variants proving the
+//! checker actually distinguishes a correct protocol from subtly wrong
 //! ones.
 
 #![forbid(unsafe_code)]

@@ -1,145 +1,19 @@
 //! Protocol models mirroring the engine's hand-rolled concurrent
-//! structures, each with a deliberately broken variant.
+//! structures, each with deliberately broken variants.
 //!
 //! Every model is a faithful *shape* of the production protocol — the
 //! same reads, writes, guards and handshakes, at the granularity of one
-//! shared-memory access per step — over plain fields instead of
-//! atomics. The [`Explorer`](crate::Explorer) then enumerates every
-//! interleaving, which is exactly the sequentially-consistent state
-//! space; the weak-memory half of the argument (which fence pairs with
-//! which access) is carried by the `// ordering:` comments that
-//! `scs analyze` enforces in the production files, and dynamically by
-//! the ThreadSanitizer CI job.
+//! shared-memory access per step — over plain fields. The
+//! [`Explorer`](crate::Explorer) then enumerates every interleaving,
+//! which is exactly the sequentially-consistent state space; the
+//! production structure's mutex supplies the memory ordering, and the
+//! ThreadSanitizer CI job checks it dynamically.
 //!
 //! | model | production structure | broken variant demonstrates |
 //! |---|---|---|
-//! | [`Seqlock`] | `telemetry::SlowRing` slots | torn read accepted |
 //! | [`ReplyCell`] | engine's pooled one-shot reply cells | lost wakeup; recycled cell observed |
 
 use crate::Model;
-
-/// The value every writer publishes; readers must see all-or-nothing.
-const VAL: u64 = 1;
-/// Words in the modelled seqlock payload.
-const WORDS: usize = 4;
-
-/// Seqlock writer vs. reader, the protocol of the telemetry slow-query
-/// ring: the writer makes the sequence odd, writes [`WORDS`] payload
-/// words, then makes it even; the reader snapshots the sequence, reads
-/// the payload, and accepts only if the sequence was even and unchanged.
-///
-/// The broken variant writes the first payload word *before* making the
-/// sequence odd — the model-level analogue of the missing release fence
-/// the PR 8 ordering audit found in `SlowRing::offer` (data stores
-/// allowed to become visible before the odd sequence).
-#[derive(Debug, Clone)]
-pub struct Seqlock {
-    seq: u64,
-    data: [u64; WORDS],
-    wpc: usize,
-    rpc: usize,
-    rseq: u64,
-    rdata: [u64; WORDS],
-    retries: u32,
-    accepted: Option<[u64; WORDS]>,
-    gave_up: bool,
-    write_before_odd: bool,
-}
-
-impl Seqlock {
-    /// Retries the reader attempts before giving up (keeps every
-    /// schedule bounded).
-    const MAX_RETRIES: u32 = 2;
-
-    /// The correct protocol: passes under every interleaving.
-    pub fn correct() -> Seqlock {
-        Seqlock {
-            seq: 0,
-            data: [0; WORDS],
-            wpc: 0,
-            rpc: 0,
-            rseq: 0,
-            rdata: [0; WORDS],
-            retries: 0,
-            accepted: None,
-            gave_up: false,
-            write_before_odd: false,
-        }
-    }
-
-    /// The broken writer: first payload word lands before the sequence
-    /// goes odd, so a reader can accept a torn snapshot.
-    pub fn buggy() -> Seqlock {
-        Seqlock {
-            write_before_odd: true,
-            ..Seqlock::correct()
-        }
-    }
-}
-
-impl Model for Seqlock {
-    fn threads(&self) -> usize {
-        2
-    }
-
-    fn finished(&self, tid: usize) -> bool {
-        if tid == 0 {
-            self.wpc >= 6
-        } else {
-            self.rpc >= 6
-        }
-    }
-
-    fn step(&mut self, tid: usize) -> Result<(), String> {
-        if tid == 0 {
-            // Writer: 6 steps.
-            match (self.wpc, self.write_before_odd) {
-                (0, false) => self.seq += 1,
-                (0, true) => self.data[0] = VAL, // bug: unannounced write
-                (1, false) => self.data[0] = VAL,
-                (1, true) => self.seq += 1,
-                (i @ 2..=4, _) => self.data[i - 1] = VAL,
-                (5, _) => self.seq += 1,
-                _ => unreachable!("writer finished"),
-            }
-            self.wpc += 1;
-        } else {
-            // Reader: 6 steps per attempt, bounded retries.
-            match self.rpc {
-                0 => self.rseq = self.seq,
-                i @ 1..=4 => self.rdata[i - 1] = self.data[i - 1],
-                5 => {
-                    if self.rseq.is_multiple_of(2) && self.seq == self.rseq {
-                        let snap = self.rdata;
-                        self.accepted = Some(snap);
-                        if snap != [0; WORDS] && snap != [VAL; WORDS] {
-                            return Err(format!("torn seqlock read accepted: {snap:?}"));
-                        }
-                    } else if self.retries < Self::MAX_RETRIES {
-                        self.retries += 1;
-                        self.rpc = 0;
-                        return Ok(());
-                    } else {
-                        self.gave_up = true;
-                    }
-                }
-                _ => unreachable!("reader finished"),
-            }
-            self.rpc += 1;
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        match self.accepted {
-            Some(snap) if snap != [0; WORDS] && snap != [VAL; WORDS] => {
-                Err(format!("torn seqlock read accepted: {snap:?}"))
-            }
-            None if !self.gave_up => Err("reader neither accepted nor gave up".to_string()),
-            _ => Ok(()),
-        }
-    }
-}
 
 /// Which ReplyCell bug (if any) the model carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,25 +201,5 @@ impl Model for ReplyCell {
             Some(v) => Err(format!("waiter finished with wrong answer {v}")),
             None => Err("waiter finished without an answer".to_string()),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn seqlock_retry_loop_is_bounded() {
-        let mut m = Seqlock::correct();
-        // Writer stops mid-write (seq odd), reader must give up.
-        m.step(0).unwrap(); // seq -> 1
-        for _ in 0..64 {
-            if m.finished(1) {
-                break;
-            }
-            m.step(1).unwrap();
-        }
-        assert!(m.finished(1));
-        assert!(m.check_final().is_ok());
     }
 }

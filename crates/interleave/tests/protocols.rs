@@ -4,37 +4,14 @@
 //!
 //! The schedule-count assertions pin the exhaustiveness bound: two
 //! free-running 6-step threads admit `C(12,6) = 924` interleavings, and
-//! the seqlock/reply-cell explorations must enumerate at least that
-//! many complete schedules.
+//! the reply-cell exploration must enumerate at least that many
+//! complete schedules.
 
-use scs_interleave::models::{ReplyCell, Seqlock};
+use scs_interleave::models::ReplyCell;
 use scs_interleave::Explorer;
 
 /// All interleavings of two free-running 6-step threads.
 const TWO_BY_SIX: u64 = 924;
-
-#[test]
-fn seqlock_correct_passes_every_interleaving() {
-    let report = Explorer::default()
-        .explore(&Seqlock::correct())
-        .expect("correct seqlock has no torn reads");
-    assert!(
-        report.schedules >= TWO_BY_SIX,
-        "enumerated only {} schedules (need >= {TWO_BY_SIX})",
-        report.schedules
-    );
-    // Retried reads make schedules longer than the 12-step minimum.
-    assert!(report.longest >= 12, "longest={}", report.longest);
-}
-
-#[test]
-fn seqlock_unannounced_write_is_caught() {
-    let err = Explorer::default()
-        .explore(&Seqlock::buggy())
-        .expect_err("a data write before the odd sequence must be observable");
-    assert!(err.message.contains("torn seqlock read"), "{err}");
-    assert!(!err.schedule.is_empty());
-}
 
 #[test]
 fn reply_cell_correct_passes_every_interleaving() {
@@ -73,8 +50,11 @@ fn reply_cell_eager_recycle_is_caught() {
 fn violation_schedules_replay_deterministically() {
     // Replaying the reported schedule step-by-step reproduces the exact
     // violation — the property that makes checker reports actionable.
-    let err = Explorer::default().explore(&Seqlock::buggy()).unwrap_err();
-    let mut replay = Seqlock::buggy();
+    let err = Explorer::default()
+        .explore(&ReplyCell::eager_recycle())
+        .unwrap_err();
+    assert!(err.message.contains("recycled"), "{err}");
+    let mut replay = ReplyCell::eager_recycle();
     let mut failed = None;
     for &tid in &err.schedule {
         if let Err(msg) = scs_interleave::Model::step(&mut replay, tid) {

@@ -346,7 +346,7 @@ struct Inner {
     scratch_bytes: Vec<AtomicUsize>,
     /// The preallocated telemetry plane: one histogram per stage, the
     /// end-to-end histogram, the slow-query ring and the install
-    /// counter. Recording is lock-free and allocation-free (see
+    /// counter. Recording never blocks and never allocates (see
     /// [`crate::telemetry`]).
     telemetry: Telemetry,
     started: Instant,
@@ -659,7 +659,7 @@ impl QueryEngine {
     /// current values — residency has no meaningful delta.
     ///
     /// The slow-query list reports the worst requests *of the window*:
-    /// each call re-arms the slow ring (clearing the slots and the
+    /// each call re-arms the slow ring (emptying it and clearing the
     /// reject threshold), so a fast window following a slow warmup
     /// still surfaces its own spikes instead of losing them under the
     /// warmup's stale threshold.

@@ -40,12 +40,12 @@
 //! * [`telemetry`] — per-stage latency attribution (queue wait, snapshot
 //!   read, answer, reply, and the socket path's accept) into one
 //!   lock-free histogram per stage beside the end-to-end histogram, a
-//!   fixed-capacity slow-query ring retaining
+//!   fixed-capacity slow-query ring (a list behind one mutex) retaining
 //!   the worst requests with their full stage breakdown and answer
 //!   size, and machine-readable exporters: Prometheus text
 //!   ([`engine::QueryEngine::render_metrics`]) and the schema-versioned
-//!   `BENCH_service.json` bench artifact. Recording is lock-free and
-//!   allocation-free, on by default — the counting-allocator gate runs
+//!   `BENCH_service.json` bench artifact. Recording never blocks and
+//!   never allocates, on by default — the counting-allocator gate runs
 //!   with telemetry enabled. Windowed snapshots
 //!   ([`engine::QueryEngine::stats_window`]) report steady-state rates.
 //! * per-worker scratch reuse — every worker owns a
@@ -110,7 +110,7 @@ pub use server::{Server, ServerHandle};
 pub use stats::{AdmissionStats, CacheStats, HistSnapshot, LatencyHistogram, ServiceStats};
 pub use telemetry::{
     render_bench_json, render_prometheus, validate_bench_json, validate_prometheus, BenchMeta,
-    LatencySummary, SlowQuery, Stage, BENCH_SCHEMA, N_STAGES,
+    LatencySummary, RequestTrace, Stage, BENCH_SCHEMA, N_STAGES,
 };
 
 use bigraph::{EdgeId, Subgraph, Vertex};

@@ -2,7 +2,7 @@
 //! snapshots (the currency of windowed stats and the metrics exporters),
 //! and the [`ServiceStats`] snapshot the CLI prints.
 
-use crate::telemetry::{LatencySummary, SlowQuery, Stage, N_STAGES};
+use crate::telemetry::{LatencySummary, RequestTrace, Stage, N_STAGES};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -364,7 +364,7 @@ pub struct ServiceStats {
     /// call reports the worst requests *since the previous window call*
     /// and re-arms the ring, so a fast window after a slow warmup still
     /// surfaces its own spikes.
-    pub slow: Vec<SlowQuery>,
+    pub slow: Vec<RequestTrace>,
 }
 
 impl fmt::Display for ServiceStats {
@@ -568,7 +568,7 @@ mod tests {
             max_us: 900,
             scratch_bytes: 65536,
             stages,
-            slow: vec![SlowQuery {
+            slow: vec![RequestTrace {
                 q: 17,
                 alpha: 2,
                 beta: 3,

@@ -1,7 +1,8 @@
 //! Zero-allocation service telemetry: per-stage latency attribution,
 //! one lock-free histogram per stage plus one end-to-end histogram, a
-//! fixed-capacity slow-query ring, and machine-readable exporters
-//! (Prometheus text, schema-versioned bench JSON).
+//! fixed-capacity slow-query ring (the K worst requests, behind one
+//! mutex), and machine-readable exporters (Prometheus text,
+//! schema-versioned bench JSON).
 //!
 //! ## Design constraints
 //!
@@ -9,9 +10,12 @@
 //! query** (`tests/alloc_free_service.rs`), and telemetry is on by
 //! default — so every recording structure is preallocated at engine
 //! construction and every record operation is a handful of relaxed
-//! atomic adds (histograms) or a bounded seqlock write (slow-query
-//! ring). Reading — snapshots, quantiles, exporters — may allocate; it
-//! happens off the hot path, in `stats()` / `render_metrics()` callers.
+//! atomic adds (histograms) and one relaxed load (the slow-query ring's
+//! reject threshold). A request that enters the ring's K worst also
+//! takes its lock with `try_lock`, which never waits: if the lock is
+//! held the offer is dropped. Reading — snapshots, quantiles, exporters
+//! — may allocate; it happens off the hot path, in `stats()` /
+//! `render_metrics()` callers.
 //!
 //! ## Stage attribution
 //!
@@ -35,6 +39,7 @@ use crate::QueryResponse;
 use scs::Algorithm;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError, TryLockError};
 
 /// Number of fixed stages every request's latency is split into.
 pub const N_STAGES: usize = 5;
@@ -109,10 +114,12 @@ pub struct LatencySummary {
     pub max_us: u64,
 }
 
-/// One retained worst-case request, as read back from the slow-query
-/// ring: the full key, answer size and stage breakdown.
+/// One completed request: its key, answer size and stage breakdown.
+/// [`Telemetry::record`] takes it, built on the stack from a
+/// [`StageSet`] (engine hot path — no allocation), and the slow-query
+/// ring keeps a copy when the request is among the worst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlowQuery {
+pub struct RequestTrace {
     /// Query vertex (raw id).
     pub q: u32,
     /// α degree constraint.
@@ -130,7 +137,7 @@ pub struct SlowQuery {
     pub stages_us: [u64; N_STAGES],
 }
 
-impl fmt::Display for SlowQuery {
+impl fmt::Display for RequestTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -143,27 +150,6 @@ impl fmt::Display for SlowQuery {
         }
         Ok(())
     }
-}
-
-/// Everything [`Telemetry::record`] needs about one completed request.
-/// Built on the stack from a [`StageSet`] (engine hot path — no
-/// allocation).
-#[derive(Debug, Clone, Copy)]
-pub struct RequestTrace {
-    /// Query vertex (raw id).
-    pub q: u32,
-    /// α degree constraint.
-    pub alpha: u32,
-    /// β degree constraint.
-    pub beta: u32,
-    /// Index epoch that served it.
-    pub epoch: u64,
-    /// Edges in the answer.
-    pub result_edges: u64,
-    /// End-to-end latency, µs.
-    pub total_us: u64,
-    /// Per-stage attribution, µs.
-    pub stages_us: [u64; N_STAGES],
 }
 
 impl RequestTrace {
@@ -222,9 +208,8 @@ impl StageSet {
 
 /// The engine's preallocated telemetry plane: one histogram per stage,
 /// one end-to-end histogram, the slow-query ring and the install
-/// counter. Recording ([`Self::record`]) is lock-free and
-/// allocation-free; reading allocates and belongs in stats/exporter
-/// paths.
+/// counter. Recording ([`Self::record`]) never blocks and never
+/// allocates; reading allocates and belongs in stats/exporter paths.
 #[derive(Debug)]
 pub struct Telemetry {
     stages: [LatencyHistogram; N_STAGES],
@@ -248,10 +233,11 @@ impl Telemetry {
 
     /// Records one completed engine request: its end-to-end latency,
     /// each of the four engine stages, and an offer to the slow-query
-    /// ring. Atomic adds and a bounded seqlock write — no locks, no
-    /// allocation.
+    /// ring. Atomic adds and one relaxed load, plus a `try_lock` and a
+    /// copy into preallocated storage for a request among the K worst —
+    /// never a wait, never an allocation.
     // scs-contract: no-alloc, no-block — recording sits on every
-    // request's exit path: atomic adds and a bounded seqlock write only.
+    // request's exit path.
     pub fn record(&self, t: &RequestTrace) {
         self.total.record(t.total_us);
         for stage in Stage::ENGINE {
@@ -282,8 +268,8 @@ impl Telemetry {
 
     /// The retained worst requests, worst-first. Allocates the output
     /// vector — reading belongs off the hot path.
-    pub fn slow_queries(&self) -> Vec<SlowQuery> {
-        let mut out = Vec::with_capacity(self.ring.capacity());
+    pub fn slow_queries(&self) -> Vec<RequestTrace> {
+        let mut out = Vec::with_capacity(self.ring.capacity);
         self.ring.snapshot_into(&mut out);
         out
     }
@@ -300,8 +286,8 @@ impl Telemetry {
         self.stages[Stage::Accept as usize].record(accept_us);
     }
 
-    /// Starts a fresh slow-query window: clears every ring slot and
-    /// re-arms the reject threshold (see [`SlowRing::reset_window`]).
+    /// Starts a fresh slow-query window: empties the ring and re-arms
+    /// the reject threshold (see [`SlowRing::reset_window`]).
     /// Called by the engine's windowed stats rollover so a fast window
     /// after a slow warmup still captures its own spikes.
     pub fn reset_slow_window(&self) {
@@ -358,286 +344,88 @@ impl TelemetrySnapshot {
     }
 }
 
-/// One slow-query ring slot: a seqlock (even `seq` = stable, odd =
-/// being written) around relaxed plain-value fields. `total_us == 0`
-/// means the slot has never been filled.
-#[derive(Debug)]
-struct RingSlot {
-    seq: AtomicU64,
-    total_us: AtomicU64,
-    /// `q << 32 | alpha`.
-    lo: AtomicU64,
-    /// `beta`.
-    mid: AtomicU64,
-    epoch: AtomicU64,
-    result_edges: AtomicU64,
-    stages: [AtomicU64; N_STAGES],
-}
-
-impl RingSlot {
-    fn new() -> Self {
-        RingSlot {
-            seq: AtomicU64::new(0),
-            total_us: AtomicU64::new(0),
-            lo: AtomicU64::new(0),
-            mid: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            result_edges: AtomicU64::new(0),
-            stages: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Fixed-capacity lock-free "keep the K worst" ring. Writers replace
-/// the current minimum when they beat it; a cached copy of that
-/// minimum makes the common case (request not slow enough) one relaxed
-/// load. Insertion is best-effort under contention: a writer that
-/// loses its CAS race a few times drops its offer rather than spin —
-/// the ring is diagnostics, not accounting, and under a race the slot
-/// was just taken by a comparably slow request.
+/// The K slowest requests since the last window reset, in a list
+/// behind one mutex. A cached copy of the retained minimum makes the
+/// common case (request not slow enough) one relaxed load; only a
+/// request slower than that minimum tries the lock. Offers never wait
+/// for it: while a reader (`stats()`, `/stats`, `/metrics`) or another
+/// writer holds the lock, an offer is dropped. A reader holds it for
+/// one copy of at most K entries. The list is diagnostics, not
+/// accounting.
 #[derive(Debug)]
 struct SlowRing {
-    slots: Box<[RingSlot]>,
-    /// Lower bound on the smallest retained `total_us` (0 while any
-    /// slot is empty or a write is in flight) — the reject fast path.
+    capacity: usize,
+    entries: Mutex<Vec<RequestTrace>>,
+    /// The smallest retained `total_us` while the list is full, else 0
+    /// — the reject fast path. Written only under the lock.
     threshold: AtomicU64,
 }
 
 impl SlowRing {
     fn new(capacity: usize) -> Self {
         SlowRing {
-            slots: (0..capacity).map(|_| RingSlot::new()).collect(),
+            capacity,
+            entries: Mutex::new(Vec::with_capacity(capacity)),
             threshold: AtomicU64::new(0),
         }
     }
 
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    // scs-contract: no-alloc, no-block — the writer side of the seqlock
-    // ring runs on every request's exit path; only `snapshot_into` (not
-    // under contract) may allocate.
+    // scs-contract: no-alloc, no-block — runs on every request's exit
+    // path: a `try_lock` that never waits and a push within the
+    // capacity reserved in `new`; only `snapshot_into` may allocate.
     fn offer(&self, t: &RequestTrace) {
-        if self.slots.is_empty() || t.total_us == 0 {
+        if self.capacity == 0 || t.total_us == 0 {
             return;
         }
-        // ordering: Relaxed — `threshold` is a monotone hint, not a gate;
-        // a stale read only costs a redundant scan below.
+        // ordering: Relaxed — `threshold` is a hint; a stale read only
+        // costs a lock attempt that finds the request not slow enough.
         if t.total_us <= self.threshold.load(Ordering::Relaxed) {
             return;
         }
-        let lo = (u64::from(t.q) << 32) | u64::from(t.alpha);
-        for _attempt in 0..4 {
-            // Victim: the stable slot holding the smallest total.
-            let mut min_i = usize::MAX;
-            let mut min_total = u64::MAX;
-            for (i, s) in self.slots.iter().enumerate() {
-                // ordering: Acquire on `seq` pairs with the Release
-                // publish in `offer`; an even value makes the writer's
-                // stores below visible to this scan.
-                if s.seq.load(Ordering::Acquire) & 1 == 1 {
-                    continue;
-                }
-                // ordering: Relaxed — ordered by the Acquire `seq` load
-                // above; the CAS re-validates the victim anyway.
-                let st = s.total_us.load(Ordering::Relaxed);
-                if st < min_total {
-                    min_total = st;
-                    min_i = i;
-                }
-            }
-            if min_i == usize::MAX {
-                return; // every slot mid-write; drop the offer
-            }
-            if t.total_us <= min_total {
-                // The ring already retains K requests at least this
-                // slow; remember that so future offers reject in one
-                // load.
-                // ordering: Relaxed — hint store; see the fast-path load.
-                self.threshold.store(min_total, Ordering::Relaxed);
+        let mut entries = match self.entries.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) => return,
+            // Entries are plain `Copy` values, each written whole.
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+        };
+        if entries.len() < self.capacity {
+            // contract-ok: stays within the capacity reserved in `new`
+            entries.push(*t);
+        } else if let Some(min) = entries.iter_mut().min_by_key(|e| e.total_us) {
+            if t.total_us <= min.total_us {
                 return;
             }
-            let s = &self.slots[min_i];
-            // ordering: Acquire pairs with the Release publish so the
-            // stability re-check below sees the victim's settled fields.
-            let seq = s.seq.load(Ordering::Acquire);
-            // ordering: Relaxed re-check — ordered by the Acquire above.
-            if seq & 1 == 1 || s.total_us.load(Ordering::Relaxed) != min_total {
-                continue; // raced; re-scan
-            }
-            // ordering: Acquire on success pairs with the previous
-            // writer's Release publish of `seq`; Relaxed on failure —
-            // a lost race just re-scans.
-            if s.seq
-                .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            // Regression note: without the fence below the data stores
-            // could be reordered ahead of the odd-sequence announcement
-            // on weakly-ordered hardware, letting a concurrent reader
-            // pass its seq1 == seq2 check while observing a half-written
-            // slot — exactly the torn read the seqlock exists to prevent
-            // (modelled by `Seqlock::buggy()` in scs-interleave, caught
-            // by TSan on the nightly job).
-            //
-            // ordering: Release fence pairs with the readers' Acquire
-            // loads of `seq` (in `read_slot` and the victim scan): the
-            // odd `seq` from the CAS above must become visible before
-            // any of the Relaxed data stores below.
-            std::sync::atomic::fence(Ordering::Release);
-            // ordering: Relaxed data stores — fenced off from the odd
-            // `seq` above and published by the Release store below.
-            s.total_us.store(t.total_us, Ordering::Relaxed);
-            s.lo.store(lo, Ordering::Relaxed);
-            s.mid.store(u64::from(t.beta), Ordering::Relaxed);
-            s.epoch.store(t.epoch, Ordering::Relaxed);
-            s.result_edges.store(t.result_edges, Ordering::Relaxed);
-            for (slot, &us) in s.stages.iter().zip(t.stages_us.iter()) {
-                // ordering: Relaxed — same data-store batch as above.
-                slot.store(us, Ordering::Relaxed);
-            }
-            // ordering: Release publish pairs with readers' Acquire
-            // loads of `seq`, sealing the data stores above.
-            s.seq.store(seq + 2, Ordering::Release);
-            self.refresh_threshold();
-            return;
+            *min = *t;
+        }
+        if entries.len() == self.capacity {
+            let floor = entries.iter().map(|e| e.total_us).min().unwrap_or(0);
+            // ordering: Relaxed — written under the lock; readers treat
+            // it as a hint (see the fast path).
+            self.threshold.store(floor, Ordering::Relaxed);
         }
     }
 
-    // scs-contract: no-alloc, no-block — runs inside `offer`.
-    fn refresh_threshold(&self) {
-        let mut min = u64::MAX;
-        for s in &self.slots {
-            // ordering: Acquire on `seq` pairs with the Release publish
-            // in `offer`, ordering the `total_us` load below.
-            if s.seq.load(Ordering::Acquire) & 1 == 1 {
-                // A write is in flight; its final total is unknown, so
-                // publish the conservative "accept everything" bound.
-                // ordering: Relaxed — hint store; see the fast path.
-                self.threshold.store(0, Ordering::Relaxed);
-                return;
-            }
-            // ordering: Relaxed — ordered by the Acquire `seq` load.
-            min = min.min(s.total_us.load(Ordering::Relaxed));
-        }
-        if min != u64::MAX {
-            // ordering: Relaxed — `threshold` is only a reject hint.
-            self.threshold.store(min, Ordering::Relaxed);
-        }
-    }
-
-    /// Window rollover: clears every slot through the regular seqlock
-    /// writer protocol and drops the reject threshold back to 0.
+    /// Window rollover: empties the list and drops the reject threshold
+    /// back to 0.
     ///
     /// Without this the threshold is a one-way ratchet: `offer` only
-    /// ever raises it (to the ring's current minimum), so after a slow
-    /// warmup fills the ring with multi-millisecond entries, a
+    /// ever raises it (to the list's current minimum), so after a slow
+    /// warmup fills the list with multi-millisecond entries, a
     /// subsequent fast window — whose worst requests are genuinely slow
     /// *for that window* but under the stale bound — records nothing,
-    /// forever. Resetting the threshold alone would not fix it: the
-    /// first post-reset `offer` re-scans the (still slow) slots and
-    /// re-raises the bound, so the slots must be cleared too. A slot
-    /// mid-write is skipped — its writer's entry legitimately belongs
-    /// to the closing window's tail and will age out on the next reset.
+    /// forever.
     fn reset_window(&self) {
-        for s in &self.slots {
-            // ordering: Acquire pairs with the writers' Release publish;
-            // an even `seq` means the slot is stable and claimable.
-            let seq = s.seq.load(Ordering::Acquire);
-            if seq & 1 == 1 {
-                continue;
-            }
-            // Claim the slot exactly like `offer` does so concurrent
-            // writers/readers observe a normal write cycle.
-            // ordering: Acquire on success pairs with the prior writer's
-            // Release publish; Relaxed on failure — a lost race means a
-            // concurrent writer owns the slot, skip it.
-            if s.seq
-                .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            // ordering: Release fence before the data stores, exactly as
-            // in `offer` — the odd `seq` must be visible before the
-            // cleared fields.
-            std::sync::atomic::fence(Ordering::Release);
-            // ordering: Relaxed data stores — sealed by the Release
-            // publish below. `total_us == 0` marks the slot empty.
-            s.total_us.store(0, Ordering::Relaxed);
-            s.lo.store(0, Ordering::Relaxed);
-            s.mid.store(0, Ordering::Relaxed);
-            s.epoch.store(0, Ordering::Relaxed);
-            s.result_edges.store(0, Ordering::Relaxed);
-            for slot in &s.stages {
-                // ordering: Relaxed — same data-store batch as above.
-                slot.store(0, Ordering::Relaxed);
-            }
-            // ordering: Release publish pairs with readers' Acquire
-            // loads of `seq`.
-            s.seq.store(seq + 2, Ordering::Release);
-        }
-        // ordering: Relaxed — `threshold` is only a reject hint; 0
-        // accepts everything until the ring refills.
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        entries.clear();
+        // ordering: Relaxed — written under the lock; 0 accepts every
+        // offer until the list refills.
         self.threshold.store(0, Ordering::Relaxed);
     }
 
-    // scs-contract: no-alloc, no-block — the reader side of the seqlock:
-    // bounded retries, no locks, plain loads into stack storage.
-    fn read_slot(s: &RingSlot) -> Option<SlowQuery> {
-        for _ in 0..8 {
-            // ordering: Acquire `seq` pairs with the writer's Release
-            // publish in `offer`; the data loads below happen-after.
-            let seq = s.seq.load(Ordering::Acquire);
-            if seq & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            // ordering: Relaxed data loads — bracketed by the Acquire
-            // `seq` load above and the Acquire fence + re-check below.
-            let total_us = s.total_us.load(Ordering::Relaxed);
-            let lo = s.lo.load(Ordering::Relaxed);
-            let mid = s.mid.load(Ordering::Relaxed);
-            let epoch = s.epoch.load(Ordering::Relaxed);
-            let result_edges = s.result_edges.load(Ordering::Relaxed);
-            let mut stages_us = [0u64; N_STAGES];
-            for (out, slot) in stages_us.iter_mut().zip(s.stages.iter()) {
-                // ordering: Relaxed — same data-load batch as above.
-                *out = slot.load(Ordering::Relaxed);
-            }
-            // ordering: Acquire fence pairs with the writer's Release
-            // fence after its odd CAS — the `seq` re-check below may be
-            // Relaxed because the fence orders it after the data loads.
-            std::sync::atomic::fence(Ordering::Acquire);
-            if s.seq.load(Ordering::Relaxed) != seq {
-                continue; // torn read; retry
-            }
-            if total_us == 0 {
-                return None; // never filled
-            }
-            return Some(SlowQuery {
-                q: (lo >> 32) as u32,
-                alpha: lo as u32,
-                beta: mid as u32,
-                epoch,
-                result_edges,
-                total_us,
-                stages_us,
-            });
-        }
-        None
-    }
-
-    fn snapshot_into(&self, out: &mut Vec<SlowQuery>) {
-        for s in self.slots.iter() {
-            if let Some(q) = Self::read_slot(s) {
-                out.push(q);
-            }
-        }
-        out.sort_by_key(|q| std::cmp::Reverse(q.total_us));
+    /// Appends the retained requests to `out`, worst-first.
+    fn snapshot_into(&self, out: &mut Vec<RequestTrace>) {
+        out.extend_from_slice(&self.entries.lock().unwrap_or_else(PoisonError::into_inner));
+        out.sort_by_key(|t| std::cmp::Reverse(t.total_us));
     }
 }
 
@@ -1632,15 +1420,14 @@ mod tests {
     }
 
     #[test]
-    fn seqlock_slots_never_tear_under_concurrent_offers() {
+    fn ring_entries_stay_whole_under_concurrent_offers() {
         use std::sync::Arc;
         // Every offered trace is self-consistent — `q`, `total_us` and
-        // the kernel stage all encode the same value — so a torn read
-        // (fields mixed from two different writes) breaks the
-        // equations the reader checks. Bounds are small on purpose:
-        // the nightly CI job replays this test under Miri, which
-        // emulates weak memory but runs orders of magnitude slower
-        // than native.
+        // the kernel stage all encode the same value — so an entry
+        // mixed from two different offers breaks the equations the
+        // reader checks. Bounds are small on purpose: the nightly CI
+        // job replays this test under Miri, which runs orders of
+        // magnitude slower than native.
         let ring = Arc::new(SlowRing::new(2));
         let writers: Vec<_> = (0..2u64)
             .map(|w| {
@@ -1661,11 +1448,11 @@ mod tests {
                     seen.clear();
                     ring.snapshot_into(&mut seen);
                     for s in &seen {
-                        assert_eq!(u64::from(s.q), s.total_us, "torn slot: {s:?}");
+                        assert_eq!(u64::from(s.q), s.total_us, "mixed entry: {s:?}");
                         assert_eq!(
                             s.stages_us[Stage::Kernel as usize],
                             s.total_us,
-                            "torn slot: {s:?}"
+                            "mixed entry: {s:?}"
                         );
                     }
                     std::thread::yield_now();
@@ -1677,9 +1464,8 @@ mod tests {
         }
         reader.join().unwrap();
         // With the contention over, one more offer from this thread
-        // must land deterministically (writes are only best-effort
-        // while a race is in flight), and everything retained is
-        // self-consistent.
+        // must land deterministically (an offer that finds the lock
+        // held is dropped), and everything retained is self-consistent.
         ring.offer(&trace(9999, 9999, 9999));
         let mut fin = Vec::new();
         ring.snapshot_into(&mut fin);
@@ -1688,6 +1474,37 @@ mod tests {
         for s in &fin {
             assert_eq!(u64::from(s.q), s.total_us);
             assert_eq!(s.stages_us[Stage::Kernel as usize], s.total_us);
+        }
+    }
+
+    #[test]
+    fn ring_keeps_the_k_largest_nonzero_totals_across_resets() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        for capacity in [0usize, 1, 3, 16] {
+            let telem = Telemetry::new(capacity);
+            // `offer` pushes only within the capacity reserved in `new`,
+            // so the list never reallocates.
+            let reserved = || telem.ring.entries.lock().unwrap().capacity();
+            let before = reserved();
+            assert!(before >= capacity);
+            for round in 0..40 {
+                // Small totals force ties; 0 is never retained.
+                let offered: Vec<u64> = (0..rng.gen_range(0..60usize))
+                    .map(|_| rng.gen_range(0..12u64))
+                    .collect();
+                for (i, &us) in offered.iter().enumerate() {
+                    telem.record(&trace(i as u32, us, us));
+                }
+                let mut want: Vec<u64> = offered.into_iter().filter(|&us| us > 0).collect();
+                want.sort_unstable_by(|a, b| b.cmp(a));
+                want.truncate(capacity);
+                let got: Vec<u64> = telem.slow_queries().iter().map(|t| t.total_us).collect();
+                assert_eq!(got, want, "capacity {capacity}, round {round}");
+                telem.reset_slow_window();
+                assert!(telem.slow_queries().is_empty());
+            }
+            assert_eq!(reserved(), before, "capacity {capacity}");
         }
     }
 

@@ -12,6 +12,11 @@
 //! * one worker, every algorithm;
 //! * two workers sharing the one job queue, over 8 distinct keys.
 //!
+//! Each measured round starts with an empty slow-query ring (a
+//! `stats_window` call outside the window empties it), so every request
+//! in the round takes the ring's insert path, and the round ends by
+//! checking that the ring retained those requests.
+//!
 //! Every response is a view: its summary reads the answer's class and
 //! its edges are never emitted here, so no answer is copied.
 //!
@@ -91,6 +96,17 @@ fn workload(search: &CommunitySearch, n: usize) -> Vec<QueryRequest> {
     w
 }
 
+/// Checks that the slow-query ring, emptied before the round, retained
+/// every request of the round: each one went through its insert path.
+/// The requests are issued one at a time, so no offer meets a held lock.
+fn assert_retained(engine: &QueryEngine, round: &[QueryRequest]) {
+    let mut got: Vec<u32> = engine.stats().slow.iter().map(|t| t.q).collect();
+    let mut want: Vec<u32> = round.iter().map(|r| r.q.0).collect();
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want, "the slow-query ring must retain the round");
+}
+
 fn main() {
     let search = search();
 
@@ -119,6 +135,7 @@ fn main() {
                 let resp = engine.query(req);
                 assert!(!resp.summary.edges().is_empty(), "warm-up must answer");
             }
+            engine.stats_window();
             let before = allocations();
             engine.install(search.clone());
             let resp = engine.query(req);
@@ -127,11 +144,13 @@ fn main() {
                 delta, 0,
                 "algorithm {algo}: a warm query allocated {delta} times"
             );
+            assert_retained(&engine, &[req]);
             // The answer came from its class: no cache, no flight, and
             // the oracle's size without an edge emitted.
             assert!(!resp.cached && !resp.coalesced);
             assert_eq!(resp.summary.size(), want, "algorithm {algo}");
             // A repeat without the install is free too.
+            engine.stats_window();
             let before = allocations();
             let again = engine.query(req);
             let delta = allocations() - before;
@@ -139,6 +158,7 @@ fn main() {
                 delta, 0,
                 "algorithm {algo}: a repeated warm query allocated {delta} times"
             );
+            assert_retained(&engine, &[req]);
             assert_eq!(again.summary, resp.summary);
         }
         engine.shutdown();
@@ -169,6 +189,7 @@ fn main() {
             }
         }
         assert_eq!(engine.stats().workers, 2);
+        engine.stats_window();
         let before = allocations();
         engine.install(search.clone());
         for r in &reqs {
@@ -182,7 +203,9 @@ fn main() {
             "a warm two-worker round of {} queries allocated {delta} times",
             reqs.len()
         );
+        assert_retained(&engine, &reqs);
         // A repeated round without the install is free too.
+        engine.stats_window();
         let before = allocations();
         for r in &reqs {
             assert!(engine.query(*r).summary.size() > 0);
@@ -192,6 +215,7 @@ fn main() {
             delta, 0,
             "a repeated warm two-worker round allocated {delta} times"
         );
+        assert_retained(&engine, &reqs);
         engine.shutdown();
     }
 
