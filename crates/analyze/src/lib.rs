@@ -62,9 +62,11 @@ use lexer::{lex, word_positions, Line};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Fallback audit set when no `scs-analyze.toml` is present: files whose
-/// atomic orderings must each carry a `// ordering:` comment.
-pub const ORDERING_AUDIT_FILES: [&str; 3] = ["engine.rs", "telemetry.rs", "arena.rs"];
+/// Fallback audit set when no `scs-analyze.toml` is present (e.g.
+/// `scs analyze --root crates/service`): files whose atomic orderings
+/// must each carry a `// ordering:` comment. Kept equal to the root
+/// config's list.
+pub const ORDERING_AUDIT_FILES: [&str; 4] = ["engine.rs", "telemetry.rs", "stats.rs", "server.rs"];
 
 /// How many lines above an atomic op an `// ordering:` comment may sit.
 pub const ORDERING_COMMENT_WINDOW: usize = 6;
@@ -869,25 +871,25 @@ mod tests {
             scan("crates/service/src/engine.rs", src).diagnostics.len(),
             1
         );
-        assert_eq!(scan("stats.rs", src).ordering_sites, 0);
+        assert_eq!(scan("lib.rs", src).ordering_sites, 0);
     }
 
     #[test]
     fn unaudited_atomics_get_one_hint() {
         let src =
             "fn f(x: &A) {\n    x.load(Ordering::Relaxed);\n    x.load(Ordering::Acquire);\n}\n";
-        let s = scan("stats.rs", src);
+        let s = scan("lib.rs", src);
         assert_eq!(s.diagnostics.len(), 1, "{:?}", s.diagnostics);
         assert!(
             s.diagnostics[0].msg.contains("audit"),
             "{}",
             s.diagnostics[0].msg
         );
-        assert!(s.diagnostics[0].msg.contains("stats.rs"));
+        assert!(s.diagnostics[0].msg.contains("lib.rs"));
         // Test-only atomics do not need opt-in.
         let test_only =
             "#[cfg(test)]\nmod tests {\n    fn t(x: &A) { x.load(Ordering::SeqCst); }\n}\n";
-        assert!(scan("stats.rs", test_only).diagnostics.is_empty());
+        assert!(scan("lib.rs", test_only).diagnostics.is_empty());
     }
 
     #[test]
@@ -902,12 +904,19 @@ mod tests {
     fn ordering_comment_satisfies_within_window() {
         let ok =
             "// ordering: pairs with the Release store in publish()\nx.load(Ordering::Acquire);\n";
-        assert!(scan("arena.rs", ok).diagnostics.is_empty());
+        assert!(scan("server.rs", ok).diagnostics.is_empty());
         let far = format!(
             "// ordering: too far\n{}x.load(Ordering::Acquire);\n",
             "\n".repeat(ORDERING_COMMENT_WINDOW)
         );
-        assert_eq!(scan("arena.rs", &far).diagnostics.len(), 1);
+        assert_eq!(scan("server.rs", &far).diagnostics.len(), 1);
+    }
+
+    #[test]
+    fn fallback_audit_list_matches_the_root_config() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let toml = config::load(&root).unwrap();
+        assert_eq!(toml.ordering_audit, Some(default_audit()));
     }
 
     #[test]

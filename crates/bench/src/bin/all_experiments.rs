@@ -1,6 +1,6 @@
 //! Runs every experiment binary in sequence — the one-shot reproduction
-//! of the paper's whole Section V. Results land on stdout; EXPERIMENTS.md
-//! records a reference run.
+//! of the paper's whole Section V. Results land on stdout; the run exits
+//! 1 naming every binary that failed.
 //!
 //! `cargo run -p scs-bench --release --bin all_experiments`
 

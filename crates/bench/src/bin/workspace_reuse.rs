@@ -80,10 +80,9 @@ fn main() {
         &widths,
     );
     println!(
-        "\nspeedup {:.2}x, scratch resident {} bytes, allocations avoided {}",
+        "\nspeedup {:.2}x, scratch resident {} bytes",
         reused_best / fresh_best,
-        ws.heap_bytes(),
-        ws.allocations_avoided()
+        ws.heap_bytes()
     );
 
     if reused_best < fresh_best {

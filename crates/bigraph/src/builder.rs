@@ -20,7 +20,7 @@ pub enum DuplicatePolicy {
 }
 
 /// Errors produced by [`GraphBuilder::build`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// The same `(upper, lower)` pair was added twice under
     /// [`DuplicatePolicy::Error`].

@@ -48,7 +48,6 @@
 //!
 //! ws.fit(&g); // a warm fit is allocation-free
 //! assert_eq!(ws.heap_bytes(), bytes);
-//! assert!(ws.allocations_avoided() > 0);
 //! ```
 
 use crate::graph::{BipartiteGraph, EdgeId, Vertex};
@@ -80,17 +79,13 @@ macro_rules! flat_map_impl {
             }
 
             /// Grows the map to hold at least `n` slots, filling new
-            /// slots with `fill`. Never shrinks. Returns `true` if the
-            /// map actually grew (i.e. an allocation may have happened).
-            pub fn ensure(&mut self, n: usize, fill: T) -> bool
+            /// slots with `fill`. Never shrinks.
+            pub fn ensure(&mut self, n: usize, fill: T)
             where
                 T: Clone,
             {
                 if self.buf.len() < n {
                     self.buf.resize(n, fill);
-                    true
-                } else {
-                    false
                 }
             }
 
@@ -196,13 +191,9 @@ impl StampSet {
     }
 
     /// Grows the id space to at least `n`. New slots are non-members.
-    /// Returns `true` if the set actually grew.
-    pub fn ensure(&mut self, n: usize) -> bool {
+    pub fn ensure(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
-            true
-        } else {
-            false
         }
     }
 
@@ -273,9 +264,8 @@ macro_rules! stamp_set_impl {
                 Self::default()
             }
 
-            /// Grows the id space to at least `n`; returns `true` on
-            /// actual growth.
-            pub fn ensure(&mut self, n: usize) -> bool {
+            /// Grows the id space to at least `n`.
+            pub fn ensure(&mut self, n: usize) {
                 self.0.ensure(n)
             }
 
@@ -341,27 +331,6 @@ macro_rules! stamp_set_impl {
 stamp_set_impl!(VertexSet, Vertex);
 stamp_set_impl!(EdgeSet, EdgeId);
 
-/// Reuse accounting: how much allocator traffic the workspace absorbed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkspaceStats {
-    /// Scratch-buffer acquisitions served (one per buffer per
-    /// [`Workspace::fit_sizes`] call).
-    pub acquisitions: u64,
-    /// Acquisitions that had to grow a buffer (≈ real allocations).
-    pub grows: u64,
-}
-
-impl WorkspaceStats {
-    /// Acquisitions served from already-resident memory — the buffer
-    /// set-ups a fresh-buffer implementation would have performed with
-    /// an allocation each. Counted once per buffer per [`Workspace`]
-    /// fit, so a query entering several kernels contributes each
-    /// kernel's fit.
-    pub fn allocations_avoided(&self) -> u64 {
-        self.acquisitions - self.grows
-    }
-}
-
 /// The shared scratch arena of the query pipeline: one of each typed
 /// buffer, grown monotonically to the largest graph seen.
 ///
@@ -387,7 +356,6 @@ pub struct Workspace {
     pub queue: Vec<u32>,
     /// Secondary worklist (cascades).
     pub stack: Vec<u32>,
-    stats: WorkspaceStats,
 }
 
 impl Workspace {
@@ -399,15 +367,12 @@ impl Workspace {
     /// Ensures every buffer can serve a graph with `n` vertices and `m`
     /// edges. Grow-only; a warm call is allocation-free.
     pub fn fit_sizes(&mut self, n: usize, m: usize) {
-        let mut grows = 0u64;
-        grows += self.visited.ensure(n) as u64;
-        grows += self.dead.ensure(n) as u64;
-        grows += self.edges.ensure(m) as u64;
-        grows += self.degree.ensure(n, 0) as u64;
-        grows += grow_vec(&mut self.queue, n) as u64;
-        grows += grow_vec(&mut self.stack, n) as u64;
-        self.stats.acquisitions += 6;
-        self.stats.grows += grows;
+        self.visited.ensure(n);
+        self.dead.ensure(n);
+        self.edges.ensure(m);
+        self.degree.ensure(n, 0);
+        grow_vec(&mut self.queue, n);
+        grow_vec(&mut self.stack, n);
     }
 
     /// [`Self::fit_sizes`] for a concrete graph.
@@ -425,30 +390,16 @@ impl Workspace {
             + self.queue.capacity() * std::mem::size_of::<u32>()
             + self.stack.capacity() * std::mem::size_of::<u32>()
     }
-
-    /// Reuse accounting since construction.
-    pub fn stats(&self) -> WorkspaceStats {
-        self.stats
-    }
-
-    /// Scratch acquisitions served without allocating (see
-    /// [`WorkspaceStats::allocations_avoided`]).
-    pub fn allocations_avoided(&self) -> u64 {
-        self.stats.allocations_avoided()
-    }
 }
 
 /// Reserves capacity for `n` elements in a reusable worklist without
-/// touching its contents; returns `true` if it grew. The grow-only
-/// primitive behind [`Workspace::fit_sizes`], shared by downstream
-/// workspaces (e.g. `scs::QueryWorkspace`) so every scratch buffer in
-/// the pipeline follows one growth policy.
-pub fn grow_vec<T>(v: &mut Vec<T>, n: usize) -> bool {
+/// touching its contents. The grow-only primitive behind
+/// [`Workspace::fit_sizes`], shared by downstream workspaces (e.g.
+/// `scs::QueryWorkspace`) so every scratch buffer in the pipeline
+/// follows one growth policy.
+pub fn grow_vec<T>(v: &mut Vec<T>, n: usize) {
     if v.capacity() < n {
         v.reserve(n - v.len()); // contract-ok: workspace scratch retains warm capacity across queries; growth is cold (alloc-gated)
-        true
-    } else {
-        false
     }
 }
 
@@ -511,8 +462,8 @@ mod tests {
     #[test]
     fn maps_index_both_ways() {
         let mut m: VertexMap<u32> = VertexMap::new();
-        assert!(m.ensure(3, 7));
-        assert!(!m.ensure(2, 0)); // never shrinks
+        m.ensure(3, 7);
+        m.ensure(2, 0); // never shrinks
         assert_eq!(m.len(), 3);
         m[Vertex(1)] = 5;
         assert_eq!(m[1usize], 5);
@@ -534,15 +485,10 @@ mod tests {
         let g = b.build().unwrap();
         let mut ws = Workspace::new();
         ws.fit(&g);
-        let first = ws.stats();
-        assert!(first.grows > 0);
         let bytes = ws.heap_bytes();
         assert!(bytes > 0);
         ws.fit(&g);
-        let second = ws.stats();
-        assert_eq!(second.grows, first.grows, "warm fit must not grow");
-        assert_eq!(ws.heap_bytes(), bytes);
-        assert!(ws.allocations_avoided() >= 6);
+        assert_eq!(ws.heap_bytes(), bytes, "warm fit must not grow");
         // Buffers are addressable for the fitted graph.
         ws.visited.clear();
         assert!(ws.visited.insert(g.upper(1)));

@@ -638,6 +638,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         }
         "serve-bench" => {
             need(1)?;
+            if remote.is_some() && engine_flags.contains(&"--threads") {
+                return Err(CliError::new(
+                    "--threads sizes the in-process engine; with --remote, size the server with `scs serve --threads`",
+                ));
+            }
             Ok(Command::ServeBench(ServeBenchArgs {
                 path: rest[0].into(),
                 one_based,
@@ -957,9 +962,9 @@ fn run_serve_bench(args: ServeBenchArgs) -> Result<String, CliError> {
 /// `scs serve-bench --remote`: drive the generated workload over
 /// keep-alive HTTP connections against a running `scs serve`, counting
 /// `200`s, `429` sheds and errors and measuring client-side latency.
-/// The engine knob `--threads` belongs to the server process and is
-/// ignored here;
-/// `--bench-json` needs in-process engine stats and is rejected.
+/// The parser refuses `--threads` here (the server process sizes its
+/// engine), and `--bench-json` needs in-process engine stats and is
+/// rejected.
 fn run_remote_bench(
     args: &ServeBenchArgs,
     remote: &str,
@@ -1624,6 +1629,26 @@ mod tests {
         assert!(parse_args(&args(&["serve-bench", "g", "--remote"])).is_err());
         let err = parse_args(&args(&["stats", "g", "--remote", "x:1"])).unwrap_err();
         assert!(err.to_string().contains("serve-bench"), "{err}");
+    }
+
+    #[test]
+    fn remote_bench_refuses_threads_and_defaults_to_eight_clients() {
+        // The server process sizes a remote engine: `--threads` is
+        // refused by name, and the client count keeps its default.
+        let err = parse_args(&args(&[
+            "serve-bench",
+            "g",
+            "--remote",
+            "x:1",
+            "--threads",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("--threads"), "{err}");
+        match parse_args(&args(&["serve-bench", "g", "--remote", "x:1"])).unwrap() {
+            Command::ServeBench(a) => assert_eq!((a.threads, a.clients), (4, 8)),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -21,7 +21,9 @@
 
 use super::delta::{build_level_pair, DeltaIndex};
 use bicore::degeneracy::{degeneracy, unipartite_core_numbers};
-use bigraph::{BipartiteGraph, DuplicatePolicy, GraphBuilder, Subgraph, Vertex, Weight};
+use bigraph::{
+    BipartiteGraph, BuildError, DuplicatePolicy, GraphBuilder, Subgraph, Vertex, Weight,
+};
 use std::fmt;
 
 /// Errors from [`DynamicIndex`] updates.
@@ -31,6 +33,13 @@ pub enum UpdateError {
     EdgeExists { upper: usize, lower: usize },
     /// Removal of a missing edge.
     EdgeMissing { upper: usize, lower: usize },
+    /// Insertion at a vertex outside the graph's layers: the index
+    /// maintains a fixed vertex set.
+    VertexOutOfRange { upper: usize, lower: usize },
+    /// Insertion with a NaN or infinite weight.
+    NonFiniteWeight { upper: usize, lower: usize },
+    /// The updated graph failed validation.
+    Build(BuildError),
 }
 
 impl fmt::Display for UpdateError {
@@ -42,6 +51,16 @@ impl fmt::Display for UpdateError {
             UpdateError::EdgeMissing { upper, lower } => {
                 write!(f, "edge (u{upper}, l{lower}) does not exist")
             }
+            UpdateError::VertexOutOfRange { upper, lower } => {
+                write!(
+                    f,
+                    "edge (u{upper}, l{lower}) names a vertex outside the graph"
+                )
+            }
+            UpdateError::NonFiniteWeight { upper, lower } => {
+                write!(f, "non-finite weight on edge (u{upper}, l{lower})")
+            }
+            UpdateError::Build(e) => write!(f, "{e}"),
         }
     }
 }
@@ -83,22 +102,27 @@ impl DynamicIndex {
     }
 
     /// Inserts edge `(upper, lower)` with weight `w` and repairs the
-    /// index incrementally.
+    /// index incrementally. Both endpoints must already be in the graph
+    /// and `w` must be finite.
     pub fn insert_edge(
         &mut self,
         upper: usize,
         lower: usize,
         w: Weight,
     ) -> Result<(), UpdateError> {
-        if upper < self.graph.n_upper()
-            && lower < self.graph.n_lower()
-            && self
-                .graph
-                .has_edge(self.graph.upper(upper), self.graph.lower(lower))
+        if upper >= self.graph.n_upper() || lower >= self.graph.n_lower() {
+            return Err(UpdateError::VertexOutOfRange { upper, lower });
+        }
+        if !w.is_finite() {
+            return Err(UpdateError::NonFiniteWeight { upper, lower });
+        }
+        if self
+            .graph
+            .has_edge(self.graph.upper(upper), self.graph.lower(lower))
         {
             return Err(UpdateError::EdgeExists { upper, lower });
         }
-        let new_graph = self.rebuild_graph(Some((upper, lower, w)), None);
+        let new_graph = self.rebuild_graph(Some((upper, lower, w)), None)?;
         self.repair(new_graph, upper, lower);
         Ok(())
     }
@@ -114,7 +138,7 @@ impl DynamicIndex {
             return Err(UpdateError::EdgeMissing { upper, lower });
         };
         let w = self.graph.weight(e);
-        let new_graph = self.rebuild_graph(None, Some((upper, lower)));
+        let new_graph = self.rebuild_graph(None, Some((upper, lower)))?;
         self.repair(new_graph, upper, lower);
         Ok(w)
     }
@@ -150,7 +174,7 @@ impl DynamicIndex {
         &self,
         insert: Option<(usize, usize, Weight)>,
         remove: Option<(usize, usize)>,
-    ) -> BipartiteGraph {
+    ) -> Result<BipartiteGraph, UpdateError> {
         let g = &self.graph;
         let mut b = GraphBuilder::with_policy(DuplicatePolicy::Error);
         b.ensure_upper(g.n_upper().saturating_sub(1));
@@ -166,7 +190,7 @@ impl DynamicIndex {
         if let Some((u, l, w)) = insert {
             b.add_edge(u, l, w);
         }
-        b.build().expect("update preserves well-formedness")
+        b.build().map_err(UpdateError::Build)
     }
 
     /// Refreshes exactly the levels that the update to `(upper, lower)`
@@ -336,6 +360,42 @@ mod tests {
         assert_eq!(dyn_idx.remove_edge(0, 0).unwrap(), 1.0);
         assert_eq!(dyn_idx.graph().n_edges(), 0);
         assert_eq!(dyn_idx.index().delta(), 0);
+    }
+
+    #[test]
+    fn bad_insertions_are_refused_without_touching_the_index() {
+        // A 3×3 biclique missing (u2, l2).
+        let mut b = GraphBuilder::new();
+        for u in 0..3 {
+            for l in 0..3 {
+                if (u, l) != (2, 2) {
+                    b.add_edge(u, l, 4.0);
+                }
+            }
+        }
+        let mut dyn_idx = DynamicIndex::new(b.build().unwrap());
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                dyn_idx.insert_edge(2, 2, w),
+                Err(UpdateError::NonFiniteWeight { upper: 2, lower: 2 }),
+                "{w}"
+            );
+        }
+        for (upper, lower) in [(1 << 32, 2), (3, 2), (2, 3)] {
+            assert_eq!(
+                dyn_idx.insert_edge(upper, lower, 1.0),
+                Err(UpdateError::VertexOutOfRange { upper, lower })
+            );
+        }
+        assert_eq!(dyn_idx.graph().n_edges(), 8);
+        assert_eq!(dyn_idx.index().delta(), 2);
+        // A finite weight between existing vertices goes in.
+        dyn_idx.insert_edge(2, 2, 2.5).unwrap();
+        let g = dyn_idx.graph();
+        let e = g.find_edge(g.upper(2), g.lower(2)).unwrap();
+        assert_eq!((g.n_edges(), g.weight(e)), (9, 2.5));
+        assert_eq!(dyn_idx.index().delta(), 3);
+        assert_index_consistent(&dyn_idx);
     }
 
     #[test]

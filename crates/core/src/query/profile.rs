@@ -371,7 +371,7 @@ impl Answer {
         let Some((profile, node)) = self.view() else {
             return;
         };
-        ws.fit_bits(node.hi as usize + 1);
+        ws.bits.ensure(node.hi as usize + 1);
         ws.bits
             .emit_ascending(profile.slice(node), node.words(), out);
         debug_assert!(
@@ -476,15 +476,12 @@ pub(crate) struct EdgeBits {
 }
 
 impl EdgeBits {
-    /// Grows the bitset to hold edge ids `0..m`. Never shrinks; returns
-    /// `true` if it grew.
-    pub(crate) fn ensure(&mut self, m: usize) -> bool {
+    /// Grows the bitset to hold edge ids `0..m`. Never shrinks.
+    pub(crate) fn ensure(&mut self, m: usize) {
         let n_words = m.div_ceil(64);
-        let grow = self.words.len() < n_words;
-        if grow {
+        if self.words.len() < n_words {
             self.words.resize(n_words, 0); // contract-ok: grow-only scratch sized by the highest id emitted; a warm workspace never grows it
         }
-        grow
     }
 
     /// Marks `edges`, then scans `words` in order and pushes each set

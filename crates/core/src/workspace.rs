@@ -106,8 +106,6 @@ pub struct QueryWorkspace {
     /// Edge bitset [`crate::Answer::edges_into`] emits through; empty
     /// until the first emission.
     pub(crate) bits: EdgeBits,
-    acquisitions: u64,
-    grows: u64,
 }
 
 impl QueryWorkspace {
@@ -117,33 +115,23 @@ impl QueryWorkspace {
     }
 
     /// Ensures the community-sized scratch can serve a local graph with
-    /// `n` vertices and `m` edges. Grow-only and counted, like
+    /// `n` vertices and `m` edges. Grow-only, like
     /// [`Workspace::fit_sizes`].
     pub(crate) fn fit_local(&mut self, n: usize, m: usize) {
         use bigraph::workspace::grow_vec as grow;
         let s = &mut self.scratch;
-        let mut grows = 0u64;
-        grows += s.alive.ensure(m) as u64;
-        grows += s.added.ensure(m) as u64;
-        grows += s.visited.ensure(n) as u64;
-        grows += grow(&mut s.deg, n) as u64;
-        grows += grow(&mut s.order, m) as u64;
-        grows += grow(&mut s.subset, m) as u64;
-        grows += grow(&mut s.removed, m) as u64;
-        grows += grow(&mut s.cascade, n) as u64;
-        grows += grow(&mut s.stack, n) as u64;
-        grows += grow(&mut s.out, m) as u64;
-        grows += grow(&mut s.weights, m) as u64;
-        grows += grow(&mut s.heap, m) as u64;
-        self.acquisitions += 12;
-        self.grows += grows;
-    }
-
-    /// Ensures the edge bitset covers edge ids `0..m`. Grow-only and
-    /// counted, like [`Self::fit_local`].
-    pub(crate) fn fit_bits(&mut self, m: usize) {
-        self.grows += self.bits.ensure(m) as u64;
-        self.acquisitions += 1;
+        s.alive.ensure(m);
+        s.added.ensure(m);
+        s.visited.ensure(n);
+        grow(&mut s.deg, n);
+        grow(&mut s.order, m);
+        grow(&mut s.subset, m);
+        grow(&mut s.removed, m);
+        grow(&mut s.cascade, n);
+        grow(&mut s.stack, n);
+        grow(&mut s.out, m);
+        grow(&mut s.weights, m);
+        grow(&mut s.heap, m);
     }
 
     /// The graph-sized base workspace (index retrieval, baselines).
@@ -179,15 +167,6 @@ impl QueryWorkspace {
             + self.scratch.heap_bytes()
             + self.bits.heap_bytes()
     }
-
-    /// Scratch acquisitions served from already-resident memory — the
-    /// buffer set-ups a fresh-buffer implementation would have
-    /// performed with an allocation each, counted once per buffer per
-    /// kernel fit (see
-    /// [`bigraph::workspace::WorkspaceStats::allocations_avoided`]).
-    pub fn allocations_avoided(&self) -> u64 {
-        self.base.allocations_avoided() + (self.acquisitions - self.grows)
-    }
 }
 
 #[cfg(test)]
@@ -200,11 +179,9 @@ mod tests {
         ws.fit_local(10, 20);
         let bytes = ws.heap_bytes();
         assert!(bytes > 0);
-        let avoided_before = ws.allocations_avoided();
         ws.fit_local(10, 20);
         ws.fit_local(4, 4);
         assert_eq!(ws.heap_bytes(), bytes, "warm fits must not grow");
-        assert!(ws.allocations_avoided() >= avoided_before + 24);
         ws.fit_local(100, 300);
         assert!(ws.heap_bytes() > bytes, "bigger community grows the pool");
     }

@@ -6,8 +6,7 @@
 //! schedules per run; this crate checks *every*
 //! schedule of a bounded model, in the spirit of
 //! [loom](https://docs.rs/loom) — but vendored and std-only, like the
-//! workspace's `rand`/`criterion` stand-ins, because the build is
-//! offline.
+//! workspace's `rand` stand-in, because the build is offline.
 //!
 //! ## How it works
 //!

@@ -324,15 +324,6 @@ struct WindowBase {
     telem: TelemetrySnapshot,
 }
 
-impl WindowBase {
-    fn zero(at: Instant) -> Self {
-        WindowBase {
-            at,
-            telem: TelemetrySnapshot::empty(),
-        }
-    }
-}
-
 /// Everything the workers and the engine handle share: the index
 /// snapshot, the job queue, the reply-cell pool and the statistics.
 struct Inner {
@@ -548,7 +539,10 @@ impl QueryEngine {
             scratch_bytes: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
             telemetry: Telemetry::new(config.slow_ring_capacity),
             started: now,
-            window: Mutex::new(WindowBase::zero(now)),
+            window: Mutex::new(WindowBase {
+                at: now,
+                telem: TelemetrySnapshot::empty(),
+            }),
             install_lock: Mutex::new(()),
         });
         let handles = (0..workers)
@@ -663,27 +657,14 @@ impl QueryEngine {
     /// reject threshold), so a fast window following a slow warmup
     /// still surfaces its own spikes instead of losing them under the
     /// warmup's stale threshold.
-    ///
-    /// If the baseline is found to be *ahead* of the current counters —
-    /// any histogram bucket, count or the install counter going backwards,
-    /// which proves the counters were replaced or reset mid-window —
-    /// the stale baseline is discarded and the window is recomputed
-    /// from zero (everything since the reset), rather than returning
-    /// saturated per-field deltas whose `count` disagrees with
-    /// `Σ buckets` and whose quantiles read the wrong bucket.
     pub fn stats_window(&self) -> ServiceStats {
         let inner = &self.inner;
         let mut base = inner.window.lock().unwrap();
         let now = Instant::now();
+        // Taken under the `window` lock, like the baseline, and every
+        // telemetry counter only grows: no field reads below its
+        // baseline, so consecutive windows partition the counts.
         let telem = inner.telemetry.snapshot();
-        if telem.regressed_from(&base.telem) {
-            // Resnapshot: the recorded baseline belongs to storage that
-            // no longer backs the counters. Zeroing it makes every
-            // subtraction below exact (delta vs. zero ≡ the cumulative
-            // values since the reset, which all fall inside this
-            // window) and keeps count ≡ Σ buckets for the quantiles.
-            *base = WindowBase::zero(base.at);
-        }
         let stats = inner.stats_over(
             &telem.delta(&base.telem),
             now.saturating_duration_since(base.at).as_secs_f64(),
@@ -1001,54 +982,35 @@ mod tests {
     }
 
     #[test]
-    fn stats_window_resnapshots_on_baseline_regression() {
-        // Regression: a window baseline that is *ahead* of the live
-        // counters (the counters were replaced or reset after the
-        // baseline was taken) used to produce saturated per-field
-        // deltas — `completed` clamped to 0 while histogram buckets
-        // kept nonzero counts, so quantiles read garbage. The fix
-        // detects the regression and resnapshots from zero.
-        let e = engine(1);
+    fn consecutive_windows_partition_the_cumulative_count() {
+        // Two clients send 20 rounds of 10 queries each; the test takes
+        // one window per round, while the clients run the next one.
+        // Every completed request must land in exactly one window.
+        let e = engine(2);
         let q = e.current_index().0.graph().upper(2);
-        e.query(QueryRequest::new(q, 2, 2, Algorithm::Peel));
-        e.stats_window(); // establish a legitimate baseline
-        e.query(QueryRequest::new(q, 3, 2, Algorithm::Peel));
-        e.query(QueryRequest::new(q, 2, 1, Algorithm::Peel));
-        let live_completed = e.stats().completed;
-        // Force the mid-window reset: overwrite the baseline with one
-        // recorded from different (busier) storage, exactly what a
-        // telemetry-plane swap mid-window looks like to the reader.
-        {
-            let ahead = Telemetry::new(0);
-            let mut stages_us = [0; crate::telemetry::N_STAGES];
-            stages_us[Stage::Kernel as usize] = 50;
-            let trace = RequestTrace {
-                q: q.0,
-                alpha: 2,
-                beta: 2,
-                epoch: 0,
-                result_edges: 0,
-                total_us: 50,
-                stages_us,
-            };
-            for _ in 0..1000 {
-                ahead.record(&trace);
+        let round_done = std::sync::Barrier::new(3);
+        let mut windowed = 0;
+        std::thread::scope(|s| {
+            for c in 0..2 {
+                let (e, round_done) = (&e, &round_done);
+                s.spawn(move || {
+                    for round in 0..20 {
+                        for i in 0..10 {
+                            let alpha = 1 + (c + round + i) % 3;
+                            e.query(QueryRequest::new(q, alpha, 2, Algorithm::Auto));
+                        }
+                        round_done.wait();
+                    }
+                });
             }
-            e.inner.window.lock().unwrap().telem = ahead.snapshot();
-        }
-        let w = e.stats_window();
-        // The stale baseline is discarded: the window reports everything
-        // the counters currently hold (all of it post-"reset"), not a
-        // zero count over nonzero buckets.
-        assert_eq!(
-            w.completed, live_completed,
-            "regressed baseline must be resnapshotted, not saturated"
-        );
-        assert!(w.mean_us > 0.0, "window quantiles must see the samples");
-        // And the rollover leaves a sane baseline behind: the next
-        // window counts only its own traffic.
-        e.query(QueryRequest::new(q, 1, 2, Algorithm::Peel));
-        assert_eq!(e.stats_window().completed, 1);
+            for _ in 0..20 {
+                round_done.wait();
+                windowed += e.stats_window().completed;
+            }
+        });
+        windowed += e.stats_window().completed;
+        assert_eq!(windowed, 400);
+        assert_eq!(e.stats().completed, 400);
         e.shutdown();
     }
 

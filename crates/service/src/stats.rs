@@ -189,25 +189,6 @@ impl HistSnapshot {
         }
     }
 
-    /// True when `self` cannot be a later snapshot of the same
-    /// histogram as `baseline`: some bucket, the count or the sum went
-    /// backwards. Cumulative histogram counters are monotone, so a
-    /// regression proves the baseline belongs to different (replaced or
-    /// reset) storage — e.g. a telemetry plane recreated mid-window.
-    /// [`Self::delta`] saturates per field, which silently yields a
-    /// `count` that disagrees with `Σ buckets` in that case (quantiles
-    /// then read the wrong bucket); windowed readers must detect the
-    /// regression with this and resnapshot instead.
-    pub fn regressed_from(&self, baseline: &HistSnapshot) -> bool {
-        if self.count < baseline.count || self.sum_us < baseline.sum_us {
-            return true;
-        }
-        self.buckets
-            .iter()
-            .zip(baseline.buckets.iter())
-            .any(|(now, base)| now < base)
-    }
-
     /// Approximate `q`-quantile (`0 < q ≤ 1`) in microseconds: linear
     /// interpolation inside the bucket containing the quantile rank —
     /// the `r`-th of a bucket's `c` samples reports
@@ -622,38 +603,5 @@ mod tests {
         let mut quiet = s.clone();
         quiet.admission = AdmissionStats::default();
         assert!(!quiet.to_string().contains("shed (429)"));
-    }
-
-    #[test]
-    fn snapshot_regression_is_detected_not_saturated() {
-        // Regression (ISSUE 10, satellite 1): `delta` saturates per
-        // field, so a baseline from replaced/reset storage yields a
-        // delta whose `count` disagrees with `Σ buckets` and quantiles
-        // silently read the wrong bucket. `regressed_from` is the
-        // detector windowed readers must consult first.
-        let h = LatencyHistogram::default();
-        for us in [10u64, 100, 1000, 10_000] {
-            h.record(us);
-        }
-        let big = h.snapshot();
-        let h2 = LatencyHistogram::default();
-        h2.record(50);
-        let small = h2.snapshot();
-        // Forward in time over the same storage: no regression.
-        h.record(7);
-        let later = h.snapshot();
-        assert!(!later.regressed_from(&big));
-        assert!(!big.regressed_from(&big));
-        // A fresh histogram observed against the old baseline: count,
-        // sum and buckets all went backwards.
-        assert!(small.regressed_from(&big));
-        // The saturated delta is exactly the inconsistent artifact the
-        // detector exists to catch: nonzero buckets under a zero count.
-        let bad = small.delta(&big);
-        let bucket_sum: u64 = (0..HistSnapshot::N_BUCKETS)
-            .map(|i| bad.bucket_count(i))
-            .sum();
-        assert_eq!(bad.count(), 0);
-        assert_eq!(bucket_sum, 1);
     }
 }

@@ -326,22 +326,6 @@ impl TelemetrySnapshot {
             installs: self.installs.saturating_sub(prev.installs),
         }
     }
-
-    /// True when `self` cannot be a later observation of the same
-    /// monotone counters as `baseline`: some histogram bucket, count or
-    /// sum, or the install counter, went backwards. See
-    /// [`HistSnapshot::regressed_from`] — the windowed-stats rollover
-    /// uses this to resnapshot instead of computing a nonsense
-    /// saturated delta.
-    pub fn regressed_from(&self, baseline: &TelemetrySnapshot) -> bool {
-        self.total.regressed_from(&baseline.total)
-            || self
-                .stages
-                .iter()
-                .zip(&baseline.stages)
-                .any(|(now, base)| now.regressed_from(base))
-            || self.installs < baseline.installs
-    }
 }
 
 /// The K slowest requests since the last window reset, in a list

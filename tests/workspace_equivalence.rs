@@ -35,6 +35,7 @@ fn reused_workspace_matches_fresh_wrappers_across_graph_swaps() {
     // One workspace across every graph and every query of the test.
     let mut ws = QueryWorkspace::new();
     let mut out = Vec::new();
+    let mut bytes = Vec::new();
 
     // Sizes deliberately go big → small → big so the workspace sees both
     // growth and logically-stale oversized buffers (the epoch-swap case).
@@ -77,9 +78,8 @@ fn reused_workspace_matches_fresh_wrappers_across_graph_swaps() {
             let baseline = scs_baseline(&g, q, alpha, beta);
             assert_eq!(out, baseline.edges(), "baseline {label}");
         }
+        bytes.push(ws.heap_bytes());
     }
-    assert!(
-        ws.allocations_avoided() > 0,
-        "the reuse path never exercised warm buffers"
-    );
+    // The small graph was served from the buffers the big one grew.
+    assert_eq!(bytes[1], bytes[0], "the smaller graph grew the workspace");
 }
